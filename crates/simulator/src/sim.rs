@@ -246,9 +246,20 @@ fn delta_rounds_from_env() -> bool {
     )
 }
 
-/// A convergence-fit outcome held for trace emission: fitted
-/// coefficients plus residual, or the error message.
-type ConvFitSlot = Option<Result<(Vec<f64>, f64), String>>;
+/// A speed-model refit outcome held for trace emission: coefficients,
+/// residual and sample count, or the error message (`None` = no
+/// observation this interval, or an untraced run).
+type SpeedFitEvent = Option<Result<(Vec<f64>, f64, usize), String>>;
+
+/// Per-round buffers of the batched refit, indexed by position in the
+/// live list and reused across rounds.
+#[derive(Debug, Default)]
+struct RefitBuffers {
+    speed_events: Vec<SpeedFitEvent>,
+    conv_slots: Vec<Option<Result<optimus_fitting::LossModel, optimus_fitting::FitError>>>,
+    /// Live-list positions whose convergence estimator must refit.
+    dirty: Vec<usize>,
+}
 
 impl Default for SimConfig {
     fn default() -> Self {
@@ -321,9 +332,11 @@ struct DeltaTrack {
     /// Fingerprint per `jobs` index on the previous round (`None` = no
     /// view: finished, pending, or pinned).
     fps: Vec<Option<ViewFp>>,
-    /// This round's fingerprints under construction (swapped into
-    /// `fps`).
-    fps_next: Vec<Option<ViewFp>>,
+    /// The `jobs` indices holding `Some` in `fps`, ascending: the
+    /// previous round's view jobs, so the refresh clears only them.
+    fp_ids: Vec<usize>,
+    /// This round's fingerprints under construction, one per view.
+    fps_next: Vec<ViewFp>,
     /// Per-server `(capacity, available)` of the previous round's
     /// scheduler-visible cluster, after all reservations.
     cluster: Vec<(ResourceVec, ResourceVec)>,
@@ -368,6 +381,25 @@ pub struct Simulation {
     schedule_buf: Schedule,
     /// Cross-round input diffing for the delta engine.
     track: DeltaTrack,
+    /// Job indices with a non-NaN `submit_time`, ascending by submit
+    /// time (ties in index order); admission walks it from
+    /// `next_arrival`. Each round's admitted batch is re-sorted by job
+    /// index in place: the cursor never revisits it.
+    arrivals: Vec<usize>,
+    /// First `arrivals` entry not yet admitted.
+    next_arrival: usize,
+    /// The live list: admitted, not yet finished job indices,
+    /// ascending. Every per-round and per-sample pass walks it instead
+    /// of `jobs`. Jobs that finish between rounds leave it at the next
+    /// round's admission.
+    live: Vec<usize>,
+    /// The previous round's live list merged with this round's
+    /// admissions: every job whose speed prediction may await
+    /// settlement.
+    settle: Vec<usize>,
+    refit: RefitBuffers,
+    /// `optimus_parallel::available_threads()`, queried on first need.
+    auto_threads: Option<usize>,
 }
 
 impl Simulation {
@@ -394,11 +426,12 @@ impl Simulation {
                 }
                 job
             })
-            .collect();
+            .collect::<Vec<_>>();
         if tel.is_enabled() {
             EstimatorAudit::register(&tel);
         }
         let flight = config.flight.as_ref().map(FlightRecorder::from_config);
+        let arrivals = arrival_index(&jobs);
         Simulation {
             cluster,
             jobs,
@@ -414,6 +447,12 @@ impl Simulation {
             scratch: RoundScratch::default(),
             schedule_buf: Schedule::default(),
             track: DeltaTrack::default(),
+            arrivals,
+            next_arrival: 0,
+            live: Vec::new(),
+            settle: Vec::new(),
+            refit: RefitBuffers::default(),
+            auto_threads: None,
         }
     }
 
@@ -480,17 +519,10 @@ impl Simulation {
                 if tel.is_enabled() {
                     let wall_us = started.elapsed().as_micros() as u64;
                     tel.observe("sim.round_wall_us", wall_us as f64);
-                    let active_jobs = self
-                        .jobs
-                        .iter()
-                        .filter(|j| {
-                            j.status != JobStatus::Finished && j.status != JobStatus::Pending
-                        })
-                        .count();
                     tel.record(TraceEvent::Round {
                         round,
                         t_s: t,
-                        active_jobs,
+                        active_jobs: self.live.len(),
                         wall_us,
                     });
                 }
@@ -725,6 +757,9 @@ impl Simulation {
             }
             for (i, job) in self.jobs.iter().enumerate() {
                 let eligible = Self::first_tick_at(job.spec.submit_time, cfg.tick_s);
+                if eligible >= max_ticks {
+                    continue;
+                }
                 let round_tick = eligible.div_ceil(ticks_per_interval) * ticks_per_interval;
                 if round_tick < max_ticks {
                     queue.schedule(round_tick, SimEventType::JobArrival { job: i });
@@ -767,7 +802,7 @@ impl Simulation {
             match ev.kind {
                 SimEventType::ServerFailure => {
                     if self.process_server_failures(t) {
-                        speed_cache.fill(None);
+                        self.clear_speed_cache(&mut speed_cache);
                         self.rebuild_active(&mut active);
                     }
                 }
@@ -779,22 +814,15 @@ impl Simulation {
                 SimEventType::SchedulingRound => {
                     let started = std::time::Instant::now();
                     self.run_scheduling_round(t, round + 1);
-                    speed_cache.fill(None);
+                    self.clear_speed_cache(&mut speed_cache);
                     round += 1;
                     if tel.is_enabled() {
                         let wall_us = started.elapsed().as_micros() as u64;
                         tel.observe("sim.round_wall_us", wall_us as f64);
-                        let active_jobs = self
-                            .jobs
-                            .iter()
-                            .filter(|j| {
-                                j.status != JobStatus::Finished && j.status != JobStatus::Pending
-                            })
-                            .count();
                         tel.record(TraceEvent::Round {
                             round,
                             t_s: t,
-                            active_jobs,
+                            active_jobs: self.live.len(),
                             wall_us,
                         });
                     }
@@ -1212,15 +1240,26 @@ impl Simulation {
     }
 
     /// Rebuilds the active-job index list (ascending): jobs whose
-    /// per-tick body can still have an effect.
+    /// per-tick body can still have an effect. Pending and finished
+    /// jobs never qualify, so the live list holds every candidate.
     fn rebuild_active(&self, active: &mut Vec<usize>) {
         active.clear();
-        active.extend(self.jobs.iter().enumerate().filter_map(|(i, j)| {
-            let is_active = j.status == JobStatus::Running
+        active.extend(self.live.iter().copied().filter(|&i| {
+            let j = &self.jobs[i];
+            j.status == JobStatus::Running
                 || j.overhead_remaining_s > 0.0
-                || j.jct.phase() == JctPhase::Overhead;
-            is_active.then_some(i)
+                || j.jct.phase() == JctPhase::Overhead
         }));
+    }
+
+    /// Invalidates the event engine's per-job speed cache. Only running
+    /// jobs hold entries, and a finish clears its own, so clearing the
+    /// live jobs' entries clears them all.
+    fn clear_speed_cache(&self, speed_cache: &mut [Option<f64>]) {
+        for &i in &self.live {
+            speed_cache[i] = None;
+        }
+        debug_assert!(speed_cache.iter().all(Option::is_none));
     }
 
     /// Drops jobs whose per-tick body became a no-op (finished, or
@@ -1256,9 +1295,15 @@ impl Simulation {
 
     /// First tick whose time reaches `at`, stepped up from one below
     /// the float quotient so rounding can't overshoot — the tick at
-    /// which an `at <= t` condition first becomes true.
+    /// which an `at <= t` condition first becomes true. Times past the
+    /// exactly representable tick range (`+∞` included) map to
+    /// `u64::MAX`, i.e. never; NaN and `-∞` map to tick 0.
     fn first_tick_at(at: f64, tick_s: f64) -> u64 {
-        let mut trig = ((at / tick_s).floor() as i64 - 1).max(0) as u64;
+        let quotient = (at / tick_s).floor();
+        if quotient >= (1u64 << f64::MANTISSA_DIGITS) as f64 {
+            return u64::MAX;
+        }
+        let mut trig = (quotient as i64).saturating_sub(1).max(0) as u64;
         while (trig as f64) * tick_s < at {
             trig += 1;
         }
@@ -1291,7 +1336,8 @@ impl Simulation {
         let applied = !due.is_empty();
         for sid in due {
             self.failed_servers.push(sid);
-            for job in self.jobs.iter_mut() {
+            for &i in &self.live {
+                let job = &mut self.jobs[i];
                 if job.status == JobStatus::Running && job.placement.iter().any(|&(s, _)| s == sid)
                 {
                     // Tasks lost; the job stalls until re-placed.
@@ -1325,17 +1371,11 @@ impl Simulation {
         let mut next = next_multiple(ticks_per_interval)
             .min(next_multiple(ticks_per_sample))
             .min(max_ticks);
-        let tick_s = self.config.tick_s;
         for &(at, sid) in &self.config.server_failures {
             if self.failed_servers.contains(&sid) {
                 continue;
             }
-            // First tick whose time reaches `at`, stepped up from one
-            // below the float quotient so rounding can't overshoot.
-            let mut trig = ((at / tick_s).floor() as i64 - 1).max(0) as u64;
-            while (trig as f64) * tick_s < at {
-                trig += 1;
-            }
+            let trig = Self::first_tick_at(at, self.config.tick_s);
             next = next.min(trig.max(tick + 1));
         }
         next.max(tick + 1)
@@ -1344,30 +1384,36 @@ impl Simulation {
     /// One §4 scheduling round at time `t` (1-based `round` number, for
     /// the audit trail).
     fn run_scheduling_round(&mut self, t: f64, round: u64) {
-        let cfg = self.config.clone();
-        let tel = cfg.telemetry.clone();
+        let tel = self.config.telemetry.clone();
 
         // 1. Admit & profile newly arrived jobs (§3.2 "Model fitting":
-        // sample runs on a small dataset before the job starts).
-        let mut admitted = Vec::new();
-        for job in self.jobs.iter_mut() {
-            if job.status == JobStatus::Pending && job.spec.submit_time <= t {
-                let truth = optimus_ps::PsJobModel::new(job.spec.profile(), job.spec.mode);
-                for &(p, w) in &cfg.profile_configs {
-                    let noise = 1.0 + cfg.profile_noise * (self.rng.gen::<f64>() * 2.0 - 1.0);
-                    job.speed_model.record(p, w, truth.speed(p, w) * noise);
-                }
-                let _ = job.speed_model.refit();
-                job.status = JobStatus::Paused; // active, awaiting placement
-                admitted.push(job.spec.id);
+        // sample runs on a small dataset before the job starts). The
+        // arrival cursor finds them; profiling runs in job-index order
+        // so the RNG draws match a scan over every job.
+        let first = self.next_arrival;
+        self.next_arrival += self.arrivals[first..]
+            .iter()
+            .take_while(|&&i| self.jobs[i].spec.submit_time <= t)
+            .count();
+        let admitted = first..self.next_arrival;
+        self.arrivals[admitted.clone()].sort_unstable();
+        for &i in &self.arrivals[admitted.clone()] {
+            let job = &mut self.jobs[i];
+            let truth = optimus_ps::PsJobModel::new(job.spec.profile(), job.spec.mode);
+            for &(p, w) in &self.config.profile_configs {
+                let noise = 1.0 + self.config.profile_noise * (self.rng.gen::<f64>() * 2.0 - 1.0);
+                job.speed_model.record(p, w, truth.speed(p, w) * noise);
             }
+            let _ = job.speed_model.refit();
+            job.status = JobStatus::Paused; // active, awaiting placement
         }
-        for id in admitted {
+        for k in admitted.clone() {
+            let id = self.jobs[self.arrivals[k]].spec.id;
             self.log(
                 t,
                 SimEventKind::JobAdmitted {
                     job: id,
-                    profile_samples: cfg.profile_configs.len(),
+                    profile_samples: self.config.profile_configs.len(),
                 },
             );
             if tel.is_enabled() {
@@ -1378,6 +1424,28 @@ impl Simulation {
                 });
             }
         }
+        // The settlement set keeps this interval's finishers (their
+        // predictions are still pending); the live list drops them.
+        self.settle.clear();
+        self.settle.extend_from_slice(&self.live);
+        self.settle.extend_from_slice(&self.arrivals[admitted]);
+        self.settle.sort_unstable();
+        self.live.clear();
+        self.live.extend(
+            self.settle
+                .iter()
+                .copied()
+                .filter(|&i| self.jobs[i].status != JobStatus::Finished),
+        );
+        debug_assert!(
+            self.live.iter().copied().eq(self
+                .jobs
+                .iter()
+                .enumerate()
+                .filter(|(_, j)| !matches!(j.status, JobStatus::Pending | JobStatus::Finished))
+                .map(|(i, _)| i)),
+            "live list diverged from the full scan at t={t}"
+        );
 
         // 2. Online calibration from the last interval's observations,
         // fused with the estimator-audit settlement: the previous
@@ -1411,20 +1479,18 @@ impl Simulation {
             // equivalence suite proves it), so the auto setting is free
             // to pick serial when the refit set is too small to
             // amortize per-round thread spawns — which is most rounds:
-            // only non-finished, non-pending jobs refit. An explicit
-            // `refit_threads` is honored as-is.
-            let threads = match cfg.refit_threads {
+            // only live jobs refit. An explicit `refit_threads` is
+            // honored as-is. The machine's parallelism costs syscalls
+            // and file reads to query, so it is asked once per run, and
+            // only once a round has enough live jobs to fan out at all.
+            let threads = match self.config.refit_threads {
                 Some(n) => n,
+                None if self.live.len() < 8 => 1,
                 None => {
-                    let candidates = self
-                        .jobs
-                        .iter()
-                        .filter(|j| {
-                            j.status != JobStatus::Finished && j.status != JobStatus::Pending
-                        })
-                        .count();
-                    let auto = optimus_parallel::available_threads();
-                    if candidates < 8 * auto {
+                    let auto = *self
+                        .auto_threads
+                        .get_or_insert_with(optimus_parallel::available_threads);
+                    if self.live.len() < 8 * auto {
                         1
                     } else {
                         auto
@@ -1434,32 +1500,30 @@ impl Simulation {
             let traced = tel.is_enabled();
             let model_to_event =
                 |m: optimus_fitting::LossModel| (vec![m.beta0, m.beta1, m.beta2], m.residual_ss);
-            let outcomes = if cfg.batched_refit {
-                // Pass A (serial, job order): settle the audit, refit
-                // speed models, replay clean convergence fits, and mark
-                // the dirty set.
-                let njobs = self.jobs.len();
-                let mut candidate = vec![false; njobs];
-                let mut dirty = vec![false; njobs];
-                let mut speed_events = Vec::with_capacity(njobs);
-                let mut conv_slots: Vec<ConvFitSlot> = vec![None; njobs];
-                for i in 0..njobs {
+            let outcomes = if self.config.batched_refit {
+                let bufs = &mut self.refit;
+                // Pass A (serial, job order): settle the audit over the
+                // settlement set, refit live jobs' speed models, replay
+                // clean convergence fits, and mark the dirty set. The
+                // buffers are indexed by live-list position.
+                bufs.speed_events.clear();
+                bufs.conv_slots.clear();
+                bufs.dirty.clear();
+                for &i in &self.settle {
                     let (id, realized) = (
                         self.jobs[i].spec.id.0,
                         self.jobs[i].observed_interval_speed(),
                     );
                     self.audit.settle_speed(&tel, round, id, realized);
                     let job = &mut self.jobs[i];
-                    if job.status == JobStatus::Finished || job.status == JobStatus::Pending {
-                        speed_events.push(None);
+                    if job.status == JobStatus::Finished {
                         continue;
                     }
-                    candidate[i] = true;
                     let speed_fit = job.observed_interval_speed().map(|speed| {
                         job.speed_model.record(job.ps, job.workers, speed);
                         job.speed_model.refit().map_err(|e| e.to_string())
                     });
-                    speed_events.push(if traced {
+                    bufs.speed_events.push(if traced {
                         speed_fit.map(|res| {
                             res.map(|()| {
                                 (
@@ -1472,53 +1536,51 @@ impl Simulation {
                     } else {
                         None
                     });
-                    match job.convergence.cached_fit_if_clean() {
-                        Some(res) => {
-                            conv_slots[i] =
-                                Some(res.map(model_to_event).map_err(|e| e.to_string()));
-                        }
-                        None => dirty[i] = true,
+                    let cached = job.convergence.cached_fit_if_clean();
+                    if cached.is_none() {
+                        bufs.dirty.push(bufs.conv_slots.len());
                     }
+                    bufs.conv_slots.push(cached);
                 }
                 // Pass B: refit the dirty set through the batched SoA
-                // engine (lane groups, wave-synchronized β₂ scans).
-                {
-                    let mut ests: Vec<&mut optimus_core::ConvergenceEstimator> = self
-                        .jobs
-                        .iter_mut()
-                        .enumerate()
-                        .filter(|(i, _)| dirty[*i])
-                        .map(|(_, job)| &mut job.convergence)
-                        .collect();
-                    let results = optimus_core::refit_convergence_batch(&mut ests, threads);
-                    let dirty_idx = dirty
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, d)| **d)
-                        .map(|(i, _)| i);
-                    for (i, res) in dirty_idx.zip(results) {
-                        conv_slots[i] = Some(res.map(model_to_event).map_err(|e| e.to_string()));
-                    }
+                // engine (lane groups, wave-synchronized β₂ scans). The
+                // dirty jobs ascend, so one forward walk of the job
+                // slice borrows their estimators.
+                let mut ests = Vec::with_capacity(bufs.dirty.len());
+                let mut walk = self.jobs.iter_mut();
+                let mut next = 0;
+                for &k in &bufs.dirty {
+                    let i = self.live[k];
+                    let job = walk.nth(i - next).expect("live indices ascend within jobs");
+                    ests.push(&mut job.convergence);
+                    next = i + 1;
+                }
+                let results = optimus_core::refit_convergence_batch(&mut ests, threads);
+                for (&k, res) in bufs.dirty.iter().zip(results) {
+                    bufs.conv_slots[k] = Some(res);
                 }
                 // Pass C: assemble per-job outcomes in job order, same
                 // shape as the scalar fan-out below.
-                speed_events
-                    .into_iter()
-                    .zip(conv_slots)
-                    .enumerate()
-                    .map(|(i, (speed_event, conv_slot))| {
-                        if !candidate[i] || !traced {
-                            return None;
-                        }
-                        let job = &self.jobs[i];
-                        Some((
-                            job.spec.id.0,
-                            speed_event,
-                            conv_slot.expect("every refit candidate got a convergence result"),
-                            job.convergence.sample_count(),
-                        ))
-                    })
-                    .collect()
+                if !traced {
+                    Vec::new()
+                } else {
+                    self.live
+                        .iter()
+                        .enumerate()
+                        .map(|(k, &i)| {
+                            let conv_fit = bufs.conv_slots[k]
+                                .take()
+                                .expect("every refit candidate got a convergence result");
+                            let job = &self.jobs[i];
+                            Some((
+                                job.spec.id.0,
+                                bufs.speed_events[k].take(),
+                                conv_fit.map(model_to_event).map_err(|e| e.to_string()),
+                                job.convergence.sample_count(),
+                            ))
+                        })
+                        .collect()
+                }
             } else {
                 for i in 0..self.jobs.len() {
                     let (id, realized) = (
@@ -1597,15 +1659,13 @@ impl Simulation {
         // `min_rescale_interval_s` ago are pinned (§7): they keep their
         // current placement and are hidden from the scheduler, which
         // divides only the remaining capacity.
+        let cfg = &self.config;
         let mut pinned = Vec::new();
         let mut views = Vec::new();
         let mut view_index = Vec::new();
         self.track.fps_next.clear();
-        self.track.fps_next.resize(self.jobs.len(), None);
-        for (i, job) in self.jobs.iter().enumerate() {
-            if job.status == JobStatus::Finished || job.status == JobStatus::Pending {
-                continue;
-            }
+        for &i in &self.live {
+            let job = &self.jobs[i];
             if cfg.min_rescale_interval_s > 0.0
                 && job.status == JobStatus::Running
                 && job.ps > 0
@@ -1639,7 +1699,7 @@ impl Simulation {
                 ));
             }
             let remaining_work = remaining.max(1.0);
-            self.track.fps_next[i] = Some(ViewFp {
+            self.track.fps_next.push(ViewFp {
                 speed_gen: speed.generation(),
                 scale_bits: speed.prediction_scale().to_bits(),
                 remaining_bits: remaining_work.to_bits(),
@@ -1734,18 +1794,16 @@ impl Simulation {
         let (churn, quiescent) = {
             let track = &mut self.track;
             track.delta.dirty.clear();
-            for (vi, &i) in view_index.iter().enumerate() {
+            let mut kept = 0u64;
+            for (vi, (&i, &fp)) in view_index.iter().zip(&track.fps_next).enumerate() {
                 let prev = track.fps.get(i).copied().flatten();
-                if prev != track.fps_next[i] {
+                kept += u64::from(prev.is_some());
+                if prev != Some(fp) {
                     track.delta.dirty.push(vi as u32);
                 }
             }
-            let mut departures = 0u64;
-            for (i, prev) in track.fps.iter().enumerate() {
-                if prev.is_some() && track.fps_next.get(i).copied().flatten().is_none() {
-                    departures += 1;
-                }
-            }
+            // Every previous view job without a view this round departed.
+            let departures = track.fp_ids.len() as u64 - kept;
             let mut cluster_changed = !track.valid || track.cluster.len() != fresh.len();
             if !cluster_changed {
                 for (k, s) in fresh.servers().enumerate() {
@@ -1788,7 +1846,20 @@ impl Simulation {
         self.track.rounds += 1;
         self.track.last_delta_jobs = churn;
         self.track.last_quiescent = quiescent;
-        std::mem::swap(&mut self.track.fps, &mut self.track.fps_next);
+        {
+            let track = &mut self.track;
+            if track.fps.len() < self.jobs.len() {
+                track.fps.resize(self.jobs.len(), None);
+            }
+            for &i in &track.fp_ids {
+                track.fps[i] = None;
+            }
+            for (&i, &fp) in view_index.iter().zip(&track.fps_next) {
+                track.fps[i] = Some(fp);
+            }
+            track.fp_ids.clear();
+            track.fp_ids.extend_from_slice(&view_index);
+        }
         self.track.cluster.clear();
         self.track
             .cluster
@@ -1950,18 +2021,19 @@ impl Simulation {
 
         self.schedule_buf = schedule;
 
-        if cfg.nic_contention {
+        if self.config.nic_contention {
             self.apply_nic_contention();
         }
 
-        if cfg.track_fidelity {
+        if self.config.track_fidelity {
             self.sample_fidelity(t);
         }
     }
 
     /// Samples the emergent estimator errors for every running job.
     fn sample_fidelity(&mut self, t: f64) {
-        for job in &self.jobs {
+        for &i in &self.live {
+            let job = &self.jobs[i];
             if job.status != JobStatus::Running || job.ps == 0 || job.workers == 0 {
                 continue;
             }
@@ -1995,7 +2067,8 @@ impl Simulation {
     /// approximation.
     fn apply_nic_contention(&mut self) {
         let mut traffic = Vec::new();
-        for job in &self.jobs {
+        for &i in &self.live {
+            let job = &self.jobs[i];
             if job.status != JobStatus::Running || job.ps == 0 || job.workers == 0 {
                 continue;
             }
@@ -2021,22 +2094,26 @@ impl Simulation {
             ));
         }
         let factors = oversubscription_factors(&traffic, self.config.nic_bytes_per_s);
-        for job in self.jobs.iter_mut() {
+        for &i in &self.live {
+            let job = &mut self.jobs[i];
             if job.status == JobStatus::Running {
                 job.env.nic_oversubscription = factors.get(&job.spec.id).copied().unwrap_or(1.0);
             }
         }
     }
 
-    /// Samples the Fig 14 time series.
+    /// Samples the Fig 14 time series. Samples fall between rounds, so
+    /// the live list may still hold jobs that finished since the last
+    /// one; they are skipped.
     fn sample_timeline(&self, t: f64) -> TimePoint {
         let mut running_tasks = 0u32;
         let mut active_jobs = 0u32;
         let mut worker_utils = Vec::new();
         let mut ps_utils = Vec::new();
         let mut allocated_cpu = 0.0;
-        for job in &self.jobs {
-            if job.status == JobStatus::Finished || job.status == JobStatus::Pending {
+        for &i in &self.live {
+            let job = &self.jobs[i];
+            if job.status == JobStatus::Finished {
                 continue;
             }
             active_jobs += 1;
@@ -2099,15 +2176,13 @@ impl Simulation {
             })
             .collect();
         let mut queue_depth = 0usize;
-        let mut pending_jobs = 0usize;
         let mut active_jobs = 0usize;
-        let mut finished_jobs = 0usize;
         let mut running_workers = 0u32;
         let mut running_ps = 0u32;
-        for job in &self.jobs {
+        for &j in &self.live {
+            let job = &self.jobs[j];
             match job.status {
-                JobStatus::Pending => pending_jobs += 1,
-                JobStatus::Finished => finished_jobs += 1,
+                JobStatus::Pending | JobStatus::Finished => {}
                 JobStatus::Paused => {
                     active_jobs += 1;
                     queue_depth += 1;
@@ -2126,6 +2201,10 @@ impl Simulation {
                 }
             }
         }
+        // Every admitted job is live or finished; the rest are pending.
+        let admitted = self.next_arrival;
+        let pending_jobs = self.jobs.len() - admitted;
+        let finished_jobs = admitted - active_jobs;
         // Aggregate per pool (server class), in first-seen order.
         let mut pools: Vec<PoolStat> = Vec::new();
         let mut total_free_cpu = 0.0_f64;
@@ -2175,6 +2254,21 @@ impl Simulation {
             quiescent: self.track.last_quiescent,
         }
     }
+}
+
+/// The admission order: indices of jobs with a non-NaN `submit_time`,
+/// ascending by submit time, ties in index order. A NaN arrival never
+/// satisfies `submit_time <= t`, so it stays out of the index rather
+/// than blocking the cursor; `+∞` sorts last and is never reached.
+/// Specs that arrive already ordered (every workload generator's
+/// output) skip the sort.
+fn arrival_index(jobs: &[SimJob]) -> Vec<usize> {
+    let at = |i: usize| jobs[i].spec.submit_time;
+    let mut index: Vec<usize> = (0..jobs.len()).filter(|&i| !at(i).is_nan()).collect();
+    if !index.windows(2).all(|w| at(w[0]) <= at(w[1])) {
+        index.sort_by(|&a, &b| at(a).total_cmp(&at(b)));
+    }
+    index
 }
 
 /// Convenience: the mode-aware steps/epoch used in reporting.

@@ -93,6 +93,15 @@ ledger:
 bench-sim:
     cargo run --release -p optimus-bench --bin bench_sim -- --out BENCH_sim.json
 
+# End-to-end benchmark smoke: a tenth of each BENCHMARK.json workload
+# with every correctness gate on (determinism witness, unfinished jobs,
+# the sparse-quarter makespan, the churn cross-checks, span
+# attribution), plus the benchmark's unit tests. The benchmark is a
+# package of its own, so it builds by manifest path.
+e2e-smoke:
+    cargo run --release --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- --smoke
+    cargo test --release --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
+
 # Flight-recorder smoke: write a small ledgered run and render it as a
 # per-job Gantt chart plus utilization/fragmentation/queue timelines.
 timeline:
@@ -129,7 +138,7 @@ check-bench:
 # own tick-vs-event cross-check), the run-ledger determinism smoke
 # (including the cross-engine and delta-off diffs), the
 # flight-recorder timeline smoke, the decision-provenance why smoke,
-# and the bench regression watchdog.
-ci: lint build test equivalence bench-alloc ledger timeline why check-bench
+# the end-to-end benchmark smoke, and the bench regression watchdog.
+ci: lint build test equivalence bench-alloc ledger timeline why e2e-smoke check-bench
     cargo run --release -p optimus-bench --bin bench_fit -- --samples 1 --points 5000
     cargo run --release -p optimus-bench --bin bench_sim -- --samples 1 --points 100
