@@ -12,21 +12,18 @@
 //!   second, a density-normalized view that does not reward runs that
 //!   merely simulate longer idle spans.
 //!
-//! The grid spans the regime where the legacy tick loop collapses: the
-//! historical 6- and 12-job points (the PR-3 fast-forward acceptance
-//! grid) plus 100- and 1000-job points whose arrival horizons stretch
-//! over months of simulated time. At every point up to 100 jobs the
-//! legacy tick engine is also timed once and the event engine's
-//! speedup over it is recorded (`tick_mode_sim_seconds_per_wall_second`
-//! / `event_speedup`); the 1000-job point is event-engine-only — the
-//! tick loop there is exactly the `jobs × ticks` wall this bench
-//! exists to retire.
+//! The grid spans the regime where a tick-walking loop collapses: the
+//! historical 6- and 12-job points plus 100- and 1000-job points whose
+//! arrival horizons stretch over months of simulated time.
 //!
 //! The benchmark is *defended*: every sample re-runs the identical
 //! deterministic configuration and the per-job JCT vector is asserted
-//! bit-identical across samples — and across *engines* where both run —
-//! before any timing is recorded: a nondeterministic (or divergent)
-//! engine cannot quietly publish a throughput number. Timings append
+//! bit-identical across samples — and, at every point up to 100 jobs,
+//! to one untimed run of the tick-loop oracle
+//! (`Simulation::run_reference`) — before any timing is recorded: a
+//! nondeterministic (or divergent) engine cannot quietly publish a
+//! throughput number. The 1000-job point skips the oracle, whose
+//! `jobs × ticks` cost is the wall this engine exists to avoid. Timings append
 //! to a labeled JSON trajectory (`BENCH_sim.json` via `just bench-sim`)
 //! guarded by `optimus-trace check-bench`.
 //!
@@ -36,7 +33,7 @@
 
 use optimus_cluster::Cluster;
 use optimus_core::prelude::OptimusScheduler;
-use optimus_simulator::{SimConfig, SimEngine, Simulation};
+use optimus_simulator::{SimConfig, SimReport, Simulation};
 use optimus_telemetry::Telemetry;
 use optimus_workload::{ArrivalProcess, WorkloadGenerator};
 use serde::Serialize;
@@ -68,12 +65,12 @@ struct GridPoint {
     /// Loss-report cadence, seconds. The historical 6/12-job points
     /// keep the 5 s default; the at-scale points report every 60 s —
     /// the aggregation cadence a cluster of that size would use, and
-    /// the same configuration for both engines being compared.
+    /// the same configuration the oracle check runs.
     loss_sample_every_s: f64,
-    /// Also time the legacy tick engine at this point. Off for the
-    /// largest point, where walking `jobs × ticks` is the collapse the
-    /// event engine exists to avoid.
-    compare_tick: bool,
+    /// Also check the JCT witness against the tick-loop oracle at this
+    /// point. Off for the largest point, where walking `jobs × ticks`
+    /// is the collapse the event engine exists to avoid.
+    check_reference: bool,
 }
 
 /// The acceptance grid. The 6/12-job points keep the PR-3 workload
@@ -87,7 +84,7 @@ const POINTS: [GridPoint; 4] = [
         max_time_s: 400_000.0,
         job_s: 2.0 * 3_600.0,
         loss_sample_every_s: 5.0,
-        compare_tick: true,
+        check_reference: true,
     },
     GridPoint {
         jobs: 12,
@@ -95,7 +92,7 @@ const POINTS: [GridPoint; 4] = [
         max_time_s: 400_000.0,
         job_s: 2.0 * 3_600.0,
         loss_sample_every_s: 5.0,
-        compare_tick: true,
+        check_reference: true,
     },
     GridPoint {
         jobs: 100,
@@ -103,7 +100,7 @@ const POINTS: [GridPoint; 4] = [
         max_time_s: 7_776_000.0, // 90-day cap
         job_s: 3_600.0,
         loss_sample_every_s: 60.0,
-        compare_tick: true,
+        check_reference: true,
     },
     GridPoint {
         jobs: 1000,
@@ -111,7 +108,7 @@ const POINTS: [GridPoint; 4] = [
         max_time_s: 15_552_000.0, // 180-day cap
         job_s: 3_600.0,
         loss_sample_every_s: 60.0,
-        compare_tick: false,
+        check_reference: false,
     },
 ];
 
@@ -128,13 +125,6 @@ struct PointRecord {
     sim_seconds_per_wall_second: f64,
     events: u64,
     events_per_wall_second: f64,
-    /// Legacy tick-engine throughput at the same point (one sample);
-    /// absent where the tick loop is not timed.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    tick_mode_sim_seconds_per_wall_second: Option<f64>,
-    /// Event-engine speedup over the tick engine at this point.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    event_speedup: Option<f64>,
     /// Wall-clock overhead of decision-provenance recording vs the same
     /// telemetry-enabled run without it, percent (100-job point only;
     /// gated at ≤5 %).
@@ -152,13 +142,13 @@ struct BenchEntry {
     points: Vec<PointRecord>,
 }
 
-/// One full simulation of a grid point under `engine`: `(wall_ns,
-/// sim_seconds, events, jct_bits)`. The JCT bit pattern is the
-/// determinism witness — within an engine across samples, and across
-/// engines where both run.
+/// One full simulation of a grid point through `run` (`Simulation::run`
+/// or the `Simulation::run_reference` oracle): `(wall_ns, sim_seconds,
+/// events, jct_bits)`. The JCT bit pattern is the determinism witness —
+/// across samples, and against the oracle where it runs.
 fn run_once(
     point: &GridPoint,
-    engine: SimEngine,
+    run: fn(&mut Simulation) -> SimReport,
     instr: Instrumentation,
 ) -> (u64, f64, u64, Vec<(u64, u64)>) {
     let arrivals = ArrivalProcess::UniformRandom {
@@ -180,7 +170,6 @@ fn run_once(
         record_events: true,
         max_time_s: point.max_time_s,
         loss_sample_every_s: point.loss_sample_every_s,
-        engine,
         telemetry: tel.clone(),
         ..SimConfig::default()
     };
@@ -191,7 +180,7 @@ fn run_once(
         cfg,
     );
     let start = Instant::now();
-    let report = std::hint::black_box(sim.run());
+    let report = std::hint::black_box(run(&mut sim));
     let wall_ns = start.elapsed().as_nanos() as u64;
     assert_eq!(
         report.unfinished_jobs, 0,
@@ -271,8 +260,8 @@ fn main() -> ExitCode {
 
     println!("bench_sim: {samples} samples per point (label: {label})\n");
     println!(
-        "{:>6} {:>12} {:>14} {:>16} {:>10} {:>14} {:>10}",
-        "jobs", "wall ms", "sim seconds", "sim-s per wall-s", "events", "events per s", "vs tick"
+        "{:>6} {:>12} {:>14} {:>16} {:>10} {:>14}",
+        "jobs", "wall ms", "sim seconds", "sim-s per wall-s", "events", "events per s"
     );
     let mut points = Vec::new();
     let mut gate_failed = false;
@@ -283,13 +272,13 @@ fn main() -> ExitCode {
         let jobs = point.jobs;
         // Warm-up run (allocators, page faults) whose timing is
         // discarded but whose JCT vector anchors the determinism check.
-        let (_, _, _, witness) = run_once(point, SimEngine::Event, Instrumentation::Off);
+        let (_, _, _, witness) = run_once(point, Simulation::run, Instrumentation::Off);
         let mut total_ns = 0u128;
         let mut sim_seconds = 0.0;
         let mut events = 0u64;
         for _ in 0..samples {
             let (wall_ns, sim_s, ev, jct_bits) =
-                run_once(point, SimEngine::Event, Instrumentation::Off);
+                run_once(point, Simulation::run, Instrumentation::Off);
             assert_eq!(
                 jct_bits, witness,
                 "nondeterministic simulation at {jobs} jobs — refusing to record timings"
@@ -302,18 +291,15 @@ fn main() -> ExitCode {
         let wall_s = mean_wall_ns as f64 / 1e9;
         let sim_per_wall = sim_seconds / wall_s.max(1e-12);
         let events_per_s = events as f64 / wall_s.max(1e-12);
-        let (tick_per_wall, speedup) = if point.compare_tick {
-            let (tick_wall_ns, tick_sim_s, _, tick_bits) =
-                run_once(point, SimEngine::Tick, Instrumentation::Off);
+        if point.check_reference {
+            let (_, _, _, reference_bits) =
+                run_once(point, Simulation::run_reference, Instrumentation::Off);
             assert_eq!(
-                tick_bits, witness,
-                "engines disagree on JCTs at {jobs} jobs — refusing to record timings"
+                reference_bits, witness,
+                "engine disagrees with the tick-loop oracle on JCTs at {jobs} jobs — \
+                 refusing to record timings"
             );
-            let tick_rate = tick_sim_s / (tick_wall_ns as f64 / 1e9).max(1e-12);
-            (Some(tick_rate), Some(sim_per_wall / tick_rate.max(1e-12)))
-        } else {
-            (None, None)
-        };
+        }
         // Provenance-overhead gate (100-job point): why-record keeping
         // must cost ≤5 % wall over the same telemetry-enabled run
         // without it — and must not change a single decision bit (the
@@ -323,7 +309,7 @@ fn main() -> ExitCode {
             let best = |instr: Instrumentation| {
                 (0..2)
                     .map(|_| {
-                        let (wall_ns, _, _, jct_bits) = run_once(point, SimEngine::Event, instr);
+                        let (wall_ns, _, _, jct_bits) = run_once(point, Simulation::run, instr);
                         assert_eq!(
                             jct_bits, witness,
                             "instrumentation changed decisions at {jobs} jobs — \
@@ -354,9 +340,8 @@ fn main() -> ExitCode {
         } else {
             None
         };
-        let vs_tick = speedup.map_or_else(|| "-".into(), |s| format!("{s:.2}x"));
         println!(
-            "{jobs:>6} {:>12.2} {sim_seconds:>14.0} {sim_per_wall:>16.0} {events:>10} {events_per_s:>14.0} {vs_tick:>10}",
+            "{jobs:>6} {:>12.2} {sim_seconds:>14.0} {sim_per_wall:>16.0} {events:>10} {events_per_s:>14.0}",
             mean_wall_ns as f64 / 1e6,
         );
         points.push(PointRecord {
@@ -366,8 +351,6 @@ fn main() -> ExitCode {
             sim_seconds_per_wall_second: sim_per_wall,
             events,
             events_per_wall_second: events_per_s,
-            tick_mode_sim_seconds_per_wall_second: tick_per_wall,
-            event_speedup: speedup,
             provenance_overhead_pct,
         });
     }

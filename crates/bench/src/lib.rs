@@ -227,12 +227,6 @@ pub fn run_one(spec: &ComparisonSpec, choice: SchedulerChoice, seed: u64) -> Sim
     let mut cfg = spec.base_config.clone();
     cfg.seed = seed;
     cfg.assignment = choice.assignment();
-    // A/B switch for the event-skipping tick loop: set
-    // `OPTIMUS_FAST_FORWARD=0` to force the tick-walking reference.
-    // Results are identical either way; only wall-clock changes.
-    if std::env::var("OPTIMUS_FAST_FORWARD").is_ok_and(|v| v.trim() == "0") {
-        cfg.fast_forward = false;
-    }
     let mut sim = Simulation::new(
         Cluster::paper_testbed(),
         jobs,

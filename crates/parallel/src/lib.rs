@@ -1,9 +1,9 @@
 //! Deterministic order-indexed parallel runners.
 //!
-//! PR 2 introduced `run_indexed` for the experiment sweeps in
-//! `optimus-bench`; the simulator's per-job refit path now needs the
-//! same pattern, and `optimus-bench` depends on `optimus-simulator`,
-//! so the runners live here at the bottom of the dependency graph.
+//! `run_indexed` fans the experiment sweeps in `optimus-bench` across
+//! threads; `run_chunks_mut` fans the batched fitting engine's lane
+//! groups. `optimus-bench` depends on `optimus-simulator`, so the
+//! runners live here at the bottom of the dependency graph.
 //!
 //! All runners share one contract: results land **in input order**, so
 //! the output is deterministic whenever the worker closure is — thread
@@ -77,62 +77,8 @@ where
         .collect()
 }
 
-/// In-place variant of [`run_indexed`]: fans `f(i, &mut items[i])`
-/// across `threads` workers, each item visited exactly once, and
-/// returns the per-item results in input order.
-///
-/// Because every worker needs exclusive access to its items, the slice
-/// is split into `threads` contiguous chunks (static partitioning via
-/// `chunks_mut`) instead of the atomic-cursor scheme — `&mut` access
-/// through a shared cursor would need per-item locks. Static chunks
-/// are a good fit for the simulator's refit fan-out, where per-item
-/// cost is roughly uniform.
-///
-/// Determinism contract is identical to [`run_indexed`]: results are
-/// keyed by input index, so the output (and the final state of
-/// `items`) is independent of the thread count whenever `f` is
-/// deterministic and touches nothing but its own item.
-pub fn run_indexed_mut<T, R, F>(items: &mut [T], threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let n = items.len();
-    let threads = threads.min(n).max(1);
-    if threads <= 1 {
-        return items
-            .iter_mut()
-            .enumerate()
-            .map(|(i, it)| f(i, it))
-            .collect();
-    }
-    let chunk = n.div_ceil(threads);
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for (ci, chunk_items) in items.chunks_mut(chunk).enumerate() {
-            let slots = &slots;
-            let f = &f;
-            scope.spawn(move || {
-                for (j, item) in chunk_items.iter_mut().enumerate() {
-                    let i = ci * chunk + j;
-                    *slots[i].lock().expect("result slot") = Some(f(i, item));
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("result slot")
-                .expect("every item was visited exactly once")
-        })
-        .collect()
-}
-
-/// Chunk-grouped variant of [`run_indexed_mut`] for batch-of-batches
-/// work: the slice is first cut into fixed-size groups of `chunk` items
+/// In-place, chunk-grouped variant of [`run_indexed`] for
+/// batch-of-batches work: the slice is first cut into fixed-size groups of `chunk` items
 /// (last group possibly short), and `f(g, &mut group)` runs once per
 /// group with results returned **in group order**.
 ///
@@ -205,38 +151,6 @@ mod tests {
             let parallel = run_indexed(&cells, threads, |i, &c| (i, c * 2));
             assert_eq!(serial, parallel, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn run_indexed_mut_matches_serial_and_mutates_every_item() {
-        for threads in [1, 2, 4, 8] {
-            let mut items: Vec<u64> = (0..23).collect();
-            let results = run_indexed_mut(&mut items, threads, |i, item| {
-                *item += 100;
-                (i, *item)
-            });
-            let expected_items: Vec<u64> = (0..23).map(|v| v + 100).collect();
-            let expected_results: Vec<(usize, u64)> = expected_items
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| (i, v))
-                .collect();
-            assert_eq!(items, expected_items, "threads={threads}");
-            assert_eq!(results, expected_results, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn run_indexed_mut_handles_empty_and_tiny_inputs() {
-        let mut empty: Vec<u32> = Vec::new();
-        let r = run_indexed_mut(&mut empty, 4, |_, _| 0u32);
-        assert!(r.is_empty());
-        let mut one = vec![7u32];
-        let r = run_indexed_mut(&mut one, 4, |i, item| {
-            *item *= 3;
-            i
-        });
-        assert_eq!((r, one), (vec![0], vec![21]));
     }
 
     #[test]

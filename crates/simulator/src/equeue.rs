@@ -1,4 +1,4 @@
-//! The discrete-event queue behind [`crate::sim::SimEngine::Event`].
+//! The discrete-event queue behind [`crate::sim::Simulation::run`].
 //!
 //! A seeded, deterministic event calendar: a binary min-heap of
 //! [`ScheduledEvent`]s keyed by `(tick, class, seq)`. `tick` is the
@@ -6,7 +6,7 @@
 //! within-tick processing order (failures before the scheduling round,
 //! the round before its flight snapshot, snapshots before the timeline
 //! sample, the sample before the job-progress wave — exactly the order
-//! the legacy tick loop executes those phases inside one tick), and
+//! the reference tick loop executes those phases inside one tick), and
 //! `seq` is a stable sequence id assigned at scheduling time that
 //! breaks the remaining ties. The resulting pop order is a total order
 //! over scheduled events that does **not** depend on the order they
@@ -67,7 +67,7 @@ pub enum SimEventType {
 
 impl SimEventType {
     /// Within-tick processing class (lower fires first). Mirrors the
-    /// phase order of one legacy tick: failures, then the scheduling
+    /// phase order of one reference-loop tick: failures, then the scheduling
     /// round, then the flight snapshot, then the timeline sample, then
     /// job advancement. Completions discovered inside an event-free
     /// span share the advancement class — by construction no other

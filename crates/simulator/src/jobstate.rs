@@ -47,8 +47,8 @@ pub enum JctPhase {
 /// (`since`) and charges the elapsed span to that phase's bucket only
 /// at the next transition. All transitions happen at simulation event
 /// times (rounds, failures, overhead-drain ticks, the finish instant),
-/// which the fast-forward shortcuts provably never skip — so the
-/// decomposition is byte-identical with fast-forward on or off.
+/// which the event engine visits at the same instants as the reference
+/// tick loop — so the decomposition is byte-identical between them.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JctClock {
     phase: JctPhase,

@@ -34,4 +34,4 @@ pub use events::{EventLog, SimEvent, SimEventKind};
 pub use inject::ErrorInjection;
 pub use jobstate::{JctClock, JctPhase, JobStatus, SimJob};
 pub use metrics::{JctBreakdown, SimReport, TimePoint};
-pub use sim::{AssignmentPolicy, BackgroundLoad, SimConfig, SimEngine, Simulation};
+pub use sim::{AssignmentPolicy, BackgroundLoad, SimConfig, Simulation};

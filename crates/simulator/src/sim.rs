@@ -19,55 +19,9 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-/// Which core drives the simulation loop.
-///
-/// Both engines produce byte-identical results — event log, schedule
-/// stream, JCT breakdown, report, ledger hashes — for any
-/// configuration; the equivalence suite proves it. The event engine is
-/// the default because its cost scales with *events* (scheduling
-/// rounds, samples, failures, loss reports of running jobs) instead of
-/// with `jobs × ticks`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SimEngine {
-    /// Discrete-event core: a binary-heap calendar keyed by
-    /// `(tick, class, seq)` where each component schedules its own next
-    /// event; the tick grid between events is replayed per job in tight
-    /// arithmetic spans.
-    Event,
-    /// The legacy fixed-tick loop (compatibility mode): every tick
-    /// visits every job. Kept as the reference the event engine is
-    /// proven byte-identical against.
-    Tick,
-}
-
-impl SimEngine {
-    /// Engine selection from the `OPTIMUS_EVENT_ENGINE` environment
-    /// variable: `0`/`off`/`tick`/`false` selects the legacy tick loop,
-    /// anything else (including unset) the event engine.
-    pub fn from_env() -> Self {
-        match std::env::var("OPTIMUS_EVENT_ENGINE") {
-            Ok(v)
-                if v == "0"
-                    || v.eq_ignore_ascii_case("off")
-                    || v.eq_ignore_ascii_case("tick")
-                    || v.eq_ignore_ascii_case("false") =>
-            {
-                SimEngine::Tick
-            }
-            _ => SimEngine::Event,
-        }
-    }
-}
-
-/// What one job's tick body did — the per-job outcome both engines fold
-/// into their bookkeeping ([`Simulation::advance_job_one_tick`]).
+/// What one job's tick body did ([`Simulation::advance_job_one_tick`]).
 #[derive(Debug, Clone, Copy, Default)]
 struct TickEffect {
-    /// The job did per-tick work (ran, drained overhead, or held a
-    /// pending JCT transition) — the tick cannot be idle-skipped.
-    active: bool,
-    /// The job reused a cached speed on the quiescent fast path.
-    batched: bool,
     /// The job crossed its ground-truth convergence point this tick.
     finished: bool,
 }
@@ -174,15 +128,6 @@ pub struct SimConfig {
     /// scheduler's online estimates (speed at the current configuration,
     /// total steps to convergence) and the hidden ground truth.
     pub track_fidelity: bool,
-    /// Fast-forward the tick loop (default on). Two provably
-    /// observation-preserving shortcuts: idle spans (no running job, no
-    /// scaling overhead in flight) jump straight to the next event tick
-    /// (`sim.ticks_skipped`), and quiescent running jobs (straggler
-    /// machinery provably inert) reuse their tick-invariant speed
-    /// instead of recomputing it every tick (`sim.ticks_batched`).
-    /// Results are byte-identical either way — the switch exists for
-    /// the equivalence suite and benchmarking.
-    pub fast_forward: bool,
     /// Threads for the per-job refits of each scheduling round
     /// (`None` = `OPTIMUS_THREADS` or the machine's parallelism; `1`
     /// forces the serial path). Fit results are bitwise
@@ -201,49 +146,6 @@ pub struct SimConfig {
     pub progress_every_s: f64,
     /// Print each scheduling round's decisions to stderr (debugging).
     pub verbose: bool,
-    /// Which simulation core runs the loop (byte-identical results
-    /// either way). Defaults from `OPTIMUS_EVENT_ENGINE` via
-    /// [`SimEngine::from_env`].
-    pub engine: SimEngine,
-    /// Run each round's convergence refits through the batched SoA
-    /// engine (`optimus_core::refit_convergence_batch`): dirty jobs are
-    /// gathered and fitted in lane groups with one vectorized β₂ grid
-    /// scan per group, clean jobs replay their cached fit
-    /// (`fit.dirty_skipped`). Results are byte-identical to the scalar
-    /// per-job path — the switch exists for the equivalence suite and
-    /// benchmarking. Defaults from `OPTIMUS_BATCHED_FIT`
-    /// (`0`/`off`/`false` selects the scalar path; anything else,
-    /// including unset, the batched engine).
-    pub batched_refit: bool,
-    /// Run scheduling rounds through the delta engine
-    /// (`Scheduler::schedule_delta`): the simulator diffs each round's
-    /// inputs against the previous round's — job-view fingerprints,
-    /// departures, reservation changes — and the scheduler re-derives
-    /// only dirty jobs, replaying stored grants and placements for
-    /// clean ones (skipping provably unchanged rounds outright).
-    /// Results are byte-identical to full rounds — the switch exists
-    /// for the equivalence suite and benchmarking. Defaults from
-    /// `OPTIMUS_DELTA_ROUNDS` (`0`/`off`/`false` selects full rounds;
-    /// anything else, including unset, the delta engine).
-    pub delta_rounds: bool,
-}
-
-/// `OPTIMUS_BATCHED_FIT` environment default for
-/// [`SimConfig::batched_refit`].
-fn batched_refit_from_env() -> bool {
-    !matches!(
-        std::env::var("OPTIMUS_BATCHED_FIT"),
-        Ok(v) if v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false")
-    )
-}
-
-/// `OPTIMUS_DELTA_ROUNDS` environment default for
-/// [`SimConfig::delta_rounds`].
-fn delta_rounds_from_env() -> bool {
-    !matches!(
-        std::env::var("OPTIMUS_DELTA_ROUNDS"),
-        Ok(v) if v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false")
-    )
 }
 
 /// A speed-model refit outcome held for trace emission: coefficients,
@@ -287,14 +189,10 @@ impl Default for SimConfig {
             record_events: false,
             telemetry: Telemetry::disabled(),
             track_fidelity: false,
-            fast_forward: true,
             refit_threads: None,
             flight: None,
             progress_every_s: 0.0,
             verbose: false,
-            engine: SimEngine::from_env(),
-            batched_refit: batched_refit_from_env(),
-            delta_rounds: delta_rounds_from_env(),
         }
     }
 }
@@ -320,10 +218,10 @@ struct ViewFp {
 
 /// Cross-round input tracking for delta scheduling: the previous
 /// round's per-job view fingerprints and scheduler-visible cluster
-/// state, diffed each round into a [`RoundDelta`]. Computed in both
-/// modes (so flight snapshots and progress lines report churn either
-/// way); only `SimConfig::delta_rounds` decides whether the scheduler
-/// gets to exploit it.
+/// state, diffed each round into a [`RoundDelta`] for
+/// [`Scheduler::schedule_delta`]. Schedulers without a delta engine
+/// ignore it; flight snapshots and progress lines report the churn
+/// either way.
 #[derive(Debug, Default)]
 struct DeltaTrack {
     /// Previous round's fingerprints are trustworthy (false before the
@@ -464,21 +362,18 @@ impl Simulation {
         }
     }
 
-    /// Runs to completion (all jobs finished) or the time cap, returning
-    /// the report.
+    /// The equivalence oracle: a plain fixed-tick loop that visits every
+    /// job on every tick, with no skipping and no cached speeds. It is
+    /// the executable definition of the simulation's semantics; [`run`]
+    /// must reproduce its event log, schedule stream, JCT breakdown,
+    /// report and ledger bytes exactly, which the equivalence suite
+    /// checks. Only the trace counters differ: this loop adds none of
+    /// the event engine's accounting (`sim.events_scheduled`,
+    /// `sim.waves`). Its cost is `jobs × ticks`, so use it in tests, not
+    /// in experiments.
     ///
-    /// Dispatches on [`SimConfig::engine`]; both cores produce
-    /// byte-identical reports.
-    pub fn run(&mut self) -> SimReport {
-        match self.config.engine {
-            SimEngine::Tick => self.run_tick(),
-            SimEngine::Event => self.run_event(),
-        }
-    }
-
-    /// The legacy fixed-tick loop ([`SimEngine::Tick`]): every tick
-    /// visits every job. Reference semantics for the event engine.
-    fn run_tick(&mut self) -> SimReport {
+    /// [`run`]: Simulation::run
+    pub fn run_reference(&mut self) -> SimReport {
         let cfg = self.config.clone();
         let ticks_per_interval = (cfg.interval_s / cfg.tick_s).round().max(1.0) as u64;
         let ticks_per_sample = (cfg.sample_every_s / cfg.tick_s).round().max(1.0) as u64;
@@ -496,25 +391,17 @@ impl Simulation {
         let mut last_progress = std::time::Instant::now();
         let mut last_progress_events = 0u64;
 
-        // Fast-forward state: per-job tick-invariant speed (valid only
-        // while nothing that feeds the speed computation can change —
-        // invalidated at every scheduling round, server failure and
-        // non-quiescent straggler tick), plus the skip/batch tallies.
+        // The per-tick body never fills the speed cache here (it is
+        // called without speed reuse), so this stays all-`None`.
         let mut speed_cache: Vec<Option<f64>> = vec![None; self.jobs.len()];
-        let mut ticks_skipped = 0u64;
-        let mut ticks_batched = 0u64;
 
-        let mut tick: u64 = 0;
-        while tick < max_ticks {
+        for tick in 0..max_ticks {
             let t = tick as f64 * cfg.tick_s;
 
-            if self.process_server_failures(t) {
-                speed_cache.fill(None);
-            }
+            self.process_server_failures(t);
             if tick.is_multiple_of(ticks_per_interval) {
                 let started = std::time::Instant::now();
                 self.run_scheduling_round(t, round + 1);
-                speed_cache.fill(None);
                 round += 1;
                 if tel.is_enabled() {
                     let wall_us = started.elapsed().as_micros() as u64;
@@ -558,55 +445,29 @@ impl Simulation {
                 timeline.push(point);
             }
 
-            // Advance running jobs by one tick (shared with the event
-            // engine's waves so per-tick semantics cannot drift).
-            let mut any_active = false;
-            let mut any_batched = false;
+            // Advance every job by one tick (the body the event
+            // engine's waves share, so per-tick semantics cannot drift).
             let loss_tick = tick.is_multiple_of(loss_every);
             for i in 0..self.jobs.len() {
-                let effect = self.advance_job_one_tick(
+                self.advance_job_one_tick(
                     i,
                     t,
                     loss_tick,
-                    cfg.fast_forward,
+                    false,
                     &mut speed_cache,
                     &mut straggler_replacements_done,
                 );
-                any_active |= effect.active;
-                any_batched |= effect.batched;
-            }
-            if any_batched {
-                ticks_batched += 1;
             }
 
             if self.jobs.iter().all(|j| j.status == JobStatus::Finished) {
                 break;
             }
-
-            // Idle fast-forward: with no job running and no scaling
-            // overhead draining, every tick until the next event tick
-            // (interval boundary, timeline sample, server failure, time
-            // cap) is a provable no-op — jump over the whole span.
-            if cfg.fast_forward && !any_active {
-                let next =
-                    self.next_event_tick(tick, max_ticks, ticks_per_interval, ticks_per_sample);
-                if next > tick + 1 {
-                    ticks_skipped += next - (tick + 1);
-                    tick = next;
-                    continue;
-                }
-            }
-            tick += 1;
         }
 
         if progress_on {
             // The status line uses `\r`; leave the cursor on a fresh
             // line so whatever prints next is not glued to it.
             eprintln!();
-        }
-        if tel.is_enabled() {
-            tel.add("sim.ticks_skipped", ticks_skipped);
-            tel.add("sim.ticks_batched", ticks_batched);
         }
 
         self.finalize_report(timeline, straggler_replacements_done, round)
@@ -707,17 +568,20 @@ impl Simulation {
         }
     }
 
-    /// The discrete-event core ([`SimEngine::Event`]): a binary-heap
-    /// calendar ([`EventQueue`]) of typed events — job arrivals and
-    /// completions, scheduling rounds, flight snapshots, timeline
-    /// samples, server failures, and job-progress waves — where each
-    /// component schedules its own next event. The tick grid between
+    /// Runs to completion (all jobs finished) or the time cap, returning
+    /// the report.
+    ///
+    /// The discrete-event core: a binary-heap calendar ([`EventQueue`])
+    /// of typed events — job arrivals and completions, scheduling
+    /// rounds, flight snapshots, timeline samples, server failures, and
+    /// job-progress waves — where each component schedules its own next
+    /// event. The tick grid between
     /// events is replayed per active job as tight arithmetic spans
     /// ([`Simulation::advance_job_span`]), so the cost of a run is
     /// proportional to events and running-job work, not to
     /// `jobs × ticks`. Results are byte-identical to
-    /// [`Simulation::run_tick`] — the equivalence suite proves it.
-    fn run_event(&mut self) -> SimReport {
+    /// [`Simulation::run_reference`] — the equivalence suite proves it.
+    pub fn run(&mut self) -> SimReport {
         let cfg = self.config.clone();
         let ticks_per_interval = (cfg.interval_s / cfg.tick_s).round().max(1.0) as u64;
         let ticks_per_sample = (cfg.sample_every_s / cfg.tick_s).round().max(1.0) as u64;
@@ -940,10 +804,9 @@ impl Simulation {
             eprintln!();
         }
         if tel.is_enabled() {
-            // Event-count accounting — the event engine's analogue of
-            // `sim.ticks_skipped`/`sim.ticks_batched`. Added only at
-            // the very end of the run so flight-snapshot counter
-            // deltas stay byte-identical across engines.
+            // Event-count accounting. Added only at the very end of
+            // the run so flight-snapshot counter deltas stay
+            // byte-identical to the reference loop's.
             tel.add("sim.events_scheduled", queue.scheduled());
             tel.add("sim.waves", waves);
         }
@@ -952,19 +815,20 @@ impl Simulation {
     }
 
     /// Advances job `i` through one simulation tick at time `t` —
-    /// exactly the per-job body of the legacy tick loop, shared by
-    /// both engines so their per-tick semantics cannot drift: overhead
-    /// drain, the deferred Overhead→next JCT transition, straggler
-    /// dynamics (RNG), speed computation (cached while provably
-    /// tick-invariant), progress integration, the observed loss sample
-    /// (RNG, on loss ticks), and the ground-truth convergence check
-    /// with intra-tick finish interpolation.
+    /// exactly the per-job body of the reference tick loop, shared with
+    /// the event engine's waves so their per-tick semantics cannot
+    /// drift: overhead drain, the deferred Overhead→next JCT
+    /// transition, straggler dynamics (RNG), speed computation (with
+    /// `reuse_speed`, cached while provably tick-invariant), progress
+    /// integration, the observed loss sample (RNG, on loss ticks), and
+    /// the ground-truth convergence check with intra-tick finish
+    /// interpolation.
     fn advance_job_one_tick(
         &mut self,
         i: usize,
         t: f64,
         loss_tick: bool,
-        allow_ff: bool,
+        reuse_speed: bool,
         speed_cache: &mut [Option<f64>],
         straggler_replacements_done: &mut usize,
     ) -> TickEffect {
@@ -974,25 +838,21 @@ impl Simulation {
         }
         if self.jobs[i].overhead_remaining_s > 0.0 {
             self.jobs[i].overhead_remaining_s -= dt;
-            return TickEffect {
-                active: true,
-                ..TickEffect::default()
-            };
+            return TickEffect::default();
         }
         if self.jobs[i].jct.phase() == JctPhase::Overhead {
             // The restart overhead just drained: charge the span and
-            // move to whatever the job's state now implies. This tick
-            // is never skipped — the drain itself kept the job active
-            // on the previous tick — so the transition time is
-            // engine- and fast-forward-independent.
+            // move to whatever the job's state now implies. The drain
+            // kept the job active on the previous tick, so the event
+            // engine visits this tick too and the transition time is
+            // engine-independent.
             let next = self.jobs[i].current_phase();
             self.jobs[i].jct.transition(next, t);
         }
         if self.jobs[i].status != JobStatus::Running {
             return TickEffect::default();
         }
-        let mut batched = false;
-        let speed = if allow_ff && self.jobs[i].stragglers.is_quiescent() {
+        let speed = if reuse_speed && self.jobs[i].stragglers.is_quiescent() {
             // A quiescent monitor makes `advance` a state/RNG no-op and
             // the slowdown refresh below a rewrite of the identical
             // all-healthy factors (every placement syncs
@@ -1000,10 +860,7 @@ impl Simulation {
             // since): skip both, and reuse the speed — all of its
             // inputs are tick-invariant between invalidation points.
             match speed_cache[i] {
-                Some(s) => {
-                    batched = true;
-                    s
-                }
+                Some(s) => s,
                 None => {
                     let truth = self.jobs[i].truth();
                     let s =
@@ -1046,11 +903,7 @@ impl Simulation {
             truth.speed_with(self.jobs[i].ps, self.jobs[i].workers, &self.jobs[i].env)
         };
         if speed <= 0.0 {
-            return TickEffect {
-                active: true,
-                batched,
-                finished: false,
-            };
+            return TickEffect::default();
         }
         // Async staleness discounts the *useful* progress per step; the
         // step rate (and hence communication traffic) is unchanged.
@@ -1103,11 +956,7 @@ impl Simulation {
             }
             finished = true;
         }
-        TickEffect {
-            active: true,
-            batched,
-            finished,
-        }
+        TickEffect { finished }
     }
 
     /// Replays the event-free tick span `[from, to)` for every active
@@ -1345,40 +1194,16 @@ impl Simulation {
                     job.ps = 0;
                     job.workers = 0;
                     job.placement.clear();
-                    // Failure ticks are never fast-forwarded over
-                    // (`next_event_tick` stops at them), so this
-                    // transition time is mode-independent.
+                    // The event engine fires its failure event on the
+                    // first tick that reaches `at` (`first_tick_at`),
+                    // the tick the reference loop applies it on, so
+                    // this transition time is engine-independent.
                     let next = job.current_phase();
                     job.jct.transition(next, t);
                 }
             }
         }
         applied
-    }
-
-    /// First tick strictly after `tick` at which something observable
-    /// can happen while the cluster is idle: a scheduling round
-    /// (interval boundary), a timeline sample, a configured server
-    /// failure, or the time cap. The idle fast-forward jumps here.
-    fn next_event_tick(
-        &self,
-        tick: u64,
-        max_ticks: u64,
-        ticks_per_interval: u64,
-        ticks_per_sample: u64,
-    ) -> u64 {
-        let next_multiple = |every: u64| (tick / every + 1) * every;
-        let mut next = next_multiple(ticks_per_interval)
-            .min(next_multiple(ticks_per_sample))
-            .min(max_ticks);
-        for &(at, sid) in &self.config.server_failures {
-            if self.failed_servers.contains(&sid) {
-                continue;
-            }
-            let trig = Self::first_tick_at(at, self.config.tick_s);
-            next = next.min(trig.max(tick + 1));
-        }
-        next.max(tick + 1)
     }
 
     /// One §4 scheduling round at time `t` (1-based `round` number, for
@@ -1452,27 +1277,22 @@ impl Simulation {
         // round's speed predictions are settled against the interval's
         // realized speeds *before* the refits fold the same
         // observations into the models. Settlement is serial and in job
-        // order in both modes (it draws no randomness and no refit
-        // reads the audit state, so fusing it here leaves every
-        // decision unchanged), which keeps the audit trail independent
-        // of thread count and refit mode. It runs unconditionally: a
-        // disabled telemetry handle just drops the trace side while the
-        // summary counters keep accruing into `SimReport::audit`.
+        // order (it draws no randomness and no refit reads the audit
+        // state, so fusing it here leaves every decision unchanged),
+        // which keeps the audit trail independent of thread count. It
+        // runs unconditionally: a disabled telemetry handle just drops
+        // the trace side while the summary counters keep accruing into
+        // `SimReport::audit`.
         //
-        // Each job's refit touches only that job's models and draws no
-        // randomness, so the jobs fan out across threads; trace events
-        // are collected per job and emitted serially afterwards in job
-        // order so the trace stream is independent of thread count.
-        // Two byte-identical paths (`SimConfig::batched_refit`):
-        //
-        // * batched — one serial pass settles the audit, refits speed
-        //   models, and splits convergence estimators into clean jobs
-        //   (cached fit replayed, `fit.dirty_skipped`) and a dirty set,
-        //   which then refits through the batched SoA engine in
-        //   lane-group waves (`optimus_core::refit_convergence_batch`);
-        // * scalar — the PR-2 per-job fan-out, kept as the executable
-        //   reference the equivalence suite diffs the batched path
-        //   against (same clean-job skip, so counters match too).
+        // One serial pass settles the audit, refits speed models, and
+        // splits convergence estimators into clean jobs (cached fit
+        // replayed, `fit.dirty_skipped`) and a dirty set, which then
+        // refits through the batched SoA engine in lane-group waves
+        // (`optimus_core::refit_convergence_batch`). Each job's refit
+        // touches only that job's models and draws no randomness, so
+        // the lane groups fan out across threads; trace events are
+        // emitted serially afterwards in job order so the trace stream
+        // is independent of thread count.
         {
             let span = tel.span("sched.refit");
             // Fit results are bitwise thread-count-independent (the
@@ -1498,115 +1318,30 @@ impl Simulation {
                 }
             };
             let traced = tel.is_enabled();
-            let model_to_event =
-                |m: optimus_fitting::LossModel| (vec![m.beta0, m.beta1, m.beta2], m.residual_ss);
-            let outcomes = if self.config.batched_refit {
-                let bufs = &mut self.refit;
-                // Pass A (serial, job order): settle the audit over the
-                // settlement set, refit live jobs' speed models, replay
-                // clean convergence fits, and mark the dirty set. The
-                // buffers are indexed by live-list position.
-                bufs.speed_events.clear();
-                bufs.conv_slots.clear();
-                bufs.dirty.clear();
-                for &i in &self.settle {
-                    let (id, realized) = (
-                        self.jobs[i].spec.id.0,
-                        self.jobs[i].observed_interval_speed(),
-                    );
-                    self.audit.settle_speed(&tel, round, id, realized);
-                    let job = &mut self.jobs[i];
-                    if job.status == JobStatus::Finished {
-                        continue;
-                    }
-                    let speed_fit = job.observed_interval_speed().map(|speed| {
-                        job.speed_model.record(job.ps, job.workers, speed);
-                        job.speed_model.refit().map_err(|e| e.to_string())
-                    });
-                    bufs.speed_events.push(if traced {
-                        speed_fit.map(|res| {
-                            res.map(|()| {
-                                (
-                                    job.speed_model.coefficients().to_vec(),
-                                    job.speed_model.residual_ss().unwrap_or(0.0),
-                                    job.speed_model.sample_count(),
-                                )
-                            })
-                        })
-                    } else {
-                        None
-                    });
-                    let cached = job.convergence.cached_fit_if_clean();
-                    if cached.is_none() {
-                        bufs.dirty.push(bufs.conv_slots.len());
-                    }
-                    bufs.conv_slots.push(cached);
+            let bufs = &mut self.refit;
+            // Pass A (serial, job order): settle the audit over the
+            // settlement set, refit live jobs' speed models, replay
+            // clean convergence fits, and mark the dirty set. The
+            // buffers are indexed by live-list position.
+            bufs.speed_events.clear();
+            bufs.conv_slots.clear();
+            bufs.dirty.clear();
+            for &i in &self.settle {
+                let (id, realized) = (
+                    self.jobs[i].spec.id.0,
+                    self.jobs[i].observed_interval_speed(),
+                );
+                self.audit.settle_speed(&tel, round, id, realized);
+                let job = &mut self.jobs[i];
+                if job.status == JobStatus::Finished {
+                    continue;
                 }
-                // Pass B: refit the dirty set through the batched SoA
-                // engine (lane groups, wave-synchronized β₂ scans). The
-                // dirty jobs ascend, so one forward walk of the job
-                // slice borrows their estimators.
-                let mut ests = Vec::with_capacity(bufs.dirty.len());
-                let mut walk = self.jobs.iter_mut();
-                let mut next = 0;
-                for &k in &bufs.dirty {
-                    let i = self.live[k];
-                    let job = walk.nth(i - next).expect("live indices ascend within jobs");
-                    ests.push(&mut job.convergence);
-                    next = i + 1;
-                }
-                let results = optimus_core::refit_convergence_batch(&mut ests, threads);
-                for (&k, res) in bufs.dirty.iter().zip(results) {
-                    bufs.conv_slots[k] = Some(res);
-                }
-                // Pass C: assemble per-job outcomes in job order, same
-                // shape as the scalar fan-out below.
-                if !traced {
-                    Vec::new()
-                } else {
-                    self.live
-                        .iter()
-                        .enumerate()
-                        .map(|(k, &i)| {
-                            let conv_fit = bufs.conv_slots[k]
-                                .take()
-                                .expect("every refit candidate got a convergence result");
-                            let job = &self.jobs[i];
-                            Some((
-                                job.spec.id.0,
-                                bufs.speed_events[k].take(),
-                                conv_fit.map(model_to_event).map_err(|e| e.to_string()),
-                                job.convergence.sample_count(),
-                            ))
-                        })
-                        .collect()
-                }
-            } else {
-                for i in 0..self.jobs.len() {
-                    let (id, realized) = (
-                        self.jobs[i].spec.id.0,
-                        self.jobs[i].observed_interval_speed(),
-                    );
-                    self.audit.settle_speed(&tel, round, id, realized);
-                }
-                optimus_parallel::run_indexed_mut(&mut self.jobs, threads, |_, job| {
-                    if job.status == JobStatus::Finished || job.status == JobStatus::Pending {
-                        return None;
-                    }
-                    let speed_fit = job.observed_interval_speed().map(|speed| {
-                        job.speed_model.record(job.ps, job.workers, speed);
-                        job.speed_model.refit().map_err(|e| e.to_string())
-                    });
-                    let conv_fit = match job.convergence.cached_fit_if_clean() {
-                        Some(res) => res,
-                        None => job.convergence.refit().copied(),
-                    }
-                    .map(model_to_event)
-                    .map_err(|e| e.to_string());
-                    if !traced {
-                        return None;
-                    }
-                    let speed_event = speed_fit.map(|res| {
+                let speed_fit = job.observed_interval_speed().map(|speed| {
+                    job.speed_model.record(job.ps, job.workers, speed);
+                    job.speed_model.refit().map_err(|e| e.to_string())
+                });
+                bufs.speed_events.push(if traced {
+                    speed_fit.map(|res| {
                         res.map(|()| {
                             (
                                 job.speed_model.coefficients().to_vec(),
@@ -1614,43 +1349,70 @@ impl Simulation {
                                 job.speed_model.sample_count(),
                             )
                         })
-                    });
-                    Some((
-                        job.spec.id.0,
-                        speed_event,
-                        conv_fit,
-                        job.convergence.sample_count(),
-                    ))
-                })
-            };
-            drop(span);
-            for (id, speed_event, conv_fit, conv_samples) in outcomes.into_iter().flatten() {
-                match speed_event {
-                    Some(Ok((coeffs, residual, samples))) => tel.record(TraceEvent::SpeedFit {
-                        job: id,
-                        coeffs,
-                        residual,
-                        samples,
-                    }),
-                    Some(Err(reason)) => tel.record(TraceEvent::FitFailure {
-                        job: id,
-                        what: "speed".to_string(),
-                        reason,
-                    }),
-                    None => {}
+                    })
+                } else {
+                    None
+                });
+                let cached = job.convergence.cached_fit_if_clean();
+                if cached.is_none() {
+                    bufs.dirty.push(bufs.conv_slots.len());
                 }
-                match conv_fit {
-                    Ok((coeffs, residual)) => tel.record(TraceEvent::ConvergenceFit {
-                        job: id,
-                        coeffs,
-                        residual,
-                        samples: conv_samples,
-                    }),
-                    Err(reason) => tel.record(TraceEvent::FitFailure {
-                        job: id,
-                        what: "convergence".to_string(),
-                        reason,
-                    }),
+                bufs.conv_slots.push(cached);
+            }
+            // Pass B: refit the dirty set through the batched SoA
+            // engine (lane groups, wave-synchronized β₂ scans). The
+            // dirty jobs ascend, so one forward walk of the job
+            // slice borrows their estimators.
+            let mut ests = Vec::with_capacity(bufs.dirty.len());
+            let mut walk = self.jobs.iter_mut();
+            let mut next = 0;
+            for &k in &bufs.dirty {
+                let i = self.live[k];
+                let job = walk.nth(i - next).expect("live indices ascend within jobs");
+                ests.push(&mut job.convergence);
+                next = i + 1;
+            }
+            let results = optimus_core::refit_convergence_batch(&mut ests, threads);
+            for (&k, res) in bufs.dirty.iter().zip(results) {
+                bufs.conv_slots[k] = Some(res);
+            }
+            drop(span);
+            // Pass C (traced runs only): emit the fit records in job
+            // order.
+            if traced {
+                for (k, &i) in self.live.iter().enumerate() {
+                    let job = &self.jobs[i];
+                    let id = job.spec.id.0;
+                    match bufs.speed_events[k].take() {
+                        Some(Ok((coeffs, residual, samples))) => tel.record(TraceEvent::SpeedFit {
+                            job: id,
+                            coeffs,
+                            residual,
+                            samples,
+                        }),
+                        Some(Err(reason)) => tel.record(TraceEvent::FitFailure {
+                            job: id,
+                            what: "speed".to_string(),
+                            reason,
+                        }),
+                        None => {}
+                    }
+                    match bufs.conv_slots[k]
+                        .take()
+                        .expect("every refit candidate got a convergence result")
+                    {
+                        Ok(m) => tel.record(TraceEvent::ConvergenceFit {
+                            job: id,
+                            coeffs: vec![m.beta0, m.beta1, m.beta2],
+                            residual: m.residual_ss,
+                            samples: job.convergence.sample_count(),
+                        }),
+                        Err(e) => tel.record(TraceEvent::FitFailure {
+                            job: id,
+                            what: "convergence".to_string(),
+                            reason: e.to_string(),
+                        }),
+                    }
                 }
             }
         }
@@ -1788,9 +1550,7 @@ impl Simulation {
             }
         }
         // Diff this round's inputs against the previous round's into a
-        // RoundDelta. Computed in both modes so churn telemetry is
-        // mode-independent; only `delta_rounds` lets the scheduler act
-        // on it.
+        // RoundDelta.
         let (churn, quiescent) = {
             let track = &mut self.track;
             track.delta.dirty.clear();
@@ -1823,23 +1583,17 @@ impl Simulation {
 
         // Reuse the round scratch and schedule buffers across rounds:
         // once warm, the whole decision runs without heap allocation.
-        // In delta mode the buffer also carries the previous round's
-        // schedule back in, which is what makes the whole-round skip
-        // legal (the scheduler leaves it untouched).
+        // The buffer also carries the previous round's schedule back
+        // in, which is what makes the whole-round skip legal (the
+        // scheduler leaves it untouched).
         let mut schedule = std::mem::take(&mut self.schedule_buf);
-        let delta_stats = if cfg.delta_rounds {
-            Some(self.scheduler.schedule_delta(
-                &views,
-                &fresh,
-                &self.track.delta,
-                &mut self.scratch,
-                &mut schedule,
-            ))
-        } else {
-            self.scheduler
-                .schedule_into(&views, &fresh, &mut self.scratch, &mut schedule);
-            None
-        };
+        let delta_stats = self.scheduler.schedule_delta(
+            &views,
+            &fresh,
+            &self.track.delta,
+            &mut self.scratch,
+            &mut schedule,
+        );
 
         // Refresh tracking with this round's inputs and emit churn
         // telemetry.
@@ -1865,12 +1619,12 @@ impl Simulation {
             .cluster
             .extend(fresh.servers().map(|s| (s.capacity(), s.available())));
         self.track.valid = true;
-        if delta_stats.is_some_and(|s| s.skipped_full) {
+        if delta_stats.skipped_full {
             self.track.skipped += 1;
         }
         if tel.is_enabled() {
             tel.add("round.delta_jobs", churn);
-            if delta_stats.is_some_and(|s| s.skipped_full) {
+            if delta_stats.skipped_full {
                 tel.add("round.skipped_full", 1);
             }
         }
@@ -1936,9 +1690,9 @@ impl Simulation {
             } else {
                 JobStatus::Paused
             };
-            // Round ticks are never skipped, so the phase clock sees
-            // this decision at the same instant with fast-forward on
-            // or off. A rescale with overhead lands in Overhead; a
+            // Both engines run the round on the same tick, so the
+            // phase clock sees this decision at the same instant. A
+            // rescale with overhead lands in Overhead; a
             // placed job with no pending overhead in Running; a
             // pre-first-placement job stays Queued; otherwise Stalled.
             let next_phase = job.current_phase();

@@ -5,12 +5,12 @@
 //! Admission must behave exactly like a scan over every job: each job
 //! is admitted at the first round tick `t` with `submit_time <= t`, an
 //! arrival that can never be admitted (NaN, `+∞`, past the cap) stays
-//! pending without holding back the jobs behind it, and both engines
-//! replay the same bytes.
+//! pending without holding back the jobs behind it, and the event
+//! engine replays the tick-loop oracle's bytes.
 
 use optimus_cluster::Cluster;
 use optimus_core::prelude::*;
-use optimus_simulator::{JobStatus, SimConfig, SimEngine, SimEventKind, Simulation};
+use optimus_simulator::{JobStatus, SimConfig, SimEventKind, SimReport, Simulation};
 use optimus_workload::{JobId, JobSpec, ModelKind, TrainingMode};
 
 const INTERVAL_S: f64 = 120.0;
@@ -59,12 +59,13 @@ fn admissible(at: f64) -> bool {
     at <= MAX_TIME_S
 }
 
-fn run(engine: SimEngine) -> (Simulation, optimus_simulator::SimReport) {
+/// Runs the workload through `drive` (`Simulation::run` or the
+/// `Simulation::run_reference` oracle).
+fn run(drive: fn(&mut Simulation) -> SimReport) -> (Simulation, SimReport) {
     let cfg = SimConfig {
         interval_s: INTERVAL_S,
         max_time_s: MAX_TIME_S,
         record_events: true,
-        engine,
         ..SimConfig::default()
     };
     let mut sim = Simulation::new(
@@ -73,13 +74,13 @@ fn run(engine: SimEngine) -> (Simulation, optimus_simulator::SimReport) {
         Box::new(OptimusScheduler::build()),
         cfg,
     );
-    let report = sim.run();
+    let report = drive(&mut sim);
     (sim, report)
 }
 
 #[test]
 fn each_job_is_admitted_at_its_first_eligible_round() {
-    let (_, report) = run(SimEngine::Event);
+    let (_, report) = run(Simulation::run);
     let mut admitted_at = vec![None; SUBMIT.len()];
     for event in report.events.all() {
         if let SimEventKind::JobAdmitted { job, .. } = event.kind {
@@ -99,7 +100,7 @@ fn each_job_is_admitted_at_its_first_eligible_round() {
 
 #[test]
 fn unreachable_arrivals_stay_pending_and_the_rest_finish() {
-    let (sim, report) = run(SimEngine::Event);
+    let (sim, report) = run(Simulation::run);
     for (job, &at) in sim.jobs().iter().zip(&SUBMIT) {
         if admissible(at) {
             assert_eq!(
@@ -123,15 +124,15 @@ fn unreachable_arrivals_stay_pending_and_the_rest_finish() {
 
 #[test]
 fn both_engines_replay_the_same_bytes() {
-    let (_, tick) = run(SimEngine::Tick);
-    let (_, event) = run(SimEngine::Event);
+    let (_, reference) = run(Simulation::run_reference);
+    let (_, event) = run(Simulation::run);
     assert_eq!(
-        tick.events.to_json_lines(),
+        reference.events.to_json_lines(),
         event.events.to_json_lines(),
         "event log diverged between engines"
     );
     assert_eq!(
-        serde_json::to_string(&tick).expect("report serializes"),
+        serde_json::to_string(&reference).expect("report serializes"),
         serde_json::to_string(&event).expect("report serializes"),
         "report diverged between engines"
     );

@@ -8,24 +8,35 @@
 //! more of those rounds and must touch the allocator exactly as often
 //! as the shorter one.
 //!
-//! The file intentionally holds a single test: the counter is global,
-//! and a sibling test running concurrently would pollute it.
+//! The counter is per thread, because the test harness's own threads
+//! allocate concurrently (its bookkeeping for the test thread it just
+//! spawned, for instance) at timing-dependent moments. The simulation
+//! runs on the test thread — one live job never fans refits out — so
+//! every allocation it makes is counted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use optimus_cluster::Cluster;
 use optimus_core::prelude::*;
-use optimus_simulator::{SimConfig, SimEngine, Simulation};
+use optimus_simulator::{SimConfig, Simulation};
 use optimus_workload::{JobId, JobSpec, ModelKind, TrainingMode};
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocator calls made by this thread. Const-initialized with no
+    /// destructor, so reading it never allocates.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_call() {
+    ALLOC_CALLS.with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         unsafe { System.alloc(layout) }
     }
 
@@ -34,12 +45,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -74,13 +85,10 @@ fn run_allocations(max_time_s: f64) -> u64 {
         // One timeline sample at t = 0: the samples' own buffer growth
         // would otherwise differ with the run length.
         sample_every_s: 1e12,
-        engine: SimEngine::Event,
-        batched_refit: true,
-        delta_rounds: true,
         refit_threads: None,
         ..SimConfig::default()
     };
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = ALLOC_CALLS.with(Cell::get);
     let mut sim = Simulation::new(
         Cluster::paper_testbed(),
         specs,
@@ -88,7 +96,7 @@ fn run_allocations(max_time_s: f64) -> u64 {
         cfg,
     );
     let report = sim.run();
-    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+    let after = ALLOC_CALLS.with(Cell::get);
     assert_eq!(report.jct.len(), 1, "the first job finishes before the cap");
     assert_eq!(report.unfinished_jobs, 1, "the second job never arrives");
     drop(report);

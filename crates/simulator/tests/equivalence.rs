@@ -1,18 +1,21 @@
-//! Byte-identity proofs for the PR-3 simulator fast path.
+//! Byte-identity proofs for the simulator's production path.
 //!
-//! The event-skipping tick loop (`SimConfig::fast_forward`) and the
-//! parallel per-job refits (`SimConfig::refit_threads`) are pure
-//! optimizations: every run must produce the same events at the same
-//! timestamps and the same report as the tick-walking, serial-refit
-//! reference. These tests serialize the full [`EventLog`] and
-//! [`SimReport`] of both and compare the bytes, across schedulers,
-//! straggler injection, server failures and 1/2/4/8 refit threads.
+//! [`Simulation::run`] — the discrete-event engine with batched refits
+//! fanned across threads and churn-proportional delta rounds — must
+//! reproduce the plain tick-loop oracle [`Simulation::run_reference`]
+//! byte for byte: the same events at the same timestamps and the same
+//! serialized report. One parameterized comparison
+//! ([`assert_matches_reference`]) checks every case across the Optimus,
+//! DRF and Tetris schedulers, at 1/2/4/8 refit threads, and against the
+//! full-rounds oracle (the Optimus composition without its delta
+//! engine). The cases cover straggler injection, server failures,
+//! stranded workloads, churn, and a grid of degenerate inputs.
 
-use optimus_cluster::{Cluster, ServerId};
+use optimus_cluster::{Cluster, ResourceVec, ServerId};
 use optimus_core::prelude::*;
 use optimus_core::reference::{ReferenceOptimusAllocator, ReferenceOptimusPlacer};
 use optimus_ps::StragglerPolicy;
-use optimus_simulator::{SimConfig, SimEngine, SimEventKind, SimReport, Simulation};
+use optimus_simulator::{SimConfig, SimEventKind, SimReport, Simulation};
 use optimus_telemetry::{FlightConfig, Telemetry};
 use optimus_workload::{JobId, JobSpec, ModelKind, TrainingMode};
 
@@ -44,84 +47,121 @@ fn base_config() -> SimConfig {
     }
 }
 
-/// Runs one simulation and returns `(event log bytes, report bytes)`.
-fn run_serialized(cfg: SimConfig, build: fn() -> CompositeScheduler, n: u64) -> (String, String) {
-    let mut sim = Simulation::new(Cluster::paper_testbed(), specs(n), Box::new(build()), cfg);
-    let report = sim.run();
+type Build = fn() -> CompositeScheduler;
+
+/// `Simulation::run` or the `Simulation::run_reference` oracle.
+type Drive = fn(&mut Simulation) -> SimReport;
+
+/// The Optimus composition without the delta engine, every component
+/// sharing `tel`: each round runs the full allocation and placement
+/// passes. The oracle for delta rounds.
+fn optimus_full_rounds_with_telemetry(tel: Telemetry) -> CompositeScheduler {
+    CompositeScheduler::new(
+        "Optimus",
+        Box::new(OptimusAllocator::default().with_telemetry(tel.clone())),
+        Box::new(OptimusPlacer::default().with_telemetry(tel.clone())),
+    )
+    .with_telemetry(tel)
+}
+
+fn optimus_full_rounds() -> CompositeScheduler {
+    optimus_full_rounds_with_telemetry(Telemetry::disabled())
+}
+
+/// Every scheduler with its full-rounds oracle. The baselines have no
+/// delta engine (`None`): their production build is its own oracle.
+const SCHEDULERS: [(&str, Build, Option<Build>); 3] = [
+    (
+        "optimus",
+        OptimusScheduler::build,
+        Some(optimus_full_rounds),
+    ),
+    ("drf", DrfScheduler::build, None),
+    ("tetris", TetrisScheduler::build, None),
+];
+
+/// One simulated scenario of the equivalence suite.
+struct Case {
+    label: &'static str,
+    cluster: Cluster,
+    specs: Vec<JobSpec>,
+    cfg: SimConfig,
+}
+
+impl Case {
+    /// `n` staggered jobs on the paper testbed under `cfg`.
+    fn testbed(label: &'static str, n: u64, cfg: SimConfig) -> Self {
+        Case {
+            label,
+            cluster: Cluster::paper_testbed(),
+            specs: specs(n),
+            cfg,
+        }
+    }
+}
+
+/// Runs one simulation of `case` through `drive` and returns `(event
+/// log bytes, report bytes)`.
+fn run_serialized(case: &Case, build: Build, drive: Drive, threads: usize) -> (String, String) {
+    let mut cfg = case.cfg.clone();
+    cfg.refit_threads = Some(threads);
+    let mut sim = Simulation::new(
+        case.cluster.clone(),
+        case.specs.clone(),
+        Box::new(build()),
+        cfg,
+    );
+    let report = drive(&mut sim);
     let log = report.events.to_json_lines();
     let json = serde_json::to_string(&report).expect("report serializes");
     (log, json)
 }
 
-/// Reference = legacy tick engine, `fast_forward: false`, serial
-/// refits. Every fast configuration — tick mode with the PR-3 fast
-/// path at 1/2/4/8 refit threads, and the discrete-event engine — must
-/// match it byte for byte.
-fn assert_fast_matches_reference(
-    cfg: &SimConfig,
-    build: fn() -> CompositeScheduler,
-    n: u64,
-    label: &str,
-) {
-    let mut reference_cfg = cfg.clone();
-    reference_cfg.engine = SimEngine::Tick;
-    reference_cfg.fast_forward = false;
-    reference_cfg.refit_threads = Some(1);
-    let reference = run_serialized(reference_cfg, build, n);
-    for threads in [1usize, 2, 4, 8] {
-        let mut fast_cfg = cfg.clone();
-        fast_cfg.engine = SimEngine::Tick;
-        fast_cfg.fast_forward = true;
-        fast_cfg.refit_threads = Some(threads);
-        let fast = run_serialized(fast_cfg, build, n);
-        assert_eq!(
-            reference.0, fast.0,
-            "{label}: event log diverged at {threads} refit threads"
-        );
-        assert_eq!(
-            reference.1, fast.1,
-            "{label}: report diverged at {threads} refit threads"
-        );
-    }
-    for threads in [1usize, 4] {
-        let mut event_cfg = cfg.clone();
-        event_cfg.engine = SimEngine::Event;
-        event_cfg.refit_threads = Some(threads);
-        let event = run_serialized(event_cfg, build, n);
-        assert_eq!(
-            reference.0, event.0,
-            "{label}: event log diverged between engines ({threads} refit threads)"
-        );
-        assert_eq!(
-            reference.1, event.1,
-            "{label}: report diverged between engines ({threads} refit threads)"
-        );
+/// For every scheduler, the reference is [`Simulation::run_reference`]
+/// with serial refits. [`Simulation::run`] at 1/2/4/8 refit threads and
+/// [`Simulation::run`] with the full-rounds oracle must match it byte
+/// for byte.
+fn assert_matches_reference(case: &Case) {
+    for (name, build, full_rounds) in SCHEDULERS {
+        let reference = run_serialized(case, build, Simulation::run_reference, 1);
+        let mut candidates = Vec::new();
+        for threads in [1usize, 2, 4, 8] {
+            let run = run_serialized(case, build, Simulation::run, threads);
+            candidates.push((format!("{threads} refit threads"), run));
+        }
+        if let Some(full) = full_rounds {
+            let run = run_serialized(case, full, Simulation::run, 1);
+            candidates.push(("full rounds".to_string(), run));
+        }
+        for (candidate, (log, report)) in candidates {
+            assert_eq!(
+                reference.0, log,
+                "{} ({name}): event log diverged from the reference ({candidate})",
+                case.label
+            );
+            assert_eq!(
+                reference.1, report,
+                "{} ({name}): report diverged from the reference ({candidate})",
+                case.label
+            );
+        }
     }
 }
 
 #[test]
-fn fast_forward_is_byte_identical_for_all_schedulers() {
-    for (name, build) in [
-        (
-            "optimus",
-            OptimusScheduler::build as fn() -> CompositeScheduler,
-        ),
-        ("drf", DrfScheduler::build),
-        ("tetris", TetrisScheduler::build),
-    ] {
-        assert_fast_matches_reference(&base_config(), build, 4, name);
-    }
+fn production_matches_reference_on_the_testbed() {
+    assert_matches_reference(&Case::testbed("testbed", 4, base_config()));
 }
 
 #[test]
-fn fast_forward_is_byte_identical_under_straggler_injection() {
+fn production_matches_reference_under_straggler_injection() {
     let mut cfg = base_config();
     cfg.straggler = StragglerPolicy::with_injection(0.002);
-    assert_fast_matches_reference(&cfg, OptimusScheduler::build, 3, "stragglers");
+    assert_matches_reference(&Case::testbed("stragglers", 3, cfg));
 }
 
 #[test]
-fn fast_forward_is_byte_identical_under_server_failures() {
+fn production_matches_reference_under_server_failures() {
     let mut cfg = base_config();
     cfg.server_failures = vec![
         (500.0, ServerId(0)),
@@ -129,17 +169,78 @@ fn fast_forward_is_byte_identical_under_server_failures() {
         (900.0, ServerId(7)),
         (900.0, ServerId(8)),
     ];
-    assert_fast_matches_reference(&cfg, OptimusScheduler::build, 3, "server failures");
+    assert_matches_reference(&Case::testbed("server failures", 3, cfg));
 }
 
 #[test]
-fn fast_forward_is_byte_identical_when_the_cap_strands_jobs() {
+fn production_matches_reference_when_the_cap_strands_jobs() {
     // Every server dies at t = 300 s: the rest of the run is one long
-    // idle span, the exact case the event-skipping jump targets.
+    // idle span that the event engine crosses without a single wave.
     let mut cfg = base_config();
     cfg.max_time_s = 5_000.0;
     cfg.server_failures = (0..13).map(|i| (300.0, ServerId(i))).collect();
-    assert_fast_matches_reference(&cfg, OptimusScheduler::build, 2, "stranded");
+    assert_matches_reference(&Case::testbed("stranded", 2, cfg));
+}
+
+/// Churn-heavy dynamics for the delta engine: staggered arrivals,
+/// straggler injection, a server failure, pinned-job reservations and
+/// the all-quiescent tail after the last completion.
+#[test]
+fn production_matches_reference_under_churn() {
+    let mut cfg = base_config();
+    cfg.straggler = StragglerPolicy::with_injection(0.002);
+    cfg.server_failures = vec![(900.0, ServerId(7))];
+    cfg.min_rescale_interval_s = 300.0;
+    assert_matches_reference(&Case::testbed("churn", 5, cfg));
+}
+
+/// The edge-case grid: degenerate workloads, clusters and timings.
+#[test]
+fn production_matches_reference_on_degenerate_inputs() {
+    let testbed_gpu_server = ResourceVec::new(16.0, 2.0, 48.0, 1.0);
+    let cpu_only_server = ResourceVec::new(32.0, 0.0, 80.0, 1.0);
+    let cases = [
+        Case::testbed("empty workload", 0, base_config()),
+        Case {
+            cluster: Cluster::homogeneous(1, testbed_gpu_server),
+            ..Case::testbed("single server", 3, base_config())
+        },
+        Case {
+            cluster: Cluster::homogeneous(4, cpu_only_server),
+            ..Case::testbed("zero-GPU cluster", 3, base_config())
+        },
+        Case::testbed(
+            "every server failed at t = 0",
+            3,
+            SimConfig {
+                max_time_s: 5_000.0,
+                server_failures: (0..13).map(|i| (0.0, ServerId(i))).collect(),
+                ..base_config()
+            },
+        ),
+        // A round on every tick: kept short, since each round refits.
+        Case::testbed(
+            "interval shorter than a tick",
+            2,
+            SimConfig {
+                interval_s: 0.4,
+                max_time_s: 600.0,
+                ..base_config()
+            },
+        ),
+        Case::testbed("one job", 1, base_config()),
+        Case::testbed(
+            "noise-free profiling",
+            3,
+            SimConfig {
+                profile_noise: 0.0,
+                ..base_config()
+            },
+        ),
+    ];
+    for case in &cases {
+        assert_matches_reference(case);
+    }
 }
 
 /// The reference §4.1/§4.2 implementations driving a whole simulation
@@ -157,9 +258,9 @@ fn reference_scheduler_simulation_is_byte_identical() {
             Box::new(ReferenceOptimusPlacer),
         )
     }
-    let cfg = base_config();
-    let optimized = run_serialized(cfg.clone(), OptimusScheduler::build, 4);
-    let reference = run_serialized(cfg, build_reference, 4);
+    let case = Case::testbed("reference scheduler", 4, base_config());
+    let optimized = run_serialized(&case, OptimusScheduler::build, Simulation::run, 1);
+    let reference = run_serialized(&case, build_reference, Simulation::run, 1);
     assert_eq!(
         optimized.0, reference.0,
         "event log diverged between optimized and reference schedulers"
@@ -168,117 +269,6 @@ fn reference_scheduler_simulation_is_byte_identical() {
         optimized.1, reference.1,
         "report diverged between optimized and reference schedulers"
     );
-}
-
-/// The PR-8 batched SoA refit engine is a pure optimization: with
-/// `SimConfig::batched_refit` on, every event byte and report byte must
-/// match the scalar per-job path's — in both engines, at 1/2/8 refit
-/// threads, and under straggler injection (pauses and rescales churn
-/// the dirty set).
-#[test]
-fn batched_refit_is_byte_identical_to_scalar() {
-    let mut cfg = base_config();
-    cfg.straggler = StragglerPolicy::with_injection(0.002);
-    for engine in [SimEngine::Tick, SimEngine::Event] {
-        let mut scalar_cfg = cfg.clone();
-        scalar_cfg.engine = engine;
-        scalar_cfg.batched_refit = false;
-        scalar_cfg.refit_threads = Some(1);
-        let scalar = run_serialized(scalar_cfg, OptimusScheduler::build, 4);
-        for threads in [1usize, 2, 8] {
-            let mut batched_cfg = cfg.clone();
-            batched_cfg.engine = engine;
-            batched_cfg.batched_refit = true;
-            batched_cfg.refit_threads = Some(threads);
-            let batched = run_serialized(batched_cfg, OptimusScheduler::build, 4);
-            assert_eq!(
-                scalar.0, batched.0,
-                "event log diverged from scalar refits ({engine:?}, {threads} threads)"
-            );
-            assert_eq!(
-                scalar.1, batched.1,
-                "report diverged from scalar refits ({engine:?}, {threads} threads)"
-            );
-        }
-    }
-}
-
-/// Fit telemetry must agree across refit modes — the cross-mode ledger
-/// diff in `just ledger` runs with no ignore list, so even the counters
-/// have to line up exactly.
-#[test]
-fn batched_refit_counters_match_scalar() {
-    let run = |batched: bool| {
-        let tel = Telemetry::enabled();
-        let mut cfg = base_config();
-        cfg.telemetry = tel.clone();
-        cfg.batched_refit = batched;
-        cfg.refit_threads = Some(2);
-        let mut sim = Simulation::new(
-            Cluster::paper_testbed(),
-            specs(8),
-            Box::new(OptimusScheduler::build()),
-            cfg,
-        );
-        sim.run();
-        tel
-    };
-    let scalar = run(false);
-    let batched = run(true);
-    for key in [
-        "loss_curve.fits",
-        "nnls.solves",
-        "nnls.fit_failures",
-        "fit.warm_start_hits",
-        "fit.dirty_skipped",
-        "fit.skipped_unchanged",
-    ] {
-        assert_eq!(
-            scalar.counter(key),
-            batched.counter(key),
-            "{key} diverged between refit modes"
-        );
-    }
-    assert!(
-        batched.counter("loss_curve.fits") > 0,
-        "the run must actually fit"
-    );
-}
-
-/// The delta-round engine is a pure optimization: with
-/// `SimConfig::delta_rounds` on, every event byte and report byte must
-/// match the full-round path's — across both sim engines and both refit
-/// modes, under churn-heavy dynamics (staggered arrivals, straggler
-/// injection, a server failure, pinned-job reservations) and the
-/// all-quiescent tail after the last completion.
-#[test]
-fn delta_rounds_are_byte_identical_to_full() {
-    let mut cfg = base_config();
-    cfg.straggler = StragglerPolicy::with_injection(0.002);
-    cfg.server_failures = vec![(900.0, ServerId(7))];
-    cfg.min_rescale_interval_s = 300.0;
-    for engine in [SimEngine::Tick, SimEngine::Event] {
-        for batched in [false, true] {
-            let mut full_cfg = cfg.clone();
-            full_cfg.engine = engine;
-            full_cfg.batched_refit = batched;
-            full_cfg.delta_rounds = false;
-            let full = run_serialized(full_cfg, OptimusScheduler::build, 5);
-            let mut delta_cfg = cfg.clone();
-            delta_cfg.engine = engine;
-            delta_cfg.batched_refit = batched;
-            delta_cfg.delta_rounds = true;
-            let delta = run_serialized(delta_cfg, OptimusScheduler::build, 5);
-            assert_eq!(
-                full.0, delta.0,
-                "event log diverged between delta and full rounds ({engine:?}, batched={batched})"
-            );
-            assert_eq!(
-                full.1, delta.1,
-                "report diverged between delta and full rounds ({engine:?}, batched={batched})"
-            );
-        }
-    }
 }
 
 /// Whole-cluster failure strands every job: after the one
@@ -291,7 +281,6 @@ fn delta_engine_skips_quiescent_rounds() {
     let mut cfg = base_config();
     cfg.max_time_s = 10_000.0;
     cfg.telemetry = tel.clone();
-    cfg.delta_rounds = true;
     cfg.flight = Some(FlightConfig { capacity: 4096 });
     cfg.server_failures = (0..13).map(|i| (300.0, ServerId(i))).collect();
     let mut sim = Simulation::new(
@@ -319,31 +308,26 @@ fn delta_engine_skips_quiescent_rounds() {
     );
 }
 
-/// Churn telemetry is mode-independent: the simulator diffs rounds
-/// whether or not the delta engine consumes the result, so
-/// `round.delta_jobs` must agree between modes (running jobs produce
-/// fresh speed observations every interval, so they count as churn —
-/// the sim-level delta win is the quiescent spans and the paused tail).
+/// Churn telemetry does not depend on the scheduler: the simulator
+/// diffs rounds whether or not the scheduler has a delta engine to
+/// consume the result, so `round.delta_jobs` must agree with the
+/// full-rounds oracle (running jobs produce fresh speed observations
+/// every interval, so they count as churn — the sim-level delta win is
+/// the quiescent spans and the paused tail).
 #[test]
-fn churn_counter_is_mode_independent() {
-    let run = |delta: bool| {
+fn churn_counter_is_scheduler_independent() {
+    let run = |build: Build| {
         let tel = Telemetry::enabled();
         let mut cfg = base_config();
         cfg.telemetry = tel.clone();
-        cfg.delta_rounds = delta;
-        let mut sim = Simulation::new(
-            Cluster::paper_testbed(),
-            specs(4),
-            Box::new(OptimusScheduler::build()),
-            cfg,
-        );
+        let mut sim = Simulation::new(Cluster::paper_testbed(), specs(4), Box::new(build()), cfg);
         sim.run();
         tel.counter("round.delta_jobs")
     };
-    let full = run(false);
-    let delta = run(true);
+    let full = run(optimus_full_rounds);
+    let delta = run(OptimusScheduler::build);
     assert!(full > 0, "a live run must show churn");
-    assert_eq!(full, delta, "churn accounting diverged between modes");
+    assert_eq!(full, delta, "churn accounting diverged from full rounds");
 }
 
 /// Runs one Optimus simulation of 4 jobs and returns the full report.
@@ -437,36 +421,43 @@ fn flight_snapshots_are_physically_sane() {
 /// Decision provenance is a pure observer: with why-records on, the
 /// event log, the schedule stream, the JCT decomposition *and the
 /// trace counters* must be byte for byte what the provenance-off run
-/// produces — across both sim engines and with delta rounds on and
-/// off (DESIGN §14).
+/// produces — through the production engine and the tick-loop oracle,
+/// with delta rounds and with the full-rounds oracle (DESIGN §14).
 #[test]
 fn provenance_is_decision_invariant() {
     let mut cfg = base_config();
     cfg.straggler = StragglerPolicy::with_injection(0.002);
-    for engine in [SimEngine::Tick, SimEngine::Event] {
+    let drives: [(&str, Drive); 2] = [
+        ("run", Simulation::run),
+        ("run_reference", Simulation::run_reference),
+    ];
+    for (drive_name, drive) in drives {
         for delta in [false, true] {
             let run = |provenance: bool| {
                 let tel = Telemetry::enabled();
                 if provenance {
                     tel.enable_provenance();
                 }
+                let scheduler = if delta {
+                    OptimusScheduler::build_with_telemetry(tel.clone())
+                } else {
+                    optimus_full_rounds_with_telemetry(tel.clone())
+                };
                 let mut run_cfg = cfg.clone();
-                run_cfg.engine = engine;
-                run_cfg.delta_rounds = delta;
                 run_cfg.telemetry = tel.clone();
                 let mut sim = Simulation::new(
                     Cluster::paper_testbed(),
                     specs(4),
-                    Box::new(OptimusScheduler::build_with_telemetry(tel.clone())),
+                    Box::new(scheduler),
                     run_cfg,
                 );
-                (sim.run(), tel)
+                (drive(&mut sim), tel)
             };
             let (off, off_tel) = run(false);
             let (on, on_tel) = run(true);
             assert_eq!(off_tel.why_count(), 0, "provenance off records nothing");
             assert!(on_tel.why_count() > 0, "provenance on records why-records");
-            let label = format!("{engine:?}, delta={delta}");
+            let label = format!("{drive_name}, delta={delta}");
             assert_eq!(
                 off.events.to_json_lines(),
                 on.events.to_json_lines(),
@@ -548,7 +539,7 @@ fn every_scheduled_job_has_a_complete_why_record() {
 }
 
 /// Three jobs that arrive only after a 1000 s idle warm-up — the span
-/// an engine must skip rather than walk.
+/// the event engine must skip rather than walk.
 fn late_specs() -> Vec<JobSpec> {
     specs(3)
         .into_iter()
@@ -560,31 +551,10 @@ fn late_specs() -> Vec<JobSpec> {
 }
 
 #[test]
-fn fast_forward_actually_skips_and_batches_ticks() {
-    let tel = Telemetry::enabled();
-    let mut cfg = base_config();
-    cfg.telemetry = tel.clone();
-    cfg.engine = SimEngine::Tick; // the counters under test are tick-mode accounting
-    let mut sim = Simulation::new(
-        Cluster::paper_testbed(),
-        late_specs(),
-        Box::new(OptimusScheduler::build()),
-        cfg,
-    );
-    let report = sim.run();
-    assert_eq!(report.unfinished_jobs, 0);
-    // The idle warm-up must be jumped, and quiescent running jobs must
-    // take the cached-speed body with a 1 s tick.
-    assert!(tel.counter("sim.ticks_skipped") > 0, "no ticks skipped");
-    assert!(tel.counter("sim.ticks_batched") > 0, "no ticks batched");
-}
-
-#[test]
 fn event_engine_cost_is_events_not_ticks() {
     let tel = Telemetry::enabled();
     let mut cfg = base_config();
     cfg.telemetry = tel.clone();
-    cfg.engine = SimEngine::Event;
     let mut sim = Simulation::new(
         Cluster::paper_testbed(),
         late_specs(),
@@ -598,7 +568,7 @@ fn event_engine_cost_is_events_not_ticks() {
     assert!(scheduled > 0, "the calendar scheduled events");
     assert!(waves > 0, "running jobs advanced through progress waves");
     // The whole point: calendar entries and waves are both far fewer
-    // than the 40 000 grid ticks the legacy loop would walk.
+    // than the 40 000 grid ticks the reference loop walks.
     let max_ticks = (base_config().max_time_s / base_config().tick_s).round() as u64;
     assert!(
         scheduled < max_ticks / 2,

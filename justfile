@@ -36,55 +36,33 @@ bench-alloc:
     cargo run --release -p optimus-bench --bin bench_sched -- --samples 1 --verify
     cargo test --release -p optimus-core --test zero_alloc
 
-# Prove the optimized paths byte-identical to the naive reference
-# implementations (property-based): allocator/placer, the incremental
-# warm-started convergence fitter, the batched SoA fit engine, and the
-# simulator. The simulator suite runs four ways — under the
-# discrete-event engine (the default), forced to the legacy tick loop,
-# with the batched refit engine disabled, and with delta rounds
-# disabled (every round re-derived from scratch) — so every engine
-# default keeps passing the same byte-identity proofs, plus the
-# event-calendar determinism proptests.
+# Prove the optimized paths byte-identical to their naive oracles
+# (property-based where inputs vary): the allocator/placer against the
+# reference scheduler, the incremental warm-started convergence fitter
+# and the batched SoA fit engine against `LossCurveFitter::fit`, and
+# the simulator's production path (`Simulation::run`) against the
+# tick-loop oracle (`Simulation::run_reference`) and the full-rounds
+# scheduler — one simulator-suite run covers every scheduler, refit
+# thread count and edge case — plus the event-calendar determinism
+# proptests.
 equivalence:
     cargo test --release -p optimus-core --test equivalence
     cargo test --release -p optimus-fitting --test equivalence
     cargo test --release -p optimus-fitting --test batch_equivalence
     cargo test --release -p optimus-simulator --test equivalence
-    OPTIMUS_EVENT_ENGINE=0 cargo test --release -p optimus-simulator --test equivalence
-    OPTIMUS_BATCHED_FIT=0 cargo test --release -p optimus-simulator --test equivalence
-    OPTIMUS_DELTA_ROUNDS=0 cargo test --release -p optimus-simulator --test equivalence
     cargo test --release -p optimus-simulator --test event_determinism
 
 # Ledger smoke: two identical small runs must produce byte-identical
-# artifacts — `optimus-trace diff` exits non-zero if they diverge —
-# and a third run under the legacy tick engine must hash identically
-# to the event-engine runs on every decision artifact (the cross-engine
-# determinism contract, DESIGN §11). `trace.jsonl` is excluded there:
-# it carries each engine's own accounting counters (events/waves vs
-# ticks skipped/batched), which differ by construction. A fourth run
-# with the batched refit engine disabled must match the default run on
-# EVERY artifact, trace included — the batched fitter's contract is
-# bit-identical models *and* telemetry (DESIGN §12), so nothing is
-# ignored in that diff. A fifth run with delta rounds disabled must
-# match on every decision artifact (events/schedule/jct — the DESIGN
-# §13 contract); `trace.jsonl` and `flight.jsonl` are excluded there
-# because the delta path legitimately emits different *telemetry*:
-# replayed placements skip per-job Placement events, and per-round
-# counter deltas differ when work is reused instead of re-derived.
-# `provenance.jsonl` is excluded there too: why-records narrate the
-# delta path taken (replay/derive vs full), which differs between the
-# modes by definition even though the decisions are identical.
+# artifacts — `optimus-trace diff` exits non-zero if they diverge. The
+# cross-oracle ledger contracts (the tick-loop oracle hashes like the
+# production run on every artifact but `trace.jsonl`, DESIGN §11; the
+# full-rounds scheduler on every decision artifact, DESIGN §13) run
+# in-process in `tests/ledger_diff.rs`.
 ledger:
     rm -rf target/ledger-smoke
     cargo run --release --bin optimus-sim -- run --jobs 3 --seed 11 --interval 300 --ledger target/ledger-smoke/a
     cargo run --release --bin optimus-sim -- run --jobs 3 --seed 11 --interval 300 --ledger target/ledger-smoke/b
-    OPTIMUS_EVENT_ENGINE=0 cargo run --release --bin optimus-sim -- run --jobs 3 --seed 11 --interval 300 --ledger target/ledger-smoke/tick
-    OPTIMUS_BATCHED_FIT=0 cargo run --release --bin optimus-sim -- run --jobs 3 --seed 11 --interval 300 --ledger target/ledger-smoke/scalar-fit
-    OPTIMUS_DELTA_ROUNDS=0 cargo run --release --bin optimus-sim -- run --jobs 3 --seed 11 --interval 300 --ledger target/ledger-smoke/full-rounds
     cargo run --release --bin optimus-trace -- diff target/ledger-smoke/a target/ledger-smoke/b
-    cargo run --release --bin optimus-trace -- diff --ignore trace.jsonl target/ledger-smoke/a target/ledger-smoke/tick
-    cargo run --release --bin optimus-trace -- diff target/ledger-smoke/a target/ledger-smoke/scalar-fit
-    cargo run --release --bin optimus-trace -- diff --ignore trace.jsonl --ignore flight.jsonl --ignore provenance.jsonl target/ledger-smoke/a target/ledger-smoke/full-rounds
 
 # Whole-simulation throughput: simulated-seconds per wall-second and
 # events per wall-second across the job grid, with a bit-identical
@@ -125,20 +103,20 @@ why:
 check-bench:
     cargo run --release --bin optimus-trace -- check-bench
 
-# Everything CI would run: lint + build + tests, the optimized-vs-
-# reference equivalence proptests (in every engine mode, including
-# delta rounds off), 1-sample bench smoke runs (keeps the timing
+# Everything CI would run: lint + build + tests (which include the
+# in-process cross-oracle ledger diffs), the optimized-vs-oracle
+# equivalence suites, 1-sample bench smoke runs (keeps the timing
 # harnesses compiling and executable without recording noise;
 # bench-alloc also cross-checks decisions against the reference across
 # the standard points *and* the steady-state churn points, where
 # --verify additionally fails on any delta-path fallback to a full
 # re-derivation; bench_fit smokes the at-scale 5000-job grid point,
 # which includes its own reference-vs-scalar-vs-batched cross-check;
-# bench_sim smokes the at-scale 100-job grid point, which includes its
-# own tick-vs-event cross-check), the run-ledger determinism smoke
-# (including the cross-engine and delta-off diffs), the
-# flight-recorder timeline smoke, the decision-provenance why smoke,
-# the end-to-end benchmark smoke, and the bench regression watchdog.
+# bench_sim smokes the at-scale 100-job grid point, which checks its
+# JCT witness against the tick-loop oracle), the run-ledger determinism
+# smoke, the flight-recorder timeline smoke, the decision-provenance
+# why smoke, the end-to-end benchmark smoke, and the bench regression
+# watchdog.
 ci: lint build test equivalence bench-alloc ledger timeline why e2e-smoke check-bench
     cargo run --release -p optimus-bench --bin bench_fit -- --samples 1 --points 5000
     cargo run --release -p optimus-bench --bin bench_sim -- --samples 1 --points 100

@@ -182,9 +182,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 other => return Err(format!("unknown scheduler: {other}")),
             };
         let interval_s: f64 = flags.parse("--interval", 600.0)?;
-        // A/B switch for the event-skipping tick loop: results are
-        // identical either way; only wall-clock changes.
-        let fast_forward = std::env::var("OPTIMUS_FAST_FORWARD").map_or(true, |v| v.trim() != "0");
         let progress_every_s: f64 = flags.parse("--progress", 0.0)?;
         let flight = match flags.get("--flight") {
             Some(raw) => {
@@ -197,26 +194,16 @@ fn cmd_run(args: &[String]) -> ExitCode {
             // `optimus-trace timeline` can render any recorded run.
             None => ledger_dir.map(|_| FlightConfig::default()),
         };
-        // Engine selection mirrors the library default (the
-        // OPTIMUS_EVENT_ENGINE switch) but is resolved here so the
-        // ledger can echo which engine produced the run — the
-        // artifacts themselves are engine-invariant by contract.
-        let engine = SimEngine::from_env();
         let cfg = SimConfig {
             interval_s,
             seed,
             assignment,
             record_events: flags.has("--events") || ledger_dir.is_some(),
             telemetry: tel.clone(),
-            fast_forward,
-            engine,
             flight,
             progress_every_s,
             ..SimConfig::default()
         };
-        // Resolved from OPTIMUS_DELTA_ROUNDS by the library default;
-        // echoed into the ledger like the engine switch above.
-        let delta_rounds = cfg.delta_rounds;
         let mut sim = Simulation::new(Cluster::paper_testbed(), jobs, scheduler, cfg);
         let report = sim.run();
 
@@ -227,19 +214,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 ("seed".into(), Value::Num(seed as f64)),
                 ("scheduler".into(), Value::Str(scheduler_name.to_string())),
                 ("interval_s".into(), Value::Num(interval_s)),
-                ("fast_forward".into(), Value::Bool(fast_forward)),
-                ("delta_rounds".into(), Value::Bool(delta_rounds)),
                 ("provenance".into(), Value::Bool(true)),
-                (
-                    "engine".into(),
-                    Value::Str(
-                        match engine {
-                            SimEngine::Event => "event",
-                            SimEngine::Tick => "tick",
-                        }
-                        .to_string(),
-                    ),
-                ),
                 (
                     "trace_in".into(),
                     flags

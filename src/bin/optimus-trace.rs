@@ -315,7 +315,7 @@ fn print_rounds(lines: &[TraceLine]) {
     if walls.is_empty() {
         return;
     }
-    walls.sort_by(|a, b| a.partial_cmp(b).expect("wall times are finite"));
+    walls.sort_by(f64::total_cmp);
     let mean = walls.iter().sum::<f64>() / walls.len() as f64;
     let (rounds, t_s, _) = last.expect("walls non-empty");
     println!("\nscheduling rounds: {rounds} over {t_s:.0} s of simulated time");
@@ -501,7 +501,7 @@ fn print_models(lines: &[TraceLine]) {
             .iter()
             .map(|(&job, errs)| (job, mean(errs), errs.len()))
             .collect();
-        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite errors"));
+        ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
         for (job, mean_abs, n) in ranked.iter().take(3) {
             println!("    worst: job {job} mean |err| {mean_abs:.3} over {n} samples");
         }
@@ -606,8 +606,7 @@ fn print_spans(lines: &[TraceLine]) {
     // per-round decision latency (one span per scheduling round).
     println!("\nspans:");
     for (name, agg) in by_name.iter_mut() {
-        agg.durs_us
-            .sort_by(|a, b| a.partial_cmp(b).expect("span durations are finite"));
+        agg.durs_us.sort_by(f64::total_cmp);
         println!(
             "  {name}: n={} total={} us mean={:.0} us p50={:.0} us p95={:.0} us p99={:.0} us max={:.0} us",
             agg.count,
@@ -1121,7 +1120,7 @@ fn print_why_summary(run: &LoadedRun, records: &[WhyRecord], job: Option<u64>) {
         .filter_map(|a| a.runners_up.first().map(|r| a.gain - r.gain))
         .collect();
     if !margins.is_empty() {
-        margins.sort_by(|a, b| a.partial_cmp(b).expect("finite margins"));
+        margins.sort_by(f64::total_cmp);
         println!(
             "\nallocation margins over the best runner-up ({} contested grants):",
             margins.len()
@@ -1168,10 +1167,11 @@ fn print_why_summary(run: &LoadedRun, records: &[WhyRecord], job: Option<u64>) {
 
 fn cmd_diff(args: &[String]) -> ExitCode {
     // `--ignore NAME` (repeatable) drops an artifact from the
-    // comparison. The intended use is cross-engine diffs: the two sim
-    // engines produce byte-identical decision artifacts but keep
-    // engine-specific accounting counters in `trace.jsonl`, which a
-    // determinism check across engines must not read as divergence.
+    // comparison. The intended use is cross-oracle diffs: a ledger
+    // written from `Simulation::run_reference` has the production
+    // run's decision artifacts byte for byte but its own accounting
+    // counters in `trace.jsonl`, which a determinism check across the
+    // two must not read as divergence.
     let mut ignored: Vec<&str> = Vec::new();
     let mut dirs: Vec<&String> = Vec::new();
     let mut it = args.iter();

@@ -57,7 +57,7 @@ pub mod prelude {
     pub use optimus_fitting::{LossCurveFitter, LossModel};
     pub use optimus_ps::{EnvFactors, PsAssignment, PsJobModel, TaskCounts};
     pub use optimus_simulator::{
-        AssignmentPolicy, ErrorInjection, JctBreakdown, SimConfig, SimEngine, SimReport, Simulation,
+        AssignmentPolicy, ErrorInjection, JctBreakdown, SimConfig, SimReport, Simulation,
     };
     pub use optimus_telemetry::{FlightConfig, FlightLog, Telemetry, TelemetrySummary, TraceEvent};
     pub use optimus_workload::{

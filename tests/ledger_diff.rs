@@ -2,9 +2,14 @@
 //! byte-identical (hash-identical) ledgers, and two runs that differ
 //! only by an injected server failure must be triaged by
 //! [`optimus::ledger::diff_runs`] to the exact first divergent line —
-//! the same line a direct comparison of the event logs finds.
+//! the same line a direct comparison of the event logs finds. The
+//! production path's ledger must also hash like its oracles': the
+//! tick-loop oracle's on every artifact but the trace, and the
+//! full-rounds oracle's on every decision artifact.
 
-use optimus::ledger::{self, LoadedRun, EVENTS_ARTIFACT};
+use optimus::ledger::{
+    self, LoadedRun, EVENTS_ARTIFACT, JCT_ARTIFACT, SCHEDULE_ARTIFACT, TRACE_ARTIFACT,
+};
 use optimus::prelude::*;
 use std::path::{Path, PathBuf};
 
@@ -17,10 +22,32 @@ fn scratch_dir(name: &str) -> PathBuf {
 /// One small telemetered run, written as a ledger to `dir` and loaded
 /// back (which re-verifies every artifact hash).
 fn run_ledgered(dir: &Path, failure: Option<(f64, ServerId)>) -> LoadedRun {
+    run_ledgered_with(
+        dir,
+        failure,
+        false,
+        OptimusScheduler::build_with_telemetry,
+        Simulation::run,
+    )
+}
+
+/// [`run_ledgered`] with decision provenance optionally recorded, a
+/// chosen scheduler, and a chosen entry point (`Simulation::run` or the
+/// `Simulation::run_reference` oracle).
+fn run_ledgered_with(
+    dir: &Path,
+    failure: Option<(f64, ServerId)>,
+    provenance: bool,
+    scheduler: fn(Telemetry) -> CompositeScheduler,
+    drive: fn(&mut Simulation) -> SimReport,
+) -> LoadedRun {
     let jobs = WorkloadGenerator::new(ArrivalProcess::paper_default(4), 7)
         .with_target_job_seconds(Some(1_800.0))
         .generate();
     let tel = Telemetry::enabled();
+    if provenance {
+        tel.enable_provenance();
+    }
     let cfg = SimConfig {
         interval_s: 120.0,
         seed: 7,
@@ -34,10 +61,10 @@ fn run_ledgered(dir: &Path, failure: Option<(f64, ServerId)>) -> LoadedRun {
     let mut sim = Simulation::new(
         Cluster::paper_testbed(),
         jobs,
-        Box::new(OptimusScheduler::build_with_telemetry(tel.clone())),
+        Box::new(scheduler(tel.clone())),
         cfg,
     );
-    let report = sim.run();
+    let report = drive(&mut sim);
     ledger::sim_run_ledger(&report, &tel, "ledger-test", 7, serde_json::Value::Null)
         .write(dir)
         .expect("ledger writes");
@@ -93,4 +120,71 @@ fn injected_failure_is_localized_to_the_first_divergent_line() {
 
     let _ = std::fs::remove_dir_all(&dir_clean);
     let _ = std::fs::remove_dir_all(&dir_failed);
+}
+
+/// The Optimus composition without the delta engine, every component
+/// sharing `tel`: each round runs the full allocation and placement
+/// passes.
+fn optimus_full_rounds(tel: Telemetry) -> CompositeScheduler {
+    CompositeScheduler::new(
+        "Optimus",
+        Box::new(OptimusAllocator::default().with_telemetry(tel.clone())),
+        Box::new(OptimusPlacer::default().with_telemetry(tel.clone())),
+    )
+    .with_telemetry(tel)
+}
+
+/// Asserts that `a` and `b` hash equal on exactly the artifacts `same`
+/// selects by name, and that both ledgers list the same artifacts.
+fn assert_hashes_match(a: &LoadedRun, b: &LoadedRun, same: impl Fn(&str) -> bool) {
+    let names = |run: &LoadedRun| -> Vec<String> {
+        run.manifest
+            .artifacts
+            .iter()
+            .map(|r| r.name.clone())
+            .collect()
+    };
+    assert_eq!(names(a), names(b), "artifact lists differ");
+    for rec in a.manifest.artifacts.iter().filter(|r| same(&r.name)) {
+        let other = b.manifest.artifact(&rec.name).expect("artifact in both");
+        assert_eq!(rec.hash, other.hash, "{} hashes differ", rec.name);
+    }
+}
+
+/// The tick-loop oracle reproduces every artifact of the production
+/// run except `trace.jsonl`, which carries each engine's own counters.
+#[test]
+fn production_ledger_matches_the_tick_loop_oracle() {
+    let (dir_run, dir_ref) = (scratch_dir("oracle-run"), scratch_dir("oracle-ref"));
+    let build = OptimusScheduler::build_with_telemetry;
+    let run = run_ledgered_with(&dir_run, None, true, build, Simulation::run);
+    let reference = run_ledgered_with(&dir_ref, None, true, build, Simulation::run_reference);
+    assert_hashes_match(&run, &reference, |name| name != TRACE_ARTIFACT);
+    assert_eq!(run.manifest.artifacts.len(), 6, "provenance recorded");
+
+    let _ = std::fs::remove_dir_all(&dir_run);
+    let _ = std::fs::remove_dir_all(&dir_ref);
+}
+
+/// Delta rounds make the same decisions as full rounds. Only the
+/// decision artifacts are compared: replayed work emits different
+/// telemetry (trace and flight counters) and why-records narrate the
+/// delta path taken (provenance).
+#[test]
+fn production_ledger_matches_the_full_rounds_oracle() {
+    let (dir_delta, dir_full) = (scratch_dir("delta"), scratch_dir("full-rounds"));
+    let delta = run_ledgered_with(
+        &dir_delta,
+        None,
+        true,
+        OptimusScheduler::build_with_telemetry,
+        Simulation::run,
+    );
+    let full = run_ledgered_with(&dir_full, None, true, optimus_full_rounds, Simulation::run);
+    assert_hashes_match(&delta, &full, |name| {
+        [EVENTS_ARTIFACT, SCHEDULE_ARTIFACT, JCT_ARTIFACT].contains(&name)
+    });
+
+    let _ = std::fs::remove_dir_all(&dir_delta);
+    let _ = std::fs::remove_dir_all(&dir_full);
 }

@@ -1,0 +1,47 @@
+//! `optimus-trace` on malformed-but-valid ledgers: inputs that parse and
+//! pass the manifest hash check must produce a report, never a panic.
+
+use optimus::ledger::PROVENANCE_ARTIFACT;
+use optimus::telemetry::ledger::RunLedger;
+use std::process::Command;
+
+/// A grant whose gain and runner-up gain both overflow to `+∞` makes
+/// its winning margin `∞ − ∞ = NaN`. The `why --summary` margin
+/// distribution must still sort it against a finite margin and print.
+#[test]
+fn why_summary_survives_infinite_gains() {
+    let dir = std::env::temp_dir().join(format!("optimus-why-inf-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let record = |job: u64, gain: &str, rival_gain: &str| {
+        format!(
+            r#"{{"v":4,"round":1,"job":{job},"ps":1,"workers":1,"alloc":{{"gain":{gain},"action":"worker","dom_worker":5,"dom_ps":5,"young":false,"priority_factor":1,"runners_up":[{{"job":{},"gain":{rival_gain},"action":"worker"}}]}},"place":null,"delta":{{"path":"Full"}}}}"#,
+            1 - job
+        ) + "\n"
+    };
+    let mut ledger = RunLedger::new("sim", "why-inf");
+    ledger.add_artifact(
+        PROVENANCE_ARTIFACT,
+        record(0, "1e999", "1e999") + &record(1, "2", "1"),
+    );
+    ledger.write(&dir).expect("ledger writes");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_optimus-trace"))
+        .arg("why")
+        .arg(&dir)
+        .arg("--summary")
+        .output()
+        .expect("optimus-trace runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !stderr.contains("panicked"),
+        "optimus-trace panicked: {stderr}"
+    );
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("2 contested grants"),
+        "margin section missing: {stdout}"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
