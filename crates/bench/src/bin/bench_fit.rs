@@ -3,17 +3,16 @@
 //! Every scheduling interval the simulator refits one convergence model
 //! per active job from its full observed loss history. This bench times
 //! that interval-shaped workload — all jobs refit once after a batch of
-//! new loss points arrives — through three paths:
+//! new loss points arrives — through two paths:
 //!
-//! * **reference** — full rescan per job (`with_fast_path(false)`),
-//! * **scalar** — the PR-3 fast path (incremental preprocessing,
-//!   warm-started β₂ grid, scratch-buffer NNLS), one job at a time,
-//! * **batched** — the PR-8 SoA engine (`refit_convergence_batch`):
+//! * **reference** — `LossCurveFitter::fit` from scratch on every job's
+//!   current history,
+//! * **batched** — the production SoA engine (`refit_convergence_batch`):
 //!   dirty jobs gathered into lane groups, one wave-synchronized β₂
 //!   grid scan per group, clean jobs replaying their cached fit.
 //!
-//! All three must produce identical coefficient bits (asserted), and
-//! the batched timing lands in `mean_ns_optimized` so `check-bench`
+//! Both must produce identical coefficient bits (asserted), and the
+//! batched timing lands in `mean_ns_optimized` so `check-bench`
 //! gates it against the history. Grid points with a `dirty` count refit
 //! only that many jobs — the rest sit clean in the batch, the shape the
 //! dirty-set tracking exists for.
@@ -29,6 +28,7 @@
 //! 5000-job point alone).
 
 use optimus_core::{refit_convergence_batch, ConvergenceEstimator};
+use optimus_fitting::{LossCurveFitter, LossModel};
 use serde::Serialize;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -55,9 +55,6 @@ struct PointRecord {
     /// Jobs that gained samples since the warm-up fit; null = all.
     dirty: Option<usize>,
     mean_ns_reference: u64,
-    /// The PR-3 per-job incremental path, kept in the record so the
-    /// trajectory shows what batching alone buys.
-    mean_ns_scalar: u64,
     /// The batched SoA path — the gated metric.
     mean_ns_optimized: u64,
     speedup: f64,
@@ -104,11 +101,11 @@ fn history(seed: u64, n: usize) -> Vec<(u64, f64)> {
 
 /// Builds one estimator per job, feeds the pre-interval history and
 /// refits once so the timed call sees interval-shaped incremental work.
-fn warmed_estimators(histories: &[Vec<(u64, f64)>], fast_path: bool) -> Vec<ConvergenceEstimator> {
+fn warmed_estimators(histories: &[Vec<(u64, f64)>]) -> Vec<ConvergenceEstimator> {
     histories
         .iter()
         .map(|h| {
-            let mut est = ConvergenceEstimator::new(0.02, 100, 3).with_fast_path(fast_path);
+            let mut est = ConvergenceEstimator::new(0.02, 100, 3);
             let split = h.len() - INTERVAL_SAMPLES;
             for &(k, l) in &h[..split] {
                 est.record(k, l);
@@ -119,57 +116,69 @@ fn warmed_estimators(histories: &[Vec<(u64, f64)>], fast_path: bool) -> Vec<Conv
         .collect()
 }
 
-/// Which refit implementation a timing run drives.
-#[derive(Clone, Copy, PartialEq)]
-enum FitPath {
-    Reference,
-    Scalar,
-    Batched,
-}
-
 /// Per-job fit outcome, as coefficient bit patterns (β₀, β₁, β₂), for
-/// the three-way cross-check. `None` = the fit failed.
+/// the reference-vs-batched cross-check. `None` = the fit failed.
 type FitBits = Option<(u64, u64, u64)>;
 
-/// Appends the interval's samples to the first `dirty` estimators and
-/// times the resulting refit sweep, returning mean ns per interval and
-/// the fit outcomes.
-fn time_refits(
+fn bits(m: &LossModel) -> (u64, u64, u64) {
+    (m.beta0.to_bits(), m.beta1.to_bits(), m.beta2.to_bits())
+}
+
+/// Job `i`'s history at the timed refit: the interval's samples have
+/// arrived for the first `dirty` jobs only.
+fn current_history(h: &[(u64, f64)], i: usize, dirty: usize) -> &[(u64, f64)] {
+    if i < dirty {
+        h
+    } else {
+        &h[..h.len() - INTERVAL_SAMPLES]
+    }
+}
+
+/// Times `LossCurveFitter::fit` from scratch on every job's current
+/// history, returning mean ns per interval and the fit outcomes.
+fn time_reference(
     histories: &[Vec<(u64, f64)>],
-    path: FitPath,
     dirty: usize,
     samples: u32,
 ) -> (u64, Vec<FitBits>) {
+    let fitter = LossCurveFitter::new();
     let mut total_ns = 0u128;
     let mut outcomes = Vec::new();
     for _ in 0..samples {
-        let mut ests = warmed_estimators(histories, path != FitPath::Reference);
+        let start = Instant::now();
+        outcomes = histories
+            .iter()
+            .enumerate()
+            .map(|(i, h)| {
+                std::hint::black_box(fitter.fit(current_history(h, i, dirty)))
+                    .ok()
+                    .as_ref()
+                    .map(bits)
+            })
+            .collect();
+        total_ns += start.elapsed().as_nanos();
+    }
+    ((total_ns / samples.max(1) as u128) as u64, outcomes)
+}
+
+/// Appends the interval's samples to the first `dirty` warmed
+/// estimators and times the resulting batched refit sweep, returning
+/// mean ns per interval and the fit outcomes.
+fn time_batched(histories: &[Vec<(u64, f64)>], dirty: usize, samples: u32) -> (u64, Vec<FitBits>) {
+    let mut total_ns = 0u128;
+    let mut outcomes = Vec::new();
+    for _ in 0..samples {
+        let mut ests = warmed_estimators(histories);
         for (est, h) in ests.iter_mut().zip(histories).take(dirty) {
             for &(k, l) in &h[h.len() - INTERVAL_SAMPLES..] {
                 est.record(k, l);
             }
         }
+        let mut refs: Vec<&mut ConvergenceEstimator> = ests.iter_mut().collect();
         let start = Instant::now();
-        match path {
-            FitPath::Batched => {
-                let mut refs: Vec<&mut ConvergenceEstimator> = ests.iter_mut().collect();
-                std::hint::black_box(refit_convergence_batch(&mut refs, 1));
-            }
-            FitPath::Reference | FitPath::Scalar => {
-                for est in ests.iter_mut() {
-                    std::hint::black_box(est.refit().ok());
-                }
-            }
-        }
+        let fits = std::hint::black_box(refit_convergence_batch(&mut refs, 1));
         total_ns += start.elapsed().as_nanos();
-        outcomes = ests
-            .iter_mut()
-            .map(|e| {
-                e.refit()
-                    .ok()
-                    .map(|m| (m.beta0.to_bits(), m.beta1.to_bits(), m.beta2.to_bits()))
-            })
-            .collect();
+        outcomes = fits.iter().map(|r| r.as_ref().ok().map(bits)).collect();
     }
     ((total_ns / samples.max(1) as u128) as u64, outcomes)
 }
@@ -218,8 +227,8 @@ fn main() -> ExitCode {
 
     println!("bench_fit: {samples} samples per point (label: {label})\n");
     println!(
-        "{:>8} {:>9} {:>7} {:>14} {:>11} {:>11} {:>9}",
-        "jobs", "history", "dirty", "reference ms", "scalar ms", "batched ms", "speedup"
+        "{:>8} {:>9} {:>7} {:>14} {:>11} {:>9}",
+        "jobs", "history", "dirty", "reference ms", "batched ms", "speedup"
     );
     let mut points = Vec::new();
     for &(jobs, hist_len, dirty) in &POINTS {
@@ -232,23 +241,17 @@ fn main() -> ExitCode {
         let histories: Vec<Vec<(u64, f64)>> = (0..jobs)
             .map(|i| history(0x9E37_79B9 + i as u64, hist_len))
             .collect();
-        let (ref_ns, ref_fits) = time_refits(&histories, FitPath::Reference, dirty_jobs, samples);
-        let (sca_ns, sca_fits) = time_refits(&histories, FitPath::Scalar, dirty_jobs, samples);
-        let (opt_ns, opt_fits) = time_refits(&histories, FitPath::Batched, dirty_jobs, samples);
-        // Both fast paths must be pure optimizations: identical bits.
-        assert_eq!(
-            ref_fits, sca_fits,
-            "scalar fast path diverged from reference at {jobs} jobs x {hist_len} history"
-        );
+        let (ref_ns, ref_fits) = time_reference(&histories, dirty_jobs, samples);
+        let (opt_ns, opt_fits) = time_batched(&histories, dirty_jobs, samples);
+        // The batched path must be a pure optimization: identical bits.
         assert_eq!(
             ref_fits, opt_fits,
             "batched path diverged from reference at {jobs} jobs x {hist_len} history"
         );
         let speedup = ref_ns as f64 / opt_ns.max(1) as f64;
         println!(
-            "{jobs:>8} {hist_len:>9} {dirty_jobs:>7} {:>14.3} {:>11.3} {:>11.3} {speedup:>8.2}x",
+            "{jobs:>8} {hist_len:>9} {dirty_jobs:>7} {:>14.3} {:>11.3} {speedup:>8.2}x",
             ref_ns as f64 / 1e6,
-            sca_ns as f64 / 1e6,
             opt_ns as f64 / 1e6,
         );
         points.push(PointRecord {
@@ -256,7 +259,6 @@ fn main() -> ExitCode {
             history: hist_len,
             dirty,
             mean_ns_reference: ref_ns,
-            mean_ns_scalar: sca_ns,
             mean_ns_optimized: opt_ns,
             speedup,
         });

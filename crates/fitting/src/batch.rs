@@ -1,49 +1,83 @@
-//! Batched structure-of-arrays loss-curve fitting.
+//! Batched structure-of-arrays loss-curve fitting — the production
+//! fitter.
 //!
-//! [`fit_batch`] runs [`LossCurveFitter::fit_incremental`] for up to
-//! [`LANES`] jobs at once by replaying the exact same candidate
-//! trajectory per job while executing the numeric work — regression-row
-//! construction, Gram products, Lawson–Hanson dual vectors, residual
-//! accumulation — as fixed-width lane-major passes over
-//! structure-of-arrays buffers. The inner loops are written so the
-//! compiler can vectorize across lanes (no cross-lane reductions,
-//! branchless selects, `[f64; LANES]` accumulators), which is where the
-//! speedup comes from; on CPUs with avx512f, [`fit_batch`] additionally
-//! dispatches to an AVX-512 compilation of the passes, with the hottest
-//! one (row build + Gram/RHS) hand-vectorized via intrinsics. Per-lane
-//! *control* (grid walk, memoization, golden-section branching, NNLS
-//! active-set changes) stays scalar.
+//! [`fit_batch`] fits up to [`LANES`] jobs at once. Each lane walks the
+//! same β₂ candidate trajectory as [`LossCurveFitter::fit`] (32-point
+//! grid, golden-section refinement, final midpoint), while the numeric
+//! work — regression-row construction, Gram products, Lawson–Hanson
+//! dual vectors, residual accumulation — runs as fixed-width lane-major
+//! passes over structure-of-arrays buffers. The inner loops are written
+//! so the compiler can vectorize across lanes (no cross-lane
+//! reductions, branchless selects, `[f64; LANES]` accumulators), which
+//! is where the speedup comes from; on CPUs with avx512f, [`fit_batch`]
+//! additionally dispatches to an AVX-512 compilation of the passes, with
+//! the hottest one (row build + Gram/RHS) hand-vectorized via
+//! intrinsics. Per-lane *control* (grid walk, memoization,
+//! golden-section branching, NNLS active-set changes) stays scalar.
 //!
-//! # Bit-identity
+//! # Semantics
 //!
-//! Results are bit-identical to `fit_incremental` — models, error
-//! variants, `FitSession` state (memo + warm index) and telemetry
-//! counters alike; the `batch_equivalence` proptests enforce it. The
-//! load-bearing facts:
+//! Every lane's result is bit-identical to `LossCurveFitter::fit` on the
+//! same raw history — the same coefficient bits, the same error
+//! variants — whatever the session carried in, and whatever the other
+//! lanes hold. `fit` is the oracle; the `batch_equivalence` suite checks
+//! one-lane and mixed batches against it across growing histories,
+//! session reuse across unrelated series, and degenerate inputs.
+//! Telemetry counters are a function of each job's own inputs, so they
+//! do not depend on how jobs are grouped into batches; they are *not*
+//! `fit`'s, because the memo below skips duplicate solves.
+//!
+//! Three shortcuts against `fit` make a refit cheap, and none of them
+//! can change a result:
+//!
+//! * **Incremental preprocessing.** `stable_prefix` is the caller's
+//!   guarantee that `raw[..stable_prefix]` equals the prefix the same
+//!   session saw last time; only the tail is re-preprocessed. Passing 0
+//!   disables reuse, never correctness.
+//! * **Memo keyed by β₂ bits.** Within one fit, duplicate candidates
+//!   (the degenerate `hi == 0` grid, golden-section re-evaluations)
+//!   hit a memo keyed by the candidate's bit pattern. The fit is a
+//!   function of `(samples, β₂)`, so a bit-equal key is the same
+//!   outcome. Only exact evaluations are stored, and the memo is
+//!   cleared per fit because the samples may have changed.
+//! * **Warm start plus abandonment.** The previous fit's best grid
+//!   index is evaluated first, and its residual bounds the scan: every
+//!   other grid candidate abandons once its residual strictly exceeds
+//!   both that bound and the best so far. The warm start is only a
+//!   hint. The full grid is still walked (the warm index hits the
+//!   memo), so a stale hint costs one early evaluation and nothing
+//!   else. Abandonment is selection-exact: residual terms `e·e` are
+//!   non-negative and never NaN (predictions are finite or ±∞), so
+//!   partial sums are monotone, and a candidate whose sum exceeds the
+//!   best cannot win `fit`'s strict `<` or change its tie-breaking.
+//!   Abandoned candidates are not memoized. `fit.warm_start_hits`
+//!   counts fits whose warm index wins the grid again.
+//!
+//! # Bit-identity of the passes
 //!
 //! * **Lane interpreters, not lane schedules.** Each lane is a resumable
-//!   transcription of `fit_incremental`'s control flow that *requests*
-//!   one β₂ evaluation at a time ([`LaneFit::next_request`]); the driver
+//!   transcription of the candidate walk that *requests* one β₂
+//!   evaluation at a time ([`LaneFit::next_request`]); the driver
 //!   batches whatever the lanes currently want into one SoA pass per
 //!   wave. Memo hits, degenerate `hi == 0` grids and divergent
 //!   golden-section paths therefore cannot desynchronize lanes — a lane
 //!   that needs no evaluation simply sits a wave out.
 //! * **Padding is algebraically inert.** Short histories are padded with
 //!   `(k = 0, l = 0.0)` slots. Every candidate has `β₂ ≥ 0`, so a padded
-//!   slot's gap `0 − β₂ ≤ 0 ≤ 1e-9` always takes the scalar path's
+//!   slot's gap `0 − β₂ ≤ 0 ≤ 1e-9` always takes `fit`'s
 //!   skip-this-row branch, contributing exactly-`+0.0` terms to every
 //!   accumulator. Accumulators never hold `-0.0` (they start at `+0.0`
 //!   and `+0.0 + -0.0 = +0.0`), so those terms are bitwise no-ops.
-//! * **Gram caching is exact.** `nnls2`'s subproblem Gram/RHS depend on
-//!   the rows only, so they are computed once per candidate in the build
-//!   pass and every active-set solve replays through
-//!   [`solve_sub2_cached`] in O(1) — same accumulation order, and the
-//!   scalar zero-row guards only ever skip exactly-zero terms.
-//! * **Full-sum abandonment is prefix abandonment.** Residual terms
-//!   `e·e` are never NaN (predictions are finite or ±∞, never NaN) and
-//!   non-negative, so partial sums are monotone: the full sum exceeds
-//!   the bound iff some prefix does, making the scalar path's per-sample
-//!   early-exit decision recoverable from the batched full pass.
+//! * **Gram caching is exact.** The Lawson–Hanson subproblem Gram/RHS
+//!   depend on the rows only, so they are computed once per candidate in
+//!   the build pass and every active-set solve replays through
+//!   [`solve_sub2_cached`] in O(1) — same accumulation order as
+//!   `Matrix::gram`, whose zero-row guards only ever skip exactly-zero
+//!   terms.
+//! * **Full-sum abandonment is prefix abandonment.** By the same
+//!   monotonicity, the full sum exceeds the bound iff some prefix does,
+//!   so the abandonment decision is recoverable from a batched full
+//!   pass.
 
 use crate::error::FitError;
 use crate::loss_curve::{FitSession, LossCurveFitter, LossModel};
@@ -60,8 +94,7 @@ pub const LANES: usize = 8;
 
 const INV_PHI: f64 = 0.618_033_988_749_895;
 
-/// One job's inputs to [`fit_batch`] — exactly the arguments of a
-/// [`LossCurveFitter::fit_incremental`] call.
+/// One job's inputs to [`fit_batch`].
 pub struct BatchFitJob<'a> {
     /// Fitter configuration (grid size, preprocessing, telemetry).
     /// Lanes may use *different* fitters; nothing requires a shared
@@ -69,7 +102,8 @@ pub struct BatchFitJob<'a> {
     pub fitter: &'a LossCurveFitter,
     /// Raw loss history.
     pub raw: &'a [LossSample],
-    /// Stable-prefix guarantee, as for `fit_incremental`.
+    /// Length of the prefix of `raw` guaranteed identical to the one
+    /// this session saw last time (0 when unsure; see the module docs).
     pub stable_prefix: usize,
     /// The job's fit session (preprocessing state, memo, warm index).
     pub session: &'a mut FitSession,
@@ -79,7 +113,7 @@ pub struct BatchFitJob<'a> {
 /// call; buffers grow to the largest group seen and are then reused.
 #[derive(Debug, Default)]
 pub struct BatchScratch {
-    /// Step indices as f64 (`k as f64`, the scalar path's conversion),
+    /// Step indices as f64 (`k as f64`, `fit`'s conversion),
     /// lane-major: sample `s` of lane `j` lives at `s * LANES + j`.
     ks: Vec<f64>,
     /// Preprocessed losses, same layout.
@@ -99,10 +133,10 @@ impl BatchScratch {
     }
 }
 
-/// Batched drop-in for a loop of [`LossCurveFitter::fit_incremental`]
-/// calls: appends to `out` one result per job, in order, each
-/// bit-identical (result, session state, telemetry) to what the scalar
-/// call would have produced. Jobs are processed in groups of [`LANES`].
+/// Fits every job and appends to `out` one result per job, in order,
+/// each bit-identical to [`LossCurveFitter::fit`] on the job's `raw`
+/// history. Jobs are processed in groups of [`LANES`]; results, session
+/// state and telemetry do not depend on the grouping.
 pub fn fit_batch(
     jobs: &mut [BatchFitJob<'_>],
     scratch: &mut BatchScratch,
@@ -128,10 +162,10 @@ fn fit_group(
 ) {
     debug_assert!(group.len() <= LANES);
 
-    // Pass 1 — scalar prologue per lane, exactly `fit_incremental`'s:
-    // counter bump, incremental preprocessing, distinct-step and
-    // min-loss checks. Errors here short-circuit the lane without
-    // touching its memo or warm index, as in the scalar path.
+    // Pass 1 — scalar prologue per lane, `fit`'s: counter bump,
+    // (incremental) preprocessing, distinct-step and min-loss checks.
+    // Errors here short-circuit the lane without touching its memo or
+    // warm index.
     let mut pro: Vec<Prologue> = Vec::with_capacity(group.len());
     let mut max_len = 0usize;
     for job in group.iter_mut() {
@@ -255,13 +289,11 @@ fn fit_group(
 #[derive(Clone, Copy)]
 struct EvalReq {
     beta2: f64,
-    /// Abandonment bound; `f64::INFINITY` means "exact, never abandon"
-    /// (the scalar path's `abandon_above: None`).
+    /// Abandonment bound; `f64::INFINITY` means "exact, never abandon".
     bound: f64,
 }
 
-/// Outcome of one wave evaluation for one lane — mirrors the scalar
-/// path's `CandidateEval`.
+/// Outcome of one wave evaluation for one lane.
 #[derive(Clone, Copy)]
 enum WaveOut {
     Fit(LossModel),
@@ -269,7 +301,7 @@ enum WaveOut {
     Failed,
 }
 
-/// Where a lane's transcription of `fit_incremental` currently stands.
+/// Where a lane's candidate walk currently stands.
 /// `*Await` states mean an [`EvalReq`] is outstanding; everything else
 /// advances inside [`LaneFit::next_request`] (memo hits included).
 #[derive(Clone, Copy)]
@@ -296,7 +328,8 @@ enum Phase {
     Done,
 }
 
-/// Resumable per-lane interpreter of `fit_incremental`'s control flow.
+/// Resumable per-lane interpreter of the candidate walk: `fit`'s grid
+/// scan and golden-section refinement plus the memo and warm start.
 struct LaneFit<'a> {
     memo: &'a mut Vec<(u64, Option<LossModel>)>,
     warm_slot: &'a mut Option<usize>,
@@ -361,8 +394,8 @@ impl<'a> LaneFit<'a> {
                 lane.phase = Phase::Done;
             }
             None => {
-                // The scalar path clears the memo and resolves the warm
-                // index only after the prologue checks pass.
+                // The memo is cleared and the warm index resolved only
+                // after the prologue checks pass.
                 lane.memo.clear();
                 lane.warm_idx = (*lane.warm_slot).filter(|&i| i < steps);
             }
@@ -383,7 +416,7 @@ impl<'a> LaneFit<'a> {
         self.phase = Phase::Done;
     }
 
-    /// `fit_incremental`'s grid-scan winner bookkeeping for index `i`.
+    /// `fit`'s grid-scan winner bookkeeping for index `i`.
     fn apply_grid_outcome(&mut self, i: usize, outcome: Option<LossModel>) {
         if let Some(m) = outcome {
             if self
@@ -445,8 +478,7 @@ impl<'a> LaneFit<'a> {
                                     bound = r;
                                 }
                             }
-                            // A non-finite bound disables abandonment,
-                            // as in the scalar path.
+                            // A non-finite bound disables abandonment.
                             let bound = if bound.is_finite() {
                                 bound
                             } else {
@@ -634,7 +666,7 @@ struct LaneNnls {
 /// Pass A outputs: everything lane `j`'s NNLS admission and solve need
 /// from one sweep over the gathered samples.
 struct PassA {
-    /// Rows with `gap > 1e-9` — the scalar path's kept-row count.
+    /// Rows with `gap > 1e-9` — `fit`'s kept-row count.
     kept: [u64; LANES],
     /// True iff some kept row overflowed to a non-finite value.
     bad: [bool; LANES],
@@ -647,7 +679,8 @@ struct PassA {
 
 /// Pass A, portable form: builds regression rows (`w·k`, `w`, `gap`)
 /// and accumulates the Gram matrix and RHS in ascending-sample order —
-/// the exact order `nnls2` sums them, so every f64 is bit-identical.
+/// the exact order `Matrix::gram` and `Matrix::tr_mul_vec` sum them, so
+/// every f64 is bit-identical.
 ///
 /// Two loops, not one: each is simple enough for the SLP vectorizer,
 /// where the fused body spills accumulators and compiles scalar. The
@@ -656,8 +689,8 @@ struct PassA {
 /// ascending `s`. The two non-arithmetic facts admission needs ride
 /// along as f64 lanes: `kept` counts rows as +1.0 increments (exact up
 /// to 2⁵³), and `nonfin` accumulates `(r0 − r0) + (r1 − r1)` — +0.0
-/// for finite rows, NaN exactly when a row overflowed (the scalar
-/// path's row-validation verdict). LLVM cannot fold `x − x` to zero
+/// for finite rows, NaN exactly when a row overflowed (`nnls_with`'s
+/// row-validation verdict). LLVM cannot fold `x − x` to zero
 /// without fast-math, so the check survives optimization.
 fn pass_a_scalar(scratch: &mut BatchScratch, width: usize, beta2: &[f64; LANES]) -> PassA {
     let mut kept = [0.0_f64; LANES];
@@ -742,7 +775,7 @@ fn pass_a_scalar(scratch: &mut BatchScratch, width: usize, beta2: &[f64; LANES])
 /// semantics (GT_OQ, like `>`, is false on NaN), multiplies and adds
 /// stay separate instructions (no FMA contraction), and each
 /// accumulator sums in the same ascending-sample order. The only
-/// difference from the scalar path is that masked-out products are
+/// difference from `pass_a_scalar` is that masked-out products are
 /// computed and then discarded — their lanes are overwritten with +0.0
 /// by `maskz_mov`, exactly the scalar `else` value.
 #[cfg(target_arch = "x86_64")]
@@ -906,11 +939,11 @@ fn eval_wave_body(
         rhs1,
     } = pa;
 
-    // Per-lane NNLS admission, with the scalar path's exact telemetry:
+    // Per-lane NNLS admission, with `fit_for_beta2`'s exact telemetry:
     // fewer than 2 rows fails silently (before any counter), a
     // non-finite row counts a solve *and* a failure. Post-preprocessing
-    // losses are always finite, so `y` never trips the scalar path's
-    // rhs check — only row overflow (`w·k → ∞`) can, which `bad` is.
+    // losses are always finite, so `y` never trips `nnls_with`'s rhs
+    // check — only row overflow (`w·k → ∞`) can, which `bad` is.
     let mut out = [WaveOut::Failed; LANES];
     let mut st: [LaneNnls; LANES] = Default::default();
     let mut ran = [false; LANES];
@@ -920,7 +953,7 @@ fn eval_wave_body(
             continue;
         }
         if kept[j] < 2 {
-            continue; // out[j] stays Failed, no counters — as the scalar path
+            continue; // out[j] stays Failed, no counters — as in `fit`
         }
         lanes[j].tel.incr("nnls.solves");
         if bad[j] {
@@ -986,7 +1019,7 @@ fn eval_wave_body(
         }
     }
 
-    // Lane results: the scalar exit-path residual (`Nnls2Solution::
+    // Lane results: `nnls_with`'s exit-path residual (`NnlsSolution::
     // residual_ss`) is never read by the fit — it recomputes the
     // loss-space residual below — so the batched path skips it.
     let mut b0 = [0.0_f64; LANES];
@@ -1016,8 +1049,8 @@ fn eval_wave_body(
 
     // Pass C — loss-space residual, chunked so an all-lanes-abandoned
     // wave can stop early. Partial sums are monotone (terms ≥ 0, never
-    // NaN), so the scalar path's per-sample abandonment decision equals
-    // the full-sum comparison done afterwards.
+    // NaN), so a per-sample abandonment decision equals the full-sum
+    // comparison done afterwards.
     let mut rss = [0.0_f64; LANES];
     let mut s0 = 0usize;
     while s0 < max_len {
@@ -1067,11 +1100,13 @@ fn eval_wave_body(
 }
 
 /// Advances one lane's Lawson–Hanson state after a dual sweep — the
-/// section of [`crate::nnls::nnls2`]'s outer loop between two dual
+/// section of [`crate::nnls::nnls_with`]'s outer loop between two dual
 /// recomputations, with every subproblem solved from the cached Gram.
-/// Rejecting an entering column leaves `x` unchanged, so the dual is
-/// unchanged too and the scalar path's recompute-and-rescan collapses
-/// into the `continue` here.
+/// The sweep itself fuses `nnls_with`'s `mul_vec`/`tr_mul_vec` pair
+/// rowwise: each row's residual and its two accumulations into `w`
+/// happen in the same order. Rejecting an entering column leaves `x`
+/// unchanged, so the dual is unchanged too and `nnls_with`'s
+/// recompute-and-rescan collapses into the `continue` here.
 #[allow(clippy::too_many_arguments)]
 fn advance_lane(
     st: &mut LaneNnls,
@@ -1128,6 +1163,9 @@ fn advance_lane(
             continue; // x unchanged ⇒ dual unchanged ⇒ rescan now
         }
 
+        // `nnls_with`'s first inner iteration re-solves exactly the
+        // passive set the trial just solved; hand it the trial's
+        // solution instead (the iteration counter still advances).
         let mut cached = Some((z, m, slots));
         let mut failed = false;
         loop {

@@ -16,7 +16,8 @@
 //!   needed for least squares,
 //! * [`nnls()`] — Lawson–Hanson active-set non-negative least squares,
 //! * [`preprocess`] — the paper's outlier removal and loss normalization,
-//! * [`loss_curve`] — the online convergence-curve fitter,
+//! * [`loss_curve`] — the convergence-curve model and the one-shot
+//!   [`LossCurveFitter::fit`], the oracle [`batch`] is checked against,
 //! * [`linfit`] — non-negative linear model fitting on arbitrary feature
 //!   maps (used by the speed models in `optimus-core`), with weighted
 //!   variants,
@@ -24,8 +25,9 @@
 //! * [`families`] — §7 pluggable curve families (inverse-k, exponential
 //!   decay) with residual-based model selection,
 //! * [`stats`] — small statistics helpers shared by the experiment harness,
-//! * [`batch`] — batched structure-of-arrays loss-curve fitting (SIMD
-//!   across jobs, bit-identical to the scalar path).
+//! * [`batch`] — the production loss-curve fitter: batched
+//!   structure-of-arrays fitting, SIMD across jobs, bit-identical to
+//!   [`LossCurveFitter::fit`].
 
 pub mod batch;
 pub mod error;

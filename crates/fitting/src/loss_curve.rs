@@ -10,11 +10,8 @@
 
 use crate::error::FitError;
 use crate::linalg::Matrix;
-use crate::nnls::{nnls, nnls2, nnls_traced, NnlsOptions};
-use crate::preprocess::{
-    preprocess_losses, preprocess_losses_incremental, LossSample, PreprocessOptions,
-    PreprocessScratch,
-};
+use crate::nnls::{nnls, nnls_traced};
+use crate::preprocess::{preprocess_losses, LossSample, PreprocessOptions, PreprocessScratch};
 use optimus_telemetry::Telemetry;
 
 /// A fitted convergence curve `l(k) = 1/(β₀·k + β₁) + β₂`.
@@ -278,23 +275,19 @@ impl LossCurveFitter {
     }
 }
 
-/// Reusable per-job state for [`LossCurveFitter::fit_incremental`].
+/// Reusable per-job state for [`crate::fit_batch`].
 ///
-/// Holds the incremental preprocessing state, the regression scratch
-/// buffers reused across β₂ candidates, the per-call exact-evaluation
-/// memo, and the warm-start grid index carried between fits. One
-/// session belongs to one logical loss history; feeding histories from
-/// different jobs through the same session is safe (the incremental
-/// preprocessing falls back to a full pass when prefixes don't match,
-/// and the memo is cleared per call) but forfeits the speedup.
+/// Holds the incremental preprocessing state, the per-call
+/// exact-evaluation memo, and the warm-start grid index carried between
+/// fits. One session belongs to one logical loss history; feeding
+/// histories from different jobs through the same session is safe (the
+/// incremental preprocessing falls back to a full pass when prefixes
+/// don't match, and the memo is cleared per call) but forfeits the
+/// speedup.
 #[derive(Debug, Clone, Default)]
 pub struct FitSession {
     /// Incremental preprocessing state + scratch.
     pub(crate) pre: PreprocessScratch,
-    /// Regression rows reused across per-candidate NNLS solves.
-    pub(crate) rows: Vec<[f64; 2]>,
-    /// Regression targets, parallel to `rows`.
-    pub(crate) ys: Vec<f64>,
     /// Distinct-step counting scratch.
     pub(crate) steps_buf: Vec<u64>,
     /// Per-call memo: β₂ bit pattern → exact fit outcome (`None` = the
@@ -312,299 +305,6 @@ impl FitSession {
     pub fn new() -> Self {
         Self::default()
     }
-}
-
-impl LossCurveFitter {
-    /// Incremental, warm-started variant of [`LossCurveFitter::fit`]
-    /// returning a **bit-identical** result (model and error cases
-    /// alike; proven by the `fit_incremental_matches_fit` proptests).
-    ///
-    /// `stable_prefix` is the caller's guarantee that `raw[..stable_prefix]`
-    /// is byte-identical to the prefix passed on the previous call with
-    /// this `session` (pass 0 when unsure — that disables reuse, never
-    /// correctness). The speedups over the reference path:
-    ///
-    /// * preprocessing only rescans the unstable tail
-    ///   ([`preprocess_losses_incremental`]),
-    /// * each β₂ candidate solve runs on reused scratch buffers through
-    ///   the allocation-free [`nnls2`] kernel,
-    /// * duplicate β₂ candidates (bit-equal, e.g. the degenerate
-    ///   `hi == 0` grid or golden-section re-evaluations) hit a memo,
-    /// * the previous fit's best grid index is evaluated first
-    ///   (warm start) so every other grid candidate can abandon its
-    ///   residual accumulation once the partial sum *strictly exceeds*
-    ///   the best known bound. Partial residual sums are non-decreasing
-    ///   (each term is `e·e ≥ 0`, or NaN which never compares greater),
-    ///   so an abandoned candidate can never be the scan's argmin nor
-    ///   change its tie-breaking — the full grid is still walked, which
-    ///   is itself the verified fallback when the warm hint misses.
-    ///
-    /// Bumps `fit.warm_start_hits` when the warm-started index wins the
-    /// grid scan again.
-    pub fn fit_incremental(
-        &self,
-        raw: &[LossSample],
-        stable_prefix: usize,
-        session: &mut FitSession,
-    ) -> Result<LossModel, FitError> {
-        self.tel.incr("loss_curve.fits");
-        preprocess_losses_incremental(raw, self.preprocess, stable_prefix, &mut session.pre);
-        let FitSession {
-            pre,
-            rows,
-            ys,
-            steps_buf,
-            memo,
-            warm_grid_index,
-        } = session;
-        let samples = pre.samples();
-        let scale = pre.scale();
-
-        steps_buf.clear();
-        steps_buf.extend(samples.iter().map(|&(k, _)| k));
-        steps_buf.sort_unstable();
-        steps_buf.dedup();
-        let distinct = steps_buf.len();
-        if distinct < 3 {
-            return Err(FitError::NotEnoughSamples {
-                got: distinct,
-                need: 3,
-            });
-        }
-
-        let min_loss = samples
-            .iter()
-            .map(|&(_, l)| l)
-            .fold(f64::INFINITY, f64::min);
-        if !min_loss.is_finite() {
-            return Err(FitError::NonFiniteInput {
-                context: "loss samples after preprocessing",
-            });
-        }
-
-        let hi = (min_loss - 1e-9).max(0.0);
-        let steps = self.grid_points.max(2);
-        memo.clear();
-
-        // Warm start: evaluate the previous best grid index first so its
-        // residual bounds the whole scan. The scan below re-walks every
-        // index (hitting the memo for this one), so a stale hint costs
-        // one early evaluation and nothing else.
-        let warm_idx = (*warm_grid_index).filter(|&i| i < steps);
-        let mut warm_bound = f64::INFINITY;
-        if let Some(wi) = warm_idx {
-            let beta2 = hi * wi as f64 / (steps - 1) as f64;
-            if let Some(m) = eval_exact_memo(samples, beta2, scale, &self.tel, rows, ys, memo) {
-                // Only a finite residual is a usable abandonment bound
-                // (`partial > NaN` is never true anyway, but keep the
-                // bound meaningful).
-                if m.residual_ss.is_finite() {
-                    warm_bound = m.residual_ss;
-                }
-            }
-        }
-
-        let mut best: Option<(f64, usize, LossModel)> = None;
-        for i in 0..steps {
-            let beta2 = hi * i as f64 / (steps - 1) as f64;
-            let bits = beta2.to_bits();
-            let outcome = match memo.iter().find(|&&(b, _)| b == bits) {
-                Some(&(_, m)) => m,
-                None => {
-                    // Abandon once the partial residual strictly exceeds
-                    // both the best-so-far and the warm bound: such a
-                    // candidate cannot win the `<` comparison below.
-                    let mut bound = warm_bound;
-                    if let Some(&(r, _, _)) = best.as_ref() {
-                        if r < bound {
-                            bound = r;
-                        }
-                    }
-                    let bound = if bound.is_finite() { Some(bound) } else { None };
-                    match eval_candidate(samples, beta2, scale, &self.tel, rows, ys, bound) {
-                        CandidateEval::Fit(m) => {
-                            memo.push((bits, Some(m)));
-                            Some(m)
-                        }
-                        CandidateEval::Abandoned => None,
-                        CandidateEval::Failed => {
-                            memo.push((bits, None));
-                            None
-                        }
-                    }
-                }
-            };
-            if let Some(m) = outcome {
-                if best.as_ref().is_none_or(|&(r, _, _)| m.residual_ss < r) {
-                    best = Some((m.residual_ss, i, m));
-                }
-            }
-        }
-        let Some((_, best_idx, grid_best)) = best else {
-            return Err(FitError::NoViableModel);
-        };
-        if warm_idx == Some(best_idx) {
-            self.tel.incr("fit.warm_start_hits");
-        }
-        *warm_grid_index = Some(best_idx);
-
-        // Golden-section refinement: same trajectory as the reference,
-        // with bit-equal re-evaluations collapsing into the memo.
-        let cell = hi / (steps - 1) as f64;
-        let mut a = (grid_best.beta2 - cell).max(0.0);
-        let mut b = (grid_best.beta2 + cell).min(hi);
-        let mut best_model = grid_best;
-        if b > a {
-            const INV_PHI: f64 = 0.618_033_988_749_895;
-            let mut c = b - (b - a) * INV_PHI;
-            let mut d = a + (b - a) * INV_PHI;
-            let mut fc = residual_exact_memo(samples, c, scale, &self.tel, rows, ys, memo);
-            let mut fd = residual_exact_memo(samples, d, scale, &self.tel, rows, ys, memo);
-            for _ in 0..self.refine_iters {
-                if fc < fd {
-                    b = d;
-                    d = c;
-                    fd = fc;
-                    c = b - (b - a) * INV_PHI;
-                    fc = residual_exact_memo(samples, c, scale, &self.tel, rows, ys, memo);
-                } else {
-                    a = c;
-                    c = d;
-                    fc = fd;
-                    d = a + (b - a) * INV_PHI;
-                    fd = residual_exact_memo(samples, d, scale, &self.tel, rows, ys, memo);
-                }
-            }
-            let beta2 = (a + b) / 2.0;
-            if let Some(m) = eval_exact_memo(samples, beta2, scale, &self.tel, rows, ys, memo) {
-                if m.residual_ss < best_model.residual_ss {
-                    best_model = m;
-                }
-            }
-        }
-        Ok(best_model)
-    }
-}
-
-/// Outcome of one β₂ candidate evaluation on the fast path.
-enum CandidateEval {
-    /// Completed with an exact (reference-identical) residual.
-    Fit(LossModel),
-    /// Residual accumulation crossed the abandonment bound: the
-    /// candidate provably cannot win the scan. Not memoizable.
-    Abandoned,
-    /// The NNLS sub-fit failed (reference drops such candidates too).
-    Failed,
-}
-
-/// [`fit_for_beta2`] on reused buffers through [`nnls2`], with optional
-/// early abandonment of the residual accumulation. With `abandon_above:
-/// None` the result is exactly the reference's (same arithmetic, same
-/// telemetry counters on the solve).
-fn eval_candidate(
-    samples: &[LossSample],
-    beta2: f64,
-    scale: f64,
-    tel: &Telemetry,
-    rows: &mut Vec<[f64; 2]>,
-    ys: &mut Vec<f64>,
-    abandon_above: Option<f64>,
-) -> CandidateEval {
-    rows.clear();
-    ys.clear();
-    for &(k, l) in samples {
-        let gap = l - beta2;
-        if gap <= 1e-9 {
-            continue;
-        }
-        let weight = gap * gap;
-        rows.push([weight * k as f64, weight]);
-        ys.push(gap);
-    }
-    if rows.len() < 2 {
-        return CandidateEval::Failed;
-    }
-    let traced = tel.is_enabled();
-    if traced {
-        tel.incr("nnls.solves");
-    }
-    let sol = match nnls2(rows, ys, NnlsOptions::default()) {
-        Ok(sol) => sol,
-        Err(_) => {
-            if traced {
-                tel.incr("nnls.fit_failures");
-            }
-            return CandidateEval::Failed;
-        }
-    };
-    if traced {
-        tel.observe("nnls.iterations", sol.iterations as f64);
-    }
-    let model = LossModel {
-        beta0: sol.x[0],
-        beta1: sol.x[1],
-        beta2,
-        scale,
-        residual_ss: 0.0,
-    };
-    let mut rss = 0.0;
-    if let Some(bound) = abandon_above {
-        for &(k, l) in samples {
-            let e = model.loss_at(k) - l;
-            rss += e * e;
-            if rss > bound {
-                return CandidateEval::Abandoned;
-            }
-        }
-    } else {
-        for &(k, l) in samples {
-            let e = model.loss_at(k) - l;
-            rss += e * e;
-        }
-    }
-    CandidateEval::Fit(LossModel {
-        residual_ss: rss,
-        ..model
-    })
-}
-
-/// Memoized *exact* candidate evaluation (no abandonment), keyed by the
-/// β₂ bit pattern. `None` records a failed sub-fit.
-fn eval_exact_memo(
-    samples: &[LossSample],
-    beta2: f64,
-    scale: f64,
-    tel: &Telemetry,
-    rows: &mut Vec<[f64; 2]>,
-    ys: &mut Vec<f64>,
-    memo: &mut Vec<(u64, Option<LossModel>)>,
-) -> Option<LossModel> {
-    let bits = beta2.to_bits();
-    if let Some(&(_, m)) = memo.iter().find(|&&(b, _)| b == bits) {
-        return m;
-    }
-    let m = match eval_candidate(samples, beta2, scale, tel, rows, ys, None) {
-        CandidateEval::Fit(m) => Some(m),
-        CandidateEval::Abandoned => unreachable!("no abandonment bound was set"),
-        CandidateEval::Failed => None,
-    };
-    memo.push((bits, m));
-    m
-}
-
-/// [`residual_for_beta2`] on the memoized fast path.
-fn residual_exact_memo(
-    samples: &[LossSample],
-    beta2: f64,
-    scale: f64,
-    tel: &Telemetry,
-    rows: &mut Vec<[f64; 2]>,
-    ys: &mut Vec<f64>,
-    memo: &mut Vec<(u64, Option<LossModel>)>,
-) -> f64 {
-    eval_exact_memo(samples, beta2, scale, tel, rows, ys, memo)
-        .map(|m| m.residual_ss)
-        .unwrap_or(f64::INFINITY)
 }
 
 /// Number of distinct step indices (the model needs ≥ 3 to be identified).

@@ -243,281 +243,29 @@ fn solve_subproblem(a: &Matrix, b: &[f64], p_idx: &[usize]) -> Result<Vec<f64>, 
     sub.lstsq(b)
 }
 
-/// Solution of a specialized two-column NNLS solve.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Nnls2Solution {
-    /// The non-negative coefficient pair.
-    pub x: [f64; 2],
-    /// Residual sum of squares at the solution. Unused by the
-    /// production fast path (the loss-curve fitter re-evaluates
-    /// residuals in loss space) but asserted bit-identical to the
-    /// reference solver in tests.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub residual_ss: f64,
-    /// Outer+inner iterations, counted exactly like [`nnls_with`].
-    pub iterations: usize,
-}
-
-/// Specialized Lawson–Hanson solve for `n × 2` systems — the exact
-/// shape of every per-candidate solve in the β₂ scan of
-/// [`crate::LossCurveFitter`].
-///
-/// This is an arithmetic-faithful transcription of [`nnls_with`]
-/// composed with `solve_subproblem` → `Matrix::lstsq` → `Matrix::solve`
-/// for `cols == 2`: same accumulation orders, same zero-row skip in the
-/// Gram products, same partial-pivot/elimination/back-substitution
-/// sequence, same ridge retry, same tie-breaking in the dual argmax —
-/// so it returns bit-identical `(x, residual_ss)` (proven by the
-/// `nnls2_matches_reference` proptest). It differs in two ways that
-/// cannot change results:
-///
-/// - **No heap allocations**: the passive set, duals and subproblem all
-///   live in fixed-size arrays.
-/// - **Trial-solve dedup**: the reference's first inner-loop iteration
-///   re-solves exactly the passive set the trial solve just solved;
-///   reusing the trial's solution skips that redundant solve (the
-///   iteration counter still advances as in the reference).
-pub(crate) fn nnls2(
-    rows: &[[f64; 2]],
-    b: &[f64],
-    opts: NnlsOptions,
-) -> Result<Nnls2Solution, FitError> {
-    if b.len() != rows.len() {
-        return Err(FitError::DimensionMismatch {
-            context: "nnls: rhs length != rows",
-        });
-    }
-    for v in b {
-        if !v.is_finite() {
-            return Err(FitError::NonFiniteInput {
-                context: "nnls rhs",
-            });
-        }
-    }
-    for row in rows {
-        for &v in row {
-            if !v.is_finite() {
-                return Err(FitError::NonFiniteInput {
-                    context: "nnls matrix",
-                });
-            }
-        }
-    }
-
-    let mut x = [0.0_f64; 2];
-    let mut passive = [false; 2];
-    let mut rejected = [false; 2];
-    let mut iterations = 0usize;
-
-    loop {
-        // Dual vector w = Aᵀ(b − A·x), fused rowwise: each row's
-        // residual and its two accumulations into `w` happen in the
-        // same order as the reference's mul_vec/tr_mul_vec pair.
-        let mut w = [0.0_f64; 2];
-        for (row, &br) in rows.iter().zip(b.iter()) {
-            let mut acc = 0.0;
-            acc += row[0] * x[0];
-            acc += row[1] * x[1];
-            let resid = br - acc;
-            w[0] += row[0] * resid;
-            w[1] += row[1] * resid;
-        }
-
-        let mut best: Option<(usize, f64)> = None;
-        for i in 0..2 {
-            if !passive[i] && !rejected[i] && w[i] > opts.tolerance {
-                match best {
-                    Some((_, bw)) if bw >= w[i] => {}
-                    _ => best = Some((i, w[i])),
-                }
-            }
-        }
-        let Some((enter, _)) = best else {
-            let mut rss = 0.0;
-            for (row, &br) in rows.iter().zip(b.iter()) {
-                let mut acc = 0.0;
-                acc += row[0] * x[0];
-                acc += row[1] * x[1];
-                let d = acc - br;
-                rss += d * d;
-            }
-            return Ok(Nnls2Solution {
-                x,
-                residual_ss: rss,
-                iterations,
-            });
-        };
-
-        iterations += 1;
-        if iterations > opts.max_iterations {
-            return Err(FitError::IterationLimit {
-                limit: opts.max_iterations,
-            });
-        }
-
-        passive[enter] = true;
-        let (z, m, slots) = solve_sub2(rows, b, passive)?;
-        let slot = slots[..m]
-            .iter()
-            .position(|&i| i == enter)
-            .expect("enter in P");
-        if z[slot] <= opts.tolerance {
-            passive[enter] = false;
-            rejected[enter] = true;
-            continue;
-        }
-
-        // The first inner iteration would re-solve the passive set the
-        // trial just solved; hand it the trial's solution instead.
-        let mut cached = Some((z, m, slots));
-        loop {
-            iterations += 1;
-            if iterations > opts.max_iterations {
-                return Err(FitError::IterationLimit {
-                    limit: opts.max_iterations,
-                });
-            }
-            let (z, m, slots) = match cached.take() {
-                Some(zs) => zs,
-                None => solve_sub2(rows, b, passive)?,
-            };
-
-            let all_positive = z[..m].iter().all(|&zi| zi > opts.tolerance);
-            if all_positive {
-                for (slot, &i) in slots[..m].iter().enumerate() {
-                    x[i] = z[slot];
-                }
-                for i in 0..2 {
-                    if !passive[i] {
-                        x[i] = 0.0;
-                    }
-                }
-                rejected = [false; 2];
-                break;
-            }
-
-            let mut alpha = f64::INFINITY;
-            for (slot, &i) in slots[..m].iter().enumerate() {
-                if z[slot] <= opts.tolerance {
-                    let denom = x[i] - z[slot];
-                    if denom > 0.0 {
-                        alpha = alpha.min(x[i] / denom);
-                    } else {
-                        alpha = 0.0;
-                    }
-                }
-            }
-            if !alpha.is_finite() {
-                alpha = 0.0;
-            }
-            for (slot, &i) in slots[..m].iter().enumerate() {
-                x[i] += alpha * (z[slot] - x[i]);
-            }
-            for &i in &slots[..m] {
-                if x[i] <= opts.tolerance {
-                    x[i] = 0.0;
-                    passive[i] = false;
-                }
-            }
-            if !passive.iter().any(|&p| p) {
-                break;
-            }
-        }
-    }
-}
-
-/// Subproblem solve restricted to the passive columns: the `cols ≤ 2`
-/// specialization of `solve_subproblem` + `Matrix::lstsq` (Gram with
-/// zero-row skip, Aᵀb, Gaussian solve, ridge retry on singularity).
-/// Returns `(z, |P|, P-indices)` with `z` in P-slot order.
-fn solve_sub2(
-    rows: &[[f64; 2]],
-    b: &[f64],
-    passive: [bool; 2],
-) -> Result<([f64; 2], usize, [usize; 2]), FitError> {
-    let mut slots = [0usize; 2];
-    let mut m = 0usize;
-    for (i, &p) in passive.iter().enumerate() {
-        if p {
-            slots[m] = i;
-            m += 1;
-        }
-    }
-    if rows.len() < m {
-        return Err(FitError::NotEnoughSamples {
-            got: rows.len(),
-            need: m,
-        });
-    }
-    if m == 1 {
-        let j = slots[0];
-        let mut g = 0.0;
-        for row in rows {
-            let v = row[j];
-            if v == 0.0 {
-                continue;
-            }
-            g += v * v;
-        }
-        let mut rhs = 0.0;
-        for (row, &br) in rows.iter().zip(b.iter()) {
-            rhs += row[j] * br;
-        }
-        let z = match solve1(g, rhs) {
-            Ok(z) => z,
-            Err(FitError::SingularSystem) => {
-                let lambda = 1e-10 * (g / 1.0).max(1e-30);
-                solve1(g + lambda, rhs)?
-            }
-            Err(e) => return Err(e),
-        };
-        Ok(([z, 0.0], 1, slots))
-    } else {
-        let mut g00 = 0.0;
-        let mut g01 = 0.0;
-        let mut g11 = 0.0;
-        for row in rows {
-            let (r0, r1) = (row[0], row[1]);
-            if r0 != 0.0 {
-                g00 += r0 * r0;
-                g01 += r0 * r1;
-            }
-            if r1 != 0.0 {
-                g11 += r1 * r1;
-            }
-        }
-        let mut rhs = [0.0_f64; 2];
-        for (row, &br) in rows.iter().zip(b.iter()) {
-            rhs[0] += row[0] * br;
-            rhs[1] += row[1] * br;
-        }
-        let z = match solve2([g00, g01, g01, g11], rhs) {
-            Ok(z) => z,
-            Err(FitError::SingularSystem) => {
-                let mut trace = 0.0;
-                trace += g00;
-                trace += g11;
-                let lambda = 1e-10 * (trace / 2.0).max(1e-30);
-                solve2([g00 + lambda, g01, g01, g11 + lambda], rhs)?
-            }
-            Err(e) => return Err(e),
-        };
-        Ok((z, 2, slots))
-    }
-}
-
-/// [`solve_sub2`] from a precomputed Gram matrix and right-hand side.
+/// The `cols ≤ 2` subproblem solve of [`nnls_with`] (`solve_subproblem`
+/// → `Matrix::lstsq` → `Matrix::solve`, ridge retry on singularity)
+/// from a precomputed Gram matrix and right-hand side.
 ///
 /// The Gram products `g00/g01/g11` and `rhs` are functions of the rows
 /// alone, not of the passive set, so the batched fitter
 /// ([`crate::batch`]) computes them once per β₂ candidate and solves
-/// every Lawson–Hanson subproblem in O(1) from the cache. Bit-identity
-/// with [`solve_sub2`] holds because the scalar path's zero-row guards
-/// only ever skip *exactly-zero* terms: adding `+0.0` to a non-negative
-/// accumulator returns the same bits (rows are `[w·k, w]` with
-/// `w ≥ 0`, so no term is `-0.0`), and the accumulation order over rows
-/// is unchanged. `n_rows` is the full row count (`rows.len()` in the
-/// scalar path), used only for the under-determined check.
+/// every Lawson–Hanson subproblem in O(1) from the cache. The result is
+/// bit-identical to the general path:
+///
+/// * `Matrix::gram` sums over rows in ascending order and skips a term
+///   only when its row entry is exactly zero. Adding that skipped
+///   `+0.0` to a non-negative accumulator returns the same bits (rows
+///   are `[w·k, w]` with `w ≥ 0`, so no term is `-0.0`). Restricting
+///   the passive set to one column picks that column's diagonal entry
+///   out of the full Gram, which is the same sum.
+/// * `Matrix::tr_mul_vec` sums `row·b` in the same ascending order.
+/// * [`solve1`] and [`solve2`] replay `Matrix::solve`'s pivot,
+///   elimination and back substitution for one and two columns, and
+///   the ridge `λ = 1e-10·max(trace/n, 1e-30)` sums the trace in the
+///   same order.
+///
+/// `n_rows` is the row count for `lstsq`'s under-determined check.
 pub(crate) fn solve_sub2_cached(
     g00: f64,
     g01: f64,
@@ -723,90 +471,5 @@ mod tests {
         let a = mat(&[&[1.0, 0.0], &[0.0, 1.0]]);
         let sol = nnls(&a, &[1.0, 1.0]).unwrap();
         assert!(sol.iterations >= 1);
-    }
-
-    /// Checks `nnls2` against the general solver on the same system:
-    /// bit-identical coefficients and residual, identical iteration
-    /// count (the trial-solve dedup skips work, not counter bumps).
-    fn assert_nnls2_matches(rows: &[[f64; 2]], b: &[f64]) {
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let reference = Matrix::from_rows(&refs).and_then(|a| nnls(&a, b));
-        let fast = nnls2(rows, b, NnlsOptions::default());
-        match (reference, fast) {
-            (Ok(r), Ok(f)) => {
-                assert_eq!(r.x[0].to_bits(), f.x[0].to_bits(), "x0 for {rows:?}");
-                assert_eq!(r.x[1].to_bits(), f.x[1].to_bits(), "x1 for {rows:?}");
-                assert_eq!(
-                    r.residual_ss.to_bits(),
-                    f.residual_ss.to_bits(),
-                    "rss for {rows:?}"
-                );
-                assert_eq!(r.iterations, f.iterations, "iterations for {rows:?}");
-            }
-            (Err(re), Err(fe)) => assert_eq!(re, fe, "error kind for {rows:?}"),
-            (r, f) => panic!("diverged on {rows:?}: reference {r:?} vs nnls2 {f:?}"),
-        }
-    }
-
-    #[test]
-    fn nnls2_matches_reference_on_interior_optimum() {
-        assert_nnls2_matches(
-            &[[1.0, 1.0], [2.0, 1.0], [3.0, 1.0]],
-            &[3.0, 5.0, 7.0], // x = (2, 1)
-        );
-    }
-
-    #[test]
-    fn nnls2_matches_reference_when_constraint_binds() {
-        assert_nnls2_matches(
-            &[[1.0, 1.0], [2.0, 1.0], [3.0, 1.0]],
-            &[5.0, 4.0, 3.0], // unconstrained slope is negative
-        );
-    }
-
-    #[test]
-    fn nnls2_matches_reference_on_loss_curve_shapes() {
-        // The exact row shapes fit_for_beta2 produces: [w·k, w], y = gap.
-        for &beta2 in &[0.0, 0.03, 0.0699] {
-            let mut rows = Vec::new();
-            let mut ys = Vec::new();
-            for k in 0..80_u64 {
-                let l = 1.0 / (0.21 * k as f64 + 1.07) + 0.07;
-                let gap = l - beta2;
-                if gap <= 1e-9 {
-                    continue;
-                }
-                let w = gap * gap;
-                rows.push([w * k as f64, w]);
-                ys.push(gap);
-            }
-            assert_nnls2_matches(&rows, &ys);
-        }
-    }
-
-    #[test]
-    fn nnls2_matches_reference_on_degenerate_systems() {
-        // Zero column (singular gram → ridge retry path).
-        assert_nnls2_matches(&[[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]], &[1.0, 1.0, 1.0]);
-        // All-zero matrix: no column ever enters.
-        assert_nnls2_matches(&[[0.0, 0.0], [0.0, 0.0]], &[1.0, 2.0]);
-        // Proportional columns.
-        assert_nnls2_matches(&[[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]], &[1.0, 2.0, 3.0]);
-        // Negative correlation with b: optimum at origin.
-        assert_nnls2_matches(&[[1.0, 0.5], [2.0, 1.5]], &[-1.0, -2.0]);
-        // Underdetermined (1 row, 2 cols may enter).
-        assert_nnls2_matches(&[[1.0, 2.0]], &[3.0]);
-    }
-
-    #[test]
-    fn nnls2_matches_reference_on_error_cases() {
-        assert_nnls2_matches(&[[1.0, f64::NAN]], &[1.0]);
-        assert_nnls2_matches(&[[1.0, 1.0]], &[f64::INFINITY]);
-        let rows = [[1.0, 1.0], [2.0, 1.0]];
-        let short_b = [1.0];
-        assert!(matches!(
-            nnls2(&rows, &short_b, NnlsOptions::default()),
-            Err(FitError::DimensionMismatch { .. })
-        ));
     }
 }

@@ -1,15 +1,17 @@
-//! Bit-identity proofs for the PR-8 batched SoA fitting engine.
+//! Bit-identity proofs for the batched SoA fitting engine against its
+//! oracle.
 //!
-//! `fit_batch` must return, for every job in a batch, *exactly* what a
-//! scalar `fit_incremental` call with the same inputs would have
-//! returned — same coefficient bits, same error variants — and leave the
-//! job's `FitSession` in an equivalent state (proven behaviorally: the
-//! sessions keep matching on every subsequent fit, so the carried warm
-//! index and preprocessing state must agree). Histories are ragged
-//! (every lane a different length), batches span 1..3× the lane width,
-//! and the degenerate cases (≤ 2 distinct steps, all-NaN, flat `hi == 0`
-//! grids) ride along in mixed groups so lane desynchronization would be
-//! caught.
+//! `fit_batch` must return, for every job in a batch, *exactly* what
+//! `LossCurveFitter::fit` returns on the same raw history — same
+//! coefficient bits, same error variants — whatever state the job's
+//! `FitSession` carries in (warm index, memo, incremental
+//! preprocessing) and whatever the other lanes hold. Histories are
+//! ragged (every lane a different length) and grow across rounds with
+//! honest stable-prefix claims, sessions are reused across unrelated
+//! series, batches span 1..3× the lane width, and the degenerate cases
+//! (≤ 2 distinct steps, all-NaN, flat `hi == 0` grids, a stale warm
+//! start) run both as one-lane batches and inside mixed groups, so lane
+//! desynchronization would be caught.
 
 use optimus_fitting::preprocess::LossSample;
 use optimus_fitting::{
@@ -25,8 +27,9 @@ fn next_unit(state: &mut u64) -> f64 {
     (*state % 1_000_000) as f64 / 1_000_000.0
 }
 
-/// Synthetic loss history with spikes, dips and NaNs (the same family
-/// as the scalar equivalence suite's).
+/// Synthetic loss history: planted 1/(β₀k+β₁)+β₂ curve, multiplicative
+/// jitter, and (seed-dependent) injected spikes, dips and NaNs — the
+/// pathologies the preprocessing exists to absorb.
 fn history(seed: u64, n: usize) -> Vec<LossSample> {
     let mut state = seed | 1;
     let beta0 = 0.01 + next_unit(&mut state) * 0.4;
@@ -53,11 +56,11 @@ fn history(seed: u64, n: usize) -> Vec<LossSample> {
 }
 
 fn assert_same_outcome(
-    scalar: &Result<LossModel, FitError>,
+    oracle: &Result<LossModel, FitError>,
     batched: &Result<LossModel, FitError>,
     ctx: &str,
 ) {
-    match (scalar, batched) {
+    match (oracle, batched) {
         (Ok(r), Ok(f)) => {
             assert_eq!(r.beta0.to_bits(), f.beta0.to_bits(), "beta0 {ctx}");
             assert_eq!(r.beta1.to_bits(), f.beta1.to_bits(), "beta1 {ctx}");
@@ -70,76 +73,89 @@ fn assert_same_outcome(
             );
         }
         (Err(re), Err(fe)) => assert_eq!(re, fe, "error {ctx}"),
-        (r, f) => panic!("outcome diverged {ctx}: scalar {r:?} vs batched {f:?}"),
+        (r, f) => panic!("outcome diverged {ctx}: fit {r:?} vs batched {f:?}"),
     }
 }
 
-/// Drives `njobs` ragged histories through `rounds` growth rounds, one
-/// scalar session set and one batched session set, comparing every
-/// outcome. `grow` decides how many samples each job gains per round
-/// (possibly zero — an all-clean lane sits in the batch with an
-/// unchanged history).
-fn drive(seed: u64, njobs: usize, rounds: usize, fitter: &LossCurveFitter) {
-    let mut state = seed | 1;
-    let histories: Vec<Vec<LossSample>> = (0..njobs)
-        .map(|i| {
-            let n = 3 + (next_unit(&mut state) * 220.0) as usize;
-            history(seed.wrapping_add(i as u64 * 7919), n)
+/// Fits `(fitter, raw, stable_prefix)` jobs as one `fit_batch` call on
+/// `sessions` and checks every outcome against `fitter.fit(raw)`.
+fn assert_batch_matches_fit(
+    jobs: &[(&LossCurveFitter, &[LossSample], usize)],
+    sessions: &mut [FitSession],
+    scratch: &mut BatchScratch,
+    ctx: &str,
+) {
+    let mut batch: Vec<BatchFitJob<'_>> = jobs
+        .iter()
+        .zip(sessions.iter_mut())
+        .map(|(&(fitter, raw, stable_prefix), session)| BatchFitJob {
+            fitter,
+            raw,
+            stable_prefix,
+            session,
         })
         .collect();
-    let mut scalar_sessions: Vec<FitSession> = (0..njobs).map(|_| FitSession::new()).collect();
-    let mut batch_sessions: Vec<FitSession> = (0..njobs).map(|_| FitSession::new()).collect();
-    let mut lens: Vec<usize> = histories.iter().map(|h| h.len().min(3)).collect();
+    let mut batched = Vec::new();
+    fit_batch(&mut batch, scratch, &mut batched);
+    assert_eq!(batched.len(), jobs.len());
+    for (i, (&(fitter, raw, _), got)) in jobs.iter().zip(batched.iter()).enumerate() {
+        assert_same_outcome(&fitter.fit(raw), got, &format!("job {i} {ctx}"));
+    }
+}
+
+/// Drives `njobs` ragged histories through `rounds` growth rounds in
+/// one batch per round, comparing every outcome with the oracle. Each
+/// round a job gains a random number of samples (possibly zero — a
+/// clean lane sits in the batch with an unchanged history) under an
+/// honest stable-prefix claim, or now and then switches to its other,
+/// unrelated series and restarts it claiming no stable prefix, so
+/// sessions are reused across series.
+fn drive(seed: u64, njobs: usize, rounds: usize, fitter: &LossCurveFitter) {
+    let mut state = seed | 1;
+    let series: Vec<[Vec<LossSample>; 2]> = (0..njobs)
+        .map(|i| {
+            [0u64, 1].map(|s| {
+                let n = 3 + (next_unit(&mut state) * 220.0) as usize;
+                history(seed.wrapping_add(i as u64 * 7919 + s * 104_729), n)
+            })
+        })
+        .collect();
+    let mut cur = vec![0usize; njobs];
+    let mut sessions: Vec<FitSession> = (0..njobs).map(|_| FitSession::new()).collect();
+    let mut lens: Vec<usize> = series.iter().map(|s| s[0].len().min(3)).collect();
     let mut scratch = BatchScratch::new();
 
     for round in 0..rounds {
-        let prev: Vec<usize> = lens.clone();
-        for (i, h) in histories.iter().enumerate() {
-            let grow = (next_unit(&mut state) * 40.0) as usize; // may be 0
-            lens[i] = (lens[i] + grow).min(h.len());
-        }
-
-        // Scalar reference: one fit_incremental per job.
-        let scalar: Vec<Result<LossModel, FitError>> = (0..njobs)
-            .map(|i| {
-                fitter.fit_incremental(&histories[i][..lens[i]], prev[i], &mut scalar_sessions[i])
-            })
-            .collect();
-
-        // Batched: all jobs in one call.
-        let mut jobs: Vec<BatchFitJob<'_>> = histories
-            .iter()
-            .zip(batch_sessions.iter_mut())
-            .enumerate()
-            .map(|(i, (h, session))| BatchFitJob {
-                fitter,
-                raw: &h[..lens[i]],
-                stable_prefix: prev[i],
-                session,
-            })
-            .collect();
-        let mut batched = Vec::new();
-        fit_batch(&mut jobs, &mut scratch, &mut batched);
-        drop(jobs);
-
-        assert_eq!(batched.len(), njobs);
+        let mut prev: Vec<usize> = lens.clone();
         for i in 0..njobs {
-            assert_same_outcome(
-                &scalar[i],
-                &batched[i],
-                &format!("job {i} round {round} (seed {seed})"),
-            );
+            let grow = (next_unit(&mut state) * 40.0) as usize; // may be 0
+            if next_unit(&mut state) < 0.15 {
+                cur[i] ^= 1;
+                prev[i] = 0;
+                lens[i] = 3;
+            }
+            lens[i] = (lens[i] + grow).min(series[i][cur[i]].len());
         }
+        let jobs: Vec<(&LossCurveFitter, &[LossSample], usize)> = (0..njobs)
+            .map(|i| (fitter, &series[i][cur[i]][..lens[i]], prev[i]))
+            .collect();
+        assert_batch_matches_fit(
+            &jobs,
+            &mut sessions,
+            &mut scratch,
+            &format!("round {round} (seed {seed})"),
+        );
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Ragged batches across growth rounds: every job's batched fit (and
-    /// carried session state) matches its scalar fit bit-for-bit.
+    /// Ragged batches across growth rounds and series switches: every
+    /// job's batched fit matches `fit` bit-for-bit, so the carried
+    /// session state never leaks into a result.
     #[test]
-    fn batched_fits_match_scalar_on_ragged_batches(
+    fn batched_fits_match_fit_on_ragged_batches(
         seed in any::<u64>(),
         njobs in 1usize..(3 * LANES),
         rounds in 1usize..5,
@@ -153,10 +169,10 @@ proptest! {
         drive(seed, njobs, rounds, &fitter);
     }
 
-    /// Single-job batches are the scalar path seen through the batch
-    /// driver — a degenerate but load-bearing case (remainder groups).
+    /// Single-job batches are what `ConvergenceEstimator::refit` runs —
+    /// a degenerate but load-bearing case (remainder groups).
     #[test]
-    fn single_job_batches_match_scalar(
+    fn single_job_batches_match_fit(
         seed in any::<u64>(),
         rounds in 1usize..6,
     ) {
@@ -165,76 +181,110 @@ proptest! {
 }
 
 /// Degenerate histories (empty, ≤ 2 distinct steps, all-NaN, flat
-/// `hi == 0`) mixed into one group with healthy lanes: per-lane error
-/// short-circuits must not disturb their neighbors.
+/// `hi == 0`) and a stale warm start, each fit as a one-lane batch and
+/// mixed into one group with healthy lanes: per-lane error
+/// short-circuits must not disturb their neighbors, and the warm start
+/// is only a hint.
 #[test]
 fn degenerate_lanes_mixed_with_healthy_lanes() {
     let fitter = LossCurveFitter::new();
+    let unnormalized = LossCurveFitter::new().without_normalization();
     let healthy = history(42, 120);
     let healthy2 = history(1234, 37);
-    let raws: Vec<Vec<LossSample>> = vec![
-        vec![],
-        healthy.clone(),
-        vec![(0, 1.0)],
-        vec![(5, 2.0), (5, 2.0), (5, 2.0), (5, 2.0)],
-        healthy2.clone(),
-        vec![(0, f64::NAN), (1, f64::NAN), (2, f64::NAN), (3, f64::NAN)],
-        vec![(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)], // flat: hi == 0 grid
-        vec![(0, 0.0), (1, 0.0), (2, 0.0)],
-        healthy, // second group starts here
+    // A wildly stale session: fit on one curve, then on a completely
+    // different one claiming no stable prefix.
+    let early: Vec<LossSample> = (0..100)
+        .map(|k| (k, 1.0 / (0.3 * k as f64 + 0.8) + 0.25))
+        .collect();
+    let late: Vec<LossSample> = (0..100)
+        .map(|k| (k, 4.0 / (0.01 * k as f64 + 2.0) + 0.01))
+        .collect();
+    let same = |raw: Vec<LossSample>| (&fitter, [raw.clone(), raw]);
+    // (fitter, [first-pass history, second-pass history]) per lane.
+    let lanes: Vec<(&LossCurveFitter, [Vec<LossSample>; 2])> = vec![
+        same(vec![]),
+        same(healthy.clone()),
+        same(vec![(0, 1.0)]),
+        same(vec![(5, 2.0), (5, 2.0), (5, 2.0), (5, 2.0)]),
+        same(healthy2),
+        same(vec![
+            (0, f64::NAN),
+            (1, f64::NAN),
+            (2, f64::NAN),
+            (3, f64::NAN),
+        ]),
+        same(vec![(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)]), // flat: hi == 0 grid
+        same(vec![(0, 0.0), (1, 0.0), (2, 0.0)]),
+        (&unnormalized, [early, late]), // second group starts here
+        same(healthy),
     ];
-    let n = raws.len();
-    let mut scalar_sessions: Vec<FitSession> = (0..n).map(|_| FitSession::new()).collect();
-    let mut batch_sessions: Vec<FitSession> = (0..n).map(|_| FitSession::new()).collect();
+    let n = lanes.len();
+    let mut mixed_sessions: Vec<FitSession> = (0..n).map(|_| FitSession::new()).collect();
+    let mut lone_sessions: Vec<FitSession> = (0..n).map(|_| FitSession::new()).collect();
     let mut scratch = BatchScratch::new();
-    // Two passes over the same data through the same sessions: the
-    // second exercises warm starts and skip-unchanged preprocessing.
+    // Two passes through the same sessions: the second exercises warm
+    // starts and skip-unchanged preprocessing on unchanged histories.
     for pass in 0..2 {
-        let scalar: Vec<Result<LossModel, FitError>> = raws
+        let jobs: Vec<(&LossCurveFitter, &[LossSample], usize)> = lanes
             .iter()
-            .zip(scalar_sessions.iter_mut())
-            .map(|(raw, s)| fitter.fit_incremental(raw, if pass == 0 { 0 } else { raw.len() }, s))
-            .collect();
-        let mut jobs: Vec<BatchFitJob<'_>> = raws
-            .iter()
-            .zip(batch_sessions.iter_mut())
-            .map(|(raw, session)| BatchFitJob {
-                fitter: &fitter,
-                raw,
-                stable_prefix: if pass == 0 { 0 } else { raw.len() },
-                session,
+            .map(|(fitter, raws)| {
+                let bits = |raw: &[LossSample]| {
+                    raw.iter()
+                        .map(|&(k, l)| (k, l.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                let unchanged = pass == 1 && bits(&raws[0]) == bits(&raws[1]);
+                let stable = if unchanged { raws[1].len() } else { 0 };
+                (*fitter, raws[pass].as_slice(), stable)
             })
             .collect();
-        let mut batched = Vec::new();
-        fit_batch(&mut jobs, &mut scratch, &mut batched);
-        for (i, (r, f)) in scalar.iter().zip(batched.iter()).enumerate() {
-            assert_same_outcome(r, f, &format!("degenerate lane {i} pass {pass}"));
+        assert_batch_matches_fit(
+            &jobs,
+            &mut mixed_sessions,
+            &mut scratch,
+            &format!("mixed pass {pass}"),
+        );
+        for (i, (job, session)) in jobs.iter().zip(lone_sessions.iter_mut()).enumerate() {
+            assert_batch_matches_fit(
+                std::slice::from_ref(job),
+                std::slice::from_mut(session),
+                &mut scratch,
+                &format!("lane {i} alone, pass {pass}"),
+            );
         }
     }
 }
 
 /// Telemetry counters (`loss_curve.fits`, `nnls.solves`,
 /// `nnls.fit_failures`, `fit.warm_start_hits`, iteration observations)
-/// must match the scalar path's exactly — the simulator's cross-mode
-/// ledger diff depends on it.
+/// are a function of each job's own inputs: eleven one-lane batches and
+/// one eleven-job batch must report the same summary — the simulator's
+/// thread-count-invariant ledger depends on it.
 #[test]
-fn batched_telemetry_matches_scalar() {
+fn batched_telemetry_is_independent_of_lane_grouping() {
     use optimus_telemetry::Telemetry;
-    let scalar_tel = Telemetry::enabled();
+    let lone_tel = Telemetry::enabled();
     let batch_tel = Telemetry::enabled();
-    let scalar_fitter = LossCurveFitter::new().with_telemetry(scalar_tel.clone());
+    let lone_fitter = LossCurveFitter::new().with_telemetry(lone_tel.clone());
     let batch_fitter = LossCurveFitter::new().with_telemetry(batch_tel.clone());
     let raws: Vec<Vec<LossSample>> = (0..11)
         .map(|i| history(900 + i as u64, 20 + i * 13))
         .collect();
     let n = raws.len();
-    let mut scalar_sessions: Vec<FitSession> = (0..n).map(|_| FitSession::new()).collect();
+    let mut lone_sessions: Vec<FitSession> = (0..n).map(|_| FitSession::new()).collect();
     let mut batch_sessions: Vec<FitSession> = (0..n).map(|_| FitSession::new()).collect();
     let mut scratch = BatchScratch::new();
+    let mut out = Vec::new();
     for pass in 0..2 {
         let prefix = |raw: &Vec<LossSample>| if pass == 0 { 0 } else { raw.len() };
-        for (raw, s) in raws.iter().zip(scalar_sessions.iter_mut()) {
-            let _ = scalar_fitter.fit_incremental(raw, prefix(raw), s);
+        for (raw, session) in raws.iter().zip(lone_sessions.iter_mut()) {
+            let mut one = [BatchFitJob {
+                fitter: &lone_fitter,
+                raw,
+                stable_prefix: prefix(raw),
+                session,
+            }];
+            fit_batch(&mut one, &mut scratch, &mut out);
         }
         let mut jobs: Vec<BatchFitJob<'_>> = raws
             .iter()
@@ -246,11 +296,11 @@ fn batched_telemetry_matches_scalar() {
                 session,
             })
             .collect();
-        let mut batched = Vec::new();
-        fit_batch(&mut jobs, &mut scratch, &mut batched);
+        fit_batch(&mut jobs, &mut scratch, &mut out);
     }
+    assert!(lone_tel.counter("nnls.solves") > 0, "telemetry recorded");
     assert_eq!(
-        scalar_tel.summary(),
+        lone_tel.summary(),
         batch_tel.summary(),
         "telemetry summaries diverged"
     );

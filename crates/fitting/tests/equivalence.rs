@@ -1,19 +1,16 @@
-//! Bit-identity proofs for the PR-3 fitting fast path.
+//! Bit-identity proofs for incremental loss preprocessing.
 //!
-//! `LossCurveFitter::fit_incremental` (incremental preprocessing,
-//! scratch-buffer NNLS, β₂ memoization, warm-started grid scan with
-//! early residual abandonment) must return *exactly* what the reference
-//! `fit` returns — same bits in every coefficient, same error variants —
-//! on every history it is ever shown. These tests drive one session
-//! through growing histories with honest `stable_prefix` claims (the way
-//! `ConvergenceEstimator` uses it) and through adversarial resets, and
-//! compare against the reference at every step.
+//! `preprocess_losses_incremental` (rescan only the tail past the
+//! caller's stable prefix) must return *exactly* what the reference
+//! `preprocess_losses` pass returns — same samples, same scale, same
+//! replacement count — on growing histories and across option changes.
+//! The fits built on it are checked against `LossCurveFitter::fit` in
+//! `batch_equivalence.rs`.
 
 use optimus_fitting::preprocess::{
     preprocess_losses, preprocess_losses_incremental, LossSample, PreprocessOptions,
     PreprocessScratch,
 };
-use optimus_fitting::{FitError, FitSession, LossCurveFitter, LossModel};
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random f64 in [0, 1) from an xorshift state.
@@ -52,79 +49,8 @@ fn history(seed: u64, n: usize) -> Vec<LossSample> {
         .collect()
 }
 
-/// Asserts two fit outcomes are bit-identical (models) or equal (errors).
-fn assert_same_outcome(
-    reference: &Result<LossModel, FitError>,
-    fast: &Result<LossModel, FitError>,
-    ctx: &str,
-) {
-    match (reference, fast) {
-        (Ok(r), Ok(f)) => {
-            assert_eq!(r.beta0.to_bits(), f.beta0.to_bits(), "beta0 {ctx}");
-            assert_eq!(r.beta1.to_bits(), f.beta1.to_bits(), "beta1 {ctx}");
-            assert_eq!(r.beta2.to_bits(), f.beta2.to_bits(), "beta2 {ctx}");
-            assert_eq!(r.scale.to_bits(), f.scale.to_bits(), "scale {ctx}");
-            assert_eq!(
-                r.residual_ss.to_bits(),
-                f.residual_ss.to_bits(),
-                "residual_ss {ctx}"
-            );
-        }
-        (Err(re), Err(fe)) => assert_eq!(re, fe, "error {ctx}"),
-        (r, f) => panic!("outcome diverged {ctx}: reference {r:?} vs fast {f:?}"),
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// One session fed a growing history with honest stable-prefix
-    /// claims matches the reference fitter bit-for-bit at every length.
-    #[test]
-    fn fit_incremental_matches_fit_on_growing_history(
-        seed in any::<u64>(),
-        total in 8usize..220,
-        chunk in 1usize..40,
-        window in 1usize..8,
-        normalize in any::<bool>(),
-    ) {
-        let raw = history(seed, total);
-        let mut fitter = LossCurveFitter::new().with_window(window);
-        if !normalize {
-            fitter = fitter.without_normalization();
-        }
-        let mut session = FitSession::new();
-        let mut prev_len = 0usize;
-        while prev_len < raw.len() {
-            let len = (prev_len + chunk).min(raw.len());
-            let prefix = &raw[..len];
-            let reference = fitter.fit(prefix);
-            let fast = fitter.fit_incremental(prefix, prev_len, &mut session);
-            assert_same_outcome(&reference, &fast, &format!("at len {len} (seed {seed})"));
-            prev_len = len;
-        }
-    }
-
-    /// A session abused across unrelated series (stable_prefix = 0, or
-    /// histories that shrink/restart) still matches the reference: the
-    /// stable-prefix contract only ever *disables* reuse.
-    #[test]
-    fn fit_incremental_survives_session_reuse_across_series(
-        seed_a in any::<u64>(),
-        seed_b in any::<u64>(),
-        n_a in 5usize..120,
-        n_b in 5usize..120,
-    ) {
-        let fitter = LossCurveFitter::new();
-        let mut session = FitSession::new();
-        let a = history(seed_a, n_a);
-        let b = history(seed_b, n_b);
-        for (name, series) in [("a", &a), ("b", &b), ("a-again", &a)] {
-            let reference = fitter.fit(series);
-            let fast = fitter.fit_incremental(series, 0, &mut session);
-            assert_same_outcome(&reference, &fast, &format!("series {name}"));
-        }
-    }
 
     /// The incremental preprocessing alone is bit-identical to the
     /// reference pass, including the replacement count and the scale.
@@ -190,43 +116,4 @@ proptest! {
 /// Helper kept out of the proptest macro: length equality with context.
 fn prev_assert_len(scratch: &PreprocessScratch, want: usize) {
     assert_eq!(scratch.samples().len(), want);
-}
-
-/// Degenerate inputs: empty, single point, all-identical steps, all-NaN.
-#[test]
-fn fit_incremental_matches_fit_on_degenerate_inputs() {
-    let fitter = LossCurveFitter::new();
-    let mut session = FitSession::new();
-    let cases: Vec<Vec<LossSample>> = vec![
-        vec![],
-        vec![(0, 1.0)],
-        vec![(5, 2.0), (5, 2.0), (5, 2.0), (5, 2.0)],
-        vec![(0, f64::NAN), (1, f64::NAN), (2, f64::NAN), (3, f64::NAN)],
-        vec![(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)], // flat: hi == 0 grid
-        vec![(0, 0.0), (1, 0.0), (2, 0.0)],
-    ];
-    for raw in &cases {
-        let reference = fitter.fit(raw);
-        let fast = fitter.fit_incremental(raw, 0, &mut session);
-        assert_same_outcome(&reference, &fast, &format!("case {raw:?}"));
-    }
-}
-
-/// The warm start is just a hint: a wildly stale session (fit on one
-/// curve, then a completely different one claiming no stable prefix)
-/// must not bias the result.
-#[test]
-fn stale_warm_start_cannot_change_results() {
-    let fitter = LossCurveFitter::new().without_normalization();
-    let mut session = FitSession::new();
-    let early: Vec<LossSample> = (0..100)
-        .map(|k| (k, 1.0 / (0.3 * k as f64 + 0.8) + 0.25))
-        .collect();
-    fitter.fit_incremental(&early, 0, &mut session).unwrap();
-    let late: Vec<LossSample> = (0..100)
-        .map(|k| (k, 4.0 / (0.01 * k as f64 + 2.0) + 0.01))
-        .collect();
-    let reference = fitter.fit(&late);
-    let fast = fitter.fit_incremental(&late, 0, &mut session);
-    assert_same_outcome(&reference, &fast, "stale warm start");
 }

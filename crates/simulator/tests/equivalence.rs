@@ -237,6 +237,26 @@ fn production_matches_reference_on_degenerate_inputs() {
                 ..base_config()
             },
         ),
+        Case::testbed(
+            "NaN profiling noise",
+            3,
+            SimConfig {
+                profile_noise: f64::NAN,
+                ..base_config()
+            },
+        ),
+        Case::testbed(
+            "infinite profiling noise",
+            3,
+            SimConfig {
+                profile_noise: f64::INFINITY,
+                ..base_config()
+            },
+        ),
+        Case {
+            specs: specs(3).into_iter().map(|s| s.scaled(0.0)).collect(),
+            ..Case::testbed("zero-work jobs", 0, base_config())
+        },
     ];
     for case in &cases {
         assert_matches_reference(case);

@@ -23,7 +23,7 @@ bench:
 bench-sched:
     cargo run --release -p optimus-bench --bin bench_sched -- --out BENCH_sched.json
 
-# Time one interval's convergence refits (reference vs fast path) per
+# Time one interval's convergence refits (reference vs batched) per
 # grid point and append the result to the committed trajectory file.
 bench-fit:
     cargo run --release -p optimus-bench --bin bench_fit -- --out BENCH_fit.json
@@ -38,13 +38,13 @@ bench-alloc:
 
 # Prove the optimized paths byte-identical to their naive oracles
 # (property-based where inputs vary): the allocator/placer against the
-# reference scheduler, the incremental warm-started convergence fitter
-# and the batched SoA fit engine against `LossCurveFitter::fit`, and
-# the simulator's production path (`Simulation::run`) against the
-# tick-loop oracle (`Simulation::run_reference`) and the full-rounds
-# scheduler — one simulator-suite run covers every scheduler, refit
-# thread count and edge case — plus the event-calendar determinism
-# proptests.
+# reference scheduler, the incremental loss preprocessing against the
+# full pass, the batched SoA fit engine (the only production fitter)
+# against `LossCurveFitter::fit`, and the simulator's production path
+# (`Simulation::run`) against the tick-loop oracle
+# (`Simulation::run_reference`) and the full-rounds scheduler — one
+# simulator-suite run covers every scheduler, refit thread count and
+# edge case — plus the event-calendar determinism proptests.
 equivalence:
     cargo test --release -p optimus-core --test equivalence
     cargo test --release -p optimus-fitting --test equivalence
@@ -111,7 +111,7 @@ check-bench:
 # the standard points *and* the steady-state churn points, where
 # --verify additionally fails on any delta-path fallback to a full
 # re-derivation; bench_fit smokes the at-scale 5000-job grid point,
-# which includes its own reference-vs-scalar-vs-batched cross-check;
+# which includes its own reference-vs-batched cross-check;
 # bench_sim smokes the at-scale 100-job grid point, which checks its
 # JCT witness against the tick-loop oracle), the run-ledger determinism
 # smoke, the flight-recorder timeline smoke, the decision-provenance
