@@ -1,11 +1,11 @@
 //! `bench_sched` — records the scheduling-decision perf trajectory.
 //!
 //! Times one full scheduling decision (marginal-gain allocation +
-//! Theorem-1 placement) at the `scheduler_scalability` criterion
-//! points and appends a labeled entry to a committed JSON file
-//! (`BENCH_sched.json` via `just bench-sched`), so every future PR can
-//! compare against the recorded history instead of a number in a
-//! commit message.
+//! Theorem-1 placement) on the synthetic Fig-12 population
+//! ([`synthetic_views`]) and appends a labeled entry to a committed
+//! JSON file (`BENCH_sched.json` via `just bench-sched`), so every
+//! future PR can compare against the recorded history instead of a
+//! number in a commit message.
 //!
 //! ```text
 //! bench_sched [--samples N] [--label STR] [--out FILE] [--verify]
@@ -44,18 +44,16 @@
 //! every round is a configuration bug, not a win). Exit is non-zero on
 //! any divergence.
 
-use optimus_bench::{available_threads, run_indexed};
+use optimus_bench::{available_threads, run_indexed, synthetic_views};
 use optimus_cluster::{Cluster, ResourceVec};
 use optimus_core::prelude::*;
 use optimus_core::reference::{ReferenceOptimusAllocator, ReferenceOptimusPlacer};
 use optimus_core::RoundDelta;
-use optimus_ps::PsJobModel;
-use optimus_workload::{JobId, ModelKind, TrainingMode};
 use serde::Serialize;
 use std::process::ExitCode;
 use std::time::Instant;
 
-/// The criterion bench's points: (jobs, nodes).
+/// Full-round points: (jobs, nodes).
 const POINTS: [(usize, usize); 4] = [(250, 500), (500, 1_000), (1_000, 2_000), (10_000, 10_000)];
 
 /// Steady-state churn points: (jobs, nodes). Nodes are sized so the
@@ -89,46 +87,6 @@ struct BenchEntry {
     source: &'static str,
     samples: u32,
     points: Vec<PointRecord>,
-}
-
-/// Prefit speed models; `sync_only` restricts to saturating
-/// synchronous-mode curves (see the churn-point rationale above).
-fn model_pool(sync_only: bool) -> Vec<SpeedModel> {
-    let modes: &[TrainingMode] = if sync_only {
-        &[TrainingMode::Synchronous]
-    } else {
-        &[TrainingMode::Synchronous, TrainingMode::Asynchronous]
-    };
-    let mut base = Vec::new();
-    for kind in [ModelKind::ResNet50, ModelKind::Seq2Seq, ModelKind::CnnRand] {
-        for &mode in modes {
-            let profile = kind.profile();
-            let truth = PsJobModel::new(profile, mode);
-            let mut m = SpeedModel::new(mode, profile.batch_size as f64);
-            for (p, w) in [(1, 1), (2, 2), (4, 4), (8, 8), (4, 8), (8, 4)] {
-                m.record(p, w, truth.speed(p, w));
-            }
-            m.refit().expect("profiled");
-            base.push(m);
-        }
-    }
-    base
-}
-
-/// Same synthetic population as the `scheduler_scalability` bench.
-fn make_jobs(n: usize, sync_only: bool) -> Vec<JobView> {
-    let base = model_pool(sync_only);
-    (0..n)
-        .map(|i| JobView {
-            id: JobId(i as u64),
-            worker_profile: optimus_workload::job::default_container(),
-            ps_profile: optimus_workload::job::default_container(),
-            remaining_work: 1_000.0 + (i % 97) as f64 * 650.0,
-            speed: base[i % base.len()].clone(),
-            progress: (i % 10) as f64 / 10.0,
-            requested_units: 8,
-        })
-        .collect()
 }
 
 fn arg_value(args: &[String], name: &str) -> Option<String> {
@@ -228,7 +186,9 @@ fn main() -> ExitCode {
         .filter(|(j, _)| churn_filter.contains(j))
         .collect();
     let sizes: Vec<usize> = full_points.iter().map(|&(jobs, _)| jobs).collect();
-    let job_sets = run_indexed(&sizes, available_threads(), |_, &n| make_jobs(n, false));
+    let job_sets = run_indexed(&sizes, available_threads(), |_, &n| {
+        synthetic_views(n, false)
+    });
 
     println!("bench_sched: {samples} samples per point (label: {label})\n");
     println!(
@@ -285,7 +245,7 @@ fn main() -> ExitCode {
 
     // --- Steady-state churn points -----------------------------------
     for &(jobs_n, nodes) in &churn_points {
-        let mut jobs = make_jobs(jobs_n, true);
+        let mut jobs = synthetic_views(jobs_n, true);
         let cluster = Cluster::homogeneous(nodes, node_cap);
         let mut delta_scratch = RoundScratch::default();
         let mut delta_out = Schedule::new(Vec::new(), std::collections::HashMap::new());

@@ -3,17 +3,20 @@
 //! Each binary under `src/bin/` regenerates one table or figure of the
 //! paper's evaluation (see DESIGN.md for the full index). This library
 //! holds what they share: scheduler/assignment bundles, the multi-seed
-//! comparison runner behind Figs 11/13/16/17/18/19, and plain-text
-//! table/series printers (plus JSON lines for machine consumption).
+//! comparison runner behind Figs 11/13/16/17/18/19, the synthetic
+//! Fig-12 job population, and plain-text table/series printers (plus
+//! JSON lines for machine consumption).
 
 use optimus_cluster::Cluster;
 use optimus_core::allocation::{DrfAllocator, FifoAllocator, OptimusAllocator, TetrisAllocator};
 use optimus_core::placement::{OptimusPlacer, PackPlacer, SpreadPlacer};
 use optimus_core::prelude::*;
 use optimus_fitting::stats;
+use optimus_ps::PsJobModel;
 use optimus_simulator::{AssignmentPolicy, SimConfig, SimReport, Simulation};
 use optimus_workload::arrivals::ModePolicy;
-use optimus_workload::{ArrivalProcess, WorkloadGenerator};
+use optimus_workload::job::default_container;
+use optimus_workload::{ArrivalProcess, JobId, ModelKind, TrainingMode, WorkloadGenerator};
 use serde::Serialize;
 
 /// A scheduler under test, with the §5.3 PS-assignment policy its
@@ -165,6 +168,52 @@ pub struct SchedulerResult {
     pub ps_utilization: f64,
     /// Unfinished jobs across all seeds (should be 0).
     pub unfinished: usize,
+}
+
+// ---------------------------------------------------------------------
+// Synthetic Fig-12 population
+// ---------------------------------------------------------------------
+
+/// Builds `n` synthetic job views for the Fig-12 scheduling-decision
+/// harnesses (`fig12_scalability`, `bench_sched`). Job `i` cycles
+/// through speed models fitted once on six profiled configurations of
+/// ResNet-50, Seq2Seq and CNN-rand (synchronous then asynchronous per
+/// model), with deterministic remaining work and progress. `sync_only`
+/// keeps only the saturating synchronous-mode curves.
+///
+/// `BENCH_sched.json`'s history and `results/fig12_scalability.txt`'s
+/// task counts are comparable only while this population stays
+/// bit-for-bit the same.
+pub fn synthetic_views(n: usize, sync_only: bool) -> Vec<JobView> {
+    let modes: &[TrainingMode] = if sync_only {
+        &[TrainingMode::Synchronous]
+    } else {
+        &[TrainingMode::Synchronous, TrainingMode::Asynchronous]
+    };
+    let mut base = Vec::new();
+    for kind in [ModelKind::ResNet50, ModelKind::Seq2Seq, ModelKind::CnnRand] {
+        for &mode in modes {
+            let profile = kind.profile();
+            let truth = PsJobModel::new(profile, mode);
+            let mut m = SpeedModel::new(mode, profile.batch_size as f64);
+            for (p, w) in [(1, 1), (2, 2), (4, 4), (8, 8), (4, 8), (8, 4)] {
+                m.record(p, w, truth.speed(p, w));
+            }
+            m.refit().expect("profiled");
+            base.push(m);
+        }
+    }
+    (0..n)
+        .map(|i| JobView {
+            id: JobId(i as u64),
+            worker_profile: default_container(),
+            ps_profile: default_container(),
+            remaining_work: 1_000.0 + (i % 97) as f64 * 650.0,
+            speed: base[i % base.len()].clone(),
+            progress: (i % 10) as f64 / 10.0,
+            requested_units: 8,
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------

@@ -14,10 +14,6 @@ lint:
     cargo clippy --workspace --all-targets -- -D warnings
     cargo fmt --check
 
-# Run the Fig-12 scheduler scalability benchmark.
-bench:
-    cargo bench --bench scheduler_scalability
-
 # Time one scheduling decision per scalability point and append the
 # result to the committed trajectory file (compare entries across PRs).
 bench-sched:
@@ -98,6 +94,16 @@ why:
     cargo run --release --bin optimus-trace -- why 1 target/why-demo --round 3
     cargo run --release --bin optimus-trace -- why target/why-demo --summary
 
+# Fig-12 determinism gate: rerun the scalability experiment and fail on
+# any stdout difference from the committed table. Stdout holds only the
+# jobs/nodes/tasks columns (the host-dependent wall times go to
+# stderr), so this pins the synthetic Fig-12 population and the
+# scheduler's task counts at all nine points.
+paper-fig12:
+    mkdir -p target
+    cargo run --release -p optimus-bench --bin fig12_scalability > target/fig12_scalability.txt
+    diff -u results/fig12_scalability.txt target/fig12_scalability.txt
+
 # Regression watchdog: fail if the newest committed bench entry is
 # slower than the best prior entry beyond the tolerance.
 check-bench:
@@ -115,8 +121,8 @@ check-bench:
 # bench_sim smokes the at-scale 100-job grid point, which checks its
 # JCT witness against the tick-loop oracle), the run-ledger determinism
 # smoke, the flight-recorder timeline smoke, the decision-provenance
-# why smoke, the end-to-end benchmark smoke, and the bench regression
-# watchdog.
-ci: lint build test equivalence bench-alloc ledger timeline why e2e-smoke check-bench
+# why smoke, the end-to-end benchmark smoke, the Fig-12 results diff,
+# and the bench regression watchdog.
+ci: lint build test equivalence bench-alloc ledger timeline why e2e-smoke paper-fig12 check-bench
     cargo run --release -p optimus-bench --bin bench_fit -- --samples 1 --points 5000
     cargo run --release -p optimus-bench --bin bench_sim -- --samples 1 --points 100

@@ -75,6 +75,8 @@ CHECK-BENCH FLAGS:
   --sim FILE       whole-sim throughput history  (default BENCH_sim.json)
   --tolerance F    allowed regression vs best prior entry (default 0.10)
   Exit code 1 when the newest entry regresses past the tolerance.
+  Grid points of the newest entry that no prior entry measured are
+  listed as not gated.
 ";
 
 fn main() -> ExitCode {
@@ -1420,10 +1422,26 @@ fn check_bench_file(path: &str, check: &BenchCheck, tolerance: f64) -> Result<us
             .map(|f| p.get(f).and_then(|v| v.as_u64()))
             .collect()
     };
+    let grid_of = |key: &[Option<u64>]| -> String {
+        check
+            .key_fields
+            .iter()
+            .zip(key)
+            .map(|(f, v)| match v {
+                Some(v) => format!("{f}={v}"),
+                None => format!("{f}=-"),
+            })
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
     let mut regressions = 0usize;
     let mut checked = 0usize;
+    // Newest-entry points with a metric that no prior entry measured at
+    // the same grid point: reported, since they pass without a gate.
+    let mut ungated: Vec<(String, Vec<&str>)> = Vec::new();
     for point in points(newest) {
         let key = key_of(&point);
+        let mut no_baseline = Vec::new();
         for &(metric, higher_is_better) in check.metrics {
             let Some(new_val) = point.get(metric).and_then(|v| v.as_f64()) else {
                 continue;
@@ -1451,6 +1469,7 @@ fn check_bench_file(path: &str, check: &BenchCheck, tolerance: f64) -> Result<us
                 }
             }
             let Some((best_val, best_label)) = best else {
+                no_baseline.push(metric);
                 continue;
             };
             checked += 1;
@@ -1461,15 +1480,6 @@ fn check_bench_file(path: &str, check: &BenchCheck, tolerance: f64) -> Result<us
             };
             if regressed {
                 regressions += 1;
-                let grid: Vec<String> = check
-                    .key_fields
-                    .iter()
-                    .zip(&key)
-                    .map(|(f, v)| match v {
-                        Some(v) => format!("{f}={v}"),
-                        None => format!("{f}=-"),
-                    })
-                    .collect();
                 let show = |v: f64| {
                     if higher_is_better {
                         format!("{v:.2}")
@@ -1480,7 +1490,7 @@ fn check_bench_file(path: &str, check: &BenchCheck, tolerance: f64) -> Result<us
                 eprintln!(
                     "check-bench: {path}: REGRESSION at {}: {} {} vs best {} \
                      ({:?}, {:+.1} %)",
-                    grid.join(" "),
+                    grid_of(&key),
                     metric,
                     show(new_val),
                     show(best_val),
@@ -1489,6 +1499,9 @@ fn check_bench_file(path: &str, check: &BenchCheck, tolerance: f64) -> Result<us
                 );
             }
         }
+        if !no_baseline.is_empty() {
+            ungated.push((grid_of(&key), no_baseline));
+        }
     }
     println!(
         "check-bench: {path}: newest entry {:?} vs {} prior — {checked} point-metric pairs \
@@ -1496,5 +1509,11 @@ fn check_bench_file(path: &str, check: &BenchCheck, tolerance: f64) -> Result<us
         label(newest),
         prior.len(),
     );
+    for (grid, metrics) in &ungated {
+        println!(
+            "check-bench: {path}: not gated, no prior baseline: {grid} ({})",
+            metrics.join(", ")
+        );
+    }
     Ok(regressions)
 }

@@ -1,5 +1,7 @@
-//! `optimus-trace` on malformed-but-valid ledgers: inputs that parse and
-//! pass the manifest hash check must produce a report, never a panic.
+//! `optimus-trace` on edge-case inputs: malformed-but-valid ledgers
+//! (inputs that parse and pass the manifest hash check must produce a
+//! report, never a panic) and bench histories `check-bench` cannot
+//! gate.
 
 use optimus::ledger::PROVENANCE_ARTIFACT;
 use optimus::telemetry::ledger::RunLedger;
@@ -41,6 +43,52 @@ fn why_summary_survives_infinite_gains() {
     assert!(
         stdout.contains("2 contested grants"),
         "margin section missing: {stdout}"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A newest bench entry whose grid points no prior entry measured
+/// gates nothing: `check-bench` still passes, but names the point it
+/// could not compare instead of passing silently.
+#[test]
+fn check_bench_names_points_without_a_baseline() {
+    let dir = std::env::temp_dir().join(format!("optimus-check-bench-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let sched = dir.join("BENCH_sched.json");
+    std::fs::write(
+        &sched,
+        r#"[
+  {"label": "old", "points": [{"jobs": 250, "nodes": 500, "mean_ns": 1000}]},
+  {"label": "new", "points": [{"jobs": 1000, "nodes": 6000, "churn_pct": 10, "delta": 1, "mean_ns": 5000}]}
+]"#,
+    )
+    .expect("history writes");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_optimus-trace"))
+        .arg("check-bench")
+        .arg("--sched")
+        .arg(&sched)
+        .args(["--fit", "absent-fit.json", "--sim", "absent-sim.json"])
+        .current_dir(&dir)
+        .output()
+        .expect("optimus-trace runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "stdout: {stdout}");
+    assert!(
+        stdout.contains("0 point-metric pairs checked"),
+        "summary missing: {stdout}"
+    );
+    assert!(
+        stdout.contains(
+            "not gated, no prior baseline: jobs=1000 nodes=6000 churn_pct=10 delta=1 (mean_ns)"
+        ),
+        "ungated point not named: {stdout}"
+    );
+    assert!(
+        !stdout.contains("jobs=250"),
+        "gated-side point listed: {stdout}"
     );
 
     let _ = std::fs::remove_dir_all(&dir);
