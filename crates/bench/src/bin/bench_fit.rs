@@ -27,6 +27,7 @@
 //! points whose job count is in the comma-separated list (CI smokes the
 //! 5000-job point alone).
 
+use optimus_bench::{append_trajectory, arg_value};
 use optimus_core::{refit_convergence_batch, ConvergenceEstimator};
 use optimus_fitting::{LossCurveFitter, LossModel};
 use serde::Serialize;
@@ -183,13 +184,6 @@ fn time_batched(histories: &[Vec<(u64, f64)>], dirty: usize, samples: u32) -> (u
     ((total_ns / samples.max(1) as u128) as u64, outcomes)
 }
 
-fn arg_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
@@ -273,25 +267,8 @@ fn main() -> ExitCode {
     };
 
     if let Some(path) = out {
-        let mut entries: Vec<serde_json::Value> = match std::fs::read_to_string(&path) {
-            Ok(text) => match serde_json::from_str(&text) {
-                Ok(serde_json::Value::Array(v)) => v,
-                Ok(_) | Err(_) => {
-                    eprintln!("error: {path} exists but is not a JSON array");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        entries.push(serde_json::to_value(&entry).expect("entry serializes"));
-        let json = serde_json::to_string_pretty(&serde_json::Value::Array(entries))
-            .expect("entries serialize");
-        if let Err(e) = std::fs::write(&path, json + "\n") {
-            eprintln!("error: {path}: {e}");
+        if let Err(e) = append_trajectory(&path, &entry) {
+            eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
         println!("\nappended entry '{label}' to {path}");

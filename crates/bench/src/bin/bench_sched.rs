@@ -44,7 +44,9 @@
 //! every round is a configuration bug, not a win). Exit is non-zero on
 //! any divergence.
 
-use optimus_bench::{available_threads, run_indexed, synthetic_views};
+use optimus_bench::{
+    append_trajectory, arg_value, available_threads, run_indexed, synthetic_views,
+};
 use optimus_cluster::{Cluster, ResourceVec};
 use optimus_core::prelude::*;
 use optimus_core::reference::{ReferenceOptimusAllocator, ReferenceOptimusPlacer};
@@ -87,13 +89,6 @@ struct BenchEntry {
     source: &'static str,
     samples: u32,
     points: Vec<PointRecord>,
-}
-
-fn arg_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }
 
 /// Parses a `--points`/`--churn-jobs` job-count filter: a comma list of
@@ -340,25 +335,8 @@ fn main() -> ExitCode {
     };
 
     if let Some(path) = out {
-        let mut entries: Vec<serde_json::Value> = match std::fs::read_to_string(&path) {
-            Ok(text) => match serde_json::from_str(&text) {
-                Ok(serde_json::Value::Array(v)) => v,
-                Ok(_) | Err(_) => {
-                    eprintln!("error: {path} exists but is not a JSON array");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        entries.push(serde_json::to_value(&entry).expect("entry serializes"));
-        let json = serde_json::to_string_pretty(&serde_json::Value::Array(entries))
-            .expect("entries serialize");
-        if let Err(e) = std::fs::write(&path, json + "\n") {
-            eprintln!("error: {path}: {e}");
+        if let Err(e) = append_trajectory(&path, &entry) {
+            eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
         println!("\nappended entry '{label}' to {path}");

@@ -31,6 +31,7 @@
 //! bench_sim [--samples N] [--label STR] [--out FILE] [--points LIST]
 //! ```
 
+use optimus_bench::{append_trajectory, arg_value};
 use optimus_cluster::Cluster;
 use optimus_core::prelude::OptimusScheduler;
 use optimus_simulator::{SimConfig, SimReport, Simulation};
@@ -209,13 +210,6 @@ fn run_once(
     )
 }
 
-fn arg_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
@@ -364,25 +358,8 @@ fn main() -> ExitCode {
     };
 
     if let Some(path) = out {
-        let mut entries: Vec<serde_json::Value> = match std::fs::read_to_string(&path) {
-            Ok(text) => match serde_json::from_str(&text) {
-                Ok(serde_json::Value::Array(v)) => v,
-                Ok(_) | Err(_) => {
-                    eprintln!("error: {path} exists but is not a JSON array");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        entries.push(serde_json::to_value(&entry).expect("entry serializes"));
-        let json = serde_json::to_string_pretty(&serde_json::Value::Array(entries))
-            .expect("entries serialize");
-        if let Err(e) = std::fs::write(&path, json + "\n") {
-            eprintln!("error: {path}: {e}");
+        if let Err(e) = append_trajectory(&path, &entry) {
+            eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
         println!("\nappended entry '{label}' to {path}");

@@ -405,9 +405,57 @@ pub fn sparkline(values: &[f64]) -> String {
         .collect()
 }
 
+/// The value after `name` on a `--name value` command line (the
+/// `bench_*` harnesses' flag parser).
+pub fn arg_value(args: &[String], name: &str) -> Option<String> {
+    args.iter()
+        .position(|a| a == name)
+        .and_then(|i| args.get(i + 1))
+        .cloned()
+}
+
+/// Appends one entry to a committed `BENCH_*.json` trajectory: the
+/// file holds a JSON array (a missing file starts an empty one) and is
+/// rewritten pretty-printed with a trailing newline. Fails, naming
+/// `path`, when the file is not a JSON array or cannot be read or
+/// written.
+pub fn append_trajectory<T: Serialize>(path: &str, entry: &T) -> Result<(), String> {
+    let mut entries: Vec<serde_json::Value> = match std::fs::read_to_string(path) {
+        Ok(text) => match serde_json::from_str(&text) {
+            Ok(serde_json::Value::Array(v)) => v,
+            Ok(_) | Err(_) => return Err(format!("{path} exists but is not a JSON array")),
+        },
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(format!("{path}: {e}")),
+    };
+    entries.push(serde_json::to_value(entry).expect("entry serializes"));
+    let json = serde_json::to_string_pretty(&serde_json::Value::Array(entries))
+        .expect("entries serialize");
+    std::fs::write(path, json + "\n").map_err(|e| format!("{path}: {e}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn trajectory_appends_to_an_array_and_rejects_anything_else() {
+        let path = std::env::temp_dir().join(format!("bench-traj-{}.json", std::process::id()));
+        let path = path.to_str().expect("utf-8 temp path").to_string();
+        let _ = std::fs::remove_file(&path);
+        append_trajectory(&path, &vec![1u32]).expect("creates the file");
+        append_trajectory(&path, &vec![2u32]).expect("appends");
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.ends_with("]\n"), "{text}");
+        match serde_json::from_str(&text) {
+            Ok(serde_json::Value::Array(v)) => assert_eq!(v.len(), 2),
+            other => panic!("not an array: {other:?}"),
+        }
+        std::fs::write(&path, "{}").unwrap();
+        let err = append_trajectory(&path, &1u32).unwrap_err();
+        assert_eq!(err, format!("{path} exists but is not a JSON array"));
+        std::fs::remove_file(&path).unwrap();
+    }
 
     #[test]
     fn choices_have_unique_names() {

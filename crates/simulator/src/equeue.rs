@@ -4,9 +4,9 @@
 //! [`ScheduledEvent`]s keyed by `(tick, class, seq)`. `tick` is the
 //! integer simulation tick the event fires at, `class` fixes the
 //! within-tick processing order (failures before the scheduling round,
-//! the round before its flight snapshot, snapshots before the timeline
-//! sample, the sample before the job-progress wave — exactly the order
-//! the reference tick loop executes those phases inside one tick), and
+//! the round before the timeline sample, the sample before the
+//! job-progress wave — exactly the order the reference tick loop
+//! executes those phases inside one tick), and
 //! `seq` is a stable sequence id assigned at scheduling time that
 //! breaks the remaining ties. The resulting pop order is a total order
 //! over scheduled events that does **not** depend on the order they
@@ -16,12 +16,14 @@
 //! Components schedule their own next event instead of being polled
 //! every tick: the scheduling round re-arms itself one interval ahead,
 //! the timeline sampler one sample period ahead, server failures are
-//! armed once at construction from the fault plan, job arrivals are
-//! armed at the round that will admit them, and the progress wave
-//! re-arms at the next loss-sample tick while any job is running (or
-//! at every tick while a straggler monitor is non-quiescent and must
-//! draw per-tick randomness). Idle spans therefore cost nothing at
-//! all — there is simply no event to pop.
+//! armed once at construction from the fault plan, and the progress
+//! wave re-arms at the next loss-sample tick while any job is running
+//! (or at every tick while a straggler monitor is non-quiescent and
+//! must draw per-tick randomness). Every event does work when it
+//! fires: arrivals need no event of their own, because every round
+//! admits whatever has arrived by then, and the round takes its own
+//! flight snapshot. Idle spans therefore cost nothing at all — there
+//! is simply no event to pop.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -34,18 +36,10 @@ use std::collections::BinaryHeap;
 pub enum SimEventType {
     /// A configured server crash becomes due (§5.4 failure model).
     ServerFailure,
-    /// A submitted job reaches the scheduling round that can first
-    /// admit it (`job` is the simulator's job index).
-    JobArrival {
-        /// Index of the arriving job in the simulation's job vector.
-        job: usize,
-    },
-    /// A §4 scheduling round: settle audits, refit estimators, divide
-    /// the cluster, apply placements.
+    /// A §4 scheduling round: admit arrivals, settle audits, refit
+    /// estimators, divide the cluster, apply placements, then take the
+    /// flight-recorder snapshot.
     SchedulingRound,
-    /// One flight-recorder cluster snapshot, armed by the round that
-    /// just completed at the same tick.
-    FlightSnapshot,
     /// A Fig-14 timeline sample (and the `--progress` status line).
     TimelineSample,
     /// A job-progress wave: every unfinished job advances through this
@@ -67,19 +61,17 @@ pub enum SimEventType {
 
 impl SimEventType {
     /// Within-tick processing class (lower fires first). Mirrors the
-    /// phase order of one reference-loop tick: failures, then the scheduling
-    /// round, then the flight snapshot, then the timeline sample, then
-    /// job advancement. Completions discovered inside an event-free
-    /// span share the advancement class — by construction no other
-    /// event exists at their tick.
+    /// phase order of one reference-loop tick: failures, then the
+    /// scheduling round (with its flight snapshot), then the timeline
+    /// sample, then job advancement. Completions discovered inside an
+    /// event-free span share the advancement class — by construction
+    /// no other event exists at their tick.
     pub fn class(&self) -> u8 {
         match self {
             SimEventType::ServerFailure => 0,
-            SimEventType::JobArrival { .. } => 1,
-            SimEventType::SchedulingRound => 2,
-            SimEventType::FlightSnapshot => 3,
-            SimEventType::TimelineSample => 4,
-            SimEventType::ProgressWave | SimEventType::JobCompletion { .. } => 5,
+            SimEventType::SchedulingRound => 1,
+            SimEventType::TimelineSample => 2,
+            SimEventType::ProgressWave | SimEventType::JobCompletion { .. } => 3,
         }
     }
 }
@@ -185,22 +177,23 @@ mod tests {
         q.schedule(10, SimEventType::ProgressWave); // seq 0
         q.schedule(10, SimEventType::ServerFailure); // seq 1, class 0
         q.schedule(5, SimEventType::TimelineSample); // seq 2
-        q.schedule(10, SimEventType::SchedulingRound); // seq 3, class 2
+        q.schedule(10, SimEventType::SchedulingRound); // seq 3, class 1
         let order: Vec<(u64, u8)> = std::iter::from_fn(|| q.pop())
             .map(|e| (e.tick, e.class))
             .collect();
-        assert_eq!(order, vec![(5, 4), (10, 0), (10, 2), (10, 5)]);
+        assert_eq!(order, vec![(5, 2), (10, 0), (10, 1), (10, 3)]);
     }
 
     #[test]
     fn same_tick_same_class_pops_by_seq() {
         let mut q = EventQueue::new();
-        q.schedule(7, SimEventType::JobArrival { job: 2 }); // seq 0
-        q.schedule(7, SimEventType::JobArrival { job: 0 }); // seq 1
-        q.schedule(7, SimEventType::JobArrival { job: 1 }); // seq 2
+        let done = |job| SimEventType::JobCompletion { job, finish: 7.0 };
+        q.schedule(7, done(2)); // seq 0
+        q.schedule(7, done(0)); // seq 1
+        q.schedule(7, done(1)); // seq 2
         let jobs: Vec<usize> = std::iter::from_fn(|| q.pop())
             .map(|e| match e.kind {
-                SimEventType::JobArrival { job } => job,
+                SimEventType::JobCompletion { job, .. } => job,
                 _ => unreachable!(),
             })
             .collect();
@@ -215,7 +208,7 @@ mod tests {
         let first = q.pop().unwrap();
         assert_eq!(first.kind, SimEventType::SchedulingRound);
         // Defer it: push it back unchanged; it must pop again before
-        // the sample (class 2 < class 4).
+        // the sample (class 1 < class 2).
         q.push(first);
         assert_eq!(q.pop().unwrap().kind, SimEventType::SchedulingRound);
         assert_eq!(q.pop().unwrap().kind, SimEventType::TimelineSample);

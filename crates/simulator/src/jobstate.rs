@@ -270,6 +270,51 @@ impl SimJob {
             && self.overhead_remaining_s <= 0.0
     }
 
+    /// True while the per-tick body can still change the job: it runs,
+    /// drains restart overhead, or owes the Overhead→next phase
+    /// transition.
+    pub(crate) fn needs_ticks(&self) -> bool {
+        self.status == JobStatus::Running
+            || self.overhead_remaining_s > 0.0
+            || self.jct.phase() == JctPhase::Overhead
+    }
+
+    /// Ground-truth step rate at the current configuration and
+    /// environment.
+    pub(crate) fn true_speed(&self) -> f64 {
+        self.truth().speed_with(self.ps, self.workers, &self.env)
+    }
+
+    /// Useful progress per step. Async staleness σ discounts it to
+    /// `1/(1 + σ·(w−1))`; the step rate (and hence communication
+    /// traffic) is unchanged.
+    pub(crate) fn step_efficiency(&self, async_staleness: f64) -> f64 {
+        match self.spec.mode {
+            TrainingMode::Asynchronous if async_staleness > 0.0 => {
+                1.0 / (1.0 + async_staleness * (self.workers.max(1) - 1) as f64)
+            }
+            _ => 1.0,
+        }
+    }
+
+    /// Finishes the job inside the tick `[t, t + dt)` in which its
+    /// progress crossed the ground-truth total at `speed`: the finish
+    /// instant is interpolated within the tick, the tasks are released
+    /// and the JCT phase clock closes at that instant, so the four
+    /// buckets sum to the reported JCT to the last float. Returns the
+    /// finish instant.
+    pub(crate) fn finish_within_tick(&mut self, t: f64, dt: f64, speed: f64) -> f64 {
+        let excess = self.steps_done - self.true_total_steps as f64;
+        let within = dt - excess / speed.max(1e-12);
+        let finish = t + within.clamp(0.0, dt);
+        self.finish_time = Some(finish);
+        self.status = JobStatus::Finished;
+        self.ps = 0;
+        self.workers = 0;
+        self.jct.settle(finish);
+        finish
+    }
+
     /// The PS load-imbalance factor for `p` shards under the given
     /// assignment policy.
     pub fn imbalance_for(&self, p: u32, use_paa: bool, seed: u64) -> f64 {
@@ -353,14 +398,6 @@ impl SimJob {
             + self.spec.profile().backward_time;
         let comm = (t - compute).max(0.0);
         (comm / t).clamp(0.0, 1.0)
-    }
-}
-
-/// Training-mode helper used by the engine when counting epoch steps.
-pub fn steps_per_epoch_for(spec: &JobSpec) -> u64 {
-    match spec.mode {
-        TrainingMode::Synchronous => spec.profile().sync_steps_per_epoch(spec.dataset_scale),
-        TrainingMode::Asynchronous => spec.profile().async_steps_per_epoch(spec.dataset_scale),
     }
 }
 

@@ -18,13 +18,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-
-/// What one job's tick body did ([`Simulation::advance_job_one_tick`]).
-#[derive(Debug, Clone, Copy, Default)]
-struct TickEffect {
-    /// The job crossed its ground-truth convergence point this tick.
-    finished: bool,
-}
+use std::time::Instant;
 
 /// Which parameter-block assignment the jobs' PS shards use (§5.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -144,8 +138,6 @@ pub struct SimConfig {
     /// seconds. `0` (the default) disables it; when disabled the cost
     /// is one float compare per timeline sample.
     pub progress_every_s: f64,
-    /// Print each scheduling round's decisions to stderr (debugging).
-    pub verbose: bool,
 }
 
 /// A speed-model refit outcome held for trace emission: coefficients,
@@ -192,7 +184,6 @@ impl Default for SimConfig {
             refit_threads: None,
             flight: None,
             progress_every_s: 0.0,
-            verbose: false,
         }
     }
 }
@@ -244,9 +235,8 @@ struct DeltaTrack {
     last_delta_jobs: u64,
     /// The most recent round was provably unchanged end to end.
     last_quiescent: bool,
-    /// Rounds diffed and whole-round skips taken, cumulative (drives
-    /// the `--progress` line).
-    rounds: u64,
+    /// Whole-round skips taken, cumulative (drives the `--progress`
+    /// line).
     skipped: u64,
 }
 
@@ -298,6 +288,65 @@ pub struct Simulation {
     refit: RefitBuffers,
     /// `optimus_parallel::available_threads()`, queried on first need.
     auto_threads: Option<usize>,
+    /// Scheduling rounds run so far (the current round's 1-based
+    /// number once it starts).
+    round: u64,
+    /// The Fig-14 timeline samples taken so far.
+    timeline: Vec<TimePoint>,
+    /// Straggler replacements started so far.
+    straggler_replacements: usize,
+    /// The `--progress` status line (`None` = off).
+    progress: Option<ProgressLine>,
+    /// The event engine's per-job speed while provably tick-invariant
+    /// (`None` = recompute). The tick-loop oracle never fills it.
+    speed_cache: Vec<Option<f64>>,
+}
+
+/// The run's tick grid, in ticks of [`SimConfig::tick_s`].
+#[derive(Debug, Clone, Copy)]
+struct Ticks {
+    /// Between scheduling rounds.
+    interval: u64,
+    /// Between timeline samples.
+    sample: u64,
+    /// Between observed loss points.
+    loss: u64,
+    /// The time cap: ticks `0..max` run.
+    max: u64,
+}
+
+impl Ticks {
+    fn of(cfg: &SimConfig) -> Self {
+        let every = |s: f64| (s / cfg.tick_s).round().max(1.0) as u64;
+        Ticks {
+            interval: every(cfg.interval_s),
+            sample: every(cfg.sample_every_s),
+            loss: every(cfg.loss_sample_every_s),
+            max: (cfg.max_time_s / cfg.tick_s).round() as u64,
+        }
+    }
+}
+
+/// State of the live `--progress` status line
+/// ([`SimConfig::progress_every_s`]): when it last printed, and the
+/// event counts then, for the rates.
+#[derive(Debug)]
+struct ProgressLine {
+    last: Instant,
+    last_events: u64,
+    last_queue: u64,
+}
+
+impl ProgressLine {
+    /// A line whose first print is one period from now, or `None` when
+    /// the config disables it.
+    fn start(cfg: &SimConfig) -> Option<Self> {
+        (cfg.progress_every_s > 0.0).then(|| ProgressLine {
+            last: Instant::now(),
+            last_events: 0,
+            last_queue: 0,
+        })
+    }
 }
 
 impl Simulation {
@@ -330,6 +379,7 @@ impl Simulation {
         }
         let flight = config.flight.as_ref().map(FlightRecorder::from_config);
         let arrivals = arrival_index(&jobs);
+        let n_jobs = jobs.len();
         Simulation {
             cluster,
             jobs,
@@ -351,15 +401,58 @@ impl Simulation {
             settle: Vec::new(),
             refit: RefitBuffers::default(),
             auto_threads: None,
+            round: 0,
+            timeline: Vec::new(),
+            straggler_replacements: 0,
+            progress: None,
+            speed_cache: vec![None; n_jobs],
         }
     }
 
-    /// Appends an event if recording is enabled (always counted).
-    fn log(&mut self, t: f64, kind: SimEventKind) {
+    /// Records one job-lifecycle fact; the only writer of the event
+    /// log. It counts the fact (`events_seen`), appends it to the log
+    /// when `record_events` is on, and emits its `JobEvent` trace line
+    /// stamped at `trace_t`: the log time `t`, except a finish, traced
+    /// at its exact intra-tick instant. Chunk rebalances have no trace
+    /// line.
+    fn log(&mut self, t: f64, trace_t: f64, kind: SimEventKind) {
         self.events_seen += 1;
+        let tel = &self.config.telemetry;
+        if tel.is_enabled() {
+            let line = match &kind {
+                SimEventKind::JobAdmitted { job, .. } => Some((job, "admitted".to_string())),
+                SimEventKind::JobScheduled {
+                    job, ps, workers, ..
+                } => Some((job, format!("scheduled p={ps} w={workers}"))),
+                SimEventKind::JobPaused { job } => Some((job, "paused".to_string())),
+                SimEventKind::JobFinished { job, .. } => Some((job, "finished".to_string())),
+                SimEventKind::StragglerReplaced { job, replacements } => {
+                    Some((job, format!("straggler_replaced x{replacements}")))
+                }
+                SimEventKind::ChunksRebalanced { .. } => None,
+            };
+            if let Some((job, what)) = line {
+                tel.record(TraceEvent::JobEvent {
+                    t_s: trace_t,
+                    job: job.0,
+                    what,
+                });
+            }
+        }
         if self.config.record_events {
             self.events.push(t, kind);
         }
+    }
+
+    /// Records job `i`'s ground-truth completion at `finish`, logged at
+    /// the time `t` of the tick it happened in.
+    fn log_finish(&mut self, t: f64, i: usize, finish: f64) {
+        let spec = &self.jobs[i].spec;
+        let kind = SimEventKind::JobFinished {
+            job: spec.id,
+            jct: finish - spec.submit_time,
+        };
+        self.log(t, finish, kind);
     }
 
     /// The equivalence oracle: a plain fixed-tick loop that visits every
@@ -374,103 +467,86 @@ impl Simulation {
     ///
     /// [`run`]: Simulation::run
     pub fn run_reference(&mut self) -> SimReport {
-        let cfg = self.config.clone();
-        let ticks_per_interval = (cfg.interval_s / cfg.tick_s).round().max(1.0) as u64;
-        let ticks_per_sample = (cfg.sample_every_s / cfg.tick_s).round().max(1.0) as u64;
-        let loss_every = (cfg.loss_sample_every_s / cfg.tick_s).round().max(1.0) as u64;
-        let max_ticks = (cfg.max_time_s / cfg.tick_s).round() as u64;
-
-        let mut timeline = Vec::new();
-        let mut straggler_replacements_done = 0usize;
-        let tel = cfg.telemetry.clone();
-        let mut round: u64 = 0;
-
-        // Live progress line (off by default). When disabled the only
-        // residual cost is one boolean check per timeline sample.
-        let progress_on = cfg.progress_every_s > 0.0;
-        let mut last_progress = std::time::Instant::now();
-        let mut last_progress_events = 0u64;
-
-        // The per-tick body never fills the speed cache here (it is
-        // called without speed reuse), so this stays all-`None`.
-        let mut speed_cache: Vec<Option<f64>> = vec![None; self.jobs.len()];
-
-        for tick in 0..max_ticks {
-            let t = tick as f64 * cfg.tick_s;
-
+        let ticks = Ticks::of(&self.config);
+        self.progress = ProgressLine::start(&self.config);
+        for tick in 0..ticks.max {
+            let t = tick as f64 * self.config.tick_s;
             self.process_server_failures(t);
-            if tick.is_multiple_of(ticks_per_interval) {
-                let started = std::time::Instant::now();
-                self.run_scheduling_round(t, round + 1);
-                round += 1;
-                if tel.is_enabled() {
-                    let wall_us = started.elapsed().as_micros() as u64;
-                    tel.observe("sim.round_wall_us", wall_us as f64);
-                    tel.record(TraceEvent::Round {
-                        round,
-                        t_s: t,
-                        active_jobs: self.live.len(),
-                        wall_us,
-                    });
-                }
-                // Feed the flight recorder *after* the round applied
-                // its decisions: the snapshot reads state, never
-                // writes it, so decisions are identical with the
-                // recorder on or off.
-                if let Some(mut rec) = self.flight.take() {
-                    let deltas = rec.counter_deltas(&tel);
-                    rec.record(self.sample_flight(round, t, deltas));
-                    self.flight = Some(rec);
-                }
+            if tick.is_multiple_of(ticks.interval) {
+                self.round_step(t);
             }
-            if tick.is_multiple_of(ticks_per_sample) {
-                let point = self.sample_timeline(t);
-                if progress_on {
-                    let elapsed = last_progress.elapsed().as_secs_f64();
-                    if elapsed >= cfg.progress_every_s {
-                        let ev_per_s =
-                            (self.events_seen - last_progress_events) as f64 / elapsed.max(1e-9);
-                        eprint!(
-                            "\r[optimus-sim] round {round} t={t:.0}s active={} util={:.2} dirty={} skips={} prov={} ev/s={ev_per_s:.1}    ",
-                            point.active_jobs,
-                            point.worker_utilization,
-                            self.track.last_delta_jobs,
-                            self.track.skipped,
-                            tel.why_count()
-                        );
-                        last_progress = std::time::Instant::now();
-                        last_progress_events = self.events_seen;
-                    }
-                }
-                timeline.push(point);
+            if tick.is_multiple_of(ticks.sample) {
+                self.sample_step(t, None);
             }
-
-            // Advance every job by one tick (the body the event
-            // engine's waves share, so per-tick semantics cannot drift).
-            let loss_tick = tick.is_multiple_of(loss_every);
+            let loss_tick = tick.is_multiple_of(ticks.loss);
             for i in 0..self.jobs.len() {
-                self.advance_job_one_tick(
-                    i,
-                    t,
-                    loss_tick,
-                    false,
-                    &mut speed_cache,
-                    &mut straggler_replacements_done,
-                );
+                self.advance_job_one_tick(i, t, loss_tick, false);
             }
-
             if self.jobs.iter().all(|j| j.status == JobStatus::Finished) {
                 break;
             }
         }
+        self.finalize_report()
+    }
 
-        if progress_on {
-            // The status line uses `\r`; leave the cursor on a fresh
-            // line so whatever prints next is not glued to it.
-            eprintln!();
+    /// One scheduling round at `t` and its epilogue, shared by both
+    /// loops: the round's wall time (`sim.round_wall_us` and the
+    /// `Round` trace record) and the flight snapshot. The snapshot is
+    /// taken after the round applied its decisions; it reads state and
+    /// never writes it, so decisions are identical with the recorder
+    /// on or off.
+    fn round_step(&mut self, t: f64) {
+        let started = Instant::now();
+        self.round += 1;
+        self.run_scheduling_round(t);
+        let tel = &self.config.telemetry;
+        if tel.is_enabled() {
+            let wall_us = started.elapsed().as_micros() as u64;
+            tel.observe("sim.round_wall_us", wall_us as f64);
+            tel.record(TraceEvent::Round {
+                round: self.round,
+                t_s: t,
+                active_jobs: self.live.len(),
+                wall_us,
+            });
         }
+        if let Some(mut rec) = self.flight.take() {
+            let deltas = rec.counter_deltas(&self.config.telemetry);
+            rec.record(self.sample_flight(t, deltas));
+            self.flight = Some(rec);
+        }
+    }
 
-        self.finalize_report(timeline, straggler_replacements_done, round)
+    /// One Fig-14 timeline sample at `t`, shared by both loops, and the
+    /// `--progress` line when it is due. `queue_scheduled` is the event
+    /// engine's calendar count, printed as a rate of its own.
+    fn sample_step(&mut self, t: f64, queue_scheduled: Option<u64>) {
+        let point = self.sample_timeline(t);
+        if let Some(line) = &mut self.progress {
+            let elapsed = line.last.elapsed().as_secs_f64();
+            if elapsed >= self.config.progress_every_s {
+                let rate = |now: u64, then: u64| (now - then) as f64 / elapsed.max(1e-9);
+                let queue = queue_scheduled.map_or(String::new(), |q| {
+                    format!(" queue-ev/s={:.1}", rate(q, line.last_queue))
+                });
+                eprint!(
+                    "\r[optimus-sim] round {} t={t:.0}s active={} util={:.2} dirty={} skips={} prov={} ev/s={:.1}{queue}    ",
+                    self.round,
+                    point.active_jobs,
+                    point.worker_utilization,
+                    self.track.last_delta_jobs,
+                    self.track.skipped,
+                    self.config.telemetry.why_count(),
+                    rate(self.events_seen, line.last_events),
+                );
+                *line = ProgressLine {
+                    last: Instant::now(),
+                    last_events: self.events_seen,
+                    last_queue: queue_scheduled.unwrap_or(0),
+                };
+            }
+        }
+        self.timeline.push(point);
     }
 
     /// Shared post-loop settlement and report assembly for both
@@ -480,15 +556,13 @@ impl Simulation {
     /// engines to arrive here with identical job state, event log,
     /// audit and flight recorder — which the loop equivalences
     /// guarantee.
-    fn finalize_report(
-        &mut self,
-        timeline: Vec<TimePoint>,
-        straggler_replacements_done: usize,
-        round: u64,
-    ) -> SimReport {
-        let cfg = self.config.clone();
-        let tel = cfg.telemetry.clone();
-        let max_ticks = (cfg.max_time_s / cfg.tick_s).round() as u64;
+    fn finalize_report(&mut self) -> SimReport {
+        if self.progress.is_some() {
+            // The status line uses `\r`; leave the cursor on a fresh
+            // line so whatever prints next is not glued to it.
+            eprintln!();
+        }
+        let tel = self.config.telemetry.clone();
 
         // Final estimator-audit settlement: predictions armed at the
         // last scheduling round have seen a full interval of realized
@@ -499,12 +573,12 @@ impl Simulation {
                 self.jobs[i].spec.id.0,
                 self.jobs[i].observed_interval_speed(),
             );
-            self.audit.settle_speed(&tel, round + 1, id, realized);
+            self.audit.settle_speed(&tel, self.round + 1, id, realized);
         }
 
         // Close the phase clocks of jobs still alive at the cap, so
         // unfinished breakdowns partition `cap − submit` exactly.
-        let end_t = max_ticks as f64 * cfg.tick_s;
+        let end_t = Ticks::of(&self.config).max as f64 * self.config.tick_s;
         for job in self.jobs.iter_mut() {
             job.jct.settle(end_t);
         }
@@ -534,7 +608,7 @@ impl Simulation {
         let last_finish = self
             .jobs
             .iter()
-            .map(|j| j.finish_time.unwrap_or(cfg.max_time_s))
+            .map(|j| j.finish_time.unwrap_or(self.config.max_time_s))
             .fold(0.0_f64, f64::max);
         let waits: Vec<_> = self
             .jobs
@@ -551,14 +625,14 @@ impl Simulation {
             makespan: (last_finish - first_arrival.min(last_finish)).max(0.0),
             scaling_overhead_s: self.jobs.iter().map(|j| j.overhead_total_s).sum(),
             scale_events: self.jobs.iter().map(|j| j.scale_events).sum(),
-            straggler_replacements: straggler_replacements_done,
+            straggler_replacements: self.straggler_replacements,
             chunks_moved: self.jobs.iter().map(|j| j.chunks_moved).sum(),
             unfinished_jobs: self
                 .jobs
                 .iter()
                 .filter(|j| j.status != JobStatus::Finished)
                 .count(),
-            timeline,
+            timeline: std::mem::take(&mut self.timeline),
             events: std::mem::take(&mut self.events),
             fidelity: std::mem::take(&mut self.fidelity),
             telemetry: tel.is_enabled().then(|| tel.summary()),
@@ -572,61 +646,36 @@ impl Simulation {
     /// the report.
     ///
     /// The discrete-event core: a binary-heap calendar ([`EventQueue`])
-    /// of typed events — job arrivals and completions, scheduling
-    /// rounds, flight snapshots, timeline samples, server failures, and
-    /// job-progress waves — where each component schedules its own next
-    /// event. The tick grid between
+    /// of typed events — server failures, scheduling rounds (which
+    /// admit arrivals and take the flight snapshot), timeline samples,
+    /// job-progress waves and job completions — where each component
+    /// schedules its own next event. The tick grid between
     /// events is replayed per active job as tight arithmetic spans
     /// ([`Simulation::advance_job_span`]), so the cost of a run is
     /// proportional to events and running-job work, not to
     /// `jobs × ticks`. Results are byte-identical to
     /// [`Simulation::run_reference`] — the equivalence suite proves it.
     pub fn run(&mut self) -> SimReport {
-        let cfg = self.config.clone();
-        let ticks_per_interval = (cfg.interval_s / cfg.tick_s).round().max(1.0) as u64;
-        let ticks_per_sample = (cfg.sample_every_s / cfg.tick_s).round().max(1.0) as u64;
-        let loss_every = (cfg.loss_sample_every_s / cfg.tick_s).round().max(1.0) as u64;
-        let max_ticks = (cfg.max_time_s / cfg.tick_s).round() as u64;
-        let tel = cfg.telemetry.clone();
-
-        let mut timeline = Vec::new();
-        let mut straggler_replacements_done = 0usize;
-        let mut round: u64 = 0;
-
-        let progress_on = cfg.progress_every_s > 0.0;
-        let mut last_progress = std::time::Instant::now();
-        let mut last_progress_events = 0u64;
-        let mut last_progress_queue = 0u64;
-
-        let mut speed_cache: Vec<Option<f64>> = vec![None; self.jobs.len()];
-        // Jobs whose per-tick body can still have an effect: running,
-        // draining overhead, or holding a pending Overhead-phase
-        // transition. Ascending by index; rebuilt at rounds/failures.
+        let ticks = Ticks::of(&self.config);
+        let tick_s = self.config.tick_s;
+        self.progress = ProgressLine::start(&self.config);
+        // Jobs whose per-tick body can still have an effect
+        // (`SimJob::needs_ticks`). Ascending by index; rebuilt at
+        // rounds/failures.
         let mut active: Vec<usize> = Vec::new();
         let mut unfinished = self.jobs.len();
         let mut waves = 0u64;
 
         // Seed the calendar. Rounds and samples re-arm themselves; one
-        // failure event per configured crash; one arrival event per job
-        // at the first round tick that can admit it.
+        // failure event per configured crash.
         let mut queue = EventQueue::new();
-        if max_ticks > 0 {
+        if ticks.max > 0 {
             queue.schedule(0, SimEventType::SchedulingRound);
             queue.schedule(0, SimEventType::TimelineSample);
-            for &(at, _) in &cfg.server_failures {
-                let trig = Self::first_tick_at(at, cfg.tick_s);
-                if trig < max_ticks {
+            for &(at, _) in &self.config.server_failures {
+                let trig = Self::first_tick_at(at, tick_s);
+                if trig < ticks.max {
                     queue.schedule(trig, SimEventType::ServerFailure);
-                }
-            }
-            for (i, job) in self.jobs.iter().enumerate() {
-                let eligible = Self::first_tick_at(job.spec.submit_time, cfg.tick_s);
-                if eligible >= max_ticks {
-                    continue;
-                }
-                let round_tick = eligible.div_ceil(ticks_per_interval) * ticks_per_interval;
-                if round_tick < max_ticks {
-                    queue.schedule(round_tick, SimEventType::JobArrival { job: i });
                 }
             }
         }
@@ -637,7 +686,7 @@ impl Simulation {
         let mut cursor: u64 = 0;
         let mut current_tick: u64 = 0;
         while let Some(ev) = queue.pop() {
-            if ev.tick >= max_ticks {
+            if ev.tick >= ticks.max {
                 break;
             }
             if unfinished == 0 && ev.tick > current_tick {
@@ -653,7 +702,7 @@ impl Simulation {
             if ev.tick > cursor {
                 let from = cursor;
                 cursor = ev.tick;
-                if self.advance_range(from, ev.tick, &mut speed_cache, &mut active, &mut queue) {
+                if self.advance_range(from, ev.tick, &mut active, &mut queue) {
                     // Interior completions were queued; they sort
                     // before `ev`, so put it back (its seq keeps its
                     // slot) and let them drain first.
@@ -662,37 +711,17 @@ impl Simulation {
                 }
             }
             current_tick = ev.tick;
-            let t = ev.tick as f64 * cfg.tick_s;
+            let t = ev.tick as f64 * tick_s;
             match ev.kind {
                 SimEventType::ServerFailure => {
                     if self.process_server_failures(t) {
-                        self.clear_speed_cache(&mut speed_cache);
+                        self.clear_speed_cache();
                         self.rebuild_active(&mut active);
                     }
                 }
-                SimEventType::JobArrival { .. } => {
-                    // Calendar marker: the job is eligible from this
-                    // round tick on; the round at the same tick (later
-                    // class) performs the actual admission.
-                }
                 SimEventType::SchedulingRound => {
-                    let started = std::time::Instant::now();
-                    self.run_scheduling_round(t, round + 1);
-                    self.clear_speed_cache(&mut speed_cache);
-                    round += 1;
-                    if tel.is_enabled() {
-                        let wall_us = started.elapsed().as_micros() as u64;
-                        tel.observe("sim.round_wall_us", wall_us as f64);
-                        tel.record(TraceEvent::Round {
-                            round,
-                            t_s: t,
-                            active_jobs: self.live.len(),
-                            wall_us,
-                        });
-                    }
-                    if self.flight.is_some() {
-                        queue.schedule(ev.tick, SimEventType::FlightSnapshot);
-                    }
+                    self.round_step(t);
+                    self.clear_speed_cache();
                     self.rebuild_active(&mut active);
                     // This tick's own job advancement still has to run
                     // (and newly placed jobs may need per-tick
@@ -703,59 +732,23 @@ impl Simulation {
                     {
                         queue.schedule(ev.tick, SimEventType::ProgressWave);
                     }
-                    let next = ev.tick + ticks_per_interval;
-                    if next < max_ticks {
+                    let next = ev.tick + ticks.interval;
+                    if next < ticks.max {
                         queue.schedule(next, SimEventType::SchedulingRound);
                     }
                 }
-                SimEventType::FlightSnapshot => {
-                    if let Some(mut rec) = self.flight.take() {
-                        let deltas = rec.counter_deltas(&tel);
-                        rec.record(self.sample_flight(round, t, deltas));
-                        self.flight = Some(rec);
-                    }
-                }
                 SimEventType::TimelineSample => {
-                    let point = self.sample_timeline(t);
-                    if progress_on {
-                        let elapsed = last_progress.elapsed().as_secs_f64();
-                        if elapsed >= cfg.progress_every_s {
-                            let ev_per_s = (self.events_seen - last_progress_events) as f64
-                                / elapsed.max(1e-9);
-                            let q_per_s = (queue.scheduled() - last_progress_queue) as f64
-                                / elapsed.max(1e-9);
-                            eprint!(
-                                "\r[optimus-sim] round {round} t={t:.0}s active={} util={:.2} dirty={} skips={} prov={} ev/s={ev_per_s:.1} queue-ev/s={q_per_s:.1}    ",
-                                point.active_jobs,
-                                point.worker_utilization,
-                                self.track.last_delta_jobs,
-                                self.track.skipped,
-                                tel.why_count()
-                            );
-                            last_progress = std::time::Instant::now();
-                            last_progress_events = self.events_seen;
-                            last_progress_queue = queue.scheduled();
-                        }
-                    }
-                    timeline.push(point);
-                    let next = ev.tick + ticks_per_sample;
-                    if next < max_ticks {
+                    self.sample_step(t, Some(queue.scheduled()));
+                    let next = ev.tick + ticks.sample;
+                    if next < ticks.max {
                         queue.schedule(next, SimEventType::TimelineSample);
                     }
                 }
                 SimEventType::ProgressWave => {
                     waves += 1;
-                    let loss_tick = ev.tick.is_multiple_of(loss_every);
+                    let loss_tick = ev.tick.is_multiple_of(ticks.loss);
                     for &i in &active {
-                        let effect = self.advance_job_one_tick(
-                            i,
-                            t,
-                            loss_tick,
-                            true,
-                            &mut speed_cache,
-                            &mut straggler_replacements_done,
-                        );
-                        if effect.finished {
+                        if self.advance_job_one_tick(i, t, loss_tick, true) {
                             unfinished -= 1;
                         }
                     }
@@ -768,14 +761,14 @@ impl Simulation {
                     // draws per-tick randomness, else at the next
                     // loss-sample tick (the spans between are pure
                     // arithmetic).
-                    if let Some(next) = self.next_wave_tick(ev.tick, loss_every, &active) {
-                        if next < max_ticks {
+                    if let Some(next) = self.next_wave_tick(ev.tick, ticks.loss, &active) {
+                        if next < ticks.max {
                             queue.schedule(next, SimEventType::ProgressWave);
                         }
                     }
                 }
                 SimEventType::JobCompletion { job, finish } => {
-                    self.emit_completion(ev.tick, job, finish);
+                    self.log_finish(t, job, finish);
                     unfinished -= 1;
                 }
             }
@@ -785,24 +778,20 @@ impl Simulation {
         // unfinished: replay the remaining event-free ticks up to the
         // cap, exactly as the tick loop would.
         if unfinished > 0
-            && cursor < max_ticks
-            && self.advance_range(cursor, max_ticks, &mut speed_cache, &mut active, &mut queue)
+            && cursor < ticks.max
+            && self.advance_range(cursor, ticks.max, &mut active, &mut queue)
         {
             while let Some(ev) = queue.pop() {
-                if ev.tick >= max_ticks {
+                if ev.tick >= ticks.max {
                     continue;
                 }
                 if let SimEventType::JobCompletion { job, finish } = ev.kind {
-                    self.emit_completion(ev.tick, job, finish);
+                    self.log_finish(ev.tick as f64 * tick_s, job, finish);
                 }
             }
         }
 
-        if progress_on {
-            // The status line uses `\r`; leave the cursor on a fresh
-            // line so whatever prints next is not glued to it.
-            eprintln!();
-        }
+        let tel = &self.config.telemetry;
         if tel.is_enabled() {
             // Event-count accounting. Added only at the very end of
             // the run so flight-snapshot counter deltas stay
@@ -811,7 +800,7 @@ impl Simulation {
             tel.add("sim.waves", waves);
         }
 
-        self.finalize_report(timeline, straggler_replacements_done, round)
+        self.finalize_report()
     }
 
     /// Advances job `i` through one simulation tick at time `t` —
@@ -822,23 +811,21 @@ impl Simulation {
     /// `reuse_speed`, cached while provably tick-invariant), progress
     /// integration, the observed loss sample (RNG, on loss ticks), and
     /// the ground-truth convergence check with intra-tick finish
-    /// interpolation.
+    /// interpolation. Returns true when the job finished this tick.
     fn advance_job_one_tick(
         &mut self,
         i: usize,
         t: f64,
         loss_tick: bool,
         reuse_speed: bool,
-        speed_cache: &mut [Option<f64>],
-        straggler_replacements_done: &mut usize,
-    ) -> TickEffect {
+    ) -> bool {
         let dt = self.config.tick_s;
         if self.jobs[i].status == JobStatus::Finished {
-            return TickEffect::default();
+            return false;
         }
         if self.jobs[i].overhead_remaining_s > 0.0 {
             self.jobs[i].overhead_remaining_s -= dt;
-            return TickEffect::default();
+            return false;
         }
         if self.jobs[i].jct.phase() == JctPhase::Overhead {
             // The restart overhead just drained: charge the span and
@@ -850,7 +837,7 @@ impl Simulation {
             self.jobs[i].jct.transition(next, t);
         }
         if self.jobs[i].status != JobStatus::Running {
-            return TickEffect::default();
+            return false;
         }
         let speed = if reuse_speed && self.jobs[i].stragglers.is_quiescent() {
             // A quiescent monitor makes `advance` a state/RNG no-op and
@@ -859,60 +846,30 @@ impl Simulation {
             // `env.worker_slowdown` and the monitor cannot have changed
             // since): skip both, and reuse the speed — all of its
             // inputs are tick-invariant between invalidation points.
-            match speed_cache[i] {
-                Some(s) => s,
-                None => {
-                    let truth = self.jobs[i].truth();
-                    let s =
-                        truth.speed_with(self.jobs[i].ps, self.jobs[i].workers, &self.jobs[i].env);
-                    speed_cache[i] = Some(s);
-                    s
-                }
-            }
+            self.cached_speed(i)
         } else {
-            speed_cache[i] = None;
+            self.speed_cache[i] = None;
             // Straggler dynamics.
             let before = self.jobs[i].stragglers.replacements();
             self.jobs[i].stragglers.advance(dt, &mut self.rng);
             let replaced = self.jobs[i].stragglers.replacements() - before;
-            *straggler_replacements_done += replaced;
+            self.straggler_replacements += replaced;
             if replaced > 0 {
-                let id = self.jobs[i].spec.id;
-                self.log(
-                    t,
-                    SimEventKind::StragglerReplaced {
-                        job: id,
-                        replacements: replaced,
-                    },
-                );
-                if self.config.telemetry.is_enabled() {
-                    self.config.telemetry.record(TraceEvent::JobEvent {
-                        t_s: t,
-                        job: id.0,
-                        what: format!("straggler_replaced x{replaced}"),
-                    });
-                }
+                let kind = SimEventKind::StragglerReplaced {
+                    job: self.jobs[i].spec.id,
+                    replacements: replaced,
+                };
+                self.log(t, t, kind);
             }
-            {
-                let job = &mut self.jobs[i];
-                job.stragglers
-                    .slowdown_factors_into(&mut job.env.worker_slowdown);
-            }
-
-            let truth = self.jobs[i].truth();
-            truth.speed_with(self.jobs[i].ps, self.jobs[i].workers, &self.jobs[i].env)
+            let job = &mut self.jobs[i];
+            job.stragglers
+                .slowdown_factors_into(&mut job.env.worker_slowdown);
+            job.true_speed()
         };
         if speed <= 0.0 {
-            return TickEffect::default();
+            return false;
         }
-        // Async staleness discounts the *useful* progress per step; the
-        // step rate (and hence communication traffic) is unchanged.
-        let efficiency = match self.jobs[i].spec.mode {
-            TrainingMode::Asynchronous if self.config.async_staleness > 0.0 => {
-                1.0 / (1.0 + self.config.async_staleness * (self.jobs[i].workers.max(1) - 1) as f64)
-            }
-            _ => 1.0,
-        };
+        let efficiency = self.jobs[i].step_efficiency(self.config.async_staleness);
         self.jobs[i].steps_done += speed * dt * efficiency;
         self.jobs[i].interval_active_s += dt;
 
@@ -929,34 +886,19 @@ impl Simulation {
         }
 
         // Ground-truth convergence check.
-        let total = self.jobs[i].true_total_steps as f64;
-        let mut finished = false;
-        if self.jobs[i].steps_done >= total {
-            let excess = self.jobs[i].steps_done - total;
-            let within = dt - excess / speed.max(1e-12);
-            let finish = t + within.clamp(0.0, dt);
-            self.jobs[i].finish_time = Some(finish);
-            self.jobs[i].status = JobStatus::Finished;
-            self.jobs[i].ps = 0;
-            self.jobs[i].workers = 0;
-            // Close the JCT phase clock at the exact (possibly
-            // intra-tick) finish instant, so the four buckets sum to
-            // the reported JCT to the last float.
-            self.jobs[i].jct.settle(finish);
-            speed_cache[i] = None;
-            let id = self.jobs[i].spec.id;
-            let jct = finish - self.jobs[i].spec.submit_time;
-            self.log(t, SimEventKind::JobFinished { job: id, jct });
-            if self.config.telemetry.is_enabled() {
-                self.config.telemetry.record(TraceEvent::JobEvent {
-                    t_s: finish,
-                    job: id.0,
-                    what: "finished".to_string(),
-                });
-            }
-            finished = true;
+        if self.jobs[i].steps_done >= self.jobs[i].true_total_steps as f64 {
+            let finish = self.jobs[i].finish_within_tick(t, dt, speed);
+            self.speed_cache[i] = None;
+            self.log_finish(t, i, finish);
+            return true;
         }
-        TickEffect { finished }
+        false
+    }
+
+    /// Job `i`'s ground-truth speed from the event engine's cache,
+    /// computed on a miss.
+    fn cached_speed(&mut self, i: usize) -> f64 {
+        *self.speed_cache[i].get_or_insert_with(|| self.jobs[i].true_speed())
     }
 
     /// Replays the event-free tick span `[from, to)` for every active
@@ -972,13 +914,12 @@ impl Simulation {
         &mut self,
         from: u64,
         to: u64,
-        speed_cache: &mut [Option<f64>],
         active: &mut Vec<usize>,
         queue: &mut EventQueue,
     ) -> bool {
         let mut finished_any = false;
         for &i in active.iter() {
-            if let Some((tick, finish)) = self.advance_job_span(i, from, to, speed_cache) {
+            if let Some((tick, finish)) = self.advance_job_span(i, from, to) {
                 queue.schedule(tick, SimEventType::JobCompletion { job: i, finish });
                 finished_any = true;
             }
@@ -992,13 +933,7 @@ impl Simulation {
     /// straggler randomness, scheduling decisions). Returns the
     /// `(tick, finish_time)` of a ground-truth completion, if one
     /// happened inside the span.
-    fn advance_job_span(
-        &mut self,
-        i: usize,
-        from: u64,
-        to: u64,
-        speed_cache: &mut [Option<f64>],
-    ) -> Option<(u64, f64)> {
+    fn advance_job_span(&mut self, i: usize, from: u64, to: u64) -> Option<(u64, f64)> {
         let dt = self.config.tick_s;
         let mut tick = from;
         {
@@ -1027,44 +962,22 @@ impl Simulation {
                 return None;
             }
         }
-        let speed = match speed_cache[i] {
-            Some(s) => s,
-            None => {
-                let truth = self.jobs[i].truth();
-                let s = truth.speed_with(self.jobs[i].ps, self.jobs[i].workers, &self.jobs[i].env);
-                speed_cache[i] = Some(s);
-                s
-            }
-        };
+        let speed = self.cached_speed(i);
         if speed <= 0.0 {
             return None;
         }
-        let efficiency = match self.jobs[i].spec.mode {
-            TrainingMode::Asynchronous if self.config.async_staleness > 0.0 => {
-                1.0 / (1.0 + self.config.async_staleness * (self.jobs[i].workers.max(1) - 1) as f64)
-            }
-            _ => 1.0,
-        };
         // `speed * dt * efficiency` multiplies the identical operands
         // on every tick of the span, so hoisting the product preserves
         // the tick loop's float results bit for bit.
-        let inc = speed * dt * efficiency;
+        let inc = speed * dt * self.jobs[i].step_efficiency(self.config.async_staleness);
         let job = &mut self.jobs[i];
         let total = job.true_total_steps as f64;
         while tick < to {
             job.steps_done += inc;
             job.interval_active_s += dt;
             if job.steps_done >= total {
-                let t = tick as f64 * dt;
-                let excess = job.steps_done - total;
-                let within = dt - excess / speed.max(1e-12);
-                let finish = t + within.clamp(0.0, dt);
-                job.finish_time = Some(finish);
-                job.status = JobStatus::Finished;
-                job.ps = 0;
-                job.workers = 0;
-                job.jct.settle(finish);
-                speed_cache[i] = None;
+                let finish = job.finish_within_tick(tick as f64 * dt, dt, speed);
+                self.speed_cache[i] = None;
                 return Some((tick, finish));
             }
             tick += 1;
@@ -1072,55 +985,33 @@ impl Simulation {
         None
     }
 
-    /// Logs a ground-truth completion discovered inside an event-free
-    /// span, at the tick time the tick loop would have logged it.
-    fn emit_completion(&mut self, tick: u64, job: usize, finish: f64) {
-        let t = tick as f64 * self.config.tick_s;
-        let id = self.jobs[job].spec.id;
-        let jct = finish - self.jobs[job].spec.submit_time;
-        self.log(t, SimEventKind::JobFinished { job: id, jct });
-        if self.config.telemetry.is_enabled() {
-            self.config.telemetry.record(TraceEvent::JobEvent {
-                t_s: finish,
-                job: id.0,
-                what: "finished".to_string(),
-            });
-        }
-    }
-
     /// Rebuilds the active-job index list (ascending): jobs whose
     /// per-tick body can still have an effect. Pending and finished
     /// jobs never qualify, so the live list holds every candidate.
     fn rebuild_active(&self, active: &mut Vec<usize>) {
         active.clear();
-        active.extend(self.live.iter().copied().filter(|&i| {
-            let j = &self.jobs[i];
-            j.status == JobStatus::Running
-                || j.overhead_remaining_s > 0.0
-                || j.jct.phase() == JctPhase::Overhead
-        }));
+        active.extend(
+            self.live
+                .iter()
+                .copied()
+                .filter(|&i| self.jobs[i].needs_ticks()),
+        );
     }
 
     /// Invalidates the event engine's per-job speed cache. Only running
     /// jobs hold entries, and a finish clears its own, so clearing the
     /// live jobs' entries clears them all.
-    fn clear_speed_cache(&self, speed_cache: &mut [Option<f64>]) {
+    fn clear_speed_cache(&mut self) {
         for &i in &self.live {
-            speed_cache[i] = None;
+            self.speed_cache[i] = None;
         }
-        debug_assert!(speed_cache.iter().all(Option::is_none));
+        debug_assert!(self.speed_cache.iter().all(Option::is_none));
     }
 
     /// Drops jobs whose per-tick body became a no-op (finished, or
     /// drained without a placement) from the active list.
     fn prune_active(&self, active: &mut Vec<usize>) {
-        let jobs = &self.jobs;
-        active.retain(|&i| {
-            let j = &jobs[i];
-            j.status == JobStatus::Running
-                || j.overhead_remaining_s > 0.0
-                || j.jct.phase() == JctPhase::Overhead
-        });
+        active.retain(|&i| self.jobs[i].needs_ticks());
     }
 
     /// When (if at all) the next job-progress wave must fire after a
@@ -1206,10 +1097,11 @@ impl Simulation {
         applied
     }
 
-    /// One §4 scheduling round at time `t` (1-based `round` number, for
-    /// the audit trail).
-    fn run_scheduling_round(&mut self, t: f64, round: u64) {
+    /// One §4 scheduling round at time `t`, numbered `self.round` in
+    /// the audit trail.
+    fn run_scheduling_round(&mut self, t: f64) {
         let tel = self.config.telemetry.clone();
+        let round = self.round;
 
         // 1. Admit & profile newly arrived jobs (§3.2 "Model fitting":
         // sample runs on a small dataset before the job starts). The
@@ -1233,21 +1125,11 @@ impl Simulation {
             job.status = JobStatus::Paused; // active, awaiting placement
         }
         for k in admitted.clone() {
-            let id = self.jobs[self.arrivals[k]].spec.id;
-            self.log(
-                t,
-                SimEventKind::JobAdmitted {
-                    job: id,
-                    profile_samples: self.config.profile_configs.len(),
-                },
-            );
-            if tel.is_enabled() {
-                tel.record(TraceEvent::JobEvent {
-                    t_s: t,
-                    job: id.0,
-                    what: "admitted".to_string(),
-                });
-            }
+            let kind = SimEventKind::JobAdmitted {
+                job: self.jobs[self.arrivals[k]].spec.id,
+                profile_samples: self.config.profile_configs.len(),
+            };
+            self.log(t, t, kind);
         }
         // The settlement set keeps this interval's finishers (their
         // predictions are still pending); the live list drops them.
@@ -1597,7 +1479,6 @@ impl Simulation {
 
         // Refresh tracking with this round's inputs and emit churn
         // telemetry.
-        self.track.rounds += 1;
         self.track.last_delta_jobs = churn;
         self.track.last_quiescent = quiescent;
         {
@@ -1630,6 +1511,10 @@ impl Simulation {
         }
 
         // 5. Apply.
+        let restart_s = cfg.checkpoint_restart_s;
+        let hdfs_bandwidth = cfg.hdfs_bandwidth;
+        let use_paa = cfg.assignment == AssignmentPolicy::Paa;
+        let seed = cfg.seed;
         for (&i, view) in view_index.iter().zip(views.iter()) {
             let placement = schedule.placement_for(view.id);
             let (new_ps, new_w, counts): (u32, u32, Vec<TaskCounts>) = match placement {
@@ -1648,7 +1533,7 @@ impl Simulation {
             if changed && had_tasks {
                 // §5.4 checkpoint + restart.
                 let s = job.spec.profile().model_size_bytes();
-                let overhead = cfg.checkpoint_restart_s + 2.0 * s / cfg.hdfs_bandwidth;
+                let overhead = restart_s + 2.0 * s / hdfs_bandwidth;
                 job.overhead_remaining_s += overhead;
                 job.overhead_total_s += overhead;
                 job.scale_events += 1;
@@ -1661,15 +1546,11 @@ impl Simulation {
                     if tel.is_enabled() {
                         tel.add("paa.rebalance_moves", moved as u64);
                     }
-                    if cfg.record_events {
-                        self.events.push(
-                            t,
-                            SimEventKind::ChunksRebalanced {
-                                job: view.id,
-                                moved,
-                            },
-                        );
-                    }
+                    let kind = SimEventKind::ChunksRebalanced {
+                        job: view.id,
+                        moved,
+                    };
+                    self.log(t, t, kind);
                 }
             }
             let job = &mut self.jobs[i];
@@ -1708,39 +1589,24 @@ impl Simulation {
                     optimus_ps::steptime::DEFAULT_PS_BANDWIDTH,
                     optimus_ps::steptime::DEFAULT_PS_BANDWIDTH,
                 );
-                let use_paa = cfg.assignment == AssignmentPolicy::Paa;
-                job.env.imbalance = job.imbalance_cached(new_ps, use_paa, cfg.seed);
+                job.env.imbalance = job.imbalance_cached(new_ps, use_paa, seed);
                 job.stragglers
                     .slowdown_factors_into(&mut job.env.worker_slowdown);
             }
             job.interval_steps_start = job.steps_done;
             job.interval_active_s = 0.0;
-            if cfg.record_events {
-                let kind = if new_ps > 0 && new_w > 0 {
-                    SimEventKind::JobScheduled {
-                        job: view.id,
-                        ps: new_ps,
-                        workers: new_w,
-                        servers: counts.len(),
-                        rescale: changed && had_tasks,
-                    }
-                } else {
-                    SimEventKind::JobPaused { job: view.id }
-                };
-                self.events.push(t, kind);
-            }
-            if tel.is_enabled() {
-                let what = if new_ps > 0 && new_w > 0 {
-                    format!("scheduled p={new_ps} w={new_w}")
-                } else {
-                    "paused".to_string()
-                };
-                tel.record(TraceEvent::JobEvent {
-                    t_s: t,
-                    job: view.id.0,
-                    what,
-                });
-            }
+            let kind = if new_ps > 0 && new_w > 0 {
+                SimEventKind::JobScheduled {
+                    job: view.id,
+                    ps: new_ps,
+                    workers: new_w,
+                    servers: counts.len(),
+                    rescale: changed && had_tasks,
+                }
+            } else {
+                SimEventKind::JobPaused { job: view.id }
+            };
+            self.log(t, t, kind);
             // Estimator audit: the convergence estimate is checked
             // against ground truth immediately (both sides are known
             // now); the speed prediction for the deployed config is
@@ -1748,6 +1614,7 @@ impl Simulation {
             // speed. Unconditional — the predictions are pure reads and
             // the disabled handle drops the trace side — so
             // `SimReport::audit` is populated with or without telemetry.
+            let job = &self.jobs[i];
             let spe = job.steps_per_epoch().max(1) as f64;
             let true_epochs = (job.true_total_steps as f64 - job.steps_done).max(0.0) / spe;
             let predicted_epochs = job.convergence.predicted_remaining_epochs();
@@ -1757,19 +1624,6 @@ impl Simulation {
                 .sample_convergence(&tel, round, view.id.0, predicted_epochs, true_epochs);
             if let Some(predicted) = speed_prediction {
                 self.audit.record_speed_prediction(view.id.0, predicted);
-            }
-            if cfg.verbose {
-                eprintln!(
-                    "[{t:>8.0}] {} {:?} (p={}, w={}) stretch={:.2} imb={:.2} steps={:.0}/{}",
-                    self.scheduler.name(),
-                    view.id,
-                    job.ps,
-                    job.workers,
-                    job.env.transfer_stretch,
-                    job.env.imbalance,
-                    job.steps_done,
-                    job.true_total_steps,
-                );
             }
         }
 
@@ -1791,8 +1645,7 @@ impl Simulation {
             if job.status != JobStatus::Running || job.ps == 0 || job.workers == 0 {
                 continue;
             }
-            let truth = job.truth();
-            let true_speed = truth.speed_with(job.ps, job.workers, &job.env);
+            let true_speed = job.true_speed();
             if true_speed <= 0.0 {
                 continue;
             }
@@ -1903,12 +1756,7 @@ impl Simulation {
     /// count as fully used), free-CPU fragmentation, job population
     /// counts and the supplied telemetry counter deltas. Read-only —
     /// this never feeds back into scheduling.
-    fn sample_flight(
-        &self,
-        round: u64,
-        t: f64,
-        counter_deltas: Vec<(String, u64)>,
-    ) -> ClusterSnapshot {
+    fn sample_flight(&self, t: f64, counter_deltas: Vec<(String, u64)>) -> ClusterSnapshot {
         let servers: Vec<_> = self.cluster.servers().collect();
         let index_of: std::collections::HashMap<_, _> = servers
             .iter()
@@ -1992,7 +1840,7 @@ impl Simulation {
             0.0
         };
         ClusterSnapshot {
-            round,
+            round: self.round,
             t_s: t,
             pools,
             fragmentation,
@@ -2023,14 +1871,6 @@ fn arrival_index(jobs: &[SimJob]) -> Vec<usize> {
         index.sort_by(|&a, &b| at(a).total_cmp(&at(b)));
     }
     index
-}
-
-/// Convenience: the mode-aware steps/epoch used in reporting.
-pub fn steps_per_epoch(spec: &JobSpec) -> u64 {
-    match spec.mode {
-        TrainingMode::Synchronous => spec.profile().sync_steps_per_epoch(spec.dataset_scale),
-        TrainingMode::Asynchronous => spec.profile().async_steps_per_epoch(spec.dataset_scale),
-    }
 }
 
 #[cfg(test)]

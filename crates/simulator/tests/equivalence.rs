@@ -402,12 +402,19 @@ fn flight_recorder_is_decision_invariant() {
 
 /// Flight snapshots describe the physical testbed: pool capacities sum
 /// to the paper's 13 servers, utilizations stay in [0, 1], and the
-/// event counter is monotone over rounds.
+/// event counter is monotone over rounds. It counts every logged
+/// event up to its round: all events before the round's time, plus
+/// the round's own admissions, grants, pauses and rebalances (the
+/// finishes and straggler replacements of the round's tick come after
+/// the snapshot).
 #[test]
 fn flight_snapshots_are_physically_sane() {
     let mut cfg = base_config();
+    cfg.record_events = true;
+    cfg.straggler = StragglerPolicy::with_injection(0.002);
     cfg.flight = Some(FlightConfig::default());
     let report = run_report(cfg);
+    let events = report.events.all();
     let log = report.flight.expect("flight log");
     assert!(log.recorded > 0 && log.dropped == 0);
     let mut prev_events = 0u64;
@@ -432,6 +439,25 @@ fn flight_snapshots_are_physically_sane() {
         }
         assert!((0.0..=1.0).contains(&snap.fragmentation));
         assert!(snap.events_total >= prev_events, "event counter monotone");
+        let up_to_round = events
+            .iter()
+            .filter(|e| {
+                e.t < snap.t_s
+                    || e.t == snap.t_s
+                        && matches!(
+                            e.kind,
+                            SimEventKind::JobAdmitted { .. }
+                                | SimEventKind::JobScheduled { .. }
+                                | SimEventKind::JobPaused { .. }
+                                | SimEventKind::ChunksRebalanced { .. }
+                        )
+            })
+            .count();
+        assert_eq!(
+            snap.events_total, up_to_round as u64,
+            "events_total at round {}",
+            snap.round
+        );
         prev_events = snap.events_total;
         saw_load |= snap.cpu_util() > 0.0;
     }

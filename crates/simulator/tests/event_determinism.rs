@@ -11,13 +11,11 @@ use optimus_simulator::{EventQueue, ScheduledEvent, SimEventType};
 use proptest::prelude::*;
 
 /// An arbitrary event payload (the calendar orders by class, so cover
-/// every class, including the two that share class 5).
+/// every class, including the two that share class 3).
 fn arb_kind() -> impl Strategy<Value = SimEventType> {
     prop_oneof![
         Just(SimEventType::ServerFailure),
-        (0usize..8).prop_map(|job| SimEventType::JobArrival { job }),
         Just(SimEventType::SchedulingRound),
-        Just(SimEventType::FlightSnapshot),
         Just(SimEventType::TimelineSample),
         Just(SimEventType::ProgressWave),
         (0usize..8, 0.0f64..1e6)

@@ -49,16 +49,20 @@ equivalence:
     cargo test --release -p optimus-simulator --test event_determinism
 
 # Ledger smoke: two identical small runs must produce byte-identical
-# artifacts — `optimus-trace diff` exits non-zero if they diverge. The
-# cross-oracle ledger contracts (the tick-loop oracle hashes like the
-# production run on every artifact but `trace.jsonl`, DESIGN §11; the
-# full-rounds scheduler on every decision artifact, DESIGN §13) run
-# in-process in `tests/ledger_diff.rs`.
+# artifacts — `optimus-trace diff` exits non-zero if they diverge — and
+# must match the committed ledger in `results/ledger-smoke`, so a change
+# that moves any artifact has to regenerate those files (rerun the
+# first command with `--ledger results/ledger-smoke`) and shows it in
+# its diff. The cross-oracle ledger contracts (the tick-loop oracle
+# hashes like the production run on every artifact but `trace.jsonl`,
+# DESIGN §11; the full-rounds scheduler on every decision artifact,
+# DESIGN §13) run in-process in `tests/ledger_diff.rs`.
 ledger:
     rm -rf target/ledger-smoke
     cargo run --release --bin optimus-sim -- run --jobs 3 --seed 11 --interval 300 --ledger target/ledger-smoke/a
     cargo run --release --bin optimus-sim -- run --jobs 3 --seed 11 --interval 300 --ledger target/ledger-smoke/b
     cargo run --release --bin optimus-trace -- diff target/ledger-smoke/a target/ledger-smoke/b
+    cargo run --release --bin optimus-trace -- diff results/ledger-smoke target/ledger-smoke/a
 
 # Whole-simulation throughput: simulated-seconds per wall-second and
 # events per wall-second across the job grid, with a bit-identical
