@@ -68,10 +68,10 @@ fn main() {
     let variant = |v: usize| agg_variant(&reports[v * per..(v + 1) * per]);
 
     let (base_jct, base_mk) = variant(0);
+    eprintln!("fig15: {threads} threads");
     println!(
-        "Fig 15: sensitivity to prediction errors ({} seeds, {} threads)\n",
-        seeds.len(),
-        threads
+        "Fig 15: sensitivity to prediction errors ({} seeds)\n",
+        seeds.len()
     );
 
     let mut conv_jct = Vec::new();

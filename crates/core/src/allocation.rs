@@ -301,7 +301,8 @@ impl OptimusAllocator {
     /// One job's grant counts re-derived *independently of every other
     /// job*: start at the (1, 1) starter and climb by
     /// [`Self::best_candidate`] — the exact grant rule and the exact
-    /// `gain <= 0.0` stop predicate of [`Self::allocate_with`] — but
+    /// `gain <= 0.0` stop predicate of the full greedy loop
+    /// ([`ResourceAllocator::allocate_into`]) — but
     /// with capacity checks against the round's *total* free capacity
     /// instead of the shrinking shared `remaining`.
     ///
@@ -314,6 +315,10 @@ impl OptimusAllocator {
     /// this returns `None` when the climb itself leaves the
     /// total-capacity envelope (the certificate would fail), sending
     /// the caller to the full path.
+    ///
+    /// Kept out of line: inlined into the delta round's assembly loop,
+    /// its one caller, it made `sched-churn` decisions about 15 % slower.
+    #[inline(never)]
     pub(crate) fn solo_climb(
         &self,
         job: &JobView,
@@ -378,12 +383,20 @@ impl OptimusAllocator {
             }
         }
     }
+}
+
+impl ResourceAllocator for OptimusAllocator {
+    fn allocate(&self, jobs: &[JobView], cluster: &Cluster) -> Vec<Allocation> {
+        let mut out = Vec::new();
+        self.allocate_into(jobs, cluster, &mut AllocScratch::default(), &mut out);
+        out
+    }
 
     /// The full §4.1 greedy loop, writing rows into `out` and reusing
     /// `scratch` across rounds. Once both are warm this performs no heap
     /// allocation (with a disabled telemetry handle; enabled handles
     /// record per-grant trace events, which allocate).
-    pub fn allocate_with(
+    fn allocate_into(
         &self,
         jobs: &[JobView],
         cluster: &Cluster,
@@ -594,24 +607,6 @@ impl OptimusAllocator {
                 evals,
             });
         }
-    }
-}
-
-impl ResourceAllocator for OptimusAllocator {
-    fn allocate(&self, jobs: &[JobView], cluster: &Cluster) -> Vec<Allocation> {
-        let mut out = Vec::new();
-        self.allocate_with(jobs, cluster, &mut AllocScratch::default(), &mut out);
-        out
-    }
-
-    fn allocate_into(
-        &self,
-        jobs: &[JobView],
-        cluster: &Cluster,
-        scratch: &mut AllocScratch,
-        out: &mut Vec<Allocation>,
-    ) {
-        self.allocate_with(jobs, cluster, scratch, out);
     }
 }
 

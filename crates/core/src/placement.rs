@@ -184,6 +184,11 @@ impl PlacementStore {
     /// Makes `self` an exact copy of `other`, keeping `self`'s buffer
     /// capacity (the delta round's store round-trip).
     pub(crate) fn copy_from(&mut self, other: &Self) {
+        if other.is_empty() {
+            // `clone_from` an unallocated map would free `self`'s table.
+            self.clear();
+            return;
+        }
         self.arena.clone_from(&other.arena);
         self.spans.clone_from(&other.spans);
         self.open = None;
@@ -208,10 +213,10 @@ impl FromIterator<(JobId, JobPlacement)> for PlacementStore {
     }
 }
 
-/// Reusable working state for [`TaskPlacer::place_into`]: the
-/// incremental [`FreeIndex`], the per-job packing buffers and the
-/// smallest-first order all persist across rounds.
-
+/// Reusable working state for the Optimus placer, full and delta
+/// passes alike: the incremental [`FreeIndex`], the per-job packing
+/// buffers, the smallest-first order and the round's placement
+/// signatures all persist across rounds.
 #[derive(Debug, Default)]
 pub struct PlaceScratch {
     index: FreeIndex,
@@ -220,6 +225,9 @@ pub struct PlaceScratch {
     bal: BalanceBufs,
     order: Vec<usize>,
     norms: Vec<f64>,
+    /// This round's ordered [`PlaceSig`]s; a delta round swaps them into
+    /// its cross-round state as the next round's `prev_sig`.
+    pub(crate) sigs: Vec<PlaceSig>,
 }
 
 /// The near-even fallback's working set: per-attempt availability
@@ -241,7 +249,7 @@ struct BalanceBufs {
 /// recorded winner (ties go to the added server, which holds the
 /// highest deal index). Those are exactly the per-kind aggregates, so
 /// the full event list never needs recording (see the window loop in
-/// [`OptimusPlacer::place_with`]).
+/// [`OptimusPlacer::place_job`]).
 #[derive(Debug, Clone, Copy)]
 struct DealLog {
     fail: [bool; 3],
@@ -297,6 +305,7 @@ impl PlaceScratch {
             + self.order.capacity()
             + self.bal.deal.capacity()
             + self.norms.capacity()
+            + self.sigs.capacity()
     }
 }
 
@@ -763,87 +772,16 @@ impl OptimusPlacer {
 }
 
 impl OptimusPlacer {
-    /// The full Theorem-1 pass, writing placements into `out` and
-    /// reusing `scratch` across rounds. Once both are warm this performs
-    /// no heap allocation (with a disabled telemetry handle).
-    pub fn place_with(
-        &self,
-        allocations: &[Allocation],
-        jobs: &[JobView],
-        cluster: &Cluster,
-        scratch: &mut PlaceScratch,
-        out: &mut PlacementStore,
-    ) {
-        let _span = self.tel.is_enabled().then(|| self.tel.span("place.place"));
-        let mut retries = 0u64;
-        // One index rebuild per round; each job then pays only an
-        // early-exit prefix scan plus log-time repositions for the
-        // servers its placement touches (available CPU order, §4.2),
-        // keeping placement fast even on the Fig-12 clusters
-        // (16 000 nodes).
-        let PlaceScratch {
-            index,
-            chosen,
-            counts,
-            bal,
-            order,
-            norms,
-        } = scratch;
-        let mut log = DealLog::default();
-        let mut rej = RejectLog {
-            enabled: self.tel.provenance_enabled(),
-            ..RejectLog::default()
-        };
-        index.rebuild(cluster);
-        out.clear();
-        smallest_first_into(allocations, jobs, order, norms);
-        for &i in order.iter() {
-            let job = &jobs[i];
-            rej.reset();
-            let placed = Self::place_job(
-                job,
-                allocations[i],
-                index,
-                chosen,
-                counts,
-                bal,
-                &mut log,
-                out,
-                &mut retries,
-                &mut rej,
-            );
-            if let Some(alloc) = placed {
-                if self.tel.is_enabled() {
-                    let shrunk = (allocations[i].ps + allocations[i].workers)
-                        .saturating_sub(alloc.ps + alloc.workers);
-                    self.tel.record(TraceEvent::Placement {
-                        job: job.id.0,
-                        ps: alloc.ps,
-                        workers: alloc.workers,
-                        servers: out.get(job.id).map_or(0, |p| p.len()),
-                        shrunk,
-                    });
-                }
-            }
-            // None: paused this interval (§4.2).
-            self.record_place_why(job.id, &allocations[i], placed.as_ref(), out, &mut rej);
-        }
-        if retries > 0 {
-            self.tel.add("placement.packing_retries", retries);
-        }
-        if index.updates > 0 {
-            self.tel.add("placement.index_updates", index.updates);
-        }
-    }
-
     /// Emits the placement side of a job's why-record from a fresh
-    /// probe/shrink run, draining the rejection log into it. A no-op
-    /// unless provenance is on (the log is only `enabled` then).
+    /// probe/shrink run (draining the rejection log into it) or a
+    /// replayed span (whose log is empty). A no-op unless provenance is
+    /// on (the log is only `enabled` then).
     fn record_place_why(
         &self,
         id: JobId,
         requested: &Allocation,
         placed: Option<&Allocation>,
+        replayed: bool,
         out: &PlacementStore,
         rej: &mut RejectLog,
     ) {
@@ -861,21 +799,20 @@ impl OptimusPlacer {
                 workers,
                 servers,
                 shrunk: (requested.ps + requested.workers).saturating_sub(ps + workers),
-                replayed: false,
+                replayed,
                 rejections: rej.total,
                 rejected: std::mem::take(&mut rej.rejected),
             },
         );
     }
 
-    /// Places one job — the probe/shrink loop of [`Self::place_with`],
-    /// extracted so the delta path can replay clean prefixes and run
-    /// only the tail. Commits the job's span into `out` (via
-    /// [`Self::commit_counts`]) *iff* placement succeeds and returns the
-    /// final — possibly shrunk — allocation; a failed placement makes no
-    /// commits at all (`balanced_counts` mutates only its scratch
-    /// copies), which is what lets the delta path treat a missing span
-    /// as "skip on replay".
+    /// Places one job — the probe/shrink step of [`Self::place_delta`]
+    /// for jobs past the replayed prefix. Commits the job's span into
+    /// `out` (via [`Self::commit_counts`]) *iff* placement succeeds and
+    /// returns the final — possibly shrunk — allocation; a failed
+    /// placement makes no commits at all (`balanced_counts` mutates only
+    /// its scratch copies), which is what lets the replay treat a
+    /// missing span as "skip on replay".
     #[allow(clippy::too_many_arguments)]
     fn place_job(
         job: &JobView,
@@ -986,16 +923,17 @@ impl OptimusPlacer {
         }
     }
 
-    /// Delta-round placement: byte-identical to [`Self::place_with`],
-    /// but reuses the previous round's decisions where the inputs
-    /// provably match.
+    /// The Theorem-1 pass, reusing the previous round's decisions where
+    /// the inputs provably match. Writes placements into `out` and this
+    /// round's signature list into `scratch`; once both are warm this
+    /// performs no heap allocation (with a disabled telemetry handle).
     ///
     /// `prev_sig`/`prev_store` must be the signature list and store this
     /// method produced on the previous round *against the same cluster
-    /// state* — the caller passes empty ones when the cluster changed
-    /// (the free index evolves as a function of cluster + commit
-    /// sequence, so prefix replay is only sound with both fixed).
-    /// `next_sig` receives this round's signature list.
+    /// state* — the caller passes empty ones for a full pass or when the
+    /// cluster changed (the free index evolves as a function of the
+    /// cluster and the commit sequence, so prefix replay is only sound
+    /// with both fixed).
     ///
     /// Two reuse tiers:
     /// - whole-list signature match → copy the previous store verbatim
@@ -1017,7 +955,6 @@ impl OptimusPlacer {
         scratch: &mut PlaceScratch,
         prev_sig: &[PlaceSig],
         prev_store: &PlacementStore,
-        next_sig: &mut Vec<PlaceSig>,
         out: &mut PlacementStore,
     ) -> bool {
         let _span = self.tel.is_enabled().then(|| self.tel.span("place.place"));
@@ -1028,14 +965,15 @@ impl OptimusPlacer {
             bal,
             order,
             norms,
+            sigs,
         } = scratch;
         let prov = self.tel.provenance_enabled();
         smallest_first_into(allocations, jobs, order, norms);
-        next_sig.clear();
+        sigs.clear();
         for &i in order.iter() {
-            next_sig.push(PlaceSig::new(&jobs[i], &allocations[i], norms[i]));
+            sigs.push(PlaceSig::new(&jobs[i], &allocations[i], norms[i]));
         }
-        if next_sig.as_slice() == prev_sig {
+        if sigs.as_slice() == prev_sig {
             out.copy_from(prev_store);
             if prov {
                 for &i in order.iter() {
@@ -1050,7 +988,7 @@ impl OptimusPlacer {
             }
             return true;
         }
-        let matched = next_sig
+        let matched = sigs
             .iter()
             .zip(prev_sig.iter())
             .take_while(|(a, b)| a == b)
@@ -1061,59 +999,50 @@ impl OptimusPlacer {
             enabled: prov,
             ..RejectLog::default()
         };
+        // One index rebuild per round; each job then pays only an
+        // early-exit prefix scan plus log-time repositions for the
+        // servers its placement touches (available CPU order, §4.2),
+        // keeping placement fast even on the Fig-12 clusters
+        // (16 000 nodes).
         index.rebuild(cluster);
         out.clear();
         for (pos, &i) in order.iter().enumerate() {
             let job = &jobs[i];
-            if pos < matched {
+            let replayed = pos < matched;
+            rej.reset();
+            let placed = if replayed {
                 let Some(span) = prev_store.get(job.id) else {
                     continue; // was unplaced; stays unplaced
                 };
-                out.begin_span(job.id);
-                let (mut ps, mut workers) = (0u32, 0u32);
+                out.insert(job.id, span);
+                let mut placed = Allocation {
+                    job: job.id,
+                    ps: 0,
+                    workers: 0,
+                };
                 for &(sid, c) in span {
                     let demand = job.worker_profile * f64::from(c.workers)
                         + job.ps_profile * f64::from(c.ps);
                     index.commit(sid, &demand, index.keys.len());
-                    out.push_task(sid, c);
-                    ps += c.ps;
-                    workers += c.workers;
+                    placed.ps += c.ps;
+                    placed.workers += c.workers;
                 }
-                out.commit_span();
-                if self.tel.is_enabled() {
-                    let shrunk =
-                        (allocations[i].ps + allocations[i].workers).saturating_sub(ps + workers);
-                    self.tel.record(TraceEvent::Placement {
-                        job: job.id.0,
-                        ps,
-                        workers,
-                        servers: span.len(),
-                        shrunk,
-                    });
-                }
-                if prov {
-                    if let Some(span) = out.get(job.id) {
-                        self.tel.why_place(
-                            job.id.0,
-                            replayed_place_why(span, allocations[i].ps, allocations[i].workers),
-                        );
-                    }
-                }
-                continue;
-            }
-            rej.reset();
-            let placed = Self::place_job(
-                job,
-                allocations[i],
-                index,
-                chosen,
-                counts,
-                bal,
-                &mut log,
-                out,
-                &mut retries,
-                &mut rej,
-            );
+                Some(placed)
+            } else {
+                Self::place_job(
+                    job,
+                    allocations[i],
+                    index,
+                    chosen,
+                    counts,
+                    bal,
+                    &mut log,
+                    out,
+                    &mut retries,
+                    &mut rej,
+                )
+            };
+            // None: paused this interval (§4.2).
             if let Some(alloc) = placed {
                 if self.tel.is_enabled() {
                     let shrunk = (allocations[i].ps + allocations[i].workers)
@@ -1127,7 +1056,14 @@ impl OptimusPlacer {
                     });
                 }
             }
-            self.record_place_why(job.id, &allocations[i], placed.as_ref(), out, &mut rej);
+            self.record_place_why(
+                job.id,
+                &allocations[i],
+                placed.as_ref(),
+                replayed,
+                out,
+                &mut rej,
+            );
         }
         if retries > 0 {
             self.tel.add("placement.packing_retries", retries);
@@ -1188,7 +1124,7 @@ impl TaskPlacer for OptimusPlacer {
         cluster: &Cluster,
     ) -> HashMap<JobId, JobPlacement> {
         let mut out = PlacementStore::default();
-        self.place_with(
+        self.place_into(
             allocations,
             jobs,
             cluster,
@@ -1198,6 +1134,8 @@ impl TaskPlacer for OptimusPlacer {
         out.to_map()
     }
 
+    /// The full Theorem-1 pass: [`OptimusPlacer::place_delta`] with no
+    /// previous round to reuse.
     fn place_into(
         &self,
         allocations: &[Allocation],
@@ -1206,7 +1144,8 @@ impl TaskPlacer for OptimusPlacer {
         scratch: &mut PlaceScratch,
         out: &mut PlacementStore,
     ) {
-        self.place_with(allocations, jobs, cluster, scratch, out);
+        let no_prev = PlacementStore::default();
+        self.place_delta(allocations, jobs, cluster, scratch, &[], &no_prev, out);
     }
 }
 

@@ -181,8 +181,8 @@ pub struct RoundScratch {
     pub(crate) alloc: AllocScratch,
     pub(crate) place: PlaceScratch,
     /// Cross-round delta state (see [`Scheduler::schedule_delta`]); not
-    /// part of [`Self::footprint`], which tracks only the full-round
-    /// buffers the zero-alloc invariant covers.
+    /// part of [`Self::footprint`], which tracks only the buffers
+    /// [`Scheduler::schedule_into`] uses.
     pub(crate) delta: DeltaState,
 }
 
@@ -256,13 +256,10 @@ pub(crate) struct DeltaState {
     /// own round evaluates no certificate).
     cert_slack: f64,
     cert_term: &'static str,
-    /// Previous round's placement inputs/outputs are trustworthy for
-    /// prefix replay (same engine, cluster unchanged since).
-    place_valid: bool,
-    /// Previous round's ordered placement signatures.
+    /// Previous round's ordered placement signatures (swapped with
+    /// [`PlaceScratch`]'s, which the placer fills each round); empty, like
+    /// `store`, before the first round.
     sig: Vec<PlaceSig>,
-    /// Scratch for this round's signatures (swapped into `sig`).
-    sig_next: Vec<PlaceSig>,
     /// Previous round's placement store.
     store: PlacementStore,
     /// Solo-climb prediction cache, reset per climb.
@@ -278,9 +275,7 @@ impl Default for DeltaState {
             rows_next: Vec::new(),
             cert_slack: f64::MAX,
             cert_term: "none",
-            place_valid: false,
             sig: Vec::new(),
-            sig_next: Vec::new(),
             store: PlacementStore::default(),
             cache: CandCache::default(),
         }
@@ -340,30 +335,38 @@ pub trait Scheduler {
     }
 }
 
-/// An allocator glued to a placer.
+/// An allocator glued to a placer. Built by [`OptimusScheduler`] it
+/// holds the concrete Optimus parts and runs delta rounds; built by
+/// [`CompositeScheduler::new`] it holds boxed parts and runs full rounds
+/// only.
 pub struct CompositeScheduler {
     name: String,
-    allocator: Box<dyn ResourceAllocator + Send + Sync>,
-    placer: Box<dyn TaskPlacer + Send + Sync>,
-    /// Concrete Optimus components for the delta path (`None` for
-    /// ablation compositions, which fall back to full rounds).
-    delta: Option<DeltaEngine>,
+    parts: Parts,
     tel: Telemetry,
 }
 
-/// Concrete (non-boxed) Optimus components backing
-/// [`Scheduler::schedule_delta`]: the delta path needs `solo_climb` and
-/// `place_delta`, which are not part of the object-safe traits. The
-/// components are configured identically to their boxed twins (clones),
-/// so full and delta paths price candidates the same way.
-struct DeltaEngine {
-    allocator: OptimusAllocator,
-    placer: OptimusPlacer,
+/// The composite's one allocator and one placer.
+enum Parts {
+    /// The concrete Optimus components: [`Scheduler::schedule_delta`]
+    /// needs `solo_climb` and `place_delta`, which are not part of the
+    /// object-safe traits.
+    Optimus {
+        allocator: OptimusAllocator,
+        placer: OptimusPlacer,
+    },
+    /// Any components behind the traits — the baselines, the §6.4
+    /// ablations and the full-rounds oracle. Full rounds only.
+    Boxed {
+        allocator: Box<dyn ResourceAllocator + Send + Sync>,
+        placer: Box<dyn TaskPlacer + Send + Sync>,
+    },
 }
 
 impl CompositeScheduler {
     /// Creates a scheduler from parts (used directly by the §6.4
-    /// ablations).
+    /// ablations). It runs full rounds only, whatever the parts: boxed
+    /// Optimus components make the full-rounds oracle of
+    /// [`OptimusScheduler`]'s delta rounds.
     pub fn new(
         name: impl Into<String>,
         allocator: Box<dyn ResourceAllocator + Send + Sync>,
@@ -371,18 +374,22 @@ impl CompositeScheduler {
     ) -> Self {
         CompositeScheduler {
             name: name.into(),
-            allocator,
-            placer,
-            delta: None,
+            parts: Parts::Boxed { allocator, placer },
             tel: Telemetry::disabled(),
         }
     }
 
-    /// Enables the delta-round engine with components that must be
-    /// configured identically to the boxed allocator/placer.
-    fn with_delta_engine(mut self, allocator: OptimusAllocator, placer: OptimusPlacer) -> Self {
-        self.delta = Some(DeltaEngine { allocator, placer });
-        self
+    /// Glues concrete Optimus components, enabling delta rounds.
+    fn optimus(
+        name: impl Into<String>,
+        allocator: OptimusAllocator,
+        placer: OptimusPlacer,
+    ) -> Self {
+        CompositeScheduler {
+            name: name.into(),
+            parts: Parts::Optimus { allocator, placer },
+            tel: Telemetry::disabled(),
+        }
     }
 
     /// Attaches a telemetry handle: each `schedule` call is wrapped in a
@@ -433,11 +440,14 @@ impl Scheduler for CompositeScheduler {
             .tel
             .is_enabled()
             .then(|| scratch.footprint() + out.footprint());
+        let (allocator, placer): (&dyn ResourceAllocator, &dyn TaskPlacer) = match &self.parts {
+            Parts::Optimus { allocator, placer } => (allocator, placer),
+            Parts::Boxed { allocator, placer } => (allocator.as_ref(), placer.as_ref()),
+        };
         out.reset();
-        self.allocator
-            .allocate_into(jobs, cluster, &mut scratch.alloc, &mut out.allocations);
+        allocator.allocate_into(jobs, cluster, &mut scratch.alloc, &mut out.allocations);
         out.rebuild_index();
-        self.placer.place_into(
+        placer.place_into(
             &out.allocations,
             jobs,
             cluster,
@@ -477,8 +487,8 @@ impl Scheduler for CompositeScheduler {
         scratch: &mut RoundScratch,
         out: &mut Schedule,
     ) -> DeltaStats {
-        let Some(engine) = &self.delta else {
-            // Ablation compositions have no incremental engine.
+        let Parts::Optimus { allocator, placer } = &self.parts else {
+            // Boxed compositions have no incremental engine.
             self.schedule_into(jobs, cluster, scratch, out);
             return DeltaStats {
                 dirty_jobs: delta.dirty.len() as u64,
@@ -562,48 +572,36 @@ impl Scheduler for CompositeScheduler {
             let mut replayed = 0u64;
             st.rows_next.clear();
             for (i, job) in jobs.iter().enumerate() {
-                let clean = delta.dirty.binary_search(&(i as u32)).is_err();
-                let row = if clean {
-                    match st.row_of.get(&job.id) {
-                        Some(&(ps, workers, origin)) => {
-                            replayed += u64::from(ps + workers).saturating_sub(2);
-                            if prov {
-                                why_rows.push((true, origin, None));
-                            }
-                            Some((ps, workers))
-                        }
-                        // Not flagged dirty but unseen (defensive):
-                        // derive it fresh.
-                        None => {
-                            let mut why = None;
-                            let row = engine.allocator.solo_climb(
-                                job,
-                                &total_available,
-                                &capacity,
-                                &mut st.cache,
-                                &mut solo_evals,
-                                prov.then_some(&mut why),
-                            );
-                            if prov {
-                                why_rows.push((false, 0, why));
-                            }
-                            row
-                        }
-                    }
+                // A clean job replays its stored row; a dirty one — or a
+                // clean one unseen last round (defensive) — climbs afresh.
+                let stored = if delta.dirty.binary_search(&(i as u32)).is_ok() {
+                    None
                 } else {
-                    let mut why = None;
-                    let row = engine.allocator.solo_climb(
-                        job,
-                        &total_available,
-                        &capacity,
-                        &mut st.cache,
-                        &mut solo_evals,
-                        prov.then_some(&mut why),
-                    );
-                    if prov {
-                        why_rows.push((false, 0, why));
+                    st.row_of.get(&job.id)
+                };
+                let row = match stored {
+                    Some(&(ps, workers, origin)) => {
+                        replayed += u64::from(ps + workers).saturating_sub(2);
+                        if prov {
+                            why_rows.push((true, origin, None));
+                        }
+                        Some((ps, workers))
                     }
-                    row
+                    None => {
+                        let mut why = None;
+                        let row = allocator.solo_climb(
+                            job,
+                            &total_available,
+                            &capacity,
+                            &mut st.cache,
+                            &mut solo_evals,
+                            prov.then_some(&mut why),
+                        );
+                        if prov {
+                            why_rows.push((false, 0, why));
+                        }
+                        row
+                    }
                 };
                 match row {
                     Some(row) => st.rows_next.push(row),
@@ -704,8 +702,7 @@ impl Scheduler for CompositeScheduler {
                 }
             }
             out.reset();
-            self.allocator
-                .allocate_into(jobs, cluster, alloc_scratch, &mut out.allocations);
+            allocator.allocate_into(jobs, cluster, alloc_scratch, &mut out.allocations);
             // A full round's rows are per-job solo values — reusable by
             // the next delta round — exactly when it was uncontended.
             let rows = &out.allocations;
@@ -722,28 +719,27 @@ impl Scheduler for CompositeScheduler {
 
         // --- Placement ---
         let empty = PlacementStore::default();
-        let use_prev = st.place_valid && !delta.full && !delta.cluster_changed;
+        // Prefix replay is sound only against the same cluster state.
+        let use_prev = !delta.full && !delta.cluster_changed;
         let (prev_sig, prev_store): (&[PlaceSig], &PlacementStore) = if use_prev {
             (st.sig.as_slice(), &st.store)
         } else {
             (&[], &empty)
         };
-        let reused = engine.placer.place_delta(
+        let reused = placer.place_delta(
             &out.allocations,
             jobs,
             cluster,
             place_scratch,
             prev_sig,
             prev_store,
-            &mut st.sig_next,
             &mut out.placements,
         );
         stats.place_reused = reused;
-        std::mem::swap(&mut st.sig, &mut st.sig_next);
+        std::mem::swap(&mut st.sig, &mut place_scratch.sigs);
         if !reused {
             st.store.copy_from(&out.placements);
         }
-        st.place_valid = true;
 
         // --- Cross-round state refresh ---
         // `out.allocations[i]` corresponds to `jobs[i]` on both paths,
@@ -764,33 +760,25 @@ impl Scheduler for CompositeScheduler {
 }
 
 /// The full Optimus scheduler: marginal-gain allocation + Theorem-1
-/// placement.
+/// placement. Each builder glues one allocator and one placer, which
+/// serve full and delta rounds alike. The same parts boxed through
+/// [`CompositeScheduler::new`] are the full-rounds oracle.
 pub struct OptimusScheduler;
 
 impl OptimusScheduler {
     /// Builds the scheduler with default parameters (priority factor 1).
     pub fn build() -> CompositeScheduler {
-        let allocator = OptimusAllocator::default();
-        let placer = OptimusPlacer::default();
-        CompositeScheduler::new(
-            "Optimus",
-            Box::new(allocator.clone()),
-            Box::new(placer.clone()),
-        )
-        .with_delta_engine(allocator, placer)
+        Self::build_with_telemetry(Telemetry::disabled())
     }
 
     /// Builds with an explicit §4.1 priority factor (the paper evaluates
     /// 0.95).
     pub fn with_priority_factor(factor: f64) -> CompositeScheduler {
-        let allocator = OptimusAllocator::default().with_priority_factor(factor);
-        let placer = OptimusPlacer::default();
-        CompositeScheduler::new(
+        CompositeScheduler::optimus(
             format!("Optimus(pf={factor})"),
-            Box::new(allocator.clone()),
-            Box::new(placer.clone()),
+            OptimusAllocator::default().with_priority_factor(factor),
+            OptimusPlacer::default(),
         )
-        .with_delta_engine(allocator, placer)
     }
 
     /// Builds the scheduler with one shared [`Telemetry`] handle wired
@@ -798,14 +786,11 @@ impl OptimusScheduler {
     /// single handle sees `alloc.*`, `placement.*` and the
     /// `sched.decision` spans of every round.
     pub fn build_with_telemetry(tel: Telemetry) -> CompositeScheduler {
-        let allocator = OptimusAllocator::default().with_telemetry(tel.clone());
-        let placer = OptimusPlacer::default().with_telemetry(tel.clone());
-        CompositeScheduler::new(
+        CompositeScheduler::optimus(
             "Optimus",
-            Box::new(allocator.clone()),
-            Box::new(placer.clone()),
+            OptimusAllocator::default().with_telemetry(tel.clone()),
+            OptimusPlacer::default().with_telemetry(tel.clone()),
         )
-        .with_delta_engine(allocator, placer)
         .with_telemetry(tel)
     }
 }

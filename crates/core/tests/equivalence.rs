@@ -236,10 +236,13 @@ proptest! {
     /// The delta engine under arbitrary churn — arrivals, departures,
     /// per-job work jitter and cluster resizes, each reported to
     /// [`Scheduler::schedule_delta`] with an *exact* dirty list — is
-    /// byte-identical to a fresh full `schedule()` every round. This
-    /// covers both regimes: big generated clusters where the headroom
-    /// certificate holds (grants replayed), and contended ones where it
-    /// fails (silent fall back to the full greedy pass).
+    /// byte-identical every round to the naive reference scheduler run
+    /// from scratch (the production `schedule()` shares the delta
+    /// round's placement loop, so it would be no independent witness).
+    /// This covers both regimes: big generated clusters where the
+    /// headroom certificate holds (grants replayed), and contended ones
+    /// where it fails (silent fall back to the full greedy pass) — at
+    /// the default priority factor and the §6.3 one.
     #[test]
     fn delta_rounds_match_full_rounds_under_churn(
         mut servers in prop::collection::vec((0u32..240, 0u32..360, 0u32..16), 3..16),
@@ -256,7 +259,9 @@ proptest! {
             ),
             1..6,
         ),
+        damped in any::<bool>(),
     ) {
+        let factor = if damped { 0.95 } else { 1.0 };
         let mut next_id = seeds.len() as u64;
         let mut jobs: Vec<JobView> = seeds
             .iter()
@@ -264,7 +269,12 @@ proptest! {
             .map(|(i, s)| make_job(i as u64, s))
             .collect();
         let mut cluster = make_cluster(&servers);
-        let scheduler = OptimusScheduler::build();
+        let scheduler = OptimusScheduler::with_priority_factor(factor);
+        let reference = CompositeScheduler::new(
+            "reference",
+            Box::new(ReferenceOptimusAllocator::default().with_priority_factor(factor)),
+            Box::new(ReferenceOptimusPlacer),
+        );
         let mut scratch = RoundScratch::default();
         let mut out = Schedule::new(Vec::new(), std::collections::HashMap::new());
         let mut first = true;
@@ -305,7 +315,7 @@ proptest! {
                 dirty,
             };
             scheduler.schedule_delta(&jobs, &cluster, &delta, &mut scratch, &mut out);
-            let fresh = scheduler.schedule(&jobs, &cluster);
+            let fresh = reference.schedule(&jobs, &cluster);
             prop_assert_eq!(out.allocations(), fresh.allocations(), "allocations diverge");
             prop_assert_eq!(out.placements(), fresh.placements(), "placements diverge");
         }
@@ -315,7 +325,10 @@ proptest! {
 /// A driver-accurate delta loop on a large uncontended cluster: clean
 /// jobs must *replay* their stored grants rather than re-derive them,
 /// and a provably unchanged round must be skipped outright — all while
-/// matching a fresh full round byte for byte.
+/// matching a fresh full round byte for byte. The boxed Optimus
+/// composite, the simulator's full-rounds oracle, runs the same rounds
+/// and must run every one of them in full: were it handed the delta
+/// engine, comparing against it would check nothing.
 ///
 /// Synchronous-mode models only (even pool indices): their speed curves
 /// saturate, so solo climbs stop at finite counts and the headroom
@@ -339,6 +352,25 @@ fn clean_jobs_replay_grants_and_quiet_rounds_skip() {
     let scheduler = OptimusScheduler::build();
     let mut scratch = RoundScratch::default();
     let mut out = Schedule::new(Vec::new(), std::collections::HashMap::new());
+    let oracle = CompositeScheduler::new(
+        "Optimus",
+        Box::new(OptimusAllocator::default()),
+        Box::new(OptimusPlacer::default()),
+    );
+    let mut oracle_scratch = RoundScratch::default();
+    let mut oracle_out = Schedule::default();
+    let mut oracle_round = |jobs: &[JobView], delta: &RoundDelta| {
+        let stats =
+            oracle.schedule_delta(jobs, &cluster, delta, &mut oracle_scratch, &mut oracle_out);
+        assert!(
+            stats.alloc_full && !stats.skipped_full && !stats.place_reused,
+            "the oracle must run full rounds: {stats:?}"
+        );
+        (
+            oracle_out.allocations().to_vec(),
+            oracle_out.placements().clone(),
+        )
+    };
 
     // Round 1: cold start — the driver distrusts everything.
     let delta = RoundDelta {
@@ -351,6 +383,11 @@ fn clean_jobs_replay_grants_and_quiet_rounds_skip() {
     let fresh = scheduler.schedule(&jobs, &cluster);
     assert_eq!(out.allocations(), fresh.allocations());
     assert_eq!(out.placements(), fresh.placements());
+    let (allocs, places) = oracle_round(&jobs, &delta);
+    assert_eq!(
+        (out.allocations(), out.placements()),
+        (&allocs[..], &places)
+    );
 
     // Round 2: one job progressed; the other five are clean.
     jobs[2].remaining_work *= 0.75;
@@ -363,6 +400,11 @@ fn clean_jobs_replay_grants_and_quiet_rounds_skip() {
     let fresh = scheduler.schedule(&jobs, &cluster);
     assert_eq!(out.allocations(), fresh.allocations());
     assert_eq!(out.placements(), fresh.placements());
+    let (allocs, places) = oracle_round(&jobs, &delta);
+    assert_eq!(
+        (out.allocations(), out.placements()),
+        (&allocs[..], &places)
+    );
     assert!(
         !stats.alloc_full,
         "an uncontended cluster must certify the delta path"
@@ -376,17 +418,17 @@ fn clean_jobs_replay_grants_and_quiet_rounds_skip() {
 
     // Round 3: nothing changed — the whole round is skipped and `out`
     // (left untouched) still matches a fresh schedule.
-    let stats = scheduler.schedule_delta(
-        &jobs,
-        &cluster,
-        &RoundDelta::default(),
-        &mut scratch,
-        &mut out,
-    );
+    let delta = RoundDelta::default();
+    let stats = scheduler.schedule_delta(&jobs, &cluster, &delta, &mut scratch, &mut out);
     assert!(stats.skipped_full && stats.place_reused);
     let fresh = scheduler.schedule(&jobs, &cluster);
     assert_eq!(out.allocations(), fresh.allocations());
     assert_eq!(out.placements(), fresh.placements());
+    let (allocs, places) = oracle_round(&jobs, &delta);
+    assert_eq!(
+        (out.allocations(), out.placements()),
+        (&allocs[..], &places)
+    );
 }
 
 /// Replay provenance: on an uncontended cluster, a clean job's

@@ -6,14 +6,18 @@
 //! a persistent [`RoundScratch`] + [`Schedule`] with two identical
 //! rounds (the first sizes every buffer, the second proves the sizes
 //! are stable), then asserts the third round touches the allocator
-//! exactly zero times.
+//! exactly zero times. It then does the same for a cycle of delta
+//! rounds: two cycles warm a second scratch, and every round of the
+//! third must make zero allocator calls.
 //!
-//! Scope: this measures the *scheduling decision*
-//! ([`Scheduler::schedule_into`] with a disabled telemetry handle) —
-//! the path `bench_sched` times and the simulator runs every interval.
-//! A full simulator tick additionally rebuilds `JobView`s (cloning
-//! speed models) and rolls RNG-driven event state, which allocate by
-//! design and are not part of the steady-state round contract.
+//! Scope: this measures the *scheduling decision* with a disabled
+//! telemetry handle — [`Scheduler::schedule_into`], the full round
+//! `bench_sched` times, and [`Scheduler::schedule_delta`], the round the
+//! simulator runs every interval (cold, contended churn, quiet and
+//! uncontended churn). A full simulator tick additionally rebuilds
+//! `JobView`s (cloning speed models) and rolls RNG-driven event state,
+//! which allocate by design and are not part of the steady-state round
+//! contract.
 //!
 //! The file intentionally holds a single test: the counter is global,
 //! and a sibling test running concurrently would pollute it.
@@ -24,6 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use optimus_cluster::{Cluster, ResourceVec};
 use optimus_core::prelude::*;
+use optimus_core::RoundDelta;
 use optimus_ps::PsJobModel;
 use optimus_workload::{JobId, ModelKind, TrainingMode};
 
@@ -55,33 +60,35 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Job `i` of the fixtures, with a profiled speed model.
+fn job(i: u64, mode: TrainingMode) -> JobView {
+    let kinds = [ModelKind::ResNet50, ModelKind::CnnRand, ModelKind::Seq2Seq];
+    let profile = kinds[i as usize % kinds.len()].profile();
+    let truth = PsJobModel::new(profile, mode);
+    let mut speed = SpeedModel::new(mode, profile.batch_size as f64);
+    for (p, w) in [(1, 1), (2, 2), (4, 4), (8, 8), (4, 8), (8, 4)] {
+        speed.record(p, w, truth.speed(p, w));
+    }
+    speed.refit().expect("profiled");
+    JobView {
+        id: JobId(i),
+        worker_profile: ResourceVec::new(1.0 + (i % 4) as f64 * 0.25, 0.0, 2.0, 0.25),
+        ps_profile: ResourceVec::new(1.0, 0.0, 2.0 + (i % 3) as f64 * 0.5, 0.5),
+        remaining_work: 500.0 + i as f64 * 37.0,
+        speed,
+        progress: (i % 10) as f64 / 10.0,
+        requested_units: 1 + (i % 5) as u32,
+    }
+}
+
 /// A moderately busy fixture: 24 heterogeneous jobs on a 40-server
 /// cluster, enough to exercise the heap, the placer's k-probe loop and
 /// the shrink-on-unplaceable path.
 fn fixture() -> (Vec<JobView>, Cluster) {
-    let kinds = [ModelKind::ResNet50, ModelKind::CnnRand, ModelKind::Seq2Seq];
     let modes = [TrainingMode::Synchronous, TrainingMode::Asynchronous];
-    let mut jobs = Vec::new();
-    for i in 0..24u64 {
-        let kind = kinds[i as usize % kinds.len()];
-        let mode = modes[i as usize % modes.len()];
-        let profile = kind.profile();
-        let truth = PsJobModel::new(profile, mode);
-        let mut speed = SpeedModel::new(mode, profile.batch_size as f64);
-        for (p, w) in [(1, 1), (2, 2), (4, 4), (8, 8), (4, 8), (8, 4)] {
-            speed.record(p, w, truth.speed(p, w));
-        }
-        speed.refit().expect("profiled");
-        jobs.push(JobView {
-            id: JobId(i),
-            worker_profile: ResourceVec::new(1.0 + (i % 4) as f64 * 0.25, 0.0, 2.0, 0.25),
-            ps_profile: ResourceVec::new(1.0, 0.0, 2.0 + (i % 3) as f64 * 0.5, 0.5),
-            remaining_work: 500.0 + i as f64 * 37.0,
-            speed,
-            progress: (i % 10) as f64 / 10.0,
-            requested_units: 1 + (i % 5) as u32,
-        });
-    }
+    let jobs = (0..24u64)
+        .map(|i| job(i, modes[i as usize % modes.len()]))
+        .collect();
     let caps: Vec<(ResourceVec, &str)> = (0..40)
         .map(|s| {
             (
@@ -90,6 +97,18 @@ fn fixture() -> (Vec<JobView>, Cluster) {
             )
         })
         .collect();
+    (jobs, Cluster::from_capacities(&caps))
+}
+
+/// An uncontended fixture: six synchronous jobs (their speed curves
+/// saturate, so solo climbs stop at finite counts) on a cluster far
+/// larger than their demand, so the delta round's headroom certificate
+/// holds and clean jobs replay their grants.
+fn roomy_fixture() -> (Vec<JobView>, Cluster) {
+    let jobs = (0..6u64)
+        .map(|i| job(i, TrainingMode::Synchronous))
+        .collect();
+    let caps = vec![(ResourceVec::new(64.0, 0.0, 128.0, 8.0), "roomy"); 100];
     (jobs, Cluster::from_capacities(&caps))
 }
 
@@ -117,4 +136,50 @@ fn warm_steady_state_round_allocates_nothing() {
     // The warm round still produced the real answer.
     assert_eq!(out.allocations(), &warm[..]);
     assert!(out.allocations().iter().any(|a| a.workers > 0));
+
+    // The simulator's path: one cycle of delta rounds covering every
+    // kind — cold, contended churn (full fallback plus prefix
+    // placement replay), quiet (whole-round skip), then a cold and an
+    // uncontended churn round (grant replay) on the roomy fixture.
+    let mut churned = jobs.clone();
+    churned[5].remaining_work *= 2.0;
+    let (calm, roomy) = roomy_fixture();
+    let mut calm_churned = calm.clone();
+    calm_churned[2].remaining_work *= 0.5;
+    let cold = RoundDelta {
+        full: true,
+        ..RoundDelta::default()
+    };
+    let dirty = |i: u32| RoundDelta {
+        dirty: vec![i],
+        ..RoundDelta::default()
+    };
+    let (churn, calm_churn, quiet) = (dirty(5), dirty(2), RoundDelta::default());
+    let rounds: [(&str, &[JobView], &Cluster, &RoundDelta); 5] = [
+        ("cold", &jobs, &cluster, &cold),
+        ("contended churn", &churned, &cluster, &churn),
+        ("quiet", &churned, &cluster, &quiet),
+        ("roomy cold", &calm, &roomy, &cold),
+        ("uncontended churn", &calm_churned, &roomy, &calm_churn),
+    ];
+    let mut scratch = RoundScratch::default();
+    let mut out = Schedule::default();
+    // Two cycles size every buffer; the third is measured round by round.
+    for cycle in 0..3 {
+        for &(name, jobs, cluster, delta) in &rounds {
+            let before = ALLOC_CALLS.load(Ordering::SeqCst);
+            let stats = scheduler.schedule_delta(jobs, cluster, delta, &mut scratch, &mut out);
+            let calls = ALLOC_CALLS.load(Ordering::SeqCst) - before;
+            if cycle < 2 {
+                continue;
+            }
+            assert_eq!(calls, 0, "a warm {name} round must not touch the heap");
+            let kind_ok = match name {
+                "quiet" => stats.skipped_full,
+                "uncontended churn" => !stats.alloc_full && stats.replayed_grants > 0,
+                _ => stats.alloc_full && !stats.skipped_full && !stats.place_reused,
+            };
+            assert!(kind_ok, "{name} round ran the wrong path: {stats:?}");
+        }
+    }
 }

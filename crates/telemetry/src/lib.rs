@@ -13,7 +13,8 @@
 //!   `sim.round_wall_us`), via the [`metrics`] registry. The lazy-heap
 //!   allocator additionally reports `alloc.heap_pops` (total candidate
 //!   pops) and `alloc.stale_skips` (pops discarded by the
-//!   generation-stamp check), and the composite scheduler reports
+//!   generation-stamp check), and the composite scheduler's full
+//!   rounds (`schedule_into`; delta rounds do not count it) report
 //!   `sched.round_allocs` (rounds that grew any reusable scratch
 //!   buffer — zero once the steady state is warm);
 //! * **Decision traces** — typed records of *why* the scheduler did what

@@ -27,7 +27,8 @@ bench-fit:
 # Allocator smoke: one steady-state bench sample per scalability point,
 # cross-checked against the naive reference scheduler (non-zero exit on
 # any divergent allocation or placement), plus the zero-allocation
-# steady-state-round proof.
+# proof for warm full rounds (`schedule_into`) and for every kind of
+# warm delta round the simulator runs (`schedule_delta`).
 bench-alloc:
     cargo run --release -p optimus-bench --bin bench_sched -- --samples 1 --verify
     cargo test --release -p optimus-core --test zero_alloc
