@@ -35,8 +35,12 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 /// The acceptance grid: (jobs, history length in loss samples, dirty
-/// jobs). `None` refits every job — the legacy all-dirty shape.
-const POINTS: [(usize, usize, Option<usize>); 5] = [
+/// jobs). `None` refits every job — the legacy all-dirty shape. The
+/// one- and two-job points at 400 samples (the simulator's fit-point
+/// cap) are the small lane groups most simulated rounds refit.
+const POINTS: [(usize, usize, Option<usize>); 7] = [
+    (1, 400, None),
+    (2, 400, None),
     (100, 100, None),
     (500, 250, None),
     (1_000, 500, None),

@@ -1,7 +1,7 @@
 //! Batched structure-of-arrays loss-curve fitting — the production
 //! fitter.
 //!
-//! [`fit_batch`] fits up to [`LANES`] jobs at once. Each lane walks the
+//! [`fit_batch`] fits up to [`LANES`] jobs at once. Each job walks the
 //! same β₂ candidate trajectory as [`LossCurveFitter::fit`] (32-point
 //! grid, golden-section refinement, final midpoint), while the numeric
 //! work — regression-row construction, Gram products, Lawson–Hanson
@@ -12,19 +12,20 @@
 //! is where the speedup comes from; on CPUs with avx512f, [`fit_batch`]
 //! additionally dispatches to an AVX-512 compilation of the passes, with
 //! the hottest one (row build + Gram/RHS) hand-vectorized via
-//! intrinsics. Per-lane *control* (grid walk, memoization,
+//! intrinsics. Per-job *control* (grid walk, memoization,
 //! golden-section branching, NNLS active-set changes) stays scalar.
 //!
 //! # Semantics
 //!
-//! Every lane's result is bit-identical to `LossCurveFitter::fit` on the
+//! Every job's result is bit-identical to `LossCurveFitter::fit` on the
 //! same raw history — the same coefficient bits, the same error
-//! variants — whatever the session carried in, and whatever the other
-//! lanes hold. `fit` is the oracle; the `batch_equivalence` suite checks
-//! one-lane and mixed batches against it across growing histories,
+//! variants — whatever the session carried in, and whatever else its
+//! group holds. `fit` is the oracle; the `batch_equivalence` suite checks
+//! one-job and mixed batches against it across growing histories,
 //! session reuse across unrelated series, and degenerate inputs.
 //! Telemetry counters are a function of each job's own inputs, so they
-//! do not depend on how jobs are grouped into batches; they are *not*
+//! do not depend on how jobs are grouped into batches or how many lanes
+//! a job gets; they are *not*
 //! `fit`'s, because the memo below skips duplicate solves.
 //!
 //! Three shortcuts against `fit` make a refit cheap, and none of them
@@ -51,17 +52,47 @@
 //!   partial sums are monotone, and a candidate whose sum exceeds the
 //!   best cannot win `fit`'s strict `<` or change its tie-breaking.
 //!   Abandoned candidates are not memoized. `fit.warm_start_hits`
-//!   counts fits whose warm index wins the grid again.
+//!   counts fits whose warm index wins the grid again. Look-ahead
+//!   (below) evaluates a candidate under a bound `W` that may be
+//!   looser than the bound `B` the walk asks it under when it gets
+//!   there, so every outcome is re-judged against `B` as it is
+//!   consumed: a full residual above a finite `B` becomes abandoned
+//!   (a full residual is exact under any bound), and an abandoned one
+//!   is reused only when `B` is finite and `B ≤ W` (its partial sum
+//!   already exceeds `W`); otherwise the walk evaluates it again.
+//!   Golden-section probes and the final midpoint always run exact.
 //!
 //! # Bit-identity of the passes
 //!
-//! * **Lane interpreters, not lane schedules.** Each lane is a resumable
-//!   transcription of the candidate walk that *requests* one β₂
-//!   evaluation at a time ([`LaneFit::next_request`]); the driver
-//!   batches whatever the lanes currently want into one SoA pass per
-//!   wave. Memo hits, degenerate `hi == 0` grids and divergent
-//!   golden-section paths therefore cannot desynchronize lanes — a lane
-//!   that needs no evaluation simply sits a wave out.
+//! * **Job walks own lanes; the walk alone decides.** Each job's walk
+//!   is a resumable transcription of `fit`'s candidate walk that
+//!   *requests* one β₂ evaluation at a time ([`JobWalk::next_request`])
+//!   and consumes its outcome ([`JobWalk::consume`]). The lanes of a
+//!   group are dealt round-robin to its live jobs (those past the
+//!   prologue checks), and the gather pass copies a job's samples into
+//!   every lane it owns; a group of [`LANES`] live jobs gives each job
+//!   one lane. A job fills its lanes with its frontier request plus
+//!   evaluations its walk will ask for next, neither memoized nor
+//!   already requested: the next grid candidates, under the frontier's
+//!   bound (at least every later one, since the best residual only
+//!   falls), or the golden-section probes of the next iterations —
+//!   probe positions depend only on which branch each iteration takes,
+//!   never on residual values, so both branches of the next few
+//!   iterations (and the final midpoint past the last) are known in
+//!   advance and seven lanes advance three iterations per wave. Each
+//!   wave's outcomes are the look-ahead buffer: at the start of the
+//!   next wave the walk consumes them in its own order, by β₂ bits and
+//!   re-judged against its own bound, until it asks for one no lane
+//!   computed — the new frontier. Unconsumed outcomes are dropped.
+//!   Memo hits, degenerate `hi == 0` grids and divergent golden-section
+//!   paths therefore cannot desynchronize anything: a lane with no
+//!   evaluation to run sits the wave out.
+//! * **Counters follow consumption.** A wave returns each lane's NNLS
+//!   facts (`nnls.solves`, `nnls.fit_failures`, `nnls.iterations`)
+//!   instead of recording them, and the walk records them when it
+//!   consumes the outcome, so look-ahead that goes unused counts
+//!   nothing. With the re-judging rule, every coefficient, memo entry,
+//!   warm index and counter is the one the one-lane walk produces.
 //! * **Padding is algebraically inert.** Short histories are padded with
 //!   `(k = 0, l = 0.0)` slots. Every candidate has `β₂ ≥ 0`, so a padded
 //!   slot's gap `0 − β₂ ≤ 0 ≤ 1e-9` always takes `fit`'s
@@ -97,7 +128,7 @@ const INV_PHI: f64 = 0.618_033_988_749_895;
 /// One job's inputs to [`fit_batch`].
 pub struct BatchFitJob<'a> {
     /// Fitter configuration (grid size, preprocessing, telemetry).
-    /// Lanes may use *different* fitters; nothing requires a shared
+    /// Jobs may use *different* fitters; nothing requires a shared
     /// configuration.
     pub fitter: &'a LossCurveFitter,
     /// Raw loss history.
@@ -109,8 +140,10 @@ pub struct BatchFitJob<'a> {
     pub session: &'a mut FitSession,
 }
 
-/// Reusable SoA buffers for [`fit_batch`]. Create once, pass to every
-/// call; buffers grow to the largest group seen and are then reused.
+/// Reusable buffers for [`fit_batch`]: the SoA sample and row buffers
+/// plus the lane tables of the group in flight. Create once, pass to
+/// every call; the vectors grow to the largest group seen and are then
+/// reused, and the lane tables are fixed-size, so no wave allocates.
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     /// Step indices as f64 (`k as f64`, `fit`'s conversion),
@@ -124,12 +157,36 @@ pub struct BatchScratch {
     row1: Vec<f64>,
     /// Regression targets (`gap`).
     yv: Vec<f64>,
+    /// Lane-owner table: lane `j` holds the samples of group job
+    /// `owner[j]`.
+    owner: [usize; LANES],
+    /// Sample count of each lane's owner.
+    lens: [usize; LANES],
+    /// Normalization scale of each lane's owner.
+    scales: [f64; LANES],
+    /// The wave's request per lane (`None`: the lane sits it out).
+    reqs: [Option<EvalReq>; LANES],
+    /// The wave's outcome per lane. Between waves these are the
+    /// look-ahead buffers: each walk consumes its lanes' outcomes in
+    /// its own order, and whatever it does not consume is dropped.
+    outs: [Evaluated; LANES],
 }
 
 impl BatchScratch {
     /// Creates empty scratch buffers.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Last wave's outcome for group job `k`'s candidate `bits`, with
+    /// the abandonment bound it ran under.
+    fn answered(&self, k: usize, bits: u64) -> Option<(f64, Evaluated)> {
+        (0..LANES).find_map(|j| match self.reqs[j] {
+            Some(r) if self.owner[j] == k && r.beta2.to_bits() == bits => {
+                Some((r.bound, self.outs[j]))
+            }
+            _ => None,
+        })
     }
 }
 
@@ -147,12 +204,18 @@ pub fn fit_batch(
     }
 }
 
-/// Per-lane prologue facts computed before the wave loop.
+/// Per-job prologue facts computed before the wave loop.
 struct Prologue {
     err: Option<FitError>,
     hi: f64,
     scale: f64,
     len: usize,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Waves run on this thread, for the tests that pin lane occupancy.
+    static WAVES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 fn fit_group(
@@ -162,11 +225,13 @@ fn fit_group(
 ) {
     debug_assert!(group.len() <= LANES);
 
-    // Pass 1 — scalar prologue per lane, `fit`'s: counter bump,
+    // Pass 1 — scalar prologue per job, `fit`'s: counter bump,
     // (incremental) preprocessing, distinct-step and min-loss checks.
-    // Errors here short-circuit the lane without touching its memo or
+    // Errors here short-circuit the job without touching its memo or
     // warm index.
     let mut pro: Vec<Prologue> = Vec::with_capacity(group.len());
+    let mut live = [0usize; LANES];
+    let mut n_live = 0usize;
     let mut max_len = 0usize;
     for job in group.iter_mut() {
         job.fitter.tel.incr("loss_curve.fits");
@@ -213,6 +278,8 @@ fn fit_group(
         }
         let hi = (min_loss - 1e-9).max(0.0);
         max_len = max_len.max(samples.len());
+        live[n_live] = pro.len();
+        n_live += 1;
         pro.push(Prologue {
             err: None,
             hi,
@@ -221,7 +288,10 @@ fn fit_group(
         });
     }
 
-    // Pass 2 — gather the SoA sample buffers (padding stays 0.0).
+    // Pass 2 — deal the lanes round-robin to the live jobs, so each of
+    // n holds ⌊LANES/n⌋ or ⌈LANES/n⌉ (one each in a full group), and
+    // gather each job's samples into every lane it owns (padding stays
+    // 0.0).
     let width = max_len * LANES;
     scratch.ks.clear();
     scratch.ks.resize(width, 0.0);
@@ -233,60 +303,68 @@ fn fit_group(
     scratch.row1.resize(width, 0.0);
     scratch.yv.clear();
     scratch.yv.resize(width, 0.0);
-    let mut lens = [0usize; LANES];
-    for (j, (job, p)) in group.iter().zip(pro.iter()).enumerate() {
-        lens[j] = p.len;
-        for (s, &(k, l)) in job.session.pre.samples().iter().take(p.len).enumerate() {
-            scratch.ks[s * LANES + j] = k as f64;
-            scratch.ls[s * LANES + j] = l;
+    scratch.reqs = [None; LANES]; // no look-ahead from the previous group
+    if n_live > 0 {
+        scratch.owner = std::array::from_fn(|j| live[j % n_live]);
+        for j in 0..LANES {
+            let k = scratch.owner[j];
+            scratch.lens[j] = pro[k].len;
+            scratch.scales[j] = pro[k].scale;
+            for (s, &(step, l)) in group[k].session.pre.samples().iter().enumerate() {
+                scratch.ks[s * LANES + j] = step as f64;
+                scratch.ls[s * LANES + j] = l;
+            }
         }
     }
 
-    // Pass 3 — build the lane interpreters (mutable borrows into each
-    // lane's session memo + warm index; `pre` is no longer needed).
-    let mut lanes: Vec<LaneFit<'_>> = Vec::with_capacity(group.len());
+    // Pass 3 — build the job walks (mutable borrows into each job's
+    // session memo + warm index; `pre` is no longer needed).
+    let mut walks: Vec<JobWalk<'_>> = Vec::with_capacity(group.len());
     for (job, p) in group.iter_mut().zip(pro.iter()) {
         let FitSession {
             memo,
             warm_grid_index,
             ..
         } = &mut *job.session;
-        lanes.push(LaneFit::new(
+        walks.push(JobWalk::new(
             job.fitter,
             memo,
             warm_grid_index,
             p.hi,
-            p.scale,
             p.err.clone(),
         ));
     }
 
-    // Wave loop: collect one evaluation request per still-running lane,
-    // execute them as a single SoA pass, feed the outcomes back.
-    let mut reqs: [Option<EvalReq>; LANES] = [None; LANES];
+    // Wave loop: each walk consumes what its lanes computed last wave,
+    // then fills its lanes with its frontier request and look-ahead;
+    // one SoA pass evaluates them all.
+    let mut frontier: [Option<EvalReq>; LANES] = [None; LANES];
     loop {
+        for (k, walk) in walks.iter_mut().enumerate() {
+            frontier[k] = walk.drain(frontier[k], |bits| scratch.answered(k, bits));
+        }
+        scratch.reqs = [None; LANES];
         let mut any = false;
-        for (j, lane) in lanes.iter_mut().enumerate() {
-            reqs[j] = lane.next_request();
-            any |= reqs[j].is_some();
+        for (k, walk) in walks.iter().enumerate() {
+            if let Some(req) = frontier[k] {
+                walk.plan(req, k, &scratch.owner, &mut scratch.reqs);
+                any = true;
+            }
         }
         if !any {
             break;
         }
-        let outs = eval_wave(scratch, max_len, &lens, &reqs, &lanes);
-        for (j, lane) in lanes.iter_mut().enumerate() {
-            if reqs[j].is_some() {
-                lane.consume(&outs[j]);
-            }
-        }
+        #[cfg(test)]
+        WAVES.with(|w| w.set(w.get() + 1));
+        eval_wave(scratch, max_len);
     }
-    for lane in lanes {
-        out.push(lane.done.expect("lane finished"));
+    for walk in walks {
+        out.push(walk.done.expect("walk finished"));
     }
 }
 
-/// One β₂ evaluation wanted by a lane.
-#[derive(Clone, Copy)]
+/// One β₂ evaluation wanted by a walk.
+#[derive(Clone, Copy, Debug)]
 struct EvalReq {
     beta2: f64,
     /// Abandonment bound; `f64::INFINITY` means "exact, never abandon".
@@ -294,16 +372,109 @@ struct EvalReq {
 }
 
 /// Outcome of one wave evaluation for one lane.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug, Default)]
 enum WaveOut {
     Fit(LossModel),
     Abandoned,
+    #[default]
     Failed,
 }
 
-/// Where a lane's candidate walk currently stands.
+/// The NNLS counters one evaluation owes — `fit_for_beta2`'s: a solve
+/// once two rows were kept, a failure on a non-finite row or a failed
+/// solve, the iteration count otherwise. They are recorded only when a
+/// walk consumes the evaluation, so look-ahead that goes unused counts
+/// nothing.
+#[derive(Clone, Copy, Debug, Default)]
+struct NnlsFacts {
+    solved: bool,
+    failed: bool,
+    iterations: Option<usize>,
+}
+
+impl NnlsFacts {
+    fn record(self, tel: &Telemetry) {
+        if self.solved {
+            tel.incr("nnls.solves");
+        }
+        if self.failed {
+            tel.incr("nnls.fit_failures");
+        }
+        if let Some(n) = self.iterations {
+            tel.observe("nnls.iterations", n as f64);
+        }
+    }
+}
+
+/// One lane's evaluation: its outcome and the counters it owes.
+#[derive(Clone, Copy, Debug, Default)]
+struct Evaluated {
+    out: WaveOut,
+    facts: NnlsFacts,
+}
+
+/// `out`, computed under abandonment bound `ran`, as the walk would
+/// have computed it under its own bound `want` — or `None` when that
+/// cannot be told without evaluating again. A full residual is exact
+/// under any bound; an abandoned one is only known to exceed `ran`.
+fn rejudge(out: WaveOut, ran: f64, want: f64) -> Option<WaveOut> {
+    match out {
+        WaveOut::Fit(m) if want.is_finite() && m.residual_ss > want => Some(WaveOut::Abandoned),
+        WaveOut::Abandoned if !(want.is_finite() && want <= ran) => None,
+        out => Some(out),
+    }
+}
+
+/// Golden-section bracket `[a, b]` with interior probes `c < d`.
+#[derive(Clone, Copy, Default)]
+struct Bracket {
+    a: f64,
+    b: f64,
+    c: f64,
+    d: f64,
+}
+
+impl Bracket {
+    /// One refinement step: keeps `[a, d]` when `f(c) < f(d)` (`left`),
+    /// else `[c, b]`. The new probe is `c` (left) or `d` (right). Probe
+    /// positions depend only on the branches taken, never on residuals.
+    fn narrow(self, left: bool) -> Bracket {
+        let Bracket { a, b, c, d } = self;
+        if left {
+            Bracket {
+                a,
+                b: d,
+                c: d - (d - a) * INV_PHI,
+                d: c,
+            }
+        } else {
+            Bracket {
+                a: c,
+                b,
+                c: d,
+                d: c + (b - c) * INV_PHI,
+            }
+        }
+    }
+
+    /// The probe [`Bracket::narrow`] just moved.
+    fn fresh(self, left: bool) -> f64 {
+        if left {
+            self.c
+        } else {
+            self.d
+        }
+    }
+
+    /// `fit`'s final midpoint.
+    fn mid(self) -> f64 {
+        (self.a + self.b) / 2.0
+    }
+}
+
+/// Where a walk currently stands.
 /// `*Await` states mean an [`EvalReq`] is outstanding; everything else
-/// advances inside [`LaneFit::next_request`] (memo hits included).
+/// advances inside [`JobWalk::next_request`] (memo hits included).
 #[derive(Clone, Copy)]
 enum Phase {
     /// Warm-start evaluation of the carried grid index (if any).
@@ -328,26 +499,26 @@ enum Phase {
     Done,
 }
 
-/// Resumable per-lane interpreter of the candidate walk: `fit`'s grid
-/// scan and golden-section refinement plus the memo and warm start.
-struct LaneFit<'a> {
+/// Nodes of the golden-section look-ahead tree a walk enumerates per
+/// wave: three full levels (2 + 4 + 8) plus the root.
+const TREE: usize = 16;
+
+/// Resumable interpreter of one job's candidate walk: `fit`'s grid scan
+/// and golden-section refinement plus the memo and warm start.
+struct JobWalk<'a> {
     memo: &'a mut Vec<(u64, Option<LossModel>)>,
     warm_slot: &'a mut Option<usize>,
     tel: &'a Telemetry,
     steps: usize,
     refine_iters: usize,
     hi: f64,
-    scale: f64,
     phase: Phase,
     /// Bit pattern of the candidate an outstanding request is for.
     pending_bits: u64,
     best: Option<(f64, usize, LossModel)>,
     warm_idx: Option<usize>,
     warm_bound: f64,
-    a: f64,
-    b: f64,
-    c: f64,
-    d: f64,
+    br: Bracket,
     fc: f64,
     fd: f64,
     iter: usize,
@@ -355,31 +526,26 @@ struct LaneFit<'a> {
     done: Option<Result<LossModel, FitError>>,
 }
 
-impl<'a> LaneFit<'a> {
+impl<'a> JobWalk<'a> {
     fn new(
         fitter: &'a LossCurveFitter,
         memo: &'a mut Vec<(u64, Option<LossModel>)>,
         warm_slot: &'a mut Option<usize>,
         hi: f64,
-        scale: f64,
         err: Option<FitError>,
     ) -> Self {
         let steps = fitter.grid_points.max(2);
-        let mut lane = LaneFit {
+        let mut walk = JobWalk {
             tel: &fitter.tel,
             steps,
             refine_iters: fitter.refine_iters,
             hi,
-            scale,
             phase: Phase::Warm,
             pending_bits: 0,
             best: None,
             warm_idx: None,
             warm_bound: f64::INFINITY,
-            a: 0.0,
-            b: 0.0,
-            c: 0.0,
-            d: 0.0,
+            br: Bracket::default(),
             fc: f64::INFINITY,
             fd: f64::INFINITY,
             iter: 0,
@@ -390,17 +556,17 @@ impl<'a> LaneFit<'a> {
         };
         match err {
             Some(e) => {
-                lane.done = Some(Err(e));
-                lane.phase = Phase::Done;
+                walk.done = Some(Err(e));
+                walk.phase = Phase::Done;
             }
             None => {
                 // The memo is cleared and the warm index resolved only
                 // after the prologue checks pass.
-                lane.memo.clear();
-                lane.warm_idx = (*lane.warm_slot).filter(|&i| i < steps);
+                walk.memo.clear();
+                walk.warm_idx = (*walk.warm_slot).filter(|&i| i < steps);
             }
         }
-        lane
+        walk
     }
 
     fn grid_beta2(&self, i: usize) -> f64 {
@@ -429,6 +595,20 @@ impl<'a> LaneFit<'a> {
         }
     }
 
+    /// An exact request for `beta2`, unless the memo already holds it.
+    fn exact(&mut self, beta2: f64) -> Result<Option<LossModel>, EvalReq> {
+        match self.memo_find(beta2.to_bits()) {
+            Some(m) => Ok(m),
+            None => {
+                self.pending_bits = beta2.to_bits();
+                Err(EvalReq {
+                    beta2,
+                    bound: f64::INFINITY,
+                })
+            }
+        }
+    }
+
     /// Advances through memo hits and phase transitions until an
     /// evaluation is needed (returns the request) or the fit completes
     /// (returns `None`; the result is in `self.done`).
@@ -441,9 +621,8 @@ impl<'a> LaneFit<'a> {
                         self.phase = Phase::Grid { i: 0 };
                         continue;
                     };
-                    let beta2 = self.grid_beta2(wi);
-                    match self.memo_find(beta2.to_bits()) {
-                        Some(m) => {
+                    match self.exact(self.grid_beta2(wi)) {
+                        Ok(m) => {
                             if let Some(m) = m {
                                 if m.residual_ss.is_finite() {
                                     self.warm_bound = m.residual_ss;
@@ -451,13 +630,7 @@ impl<'a> LaneFit<'a> {
                             }
                             self.phase = Phase::Grid { i: 0 };
                         }
-                        None => {
-                            self.pending_bits = beta2.to_bits();
-                            return Some(EvalReq {
-                                beta2,
-                                bound: f64::INFINITY,
-                            });
-                        }
+                        Err(req) => return Some(req),
                     }
                 }
                 Phase::Grid { i } => {
@@ -491,101 +664,64 @@ impl<'a> LaneFit<'a> {
                     }
                 }
                 Phase::GridAwait { .. } => unreachable!("request outstanding"),
-                Phase::GoldenC => match self.memo_find(self.c.to_bits()) {
-                    Some(m) => {
+                Phase::GoldenC => match self.exact(self.br.c) {
+                    Ok(m) => {
                         self.fc = residual_of(m);
                         self.phase = Phase::GoldenD;
                     }
-                    None => {
-                        self.pending_bits = self.c.to_bits();
-                        return Some(EvalReq {
-                            beta2: self.c,
-                            bound: f64::INFINITY,
-                        });
-                    }
+                    Err(req) => return Some(req),
                 },
-                Phase::GoldenD => match self.memo_find(self.d.to_bits()) {
-                    Some(m) => {
+                Phase::GoldenD => match self.exact(self.br.d) {
+                    Ok(m) => {
                         self.fd = residual_of(m);
                         self.iter = 0;
                         self.phase = Phase::GoldenStep;
                     }
-                    None => {
-                        self.pending_bits = self.d.to_bits();
-                        return Some(EvalReq {
-                            beta2: self.d,
-                            bound: f64::INFINITY,
-                        });
-                    }
+                    Err(req) => return Some(req),
                 },
                 Phase::GoldenStep => {
                     if self.iter >= self.refine_iters {
                         self.phase = Phase::Final;
                         continue;
                     }
-                    if self.fc < self.fd {
-                        self.b = self.d;
-                        self.d = self.c;
+                    let left = self.fc < self.fd;
+                    self.br = self.br.narrow(left);
+                    if left {
                         self.fd = self.fc;
-                        self.c = self.b - (self.b - self.a) * INV_PHI;
                         self.phase = Phase::GoldenNeedC;
                     } else {
-                        self.a = self.c;
-                        self.c = self.d;
                         self.fc = self.fd;
-                        self.d = self.a + (self.b - self.a) * INV_PHI;
                         self.phase = Phase::GoldenNeedD;
                     }
                 }
-                Phase::GoldenNeedC => match self.memo_find(self.c.to_bits()) {
-                    Some(m) => {
+                Phase::GoldenNeedC => match self.exact(self.br.c) {
+                    Ok(m) => {
                         self.fc = residual_of(m);
                         self.iter += 1;
                         self.phase = Phase::GoldenStep;
                     }
-                    None => {
-                        self.pending_bits = self.c.to_bits();
-                        return Some(EvalReq {
-                            beta2: self.c,
-                            bound: f64::INFINITY,
-                        });
-                    }
+                    Err(req) => return Some(req),
                 },
-                Phase::GoldenNeedD => match self.memo_find(self.d.to_bits()) {
-                    Some(m) => {
+                Phase::GoldenNeedD => match self.exact(self.br.d) {
+                    Ok(m) => {
                         self.fd = residual_of(m);
                         self.iter += 1;
                         self.phase = Phase::GoldenStep;
                     }
-                    None => {
-                        self.pending_bits = self.d.to_bits();
-                        return Some(EvalReq {
-                            beta2: self.d,
-                            bound: f64::INFINITY,
-                        });
-                    }
+                    Err(req) => return Some(req),
                 },
-                Phase::Final => {
-                    let beta2 = (self.a + self.b) / 2.0;
-                    match self.memo_find(beta2.to_bits()) {
-                        Some(m) => {
-                            let mut best_model = self.best_model.expect("grid winner");
-                            if let Some(m) = m {
-                                if m.residual_ss < best_model.residual_ss {
-                                    best_model = m;
-                                }
+                Phase::Final => match self.exact(self.br.mid()) {
+                    Ok(m) => {
+                        let mut best_model = self.best_model.expect("grid winner");
+                        if let Some(m) = m {
+                            if m.residual_ss < best_model.residual_ss {
+                                best_model = m;
                             }
-                            self.finish(Ok(best_model));
                         }
-                        None => {
-                            self.pending_bits = beta2.to_bits();
-                            return Some(EvalReq {
-                                beta2,
-                                bound: f64::INFINITY,
-                            });
-                        }
+                        self.finish(Ok(best_model));
                     }
-                }
+                    Err(req) => return Some(req),
+                },
             }
         }
     }
@@ -601,12 +737,16 @@ impl<'a> LaneFit<'a> {
         }
         *self.warm_slot = Some(best_idx);
         let cell = self.hi / (self.steps - 1) as f64;
-        self.a = (grid_best.beta2 - cell).max(0.0);
-        self.b = (grid_best.beta2 + cell).min(self.hi);
+        let a = (grid_best.beta2 - cell).max(0.0);
+        let b = (grid_best.beta2 + cell).min(self.hi);
         self.best_model = Some(grid_best);
-        if self.b > self.a {
-            self.c = self.b - (self.b - self.a) * INV_PHI;
-            self.d = self.a + (self.b - self.a) * INV_PHI;
+        if b > a {
+            self.br = Bracket {
+                a,
+                b,
+                c: b - (b - a) * INV_PHI,
+                d: a + (b - a) * INV_PHI,
+            };
             self.phase = Phase::GoldenC;
         } else {
             self.finish(Ok(grid_best));
@@ -644,6 +784,116 @@ impl<'a> LaneFit<'a> {
             },
             Phase::Grid { .. } | Phase::GoldenStep | Phase::Done => {
                 unreachable!("no request outstanding")
+            }
+        }
+    }
+
+    /// Consumes, in the walk's own order, the evaluations its lanes
+    /// computed last wave (`answered` looks one up by β₂ bits), each
+    /// re-judged against the bound the walk asks it under and counted
+    /// as it is consumed. Returns the first request no lane answered —
+    /// the job's frontier — or `None` once the fit is done.
+    fn drain(
+        &mut self,
+        frontier: Option<EvalReq>,
+        answered: impl Fn(u64) -> Option<(f64, Evaluated)>,
+    ) -> Option<EvalReq> {
+        let mut pending = frontier.or_else(|| self.next_request());
+        while let Some(req) = pending {
+            let Some((ran, ev)) = answered(req.beta2.to_bits()) else {
+                break;
+            };
+            let Some(outcome) = rejudge(ev.out, ran, req.bound) else {
+                break;
+            };
+            ev.facts.record(self.tel);
+            self.consume(&outcome);
+            pending = self.next_request();
+        }
+        pending
+    }
+
+    /// Fills group job `k`'s lanes for the next wave: the frontier in
+    /// its first lane, then the candidates the walk will ask for next
+    /// that are neither memoized nor already requested.
+    fn plan(
+        &self,
+        frontier: EvalReq,
+        k: usize,
+        owner: &[usize; LANES],
+        reqs: &mut [Option<EvalReq>; LANES],
+    ) {
+        let mut mine = (0..LANES).filter(|&j| owner[j] == k).peekable();
+        let first = mine.next().expect("a live job owns a lane");
+        reqs[first] = Some(frontier);
+        if mine.peek().is_none() {
+            return; // one lane: the frontier fills it (full groups)
+        }
+        let mut placed = [frontier.beta2.to_bits(); LANES];
+        let mut n = 1;
+        let mut emit = |beta2: f64, bound: f64| {
+            let bits = beta2.to_bits();
+            if placed[..n].contains(&bits) || self.memo_find(bits).is_some() {
+                return true; // needs no lane
+            }
+            let Some(j) = mine.next() else {
+                return false;
+            };
+            reqs[j] = Some(EvalReq { beta2, bound });
+            placed[n] = bits;
+            n += 1;
+            true
+        };
+        match self.phase {
+            // Grid look-ahead runs under the frontier's bound, which is
+            // at least every later one (the best residual only falls).
+            Phase::Warm => self.grid_ahead(0, frontier.bound, &mut emit),
+            Phase::GridAwait { i } => self.grid_ahead(i + 1, frontier.bound, &mut emit),
+            Phase::GoldenC => {
+                if emit(self.br.d, f64::INFINITY) {
+                    self.golden_ahead(0, &mut emit);
+                }
+            }
+            Phase::GoldenD => self.golden_ahead(0, &mut emit),
+            Phase::GoldenNeedC | Phase::GoldenNeedD => self.golden_ahead(self.iter + 1, &mut emit),
+            Phase::Final | Phase::Grid { .. } | Phase::GoldenStep | Phase::Done => {}
+        }
+    }
+
+    /// Emits grid candidates `from..` until `emit` runs out of lanes.
+    fn grid_ahead(&self, from: usize, bound: f64, emit: &mut impl FnMut(f64, f64) -> bool) {
+        for i in from..self.steps {
+            if !emit(self.grid_beta2(i), bound) {
+                return;
+            }
+        }
+    }
+
+    /// Emits, breadth first, the probes of the golden-section iterations
+    /// from `iter` on — both branches of each, the final midpoint as the
+    /// leaf — until `emit` runs out of lanes or the queue of [`TREE`]
+    /// nodes runs dry.
+    fn golden_ahead(&self, iter: usize, emit: &mut impl FnMut(f64, f64) -> bool) {
+        let mut queue = [(self.br, iter); TREE];
+        let (mut head, mut tail) = (0, 1);
+        while head < tail {
+            let (br, it) = queue[head];
+            head += 1;
+            if it >= self.refine_iters {
+                if !emit(br.mid(), f64::INFINITY) {
+                    return;
+                }
+                continue;
+            }
+            for left in [true, false] {
+                let next = br.narrow(left);
+                if !emit(next.fresh(left), f64::INFINITY) {
+                    return;
+                }
+                if tail < TREE {
+                    queue[tail] = (next, it + 1);
+                    tail += 1;
+                }
             }
         }
     }
@@ -855,27 +1105,23 @@ unsafe fn pass_a_avx512(scratch: &mut BatchScratch, width: usize, beta2: &[f64; 
     }
 }
 
-/// Executes one wave of β₂ candidate evaluations as SoA passes:
-/// build + Gram, lockstep NNLS duals, residual accumulation.
+/// Executes one wave of β₂ candidate evaluations as SoA passes —
+/// build + Gram, lockstep NNLS duals, residual accumulation — on the
+/// requests in `scratch.reqs`, writing each lane's outcome and NNLS
+/// facts to `scratch.outs`.
 ///
 /// Dispatches to an AVX-512 compilation of the same body when the CPU
 /// has it — with eight f64 lanes the accumulator arrays want the wider
 /// register file; the arithmetic is lane-wise IEEE either way (rustc
 /// performs no FMA contraction), so results are bit-identical across
 /// targets.
-fn eval_wave(
-    scratch: &mut BatchScratch,
-    max_len: usize,
-    lens: &[usize; LANES],
-    reqs: &[Option<EvalReq>; LANES],
-    lanes: &[LaneFit<'_>],
-) -> [WaveOut; LANES] {
+fn eval_wave(scratch: &mut BatchScratch, max_len: usize) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx512f") {
         // SAFETY: the avx512f requirement was just checked at runtime.
-        return unsafe { eval_wave_avx512(scratch, max_len, lens, reqs, lanes) };
+        return unsafe { eval_wave_avx512(scratch, max_len) };
     }
-    eval_wave_body(scratch, max_len, lens, reqs, lanes, false)
+    eval_wave_body(scratch, max_len, false)
 }
 
 /// The wave body compiled with AVX-512 codegen enabled (the
@@ -883,25 +1129,14 @@ fn eval_wave(
 /// features).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn eval_wave_avx512(
-    scratch: &mut BatchScratch,
-    max_len: usize,
-    lens: &[usize; LANES],
-    reqs: &[Option<EvalReq>; LANES],
-    lanes: &[LaneFit<'_>],
-) -> [WaveOut; LANES] {
-    eval_wave_body(scratch, max_len, lens, reqs, lanes, true)
+unsafe fn eval_wave_avx512(scratch: &mut BatchScratch, max_len: usize) {
+    eval_wave_body(scratch, max_len, true)
 }
 
 #[inline(always)]
-fn eval_wave_body(
-    scratch: &mut BatchScratch,
-    max_len: usize,
-    lens: &[usize; LANES],
-    reqs: &[Option<EvalReq>; LANES],
-    lanes: &[LaneFit<'_>],
-    use_avx512: bool,
-) -> [WaveOut; LANES] {
+fn eval_wave_body(scratch: &mut BatchScratch, max_len: usize, use_avx512: bool) {
+    let reqs = scratch.reqs;
+    let lens = scratch.lens;
     let mut beta2 = [0.0_f64; LANES];
     let mut active = [false; LANES];
     for j in 0..LANES {
@@ -939,12 +1174,12 @@ fn eval_wave_body(
         rhs1,
     } = pa;
 
-    // Per-lane NNLS admission, with `fit_for_beta2`'s exact telemetry:
+    // Per-lane NNLS admission, with `fit_for_beta2`'s exact counters:
     // fewer than 2 rows fails silently (before any counter), a
     // non-finite row counts a solve *and* a failure. Post-preprocessing
     // losses are always finite, so `y` never trips `nnls_with`'s rhs
     // check — only row overflow (`w·k → ∞`) can, which `bad` is.
-    let mut out = [WaveOut::Failed; LANES];
+    let mut out = [Evaluated::default(); LANES];
     let mut st: [LaneNnls; LANES] = Default::default();
     let mut ran = [false; LANES];
     let opts = NnlsOptions::default();
@@ -955,9 +1190,9 @@ fn eval_wave_body(
         if kept[j] < 2 {
             continue; // out[j] stays Failed, no counters — as in `fit`
         }
-        lanes[j].tel.incr("nnls.solves");
+        out[j].facts.solved = true;
         if bad[j] {
-            lanes[j].tel.incr("nnls.fit_failures");
+            out[j].facts.failed = true;
             continue;
         }
         st[j].running = true;
@@ -1034,12 +1269,10 @@ fn eval_wave_body(
             continue;
         }
         if st[j].err.is_some() {
-            lanes[j].tel.incr("nnls.fit_failures");
+            out[j].facts.failed = true;
             continue; // out[j] stays Failed
         }
-        lanes[j]
-            .tel
-            .observe("nnls.iterations", st[j].iterations as f64);
+        out[j].facts.iterations = Some(st[j].iterations);
         fitted[j] = true;
         b0[j] = x0[j];
         b1[j] = x1[j];
@@ -1084,19 +1317,19 @@ fn eval_wave_body(
             continue;
         }
         let bound = reqs[j].expect("active lane").bound;
-        out[j] = if bound.is_finite() && rss[j] > bound {
+        out[j].out = if bound.is_finite() && rss[j] > bound {
             WaveOut::Abandoned
         } else {
             WaveOut::Fit(LossModel {
                 beta0: x0[j],
                 beta1: x1[j],
                 beta2: beta2[j],
-                scale: lanes[j].scale,
+                scale: scratch.scales[j],
                 residual_ss: rss[j],
             })
         };
     }
-    out
+    scratch.outs = out;
 }
 
 /// Advances one lane's Lawson–Hanson state after a dual sweep — the
@@ -1243,4 +1476,130 @@ fn advance_lane(
     }
     *x0 = x[0];
     *x1 = x[1];
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::preprocess::LossSample;
+
+    /// A planted `1/(0.05k + 1) + 0.2` curve with ±2 % deterministic
+    /// jitter.
+    fn history(n: usize) -> Vec<LossSample> {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        (0..n)
+            .map(|k| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let jitter = 1.0 + ((state % 1000) as f64 / 1000.0 - 0.5) * 0.04;
+                (k as u64, (1.0 / (0.05 * k as f64 + 1.0) + 0.2) * jitter)
+            })
+            .collect()
+    }
+
+    /// Waves `fit_batch` runs for `copies` sessions, each refitting
+    /// `raw` warm: fitted once on all but the last 10 samples, then on
+    /// all of them under an honest stable-prefix claim.
+    fn warm_refit_waves(raw: &[LossSample], copies: usize) -> usize {
+        let fitter = LossCurveFitter::new();
+        let mut sessions: Vec<FitSession> = (0..copies).map(|_| FitSession::new()).collect();
+        let mut scratch = BatchScratch::new();
+        let mut out = Vec::new();
+        let mut run = |raw: &[LossSample], stable_prefix: usize, sessions: &mut [FitSession]| {
+            let mut jobs: Vec<BatchFitJob<'_>> = sessions
+                .iter_mut()
+                .map(|session| BatchFitJob {
+                    fitter: &fitter,
+                    raw,
+                    stable_prefix,
+                    session,
+                })
+                .collect();
+            let before = WAVES.with(|w| w.get());
+            fit_batch(&mut jobs, &mut scratch, &mut out);
+            WAVES.with(|w| w.get()) - before
+        };
+        let early = &raw[..raw.len() - 10];
+        run(early, 0, &mut sessions);
+        let waves = run(raw, early.len(), &mut sessions);
+        for res in &out[out.len() - copies..] {
+            assert_eq!(res, &fitter.fit(raw), "warm refit matches the oracle");
+        }
+        waves
+    }
+
+    /// A lone job owns every lane and fills them with its own look-ahead,
+    /// so a warm refit of a simulator-sized (400-point) history needs
+    /// under a quarter of the waves of the one-lane walk, which is what
+    /// each job of a full group still runs: one wave per evaluation
+    /// (warm index, 31 more grid points, 2 + 40 probes, the midpoint).
+    #[test]
+    fn a_lone_job_fills_every_lane() {
+        let raw = history(400);
+        let one_lane = warm_refit_waves(&raw, LANES);
+        let lone = warm_refit_waves(&raw, 1);
+        assert_eq!((one_lane, lone), (75, 18));
+    }
+
+    /// Look-ahead outcomes are re-judged against the bound the walk asks
+    /// under: a full residual is exact under any bound, an abandoned one
+    /// only proves it exceeds the bound it ran under.
+    #[test]
+    fn rejudge_follows_the_walks_bound() {
+        let fit = |r: f64| {
+            WaveOut::Fit(LossModel {
+                beta0: 1.0,
+                beta1: 1.0,
+                beta2: 0.0,
+                scale: 1.0,
+                residual_ss: r,
+            })
+        };
+        let inf = f64::INFINITY;
+        let kind = |o: Option<WaveOut>| match o {
+            Some(WaveOut::Fit(m)) => Some(m.residual_ss),
+            Some(WaveOut::Abandoned) => Some(-1.0),
+            Some(WaveOut::Failed) => Some(-2.0),
+            None => None,
+        };
+        assert_eq!(kind(rejudge(fit(2.0), inf, 3.0)), Some(2.0));
+        assert_eq!(kind(rejudge(fit(2.0), inf, 2.0)), Some(2.0)); // ties stay
+        assert_eq!(kind(rejudge(fit(2.0), inf, 1.0)), Some(-1.0));
+        assert_eq!(kind(rejudge(fit(2.0), 3.0, inf)), Some(2.0));
+        assert_eq!(kind(rejudge(WaveOut::Abandoned, 3.0, 3.0)), Some(-1.0));
+        assert_eq!(kind(rejudge(WaveOut::Abandoned, 3.0, 1.0)), Some(-1.0));
+        assert_eq!(kind(rejudge(WaveOut::Abandoned, 3.0, 4.0)), None);
+        assert_eq!(kind(rejudge(WaveOut::Abandoned, 3.0, inf)), None);
+        assert_eq!(kind(rejudge(WaveOut::Failed, 3.0, 1.0)), Some(-2.0));
+    }
+
+    /// Jobs that fail the prologue get no lane; every live job gets
+    /// ⌊LANES/n⌋ or ⌈LANES/n⌉, including a flat `hi == 0` one.
+    #[test]
+    fn lanes_go_only_to_live_jobs() {
+        let fitter = LossCurveFitter::new();
+        let healthy = history(120);
+        let flat: Vec<LossSample> = (0..4).map(|k| (k, 1.0)).collect();
+        let short: Vec<LossSample> = vec![(0, 1.0), (1, 0.9)];
+        let raws = [&short[..], &flat[..], &healthy[..], &short[..]];
+        let mut sessions: Vec<FitSession> = raws.iter().map(|_| FitSession::new()).collect();
+        let mut jobs: Vec<BatchFitJob<'_>> = raws
+            .iter()
+            .zip(sessions.iter_mut())
+            .map(|(&raw, session)| BatchFitJob {
+                fitter: &fitter,
+                raw,
+                stable_prefix: 0,
+                session,
+            })
+            .collect();
+        let mut scratch = BatchScratch::new();
+        let mut out = Vec::new();
+        fit_batch(&mut jobs, &mut scratch, &mut out);
+        assert_eq!(scratch.owner, [1, 2, 1, 2, 1, 2, 1, 2]);
+        for (raw, res) in raws.iter().zip(&out) {
+            assert_eq!(res, &fitter.fit(raw));
+        }
+    }
 }

@@ -255,53 +255,66 @@ fn degenerate_lanes_mixed_with_healthy_lanes() {
     }
 }
 
-/// Telemetry counters (`loss_curve.fits`, `nnls.solves`,
+/// Results and telemetry counters (`loss_curve.fits`, `nnls.solves`,
 /// `nnls.fit_failures`, `fit.warm_start_hits`, iteration observations)
-/// are a function of each job's own inputs: eleven one-lane batches and
-/// one eleven-job batch must report the same summary — the simulator's
-/// thread-count-invariant ledger depends on it.
+/// are a function of each job's own inputs, whatever lanes it is given:
+/// the same jobs run as batches of every size from 1 to [`LANES`] (a
+/// lone job owns all eight lanes, two jobs four each, three jobs
+/// 3/3/2, …) and as one call holding them all must return the same
+/// bits and report the same summary as one-job batches — the
+/// simulator's thread-count-invariant ledger depends on it. A flat
+/// `hi == 0` job and a too-short one sit beside live jobs in every
+/// split; lanes go to live jobs only.
 #[test]
 fn batched_telemetry_is_independent_of_lane_grouping() {
-    use optimus_telemetry::Telemetry;
-    let lone_tel = Telemetry::enabled();
-    let batch_tel = Telemetry::enabled();
-    let lone_fitter = LossCurveFitter::new().with_telemetry(lone_tel.clone());
-    let batch_fitter = LossCurveFitter::new().with_telemetry(batch_tel.clone());
-    let raws: Vec<Vec<LossSample>> = (0..11)
+    use optimus_telemetry::{Telemetry, TelemetrySummary};
+    let mut raws: Vec<Vec<LossSample>> = (0..11)
         .map(|i| history(900 + i as u64, 20 + i * 13))
         .collect();
+    raws.insert(2, (0..6).map(|k| (k, 1.0)).collect()); // flat: hi == 0
+    raws.insert(5, vec![(0, 1.0), (1, 0.5)]); // NotEnoughSamples
+    raws.push(history(77, 400)); // the simulator's fit-point cap
     let n = raws.len();
-    let mut lone_sessions: Vec<FitSession> = (0..n).map(|_| FitSession::new()).collect();
-    let mut batch_sessions: Vec<FitSession> = (0..n).map(|_| FitSession::new()).collect();
-    let mut scratch = BatchScratch::new();
-    let mut out = Vec::new();
-    for pass in 0..2 {
-        let prefix = |raw: &Vec<LossSample>| if pass == 0 { 0 } else { raw.len() };
-        for (raw, session) in raws.iter().zip(lone_sessions.iter_mut()) {
-            let mut one = [BatchFitJob {
-                fitter: &lone_fitter,
-                raw,
-                stable_prefix: prefix(raw),
-                session,
-            }];
-            fit_batch(&mut one, &mut scratch, &mut out);
+    // Two passes per session, the second warm on unchanged histories.
+    let run = |batch: usize| -> (Vec<Result<LossModel, FitError>>, TelemetrySummary) {
+        let tel = Telemetry::enabled();
+        let fitter = LossCurveFitter::new().with_telemetry(tel.clone());
+        let mut sessions: Vec<FitSession> = (0..n).map(|_| FitSession::new()).collect();
+        let mut scratch = BatchScratch::new();
+        let mut out = Vec::new();
+        for pass in 0..2 {
+            for (raws, sessions) in raws.chunks(batch).zip(sessions.chunks_mut(batch)) {
+                let mut jobs: Vec<BatchFitJob<'_>> = raws
+                    .iter()
+                    .zip(sessions.iter_mut())
+                    .map(|(raw, session)| BatchFitJob {
+                        fitter: &fitter,
+                        raw,
+                        stable_prefix: if pass == 0 { 0 } else { raw.len() },
+                        session,
+                    })
+                    .collect();
+                fit_batch(&mut jobs, &mut scratch, &mut out);
+            }
         }
-        let mut jobs: Vec<BatchFitJob<'_>> = raws
+        (out, tel.summary())
+    };
+    let (lone, lone_summary) = run(1);
+    assert!(
+        lone_summary
+            .counters
             .iter()
-            .zip(batch_sessions.iter_mut())
-            .map(|(raw, session)| BatchFitJob {
-                fitter: &batch_fitter,
-                raw,
-                stable_prefix: prefix(raw),
-                session,
-            })
-            .collect();
-        fit_batch(&mut jobs, &mut scratch, &mut out);
-    }
-    assert!(lone_tel.counter("nnls.solves") > 0, "telemetry recorded");
-    assert_eq!(
-        lone_tel.summary(),
-        batch_tel.summary(),
-        "telemetry summaries diverged"
+            .any(|(k, v)| k == "nnls.solves" && *v > 0),
+        "telemetry recorded"
     );
+    for batch in (2..=LANES).chain([n]) {
+        let (got, summary) = run(batch);
+        for (i, (want, got)) in lone.iter().zip(&got).enumerate() {
+            assert_same_outcome(want, got, &format!("fit {i}, batches of {batch}"));
+        }
+        assert_eq!(
+            lone_summary, summary,
+            "telemetry summaries diverged in batches of {batch}"
+        );
+    }
 }

@@ -61,9 +61,35 @@ impl ChunkedDataset {
     pub fn stored_bytes(&self) -> u64 {
         self.total_bytes * self.replication as u64
     }
+
+    /// Chunks that change workers when a balanced assignment over
+    /// `from` workers is rebalanced onto `to` — what
+    /// [`ChunkAssignment::rebalance`] returns, without holding the
+    /// chunk ids. Both [`ChunkAssignment::round_robin`] and every
+    /// rebalance leave worker `w` of `n` holding ⌊T/n⌋ + [w < T mod n]
+    /// of the T chunks, and a rebalance moves exactly each worker's
+    /// surplus over its new target (every chunk of a removed worker).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from == 0` or `to == 0`.
+    pub fn rebalance_moves(&self, from: usize, to: usize) -> usize {
+        assert!(from > 0 && to > 0, "need at least one worker");
+        let total = self.num_chunks();
+        let held = |w: usize, n: usize| total / n as u64 + u64::from((w as u64) < total % n as u64);
+        (0..from)
+            .map(|w| {
+                let target = if w < to { held(w, to) } else { 0 };
+                held(w, from).saturating_sub(target) as usize
+            })
+            .sum()
+    }
 }
 
-/// An assignment of chunk indices to workers.
+/// An assignment of chunk indices to workers. The simulator keeps only
+/// the worker count and counts moves with
+/// [`ChunkedDataset::rebalance_moves`]; this type, which holds the ids,
+/// is that count's oracle (`tests/chunk_rebalance.rs`).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChunkAssignment {
     /// `chunks[w]` = chunk indices held by worker `w`.
@@ -218,6 +244,15 @@ mod tests {
         let mut a = ChunkAssignment::round_robin(&d, 4);
         let moved = a.rebalance(4);
         assert_eq!(moved, 0);
+    }
+
+    #[test]
+    fn rebalance_moves_counts_without_chunk_ids() {
+        let d = dataset(12);
+        assert_eq!(d.rebalance_moves(3, 4), 3); // 4,4,4 → 3,3,3,3
+        assert_eq!(d.rebalance_moves(4, 4), 0);
+        assert_eq!(d.rebalance_moves(1, 5), 12 - 3); // worker 0 keeps 3
+        assert_eq!(d.rebalance_moves(5, 1), 12 - 3); // 3,3,2,2,2 → 12
     }
 
     #[test]

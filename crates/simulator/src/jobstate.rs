@@ -2,7 +2,7 @@
 
 use optimus_core::scheduler::JobPlacement;
 use optimus_core::{ConvergenceEstimator, SpeedModel};
-use optimus_ps::data::{ChunkAssignment, ChunkedDataset};
+use optimus_ps::data::ChunkedDataset;
 use optimus_ps::{EnvFactors, PsAssignment, PsJobModel, StragglerMonitor, StragglerPolicy};
 use optimus_workload::{JobSpec, TrainingMode};
 use serde::{Deserialize, Serialize};
@@ -143,8 +143,12 @@ pub struct SimJob {
     pub speed_model: SpeedModel,
     /// Straggler state of the current worker fleet (§5.2).
     pub stragglers: StragglerMonitor,
-    /// Data-chunk assignment (§5.1).
-    pub chunks: ChunkAssignment,
+    /// The job's chunked training data (§5.1).
+    pub dataset: ChunkedDataset,
+    /// Workers the chunks are dealt over. Every assignment is balanced
+    /// (see [`ChunkedDataset::rebalance_moves`]), so the count is all
+    /// the chunk bookkeeping a rebalance needs.
+    pub chunk_workers: usize,
     /// Total chunks moved by rebalances.
     pub chunks_moved: usize,
     /// Seconds of scaling (checkpoint/restart) overhead still to pay
@@ -205,7 +209,8 @@ impl SimJob {
             convergence,
             speed_model,
             stragglers: StragglerMonitor::new(0, straggler_policy),
-            chunks: ChunkAssignment::round_robin(&dataset, 1),
+            dataset,
+            chunk_workers: 1,
             chunks_moved: 0,
             overhead_remaining_s: 0.0,
             overhead_total_s: 0.0,

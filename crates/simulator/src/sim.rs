@@ -1539,7 +1539,10 @@ impl Simulation {
                 job.scale_events += 1;
             }
             if changed && new_w > 0 {
-                let moved = job.chunks.rebalance(new_w as usize);
+                let moved = job
+                    .dataset
+                    .rebalance_moves(job.chunk_workers, new_w as usize);
+                job.chunk_workers = new_w as usize;
                 job.chunks_moved += moved;
                 job.stragglers.resize(new_w as usize);
                 if moved > 0 {

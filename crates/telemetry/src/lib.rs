@@ -153,7 +153,12 @@ impl Telemetry {
     /// disabled).
     pub fn add(&self, name: &str, n: u64) -> u64 {
         self.with_state(|s| {
-            let c = s.counters.entry(name.to_string()).or_insert(0);
+            // Look up before inserting: only a name's first update
+            // allocates its key.
+            let c = match s.counters.get_mut(name) {
+                Some(c) => c,
+                None => s.counters.entry(name.to_string()).or_insert(0),
+            };
             *c += n;
             *c
         })
@@ -175,8 +180,11 @@ impl Telemetry {
 
     /// Sets a gauge to `value`.
     pub fn gauge(&self, name: &str, value: f64) {
-        self.with_state(|s| {
-            s.gauges.insert(name.to_string(), value);
+        self.with_state(|s| match s.gauges.get_mut(name) {
+            Some(g) => *g = value,
+            None => {
+                s.gauges.insert(name.to_string(), value);
+            }
         });
     }
 
@@ -194,11 +202,13 @@ impl Telemetry {
     /// Records a value into a histogram, creating it with
     /// [`metrics::default_buckets`] on first use.
     pub fn observe(&self, name: &str, value: f64) {
-        self.with_state(|s| {
-            s.histograms
+        self.with_state(|s| match s.histograms.get_mut(name) {
+            Some(h) => h.observe(value),
+            None => s
+                .histograms
                 .entry(name.to_string())
                 .or_insert_with(|| Histogram::new(&metrics::default_buckets()))
-                .observe(value);
+                .observe(value),
         });
     }
 

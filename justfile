@@ -41,9 +41,11 @@ bench-alloc:
 # (`Simulation::run`) against the tick-loop oracle
 # (`Simulation::run_reference`) and the full-rounds scheduler — one
 # simulator-suite run covers every scheduler, refit thread count and
-# edge case — plus the event-calendar determinism proptests.
+# edge case — plus the event-calendar determinism proptests and the
+# closed-form chunk-move count against `ChunkAssignment::rebalance`.
 equivalence:
     cargo test --release -p optimus-core --test equivalence
+    cargo test --release -p optimus-ps --test chunk_rebalance
     cargo test --release -p optimus-fitting --test equivalence
     cargo test --release -p optimus-fitting --test batch_equivalence
     cargo test --release -p optimus-simulator --test equivalence
