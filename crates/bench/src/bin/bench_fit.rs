@@ -29,7 +29,7 @@
 
 use optimus_bench::{append_trajectory, arg_value};
 use optimus_core::{refit_convergence_batch, ConvergenceEstimator};
-use optimus_fitting::{LossCurveFitter, LossModel};
+use optimus_fitting::{BatchScratch, LossCurveFitter, LossModel};
 use serde::Serialize;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -37,10 +37,12 @@ use std::time::Instant;
 /// The acceptance grid: (jobs, history length in loss samples, dirty
 /// jobs). `None` refits every job — the legacy all-dirty shape. The
 /// one- and two-job points at 400 samples (the simulator's fit-point
-/// cap) are the small lane groups most simulated rounds refit.
-const POINTS: [(usize, usize, Option<usize>); 7] = [
+/// cap) are the small lane groups most simulated rounds refit; the
+/// eight-job point is one full group.
+const POINTS: [(usize, usize, Option<usize>); 8] = [
     (1, 400, None),
     (2, 400, None),
+    (8, 400, None),
     (100, 100, None),
     (500, 250, None),
     (1_000, 500, None),
@@ -170,6 +172,9 @@ fn time_reference(
 /// estimators and times the resulting batched refit sweep, returning
 /// mean ns per interval and the fit outcomes.
 fn time_batched(histories: &[Vec<(u64, f64)>], dirty: usize, samples: u32) -> (u64, Vec<FitBits>) {
+    // One serial worker whose scratch stays warm across samples, as the
+    // simulator keeps it across rounds.
+    let mut scratch = [BatchScratch::new()];
     let mut total_ns = 0u128;
     let mut outcomes = Vec::new();
     for _ in 0..samples {
@@ -181,7 +186,7 @@ fn time_batched(histories: &[Vec<(u64, f64)>], dirty: usize, samples: u32) -> (u
         }
         let mut refs: Vec<&mut ConvergenceEstimator> = ests.iter_mut().collect();
         let start = Instant::now();
-        let fits = std::hint::black_box(refit_convergence_batch(&mut refs, 1));
+        let fits = std::hint::black_box(refit_convergence_batch(&mut refs, &mut scratch));
         total_ns += start.elapsed().as_nanos();
         outcomes = fits.iter().map(|r| r.as_ref().ok().map(bits)).collect();
     }

@@ -11,7 +11,7 @@
 //! the mitigation the paper describes ("average the values of several
 //! data points (e.g., all losses in an epoch) as a single data point").
 
-use optimus_fitting::{FitError, FitSession, LossCurveFitter, LossModel};
+use optimus_fitting::{BatchScratch, FitError, FitSession, LossCurveFitter, LossModel};
 use optimus_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 
@@ -210,7 +210,7 @@ impl ConvergenceEstimator {
     /// fitter runs. The outcome is bit-identical to
     /// `LossCurveFitter::fit` on the bucketed solver points.
     pub fn refit(&mut self) -> Result<&LossModel, FitError> {
-        let res = refit_convergence_batch(&mut [&mut *self], 1)
+        let res = refit_convergence_batch(&mut [&mut *self], &mut [BatchScratch::new()])
             .pop()
             .expect("one outcome per estimator");
         res?;
@@ -394,15 +394,17 @@ enum RefitSlot {
 ///
 /// Estimators with an unchanged history replay the cached fit under
 /// `fit.skipped_unchanged`; the rest have their solver points updated
-/// and are fanned across `threads` workers in lane-width groups whose
-/// boundaries depend only on the input order — never on the thread
-/// count — so results are thread-invariant. A successful fit becomes
-/// the estimator's model; a failed one keeps the last good model.
+/// and are fanned across one worker thread per element of `workers`
+/// (each fits its lane groups in its own scratch, which the caller
+/// keeps warm across calls) in lane-width groups whose boundaries
+/// depend only on the input order — never on the thread count — so
+/// results are thread-invariant. A successful fit becomes the
+/// estimator's model; a failed one keeps the last good model.
 pub fn refit_convergence_batch(
     ests: &mut [&mut ConvergenceEstimator],
-    threads: usize,
+    workers: &mut [BatchScratch],
 ) -> Vec<Result<LossModel, FitError>> {
-    use optimus_fitting::{fit_batch, BatchFitJob, BatchScratch, LANES};
+    use optimus_fitting::{fit_batch, BatchFitJob, LANES};
 
     let n = ests.len();
     let mut slots: Vec<RefitSlot> = Vec::with_capacity(n);
@@ -439,12 +441,12 @@ pub fn refit_convergence_batch(
         });
         job_idx.push(i);
     }
-    let grouped = optimus_parallel::run_chunks_mut(&mut jobs, LANES, threads, |_, group| {
-        let mut scratch = BatchScratch::new();
-        let mut out = Vec::with_capacity(group.len());
-        fit_batch(group, &mut scratch, &mut out);
-        out
-    });
+    let grouped =
+        optimus_parallel::run_chunks_mut(&mut jobs, LANES, workers, |_, scratch, group| {
+            let mut out = Vec::with_capacity(group.len());
+            fit_batch(group, scratch, &mut out);
+            out
+        });
     drop(jobs);
 
     // Write back the batched estimators' bookkeeping.
@@ -773,10 +775,10 @@ mod tests {
     }
 
     /// Batch grouping is invisible: one batch of every estimator, at 1
-    /// and 4 threads, matches one-estimator `refit()` calls — same
-    /// outcomes, same estimator state afterwards (checked behaviorally
-    /// across rounds where only some estimators gain samples), same
-    /// telemetry.
+    /// and 4 threads (each with warm per-worker scratch), matches
+    /// one-estimator `refit()` calls — same outcomes, same estimator
+    /// state afterwards (checked behaviorally across rounds where only
+    /// some estimators gain samples), same telemetry.
     #[test]
     fn batched_refit_matches_one_lane_refits() {
         let lone_tel = Telemetry::enabled();
@@ -796,6 +798,10 @@ mod tests {
         let mut lone = mk(&lone_tel);
         let mut batch = mk(&batch_tel);
 
+        // Worker scratch is kept warm across rounds, as the simulator
+        // keeps it.
+        let mut one_worker = [BatchScratch::new()];
+        let mut four_workers: [BatchScratch; 4] = Default::default();
         let mut step = vec![0u64; n];
         for round in 0..6 {
             for i in 0..n {
@@ -811,12 +817,13 @@ mod tests {
                 }
             }
             let mut refs: Vec<&mut ConvergenceEstimator> = batch.iter_mut().collect();
-            for threads in [1usize, 4] {
+            for workers in [&mut one_worker[..], &mut four_workers[..]] {
+                let threads = workers.len();
                 // Re-running on an unchanged batch replays skip-unchanged
                 // on both sides, so a second one-lane sweep keeps parity.
                 let want: Vec<Result<LossModel, FitError>> =
                     lone.iter_mut().map(|e| e.refit().copied()).collect();
-                let got = refit_convergence_batch(&mut refs, threads);
+                let got = refit_convergence_batch(&mut refs, workers);
                 for (i, (w, g)) in want.iter().zip(got.iter()).enumerate() {
                     assert_same_outcome(w, g, &format!("round {round} job {i} threads {threads}"));
                 }

@@ -11,8 +11,8 @@
 //! reductions, branchless selects, `[f64; LANES]` accumulators), which
 //! is where the speedup comes from; on CPUs with avx512f, [`fit_batch`]
 //! additionally dispatches to an AVX-512 compilation of the passes, with
-//! the hottest one (row build + Gram/RHS) hand-vectorized via
-//! intrinsics. Per-job *control* (grid walk, memoization,
+//! the two that stream the samples (row build + Gram/RHS, and the dual
+//! sweep) hand-vectorized via intrinsics. Per-job *control* (grid walk, memoization,
 //! golden-section branching, NNLS active-set changes) stays scalar.
 //!
 //! # Semantics
@@ -99,12 +99,35 @@
 //!   skip-this-row branch, contributing exactly-`+0.0` terms to every
 //!   accumulator. Accumulators never hold `-0.0` (they start at `+0.0`
 //!   and `+0.0 + -0.0 = +0.0`), so those terms are bitwise no-ops.
+//! * **Rows are recomputed, not cached.** A wave stores no regression
+//!   rows: pass A and every full dual sweep rebuild each row from the
+//!   gathered `(k, l)` sample and the lane's β₂ with the same operations
+//!   in the same order (`row` and its AVX-512 twin), so every rebuild is
+//!   the same bits. Building a row costs a few lane-wise ops; storing
+//!   and re-reading three row arrays cost more, because a wave's passes
+//!   are bound by memory traffic, not arithmetic. A skipped row's `r0`
+//!   is `r1·k = +0.0·k = +0.0` without a mask, since `k` is a finite
+//!   step index ≥ 0.
 //! * **Gram caching is exact.** The Lawson–Hanson subproblem Gram/RHS
 //!   depend on the rows only, so they are computed once per candidate in
-//!   the build pass and every active-set solve replays through
+//!   pass A and every active-set solve replays through
 //!   [`solve_sub2_cached`] in O(1) — same accumulation order as
 //!   `Matrix::gram`, whose zero-row guards only ever skip exactly-zero
 //!   terms.
+//! * **Non-finite rows show in the Gram diagonal.** `nnls_with` fails a
+//!   solve when any row holds an ∞ or NaN. Every `g00`/`g11` term is a
+//!   square, ≥ 0, so such a row makes `g00` or `g11` non-finite; a lane
+//!   whose diagonal is finite therefore has only finite rows. A lane
+//!   whose diagonal is not rescans its rows for the exact verdict,
+//!   because finite rows can overflow the Gram too, and those lanes
+//!   solve as `nnls_with` does.
+//! * **Only sweeps whose dual can be used run.** The first dual sweep
+//!   of a wave is pass A's RHS (`x = 0`). After `x` changes, a lane asks
+//!   for a fresh sweep only if some column is neither passive nor
+//!   rejected: otherwise `nnls_with`'s scan finds no entering column
+//!   whatever the dual holds, and returns without counting anything, so
+//!   the lane converges on the spot. A candidate that enters both
+//!   columns thus costs one full sweep, not two.
 //! * **Full-sum abandonment is prefix abandonment.** By the same
 //!   monotonicity, the full sum exceeds the bound iff some prefix does,
 //!   so the abandonment decision is recoverable from a batched full
@@ -140,10 +163,12 @@ pub struct BatchFitJob<'a> {
     pub session: &'a mut FitSession,
 }
 
-/// Reusable buffers for [`fit_batch`]: the SoA sample and row buffers
-/// plus the lane tables of the group in flight. Create once, pass to
-/// every call; the vectors grow to the largest group seen and are then
-/// reused, and the lane tables are fixed-size, so no wave allocates.
+/// Reusable buffers for [`fit_batch`]: the SoA sample buffers plus the
+/// lane tables of the group in flight. Create once, pass to every call;
+/// the sample vectors grow to the largest group seen and are then
+/// reused, and the lane tables are fixed-size, so a warm call does not
+/// allocate. Regression rows are never stored: each pass rebuilds them
+/// from the samples (module docs).
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     /// Step indices as f64 (`k as f64`, `fit`'s conversion),
@@ -151,12 +176,6 @@ pub struct BatchScratch {
     ks: Vec<f64>,
     /// Preprocessed losses, same layout.
     ls: Vec<f64>,
-    /// Regression row column 0 (`w·k`) for the current wave.
-    row0: Vec<f64>,
-    /// Regression row column 1 (`w`).
-    row1: Vec<f64>,
-    /// Regression targets (`gap`).
-    yv: Vec<f64>,
     /// Lane-owner table: lane `j` holds the samples of group job
     /// `owner[j]`.
     owner: [usize; LANES],
@@ -205,6 +224,7 @@ pub fn fit_batch(
 }
 
 /// Per-job prologue facts computed before the wave loop.
+#[derive(Default)]
 struct Prologue {
     err: Option<FitError>,
     hi: f64,
@@ -216,6 +236,9 @@ struct Prologue {
 thread_local! {
     /// Waves run on this thread, for the tests that pin lane occupancy.
     static WAVES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Full dual sweeps run on this thread (the free first sweep of a
+    /// wave is not one), for the test that pins the dead-sweep rule.
+    static SWEEPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 fn fit_group(
@@ -229,11 +252,11 @@ fn fit_group(
     // (incremental) preprocessing, distinct-step and min-loss checks.
     // Errors here short-circuit the job without touching its memo or
     // warm index.
-    let mut pro: Vec<Prologue> = Vec::with_capacity(group.len());
+    let mut pro: [Prologue; LANES] = Default::default();
     let mut live = [0usize; LANES];
     let mut n_live = 0usize;
     let mut max_len = 0usize;
-    for job in group.iter_mut() {
+    for (k, job) in group.iter_mut().enumerate() {
         job.fitter.tel.incr("loss_curve.fits");
         preprocess_losses_incremental(
             job.raw,
@@ -250,15 +273,14 @@ fn fit_group(
         steps_buf.dedup();
         let distinct = steps_buf.len();
         if distinct < 3 {
-            pro.push(Prologue {
+            pro[k] = Prologue {
                 err: Some(FitError::NotEnoughSamples {
                     got: distinct,
                     need: 3,
                 }),
-                hi: 0.0,
                 scale,
-                len: 0,
-            });
+                ..Prologue::default()
+            };
             continue;
         }
         let min_loss = samples
@@ -266,52 +288,51 @@ fn fit_group(
             .map(|&(_, l)| l)
             .fold(f64::INFINITY, f64::min);
         if !min_loss.is_finite() {
-            pro.push(Prologue {
+            pro[k] = Prologue {
                 err: Some(FitError::NonFiniteInput {
                     context: "loss samples after preprocessing",
                 }),
-                hi: 0.0,
                 scale,
-                len: 0,
-            });
+                ..Prologue::default()
+            };
             continue;
         }
-        let hi = (min_loss - 1e-9).max(0.0);
         max_len = max_len.max(samples.len());
-        live[n_live] = pro.len();
+        live[n_live] = k;
         n_live += 1;
-        pro.push(Prologue {
+        pro[k] = Prologue {
             err: None,
-            hi,
+            hi: (min_loss - 1e-9).max(0.0),
             scale,
             len: samples.len(),
-        });
+        };
     }
 
     // Pass 2 — deal the lanes round-robin to the live jobs, so each of
     // n holds ⌊LANES/n⌋ or ⌈LANES/n⌉ (one each in a full group), and
-    // gather each job's samples into every lane it owns (padding stays
-    // 0.0).
+    // gather each job's samples into every lane it owns, padded with
+    // (0, 0.0) up to the group's longest history. Every slot the waves
+    // read is written here, so the buffers only grow when a group is
+    // longer than any before.
     let width = max_len * LANES;
-    scratch.ks.clear();
-    scratch.ks.resize(width, 0.0);
-    scratch.ls.clear();
-    scratch.ls.resize(width, 0.0);
-    scratch.row0.clear();
-    scratch.row0.resize(width, 0.0);
-    scratch.row1.clear();
-    scratch.row1.resize(width, 0.0);
-    scratch.yv.clear();
-    scratch.yv.resize(width, 0.0);
+    for buf in [&mut scratch.ks, &mut scratch.ls] {
+        if buf.len() < width {
+            buf.resize(width, 0.0);
+        }
+    }
     scratch.reqs = [None; LANES]; // no look-ahead from the previous group
     if n_live > 0 {
         scratch.owner = std::array::from_fn(|j| live[j % n_live]);
         for j in 0..LANES {
             let k = scratch.owner[j];
+            let samples = group[k].session.pre.samples();
             scratch.lens[j] = pro[k].len;
             scratch.scales[j] = pro[k].scale;
-            for (s, &(step, l)) in group[k].session.pre.samples().iter().enumerate() {
-                scratch.ks[s * LANES + j] = step as f64;
+            for s in 0..max_len {
+                let (step, l) = samples
+                    .get(s)
+                    .map_or((0.0, 0.0), |&(step, l)| (step as f64, l));
+                scratch.ks[s * LANES + j] = step;
                 scratch.ls[s * LANES + j] = l;
             }
         }
@@ -319,19 +340,19 @@ fn fit_group(
 
     // Pass 3 — build the job walks (mutable borrows into each job's
     // session memo + warm index; `pre` is no longer needed).
-    let mut walks: Vec<JobWalk<'_>> = Vec::with_capacity(group.len());
-    for (job, p) in group.iter_mut().zip(pro.iter()) {
+    let mut walks: [Option<JobWalk<'_>>; LANES] = Default::default();
+    for ((slot, job), p) in walks.iter_mut().zip(group.iter_mut()).zip(pro.iter_mut()) {
         let FitSession {
             memo,
             warm_grid_index,
             ..
         } = &mut *job.session;
-        walks.push(JobWalk::new(
+        *slot = Some(JobWalk::new(
             job.fitter,
             memo,
             warm_grid_index,
             p.hi,
-            p.err.clone(),
+            p.err.take(),
         ));
     }
 
@@ -340,12 +361,12 @@ fn fit_group(
     // one SoA pass evaluates them all.
     let mut frontier: [Option<EvalReq>; LANES] = [None; LANES];
     loop {
-        for (k, walk) in walks.iter_mut().enumerate() {
+        for (k, walk) in walks.iter_mut().flatten().enumerate() {
             frontier[k] = walk.drain(frontier[k], |bits| scratch.answered(k, bits));
         }
         scratch.reqs = [None; LANES];
         let mut any = false;
-        for (k, walk) in walks.iter().enumerate() {
+        for (k, walk) in walks.iter().flatten().enumerate() {
             if let Some(req) = frontier[k] {
                 walk.plan(req, k, &scratch.owner, &mut scratch.reqs);
                 any = true;
@@ -358,7 +379,7 @@ fn fit_group(
         WAVES.with(|w| w.set(w.get() + 1));
         eval_wave(scratch, max_len);
     }
-    for walk in walks {
+    for walk in walks.into_iter().flatten() {
         out.push(walk.done.expect("walk finished"));
     }
 }
@@ -918,8 +939,6 @@ struct LaneNnls {
 struct PassA {
     /// Rows with `gap > 1e-9` — `fit`'s kept-row count.
     kept: [u64; LANES],
-    /// True iff some kept row overflowed to a non-finite value.
-    bad: [bool; LANES],
     g00: [f64; LANES],
     g01: [f64; LANES],
     g11: [f64; LANES],
@@ -927,75 +946,38 @@ struct PassA {
     rhs1: [f64; LANES],
 }
 
-/// Pass A, portable form: builds regression rows (`w·k`, `w`, `gap`)
-/// and accumulates the Gram matrix and RHS in ascending-sample order —
-/// the exact order `Matrix::gram` and `Matrix::tr_mul_vec` sum them, so
-/// every f64 is bit-identical.
-///
-/// Two loops, not one: each is simple enough for the SLP vectorizer,
-/// where the fused body spills accumulators and compiles scalar. The
-/// split is free of observable effect — the Gram loop re-reads the
-/// rows the build loop just wrote, and each accumulator still sums in
-/// ascending `s`. The two non-arithmetic facts admission needs ride
-/// along as f64 lanes: `kept` counts rows as +1.0 increments (exact up
-/// to 2⁵³), and `nonfin` accumulates `(r0 − r0) + (r1 − r1)` — +0.0
-/// for finite rows, NaN exactly when a row overflowed (`nnls_with`'s
-/// row-validation verdict). LLVM cannot fold `x − x` to zero
-/// without fast-math, so the check survives optimization.
-fn pass_a_scalar(scratch: &mut BatchScratch, width: usize, beta2: &[f64; LANES]) -> PassA {
+/// `fit_for_beta2`'s regression row for sample `(k, l)` under
+/// candidate `beta2`: `(r0, r1, y) = (w·k, w, gap)` with `w = gap²` when
+/// the row is kept (`gap > 1e-9`), all `+0.0` when it is skipped, plus
+/// the keep flag. `r0` is formed as `r1·k` without a mask: a skipped
+/// row's `+0.0·k` is `+0.0`, because `k` is a finite step index ≥ 0.
+/// Every pass that needs the rows rebuilds them with exactly these
+/// operations, so they come out the same bits each time.
+#[inline(always)]
+fn row(k: f64, l: f64, beta2: f64) -> (f64, f64, f64, bool) {
+    let gap = l - beta2;
+    let keep = gap > 1e-9;
+    let r1 = if keep { gap * gap } else { 0.0 };
+    (r1 * k, r1, if keep { gap } else { 0.0 }, keep)
+}
+
+/// Pass A, portable form: builds each regression row ([`row`]) and
+/// accumulates the kept count and the Gram matrix and RHS in
+/// ascending-sample order — the exact order `Matrix::gram` and
+/// `Matrix::tr_mul_vec` sum them, so every f64 is bit-identical. The
+/// rows are not stored; `kept` counts them as +1.0 increments (exact up
+/// to 2⁵³).
+fn pass_a_scalar(ks: &[f64], ls: &[f64], beta2: &[f64; LANES]) -> PassA {
     let mut kept = [0.0_f64; LANES];
-    let mut nonfin = [0.0_f64; LANES];
     let mut g00 = [0.0_f64; LANES];
     let mut g01 = [0.0_f64; LANES];
     let mut g11 = [0.0_f64; LANES];
     let mut rhs0 = [0.0_f64; LANES];
     let mut rhs1 = [0.0_f64; LANES];
-    for ((ks, ls), ((row0, row1), yv)) in scratch.ks[..width]
-        .chunks_exact(LANES)
-        .zip(scratch.ls[..width].chunks_exact(LANES))
-        .zip(
-            scratch.row0[..width]
-                .chunks_exact_mut(LANES)
-                .zip(scratch.row1[..width].chunks_exact_mut(LANES))
-                .zip(scratch.yv[..width].chunks_exact_mut(LANES)),
-        )
-    {
-        let ks: &[f64; LANES] = ks.try_into().expect("exact chunk");
-        let ls: &[f64; LANES] = ls.try_into().expect("exact chunk");
-        let row0: &mut [f64; LANES] = row0.try_into().expect("exact chunk");
-        let row1: &mut [f64; LANES] = row1.try_into().expect("exact chunk");
-        let yv: &mut [f64; LANES] = yv.try_into().expect("exact chunk");
+    for (ks, ls) in ks.chunks_exact(LANES).zip(ls.chunks_exact(LANES)) {
         for j in 0..LANES {
-            let gap = ls[j] - beta2[j];
-            let keep = gap > 1e-9;
-            let w = gap * gap;
-            let r0 = if keep { w * ks[j] } else { 0.0 };
-            let r1 = if keep { w } else { 0.0 };
-            let y = if keep { gap } else { 0.0 };
-            row0[j] = r0;
-            row1[j] = r1;
-            yv[j] = y;
+            let (r0, r1, y, keep) = row(ks[j], ls[j], beta2[j]);
             kept[j] += if keep { 1.0 } else { 0.0 };
-            // `x − x` is the NaN probe, not a typo: +0.0 for finite x,
-            // NaN otherwise, and LLVM cannot fold it without fast-math.
-            #[allow(clippy::eq_op)]
-            {
-                nonfin[j] += (r0 - r0) + (r1 - r1);
-            }
-        }
-    }
-    for (row0, (row1, yv)) in scratch.row0[..width].chunks_exact(LANES).zip(
-        scratch.row1[..width]
-            .chunks_exact(LANES)
-            .zip(scratch.yv[..width].chunks_exact(LANES)),
-    ) {
-        let row0: &[f64; LANES] = row0.try_into().expect("exact chunk");
-        let row1: &[f64; LANES] = row1.try_into().expect("exact chunk");
-        let yv: &[f64; LANES] = yv.try_into().expect("exact chunk");
-        for j in 0..LANES {
-            let r0 = row0[j];
-            let r1 = row1[j];
-            let y = yv[j];
             g00[j] += r0 * r0;
             g01[j] += r0 * r1;
             g11[j] += r1 * r1;
@@ -1004,8 +986,7 @@ fn pass_a_scalar(scratch: &mut BatchScratch, width: usize, beta2: &[f64; LANES])
         }
     }
     PassA {
-        kept: std::array::from_fn(|j| kept[j] as u64),
-        bad: std::array::from_fn(|j| nonfin[j] != 0.0),
+        kept: kept.map(|c| c as u64),
         g00,
         g01,
         g11,
@@ -1014,66 +995,45 @@ fn pass_a_scalar(scratch: &mut BatchScratch, width: usize, beta2: &[f64; LANES])
     }
 }
 
-/// Pass A with explicit AVX-512 intrinsics — one fused sweep, eight
-/// lanes per `zmm` register. The autovectorizer never vectorizes the
-/// scalar form (the select-heavy body defeats SLP), so this path spells
-/// out the same dataflow by hand.
+/// Pass A with explicit AVX-512 intrinsics — one sweep, eight lanes per
+/// `zmm` register, reading only `ks` and `ls`. The autovectorizer does
+/// not vectorize the scalar form's select-heavy body well, so this path
+/// spells out the same dataflow by hand.
 ///
 /// Bit-identity with `pass_a_scalar` holds operation by operation:
-/// every intrinsic used (`sub/mul/add_pd`, `cmp_pd GT_OQ`,
-/// `maskz_mov`) is lane-wise IEEE 754 with the scalar op's exact
-/// semantics (GT_OQ, like `>`, is false on NaN), multiplies and adds
+/// every intrinsic used (`sub/mul/add_pd`, `cmp_pd GT_OQ`, the
+/// zero-masked multiply and move, the merge-masked add) is lane-wise
+/// IEEE 754 with the scalar op's exact semantics (GT_OQ, like `>`, is
+/// false on NaN; a masked-out lane gets +0.0, the scalar `else` value,
+/// or keeps its accumulator, the scalar `+ 0.0`), multiplies and adds
 /// stay separate instructions (no FMA contraction), and each
-/// accumulator sums in the same ascending-sample order. The only
-/// difference from `pass_a_scalar` is that masked-out products are
-/// computed and then discarded — their lanes are overwritten with +0.0
-/// by `maskz_mov`, exactly the scalar `else` value.
+/// accumulator sums in the same ascending-sample order.
+///
+/// # Safety
+///
+/// The CPU must support avx512f.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn pass_a_avx512(scratch: &mut BatchScratch, width: usize, beta2: &[f64; LANES]) -> PassA {
+unsafe fn pass_a_avx512(ks: &[f64], ls: &[f64], beta2: &[f64; LANES]) -> PassA {
     use std::arch::x86_64::*;
-    debug_assert!(width.is_multiple_of(LANES));
-    debug_assert!(scratch.ks.len() >= width && scratch.ls.len() >= width);
-    debug_assert!(
-        scratch.row0.len() >= width && scratch.row1.len() >= width && scratch.yv.len() >= width
-    );
-    // SAFETY: callers size every scratch row to at least `width`
-    // elements and `width` is a multiple of LANES (= 8, one zmm), so
-    // each unaligned 8-lane load/store below stays in bounds.
+    let width = ks.len();
+    assert!(width.is_multiple_of(LANES) && ls.len() == width);
+    // SAFETY: both slices hold `width` elements, a multiple of LANES
+    // (= 8, one zmm), so each unaligned 8-lane load stays in bounds.
     unsafe {
         let b2 = _mm512_loadu_pd(beta2.as_ptr());
         let eps = _mm512_set1_pd(1e-9);
         let one = _mm512_set1_pd(1.0);
         let mut kept = _mm512_setzero_pd();
-        let mut nonfin = _mm512_setzero_pd();
         let mut g00 = _mm512_setzero_pd();
         let mut g01 = _mm512_setzero_pd();
         let mut g11 = _mm512_setzero_pd();
         let mut rhs0 = _mm512_setzero_pd();
         let mut rhs1 = _mm512_setzero_pd();
-        let ks_p = scratch.ks.as_ptr();
-        let ls_p = scratch.ls.as_ptr();
-        let row0_p = scratch.row0.as_mut_ptr();
-        let row1_p = scratch.row1.as_mut_ptr();
-        let yv_p = scratch.yv.as_mut_ptr();
         let mut off = 0;
         while off < width {
-            let ks = _mm512_loadu_pd(ks_p.add(off));
-            let ls = _mm512_loadu_pd(ls_p.add(off));
-            let gap = _mm512_sub_pd(ls, b2);
-            let m: __mmask8 = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(gap, eps);
-            let w = _mm512_mul_pd(gap, gap);
-            let r0 = _mm512_maskz_mov_pd(m, _mm512_mul_pd(w, ks));
-            let r1 = _mm512_maskz_mov_pd(m, w);
-            let y = _mm512_maskz_mov_pd(m, gap);
-            _mm512_storeu_pd(row0_p.add(off), r0);
-            _mm512_storeu_pd(row1_p.add(off), r1);
-            _mm512_storeu_pd(yv_p.add(off), y);
-            kept = _mm512_add_pd(kept, _mm512_maskz_mov_pd(m, one));
-            nonfin = _mm512_add_pd(
-                nonfin,
-                _mm512_add_pd(_mm512_sub_pd(r0, r0), _mm512_sub_pd(r1, r1)),
-            );
+            let (r0, r1, y, m) = row_avx512(ks.as_ptr().add(off), ls.as_ptr().add(off), b2, eps);
+            kept = _mm512_mask_add_pd(kept, m, kept, one);
             g00 = _mm512_add_pd(g00, _mm512_mul_pd(r0, r0));
             g01 = _mm512_add_pd(g01, _mm512_mul_pd(r0, r1));
             g11 = _mm512_add_pd(g11, _mm512_mul_pd(r1, r1));
@@ -1082,10 +1042,8 @@ unsafe fn pass_a_avx512(scratch: &mut BatchScratch, width: usize, beta2: &[f64; 
             off += LANES;
         }
         let mut keptv = [0.0_f64; LANES];
-        let mut nonfinv = [0.0_f64; LANES];
         let mut out = PassA {
             kept: [0; LANES],
-            bad: [false; LANES],
             g00: [0.0; LANES],
             g01: [0.0; LANES],
             g11: [0.0; LANES],
@@ -1093,14 +1051,118 @@ unsafe fn pass_a_avx512(scratch: &mut BatchScratch, width: usize, beta2: &[f64; 
             rhs1: [0.0; LANES],
         };
         _mm512_storeu_pd(keptv.as_mut_ptr(), kept);
-        _mm512_storeu_pd(nonfinv.as_mut_ptr(), nonfin);
         _mm512_storeu_pd(out.g00.as_mut_ptr(), g00);
         _mm512_storeu_pd(out.g01.as_mut_ptr(), g01);
         _mm512_storeu_pd(out.g11.as_mut_ptr(), g11);
         _mm512_storeu_pd(out.rhs0.as_mut_ptr(), rhs0);
         _mm512_storeu_pd(out.rhs1.as_mut_ptr(), rhs1);
-        out.kept = std::array::from_fn(|j| keptv[j] as u64);
-        out.bad = std::array::from_fn(|j| nonfinv[j] != 0.0);
+        out.kept = keptv.map(|c| c as u64);
+        out
+    }
+}
+
+/// [`row`] for eight lanes at once: loads one sample slot of `ks`/`ls`
+/// and returns `(r0, r1, y)` plus the keep mask, with the same
+/// operations in the same order.
+///
+/// # Safety
+///
+/// The CPU must support avx512f, and `ks` and `ls` must each point to
+/// eight readable f64s.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn row_avx512(
+    ks: *const f64,
+    ls: *const f64,
+    b2: std::arch::x86_64::__m512d,
+    eps: std::arch::x86_64::__m512d,
+) -> (
+    std::arch::x86_64::__m512d,
+    std::arch::x86_64::__m512d,
+    std::arch::x86_64::__m512d,
+    std::arch::x86_64::__mmask8,
+) {
+    use std::arch::x86_64::*;
+    // SAFETY: the caller guarantees avx512f and eight readable f64s at
+    // `ks` and `ls` (see `# Safety`).
+    unsafe {
+        let gap = _mm512_sub_pd(_mm512_loadu_pd(ls), b2);
+        let m = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(gap, eps);
+        let r1 = _mm512_maskz_mul_pd(m, gap, gap);
+        let r0 = _mm512_mul_pd(r1, _mm512_loadu_pd(ks));
+        (r0, r1, _mm512_maskz_mov_pd(m, gap), m)
+    }
+}
+
+/// One full dual sweep, portable form: `w = Aᵀ(y − A·x)` per lane, with
+/// the rows rebuilt by [`row`]. `nnls_with`'s `mul_vec`/`tr_mul_vec`
+/// pair is fused rowwise: each row's residual and its two accumulations
+/// into `w` happen in the same order as there.
+fn sweep_scalar(
+    ks: &[f64],
+    ls: &[f64],
+    beta2: &[f64; LANES],
+    x0: &[f64; LANES],
+    x1: &[f64; LANES],
+) -> ([f64; LANES], [f64; LANES]) {
+    let mut w0 = [0.0_f64; LANES];
+    let mut w1 = [0.0_f64; LANES];
+    for (ks, ls) in ks.chunks_exact(LANES).zip(ls.chunks_exact(LANES)) {
+        for j in 0..LANES {
+            let (r0, r1, y, _) = row(ks[j], ls[j], beta2[j]);
+            let mut acc = 0.0;
+            acc += r0 * x0[j];
+            acc += r1 * x1[j];
+            let resid = y - acc;
+            w0[j] += r0 * resid;
+            w1[j] += r1 * resid;
+        }
+    }
+    (w0, w1)
+}
+
+/// [`sweep_scalar`] with explicit AVX-512 intrinsics, under
+/// [`pass_a_avx512`]'s bit-identity rules (`0.0 + r0·x0` keeps its add:
+/// it turns a −0.0 product into +0.0, as the scalar form does).
+///
+/// # Safety
+///
+/// The CPU must support avx512f.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn sweep_avx512(
+    ks: &[f64],
+    ls: &[f64],
+    beta2: &[f64; LANES],
+    x0: &[f64; LANES],
+    x1: &[f64; LANES],
+) -> ([f64; LANES], [f64; LANES]) {
+    use std::arch::x86_64::*;
+    let width = ks.len();
+    assert!(width.is_multiple_of(LANES) && ls.len() == width);
+    // SAFETY: as in `pass_a_avx512`.
+    unsafe {
+        let b2 = _mm512_loadu_pd(beta2.as_ptr());
+        let eps = _mm512_set1_pd(1e-9);
+        let zero = _mm512_setzero_pd();
+        let x0v = _mm512_loadu_pd(x0.as_ptr());
+        let x1v = _mm512_loadu_pd(x1.as_ptr());
+        let mut w0 = _mm512_setzero_pd();
+        let mut w1 = _mm512_setzero_pd();
+        let mut off = 0;
+        while off < width {
+            let (r0, r1, y, _) = row_avx512(ks.as_ptr().add(off), ls.as_ptr().add(off), b2, eps);
+            let acc = _mm512_add_pd(zero, _mm512_mul_pd(r0, x0v));
+            let acc = _mm512_add_pd(acc, _mm512_mul_pd(r1, x1v));
+            let resid = _mm512_sub_pd(y, acc);
+            w0 = _mm512_add_pd(w0, _mm512_mul_pd(r0, resid));
+            w1 = _mm512_add_pd(w1, _mm512_mul_pd(r1, resid));
+            off += LANES;
+        }
+        let mut out = ([0.0_f64; LANES], [0.0_f64; LANES]);
+        _mm512_storeu_pd(out.0.as_mut_ptr(), w0);
+        _mm512_storeu_pd(out.1.as_mut_ptr(), w1);
         out
     }
 }
@@ -1146,27 +1208,27 @@ fn eval_wave_body(scratch: &mut BatchScratch, max_len: usize, use_avx512: bool) 
         }
     }
 
-    // Pass A — regression rows + Gram/RHS, one sweep over all samples
-    // (see `pass_a_scalar` / `pass_a_avx512`). Inactive lanes compute
-    // garbage rows against β₂ = 0 that nothing reads; padded slots take
-    // the gap ≤ 1e-9 skip (see module docs).
+    // Pass A — kept counts + Gram/RHS, one sweep over all samples (see
+    // `pass_a_scalar` / `pass_a_avx512`). Inactive lanes compute garbage
+    // against β₂ = 0 that nothing reads; padded slots take the
+    // gap ≤ 1e-9 skip (see module docs).
     let width = max_len * LANES;
+    let (ks, ls) = (&scratch.ks[..width], &scratch.ls[..width]);
     #[cfg(target_arch = "x86_64")]
     let pa = if use_avx512 {
-        // SAFETY: `use_avx512` is only set by `eval_wave` after a
-        // runtime avx512f check; the scratch rows hold `width` elements.
-        unsafe { pass_a_avx512(scratch, width, &beta2) }
+        // SAFETY: `use_avx512` is true only inside `eval_wave_avx512`,
+        // whose callers check for avx512f at run time.
+        unsafe { pass_a_avx512(ks, ls, &beta2) }
     } else {
-        pass_a_scalar(scratch, width, &beta2)
+        pass_a_scalar(ks, ls, &beta2)
     };
     #[cfg(not(target_arch = "x86_64"))]
     let pa = {
         let _ = use_avx512;
-        pass_a_scalar(scratch, width, &beta2)
+        pass_a_scalar(ks, ls, &beta2)
     };
     let PassA {
         kept,
-        bad,
         g00,
         g01,
         g11,
@@ -1178,7 +1240,10 @@ fn eval_wave_body(scratch: &mut BatchScratch, max_len: usize, use_avx512: bool) 
     // fewer than 2 rows fails silently (before any counter), a
     // non-finite row counts a solve *and* a failure. Post-preprocessing
     // losses are always finite, so `y` never trips `nnls_with`'s rhs
-    // check — only row overflow (`w·k → ∞`) can, which `bad` is.
+    // check — only row overflow (`w·k → ∞`) can. Every Gram diagonal
+    // term is ≥ 0, so a non-finite row makes `g00` or `g11` non-finite;
+    // only such a lane rescans its rows for `nnls_with`'s verdict
+    // (finite rows can overflow the Gram too, and those must solve).
     let mut out = [Evaluated::default(); LANES];
     let mut st: [LaneNnls; LANES] = Default::default();
     let mut ran = [false; LANES];
@@ -1191,7 +1256,12 @@ fn eval_wave_body(scratch: &mut BatchScratch, max_len: usize, use_avx512: bool) 
             continue; // out[j] stays Failed, no counters — as in `fit`
         }
         out[j].facts.solved = true;
-        if bad[j] {
+        if !(g00[j].is_finite() && g11[j].is_finite())
+            && (0..lens[j]).any(|s| {
+                let (r0, r1, _, _) = row(ks[s * LANES + j], ls[s * LANES + j], beta2[j]);
+                !(r0.is_finite() && r1.is_finite())
+            })
+        {
             out[j].facts.failed = true;
             continue;
         }
@@ -1207,37 +1277,27 @@ fn eval_wave_body(scratch: &mut BatchScratch, max_len: usize, use_avx512: bool) 
     let mut x1 = [0.0_f64; LANES];
     let mut first_sweep = true;
     while st.iter().any(|l| l.running) {
-        let mut w0 = [0.0_f64; LANES];
-        let mut w1 = [0.0_f64; LANES];
-        if first_sweep {
+        let (w0, w1) = if first_sweep {
             // With x = 0 the fused rowwise dual degenerates term by
             // term to the RHS accumulation pass A already did —
             // `acc = r·0 + r·0 = +0.0`, `resid = y − 0.0 = y` bitwise —
             // so the first sweep of every wave is free.
             first_sweep = false;
-            w0 = rhs0;
-            w1 = rhs1;
+            (rhs0, rhs1)
         } else {
-            for (row0, (row1, yv)) in scratch.row0[..width].chunks_exact(LANES).zip(
-                scratch.row1[..width]
-                    .chunks_exact(LANES)
-                    .zip(scratch.yv[..width].chunks_exact(LANES)),
-            ) {
-                let row0: &[f64; LANES] = row0.try_into().expect("exact chunk");
-                let row1: &[f64; LANES] = row1.try_into().expect("exact chunk");
-                let yv: &[f64; LANES] = yv.try_into().expect("exact chunk");
-                for j in 0..LANES {
-                    let r0 = row0[j];
-                    let r1 = row1[j];
-                    let mut acc = 0.0;
-                    acc += r0 * x0[j];
-                    acc += r1 * x1[j];
-                    let resid = yv[j] - acc;
-                    w0[j] += r0 * resid;
-                    w1[j] += r1 * resid;
-                }
-            }
-        }
+            #[cfg(test)]
+            SWEEPS.with(|n| n.set(n.get() + 1));
+            #[cfg(target_arch = "x86_64")]
+            let w = if use_avx512 {
+                // SAFETY: as for pass A.
+                unsafe { sweep_avx512(ks, ls, &beta2, &x0, &x1) }
+            } else {
+                sweep_scalar(ks, ls, &beta2, &x0, &x1)
+            };
+            #[cfg(not(target_arch = "x86_64"))]
+            let w = sweep_scalar(ks, ls, &beta2, &x0, &x1);
+            w
+        };
         for j in 0..LANES {
             if st[j].running {
                 advance_lane(
@@ -1289,9 +1349,9 @@ fn eval_wave_body(scratch: &mut BatchScratch, max_len: usize, use_avx512: bool) 
     while s0 < max_len {
         let stop = (s0 + 64).min(max_len);
         for (s, (ks, ls)) in (s0..stop).zip(
-            scratch.ks[s0 * LANES..stop * LANES]
+            ks[s0 * LANES..stop * LANES]
                 .chunks_exact(LANES)
-                .zip(scratch.ls[s0 * LANES..stop * LANES].chunks_exact(LANES)),
+                .zip(ls[s0 * LANES..stop * LANES].chunks_exact(LANES)),
         ) {
             let ks: &[f64; LANES] = ks.try_into().expect("exact chunk");
             let ls: &[f64; LANES] = ls.try_into().expect("exact chunk");
@@ -1471,7 +1531,13 @@ fn advance_lane(
             break;
         }
         // x changed (or P emptied): a fresh dual sweep is needed before
-        // the next entering-column scan.
+        // the next entering-column scan — unless no column can enter
+        // whatever the dual holds. `nnls_with` would then recompute the
+        // dual only for its scan to find no candidate, counting nothing,
+        // so the lane converges here and the sweep is skipped.
+        if (0..2).all(|i| st.passive[i] || st.rejected[i]) {
+            st.running = false;
+        }
         break;
     }
     *x0 = x[0];
@@ -1498,10 +1564,11 @@ mod tests {
             .collect()
     }
 
-    /// Waves `fit_batch` runs for `copies` sessions, each refitting
-    /// `raw` warm: fitted once on all but the last 10 samples, then on
-    /// all of them under an honest stable-prefix claim.
-    fn warm_refit_waves(raw: &[LossSample], copies: usize) -> usize {
+    /// Waves and full dual sweeps `fit_batch` runs for `copies`
+    /// sessions, each refitting `raw` warm: fitted once on all but the
+    /// last 10 samples, then on all of them under an honest
+    /// stable-prefix claim.
+    fn warm_refit_waves(raw: &[LossSample], copies: usize) -> (usize, usize) {
         let fitter = LossCurveFitter::new();
         let mut sessions: Vec<FitSession> = (0..copies).map(|_| FitSession::new()).collect();
         let mut scratch = BatchScratch::new();
@@ -1516,9 +1583,12 @@ mod tests {
                     session,
                 })
                 .collect();
-            let before = WAVES.with(|w| w.get());
+            let before = (WAVES.with(|w| w.get()), SWEEPS.with(|n| n.get()));
             fit_batch(&mut jobs, &mut scratch, &mut out);
-            WAVES.with(|w| w.get()) - before
+            (
+                WAVES.with(|w| w.get()) - before.0,
+                SWEEPS.with(|n| n.get()) - before.1,
+            )
         };
         let early = &raw[..raw.len() - 10];
         run(early, 0, &mut sessions);
@@ -1537,9 +1607,118 @@ mod tests {
     #[test]
     fn a_lone_job_fills_every_lane() {
         let raw = history(400);
-        let one_lane = warm_refit_waves(&raw, LANES);
-        let lone = warm_refit_waves(&raw, 1);
+        let (one_lane, _) = warm_refit_waves(&raw, LANES);
+        let (lone, _) = warm_refit_waves(&raw, 1);
         assert_eq!((one_lane, lone), (75, 18));
+    }
+
+    /// A wave's first dual sweep is free (it is pass A's RHS), and a
+    /// lane whose columns are all passive or rejected converges without
+    /// the sweep `nnls_with` would spend on a scan that cannot pick a
+    /// column. A typical candidate enters one column on the free sweep
+    /// and the other on one full sweep, so the warm lone-job refit runs
+    /// about one full sweep per wave, not two.
+    #[test]
+    fn dead_dual_sweeps_are_skipped() {
+        let (waves, sweeps) = warm_refit_waves(&history(400), 1);
+        assert_eq!((waves, sweeps), (18, 18));
+    }
+
+    /// On an avx512f host `fit_batch` never runs the portable wave body,
+    /// so the same waves run here through both bodies: a lone job, two
+    /// jobs, a full group, and a ragged group padded to its longest
+    /// history that also holds both overflow cases (every row
+    /// non-finite; finite rows whose Gram overflows) and a rising curve,
+    /// whose slope column the full dual sweep must keep out. Outcome
+    /// bits and NNLS facts must agree lane by lane.
+    #[test]
+    fn portable_wave_matches_avx512_wave() {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            let long = history(400);
+            let mid = history(120);
+            let short = history(37);
+            let scaled: Vec<Vec<LossSample>> = (0..LANES)
+                .map(|i| {
+                    long.iter()
+                        .map(|&(k, l)| (k, l * (1.0 + 0.3 * i as f64)))
+                        .collect()
+                })
+                .collect();
+            let rows_overflow: Vec<LossSample> = (0..40)
+                .map(|k| (k * 1000, 1e160 / (k as f64 + 1.0)))
+                .collect();
+            let gram_overflow: Vec<LossSample> = (0..40)
+                .map(|k| (k * 100_000, 1e80 / (k as f64 + 1.0)))
+                .collect();
+            let rising: Vec<LossSample> = history(90)
+                .iter()
+                .map(|&(k, l)| (k, 1.0 + 0.01 * k as f64 + 0.1 * l))
+                .collect();
+            let groups: [Vec<&[LossSample]>; 4] = [
+                vec![&long],
+                vec![&long, &mid],
+                scaled.iter().map(Vec::as_slice).collect(),
+                vec![&long, &mid, &short, &rows_overflow, &gram_overflow, &rising],
+            ];
+            let key = |e: &Evaluated| {
+                let out = match e.out {
+                    WaveOut::Fit(m) => {
+                        Some([m.beta0, m.beta1, m.beta2, m.scale, m.residual_ss].map(f64::to_bits))
+                    }
+                    WaveOut::Abandoned => Some([u64::MAX; 5]),
+                    WaveOut::Failed => None,
+                };
+                (out, e.facts.solved, e.facts.failed, e.facts.iterations)
+            };
+            for (g, raws) in groups.iter().enumerate() {
+                let (mut scratch, max_len) = gathered(raws);
+                let hi: Vec<f64> = raws
+                    .iter()
+                    .map(|r| {
+                        let min = r.iter().map(|&(_, l)| l).fold(f64::INFINITY, f64::min);
+                        (min - 1e-9).max(0.0)
+                    })
+                    .collect();
+                for wave in 0..32 {
+                    let bound = [f64::INFINITY, 1e-4, 1e-2, 1.0][wave % 4];
+                    scratch.reqs = std::array::from_fn(|j| {
+                        let i = (wave * LANES + j * 5) % 33; // 32 is idle
+                        (i < 32).then(|| EvalReq {
+                            beta2: hi[scratch.owner[j]] * i as f64 / 31.0,
+                            bound,
+                        })
+                    });
+                    eval_wave_body(&mut scratch, max_len, false);
+                    let portable = scratch.outs.map(|e| key(&e));
+                    // SAFETY: avx512f was detected above.
+                    unsafe { eval_wave_avx512(&mut scratch, max_len) };
+                    let avx512 = scratch.outs.map(|e| key(&e));
+                    assert_eq!(portable, avx512, "group {g} wave {wave}");
+                }
+            }
+        }
+    }
+
+    /// A scratch holding `raws` gathered as `fit_group` deals them (lane
+    /// `j` to job `j % n`), padded to the longest; returns it with that
+    /// length.
+    fn gathered(raws: &[&[LossSample]]) -> (BatchScratch, usize) {
+        let max_len = raws.iter().map(|r| r.len()).max().expect("a job");
+        let mut scratch = BatchScratch::new();
+        scratch.ks = vec![0.0; max_len * LANES];
+        scratch.ls = vec![0.0; max_len * LANES];
+        for j in 0..LANES {
+            let k = j % raws.len();
+            scratch.owner[j] = k;
+            scratch.lens[j] = raws[k].len();
+            scratch.scales[j] = 1.0;
+            for (s, &(step, l)) in raws[k].iter().enumerate() {
+                scratch.ks[s * LANES + j] = step as f64;
+                scratch.ls[s * LANES + j] = l;
+            }
+        }
+        (scratch, max_len)
     }
 
     /// Look-ahead outcomes are re-judged against the bound the walk asks

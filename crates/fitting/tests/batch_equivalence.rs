@@ -17,6 +17,7 @@ use optimus_fitting::preprocess::LossSample;
 use optimus_fitting::{
     fit_batch, BatchFitJob, BatchScratch, FitError, FitSession, LossCurveFitter, LossModel, LANES,
 };
+use optimus_telemetry::Telemetry;
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random f64 in [0, 1) from an xorshift state.
@@ -181,7 +182,8 @@ proptest! {
 }
 
 /// Degenerate histories (empty, ≤ 2 distinct steps, all-NaN, flat
-/// `hi == 0`) and a stale warm start, each fit as a one-lane batch and
+/// `hi == 0`, regression rows that overflow, and finite rows whose Gram
+/// overflows) and a stale warm start, each fit as a one-lane batch and
 /// mixed into one group with healthy lanes: per-lane error
 /// short-circuits must not disturb their neighbors, and the warm start
 /// is only a hint.
@@ -199,7 +201,39 @@ fn degenerate_lanes_mixed_with_healthy_lanes() {
     let late: Vec<LossSample> = (0..100)
         .map(|k| (k, 4.0 / (0.01 * k as f64 + 2.0) + 0.01))
         .collect();
+    // Unnormalized losses near 1e160: every kept row's `w = gap²`
+    // overflows, so every candidate fails its solve.
+    let rows_overflow: Vec<LossSample> = (0..40)
+        .map(|k| (k * 1000, 1e160 / (k as f64 + 1.0)))
+        .collect();
+    // Near 1e80 with steps up to ~4e6: the rows stay finite but
+    // `g00 = Σ (w·k)²` overflows, and the solves still run.
+    let gram_overflow: Vec<LossSample> = (0..40)
+        .map(|k| (k * 100_000, 1e80 / (k as f64 + 1.0)))
+        .collect();
+    for (raw, want, solves, failures) in [
+        (&rows_overflow, Err(FitError::NoViableModel), 32, 32),
+        (&gram_overflow, Ok(()), 75, 0),
+    ] {
+        let tel = Telemetry::enabled();
+        let oracle = LossCurveFitter::new()
+            .without_normalization()
+            .with_telemetry(tel.clone());
+        assert_eq!(oracle.fit(raw).map(|_| ()), want);
+        let counter = |name: &str| {
+            let counters = tel.summary().counters;
+            counters
+                .iter()
+                .find(|(k, _)| k == name)
+                .map_or(0, |&(_, v)| v)
+        };
+        assert_eq!(
+            (counter("nnls.solves"), counter("nnls.fit_failures")),
+            (solves, failures)
+        );
+    }
     let same = |raw: Vec<LossSample>| (&fitter, [raw.clone(), raw]);
+    let same_unnormalized = |raw: Vec<LossSample>| (&unnormalized, [raw.clone(), raw]);
     // (fitter, [first-pass history, second-pass history]) per lane.
     let lanes: Vec<(&LossCurveFitter, [Vec<LossSample>; 2])> = vec![
         same(vec![]),
@@ -217,6 +251,8 @@ fn degenerate_lanes_mixed_with_healthy_lanes() {
         same(vec![(0, 0.0), (1, 0.0), (2, 0.0)]),
         (&unnormalized, [early, late]), // second group starts here
         same(healthy),
+        same_unnormalized(rows_overflow),
+        same_unnormalized(gram_overflow),
     ];
     let n = lanes.len();
     let mut mixed_sessions: Vec<FitSession> = (0..n).map(|_| FitSession::new()).collect();
@@ -267,7 +303,7 @@ fn degenerate_lanes_mixed_with_healthy_lanes() {
 /// split; lanes go to live jobs only.
 #[test]
 fn batched_telemetry_is_independent_of_lane_grouping() {
-    use optimus_telemetry::{Telemetry, TelemetrySummary};
+    use optimus_telemetry::TelemetrySummary;
     let mut raws: Vec<Vec<LossSample>> = (0..11)
         .map(|i| history(900 + i as u64, 20 + i * 13))
         .collect();

@@ -78,35 +78,53 @@ where
 }
 
 /// In-place, chunk-grouped variant of [`run_indexed`] for
-/// batch-of-batches work: the slice is first cut into fixed-size groups of `chunk` items
-/// (last group possibly short), and `f(g, &mut group)` runs once per
-/// group with results returned **in group order**.
+/// batch-of-batches work: the slice is first cut into fixed-size groups
+/// of `chunk` items (last group possibly short), and
+/// `f(g, &mut worker_state, &mut group)` runs once per group with
+/// results returned **in group order**.
+///
+/// `workers` holds one caller-owned state per worker thread (reusable
+/// buffers, typically), so its length is the thread count: each worker
+/// hands its own state to every group it claims, and the caller keeps
+/// the states warm across calls. At most one worker runs per group;
+/// one state (or one group) runs serially on the caller's thread. It
+/// must not be empty unless `items` is.
 ///
 /// The grouping is a function of the input order and `chunk` alone —
-/// never of `threads` — so a worker processing groups `[0..LANES)`,
-/// `[LANES..2·LANES)`, … sees exactly the same group boundaries at any
-/// thread count. That is what lets the batched fitting engine keep its
-/// lane assignment (and therefore its wave schedule) thread-invariant;
-/// the usual determinism contract then makes the *results*
-/// thread-invariant whenever `f` is deterministic per group.
+/// never of the worker count — so a worker processing groups
+/// `[0..LANES)`, `[LANES..2·LANES)`, … sees exactly the same group
+/// boundaries at any thread count. That is what lets the batched
+/// fitting engine keep its lane assignment (and therefore its wave
+/// schedule) thread-invariant; the usual determinism contract then makes
+/// the *results* thread-invariant whenever `f` is deterministic per
+/// group whatever state it is handed.
 ///
 /// Workers claim whole groups through an atomic cursor, so uneven group
 /// costs (ragged histories) still balance.
-pub fn run_chunks_mut<T, R, F>(items: &mut [T], chunk: usize, threads: usize, f: F) -> Vec<R>
+pub fn run_chunks_mut<T, S, R, F>(items: &mut [T], chunk: usize, workers: &mut [S], f: F) -> Vec<R>
 where
     T: Send,
+    S: Send,
     R: Send,
-    F: Fn(usize, &mut [T]) -> R + Sync,
+    F: Fn(usize, &mut S, &mut [T]) -> R + Sync,
 {
     let chunk = chunk.max(1);
     let groups: Vec<&mut [T]> = items.chunks_mut(chunk).collect();
     let n = groups.len();
-    let threads = threads.min(n).max(1);
-    if threads <= 1 {
+    if n == 0 {
+        return Vec::new();
+    }
+    let threads = workers.len().min(n);
+    assert!(
+        threads > 0,
+        "run_chunks_mut needs at least one worker state"
+    );
+    if threads == 1 {
+        let state = &mut workers[0];
         return groups
             .into_iter()
             .enumerate()
-            .map(|(g, group)| f(g, group))
+            .map(|(g, group)| f(g, state, group))
             .collect();
     }
     let cursor = AtomicUsize::new(0);
@@ -114,8 +132,9 @@ where
     let cells: Vec<Mutex<Option<&mut [T]>>> =
         groups.into_iter().map(|g| Mutex::new(Some(g))).collect();
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
+        for state in &mut workers[..threads] {
+            let (cursor, slots, cells, f) = (&cursor, &slots, &cells, &f);
+            scope.spawn(move || loop {
                 let g = cursor.fetch_add(1, Ordering::Relaxed);
                 if g >= n {
                     break;
@@ -125,7 +144,7 @@ where
                     .expect("group cell")
                     .take()
                     .expect("every group claimed exactly once");
-                *slots[g].lock().expect("result slot") = Some(f(g, group));
+                *slots[g].lock().expect("result slot") = Some(f(g, state, group));
             });
         }
     });
@@ -162,13 +181,15 @@ mod tests {
     fn run_chunks_mut_groups_are_thread_invariant() {
         let serial = {
             let mut items: Vec<u32> = (0..29).collect();
-            run_chunks_mut(&mut items, 8, 1, |g, group| (g, group.to_vec()))
+            run_chunks_mut(&mut items, 8, &mut [()], |g, _, group| (g, group.to_vec()))
         };
         assert_eq!(serial.len(), 4);
         assert_eq!(serial[3].1.len(), 5); // 29 = 3*8 + 5
         for threads in [2, 4, 8] {
             let mut items: Vec<u32> = (0..29).collect();
-            let parallel = run_chunks_mut(&mut items, 8, threads, |g, group| {
+            let mut claimed = vec![0usize; threads];
+            let parallel = run_chunks_mut(&mut items, 8, &mut claimed, |g, claimed, group| {
+                *claimed += 1;
                 for v in group.iter_mut() {
                     *v += 1000;
                 }
@@ -176,13 +197,18 @@ mod tests {
             });
             assert_eq!(serial, parallel, "threads={threads}");
             assert!(items.iter().all(|&v| v >= 1000), "threads={threads}");
+            // Every group ran with exactly one worker's state, and the
+            // states beyond the group count were never handed out.
+            assert_eq!(claimed.iter().sum::<usize>(), 4, "threads={threads}");
+            assert!(claimed[4.min(threads)..].iter().all(|&c| c == 0));
         }
     }
 
     #[test]
     fn run_chunks_mut_handles_empty_input() {
         let mut empty: Vec<u32> = Vec::new();
-        let r = run_chunks_mut(&mut empty, 8, 4, |g, _| g);
+        let no_workers: &mut [()] = &mut [];
+        let r = run_chunks_mut(&mut empty, 8, no_workers, |g, _, _| g);
         assert!(r.is_empty());
     }
 }

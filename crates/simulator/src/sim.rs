@@ -153,6 +153,9 @@ struct RefitBuffers {
     conv_slots: Vec<Option<Result<optimus_fitting::LossModel, optimus_fitting::FitError>>>,
     /// Live-list positions whose convergence estimator must refit.
     dirty: Vec<usize>,
+    /// One batched-fit scratch per refit worker thread, kept warm
+    /// across rounds.
+    workers: Vec<optimus_fitting::BatchScratch>,
 }
 
 impl Default for SimConfig {
@@ -1182,11 +1185,11 @@ impl Simulation {
             // to pick serial when the refit set is too small to
             // amortize per-round thread spawns — which is most rounds:
             // only live jobs refit. An explicit `refit_threads` is
-            // honored as-is. The machine's parallelism costs syscalls
+            // honored as-is (0 counts as 1). The machine's parallelism costs syscalls
             // and file reads to query, so it is asked once per run, and
             // only once a round has enough live jobs to fan out at all.
             let threads = match self.config.refit_threads {
-                Some(n) => n,
+                Some(n) => n.max(1),
                 None if self.live.len() < 8 => 1,
                 None => {
                     let auto = *self
@@ -1254,7 +1257,11 @@ impl Simulation {
                 ests.push(&mut job.convergence);
                 next = i + 1;
             }
-            let results = optimus_core::refit_convergence_batch(&mut ests, threads);
+            if bufs.workers.len() < threads {
+                bufs.workers.resize_with(threads, Default::default);
+            }
+            let results =
+                optimus_core::refit_convergence_batch(&mut ests, &mut bufs.workers[..threads]);
             for (&k, res) in bufs.dirty.iter().zip(results) {
                 bufs.conv_slots[k] = Some(res);
             }

@@ -28,10 +28,12 @@ bench-fit:
 # cross-checked against the naive reference scheduler (non-zero exit on
 # any divergent allocation or placement), plus the zero-allocation
 # proof for warm full rounds (`schedule_into`) and for every kind of
-# warm delta round the simulator runs (`schedule_delta`).
+# warm delta round the simulator runs (`schedule_delta`), and for warm
+# batched refits of one to eight jobs (`fit_batch`).
 bench-alloc:
     cargo run --release -p optimus-bench --bin bench_sched -- --samples 1 --verify
     cargo test --release -p optimus-core --test zero_alloc
+    cargo test --release -p optimus-fitting --test zero_alloc
 
 # Prove the optimized paths byte-identical to their naive oracles
 # (property-based where inputs vary): the allocator/placer against the
