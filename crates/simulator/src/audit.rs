@@ -24,6 +24,7 @@
 //! through `1/(1+e)`, so 1.0 is a perfectly calibrated estimator and
 //! the score decays toward 0 as errors grow.
 
+use crate::jobstate::SimJob;
 use optimus_fitting::stats::signed_relative_error;
 use optimus_telemetry::metrics::signed_error_buckets;
 use optimus_telemetry::{Telemetry, TraceEvent};
@@ -121,6 +122,19 @@ impl EstimatorAudit {
         self.speed_samples += 1;
         let ewma = update_ewma(&mut self.speed_ewma, rel_err.abs());
         tel.gauge("audit.speed_calibration", calibration(ewma));
+    }
+
+    /// Settles the pending speed predictions of `jobs`, in order,
+    /// against each job's realized interval speed.
+    pub(crate) fn settle_jobs<'a>(
+        &mut self,
+        tel: &Telemetry,
+        round: u64,
+        jobs: impl IntoIterator<Item = &'a SimJob>,
+    ) {
+        for job in jobs {
+            self.settle_speed(tel, round, job.spec.id.0, job.observed_interval_speed());
+        }
     }
 
     /// Audits one convergence prediction: `predicted_epochs` (the

@@ -1,10 +1,13 @@
 //! Per-job runtime state inside the simulator.
 
+use optimus_cluster::ResourceVec;
 use optimus_core::scheduler::JobPlacement;
 use optimus_core::{ConvergenceEstimator, SpeedModel};
 use optimus_ps::data::ChunkedDataset;
-use optimus_ps::{EnvFactors, PsAssignment, PsJobModel, StragglerMonitor, StragglerPolicy};
-use optimus_workload::{JobSpec, TrainingMode};
+use optimus_ps::{
+    EnvFactors, PsAssignment, PsJobModel, StragglerMonitor, StragglerPolicy, TaskCounts,
+};
+use optimus_workload::JobSpec;
 use serde::{Deserialize, Serialize};
 
 /// Lifecycle of a simulated job.
@@ -290,16 +293,9 @@ impl SimJob {
         self.truth().speed_with(self.ps, self.workers, &self.env)
     }
 
-    /// Useful progress per step. Async staleness σ discounts it to
-    /// `1/(1 + σ·(w−1))`; the step rate (and hence communication
-    /// traffic) is unchanged.
-    pub(crate) fn step_efficiency(&self, async_staleness: f64) -> f64 {
-        match self.spec.mode {
-            TrainingMode::Asynchronous if async_staleness > 0.0 => {
-                1.0 / (1.0 + async_staleness * (self.workers.max(1) - 1) as f64)
-            }
-            _ => 1.0,
-        }
+    /// Resources `counts` of this job's tasks take on one server.
+    pub(crate) fn demand(&self, counts: &TaskCounts) -> ResourceVec {
+        self.spec.worker_profile * counts.workers as f64 + self.spec.ps_profile * counts.ps as f64
     }
 
     /// Finishes the job inside the tick `[t, t + dt)` in which its
@@ -409,7 +405,7 @@ impl SimJob {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use optimus_workload::{JobId, ModelKind};
+    use optimus_workload::{JobId, ModelKind, TrainingMode};
 
     fn job() -> SimJob {
         let spec = JobSpec::new(

@@ -1,24 +1,21 @@
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
-//! Discrete-time cluster simulator for the Optimus reproduction.
+//! Discrete-time cluster simulator for the Optimus reproduction (§6.1),
+//! with the paper's own system models as physics (`optimus-ps`):
 //!
-//! The paper evaluates Optimus both on a 13-server testbed and with a
-//! discrete-time simulator driven by traces from that testbed (§6.1);
-//! this crate is the simulator, with the paper's own system models as
-//! physics (`optimus-ps`):
+//! * jobs arrive, are profiled with a few `(p, w)` sample runs (§3.2
+//!   "Model fitting"), then progress tick by tick at their ground-truth
+//!   speed under the current placement, PS load balance and stragglers;
+//! * every scheduling interval the scheduler re-divides the cluster, and
+//!   reconfigured jobs pay the §5.4 checkpoint-based scaling overhead;
+//! * schedulers only see *observed* losses and speeds, so their error is
+//!   emergent; [`inject`] adds the controlled error of Fig 15;
+//! * [`metrics`] records the Fig 13/14 outputs.
 //!
-//! * jobs arrive over time, are profiled with a few `(p, w)` sample runs
-//!   (§3.2 "Model fitting"), and then progress tick by tick at their
-//!   ground-truth speed under the current allocation, placement, PS
-//!   load balance and straggler state;
-//! * every scheduling interval (10 min) the configured scheduler
-//!   re-divides the cluster; jobs whose configuration changed pay the
-//!   §5.4 checkpoint-based scaling overhead;
-//! * schedulers only ever see *observed* losses and speeds — their
-//!   prediction error is emergent, and [`inject`] can add the
-//!   controlled extra error of the Fig 15 sensitivity study;
-//! * [`metrics`] records the Fig 13/14 outputs: per-job JCT, makespan,
-//!   running-task counts and normalized CPU utilization over time.
+//! [`sim`] is the engine: a [`Simulation`] driving one component per
+//! concern (arrivals, failures, refits, the scheduler round, progress,
+//! recorders).
 
 pub mod audit;
 pub mod equeue;

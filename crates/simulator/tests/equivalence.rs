@@ -9,13 +9,18 @@
 //! DRF and Tetris schedulers, at 1/2/4/8 refit threads, and against the
 //! full-rounds oracle (the Optimus composition without its delta
 //! engine). The cases cover straggler injection, server failures,
-//! stranded workloads, churn, and a grid of degenerate inputs.
+//! stranded workloads, churn, every optional round branch at once, and
+//! a grid of degenerate inputs. Because both drives share the round
+//! code, one every-branch report is also pinned to a recorded hash.
 
 use optimus_cluster::{Cluster, ResourceVec, ServerId};
 use optimus_core::prelude::*;
 use optimus_core::reference::{ReferenceOptimusAllocator, ReferenceOptimusPlacer};
 use optimus_ps::StragglerPolicy;
-use optimus_simulator::{SimConfig, SimEventKind, SimReport, Simulation};
+use optimus_simulator::{
+    AssignmentPolicy, BackgroundLoad, ErrorInjection, SimConfig, SimEventKind, SimReport,
+    Simulation,
+};
 use optimus_telemetry::{FlightConfig, Telemetry};
 use optimus_workload::{JobId, JobSpec, ModelKind, TrainingMode};
 
@@ -192,6 +197,72 @@ fn production_matches_reference_under_churn() {
     cfg.server_failures = vec![(900.0, ServerId(7))];
     cfg.min_rescale_interval_s = 300.0;
     assert_matches_reference(&Case::testbed("churn", 5, cfg));
+}
+
+/// Every optional branch of a scheduling round at once: background
+/// load, Fig-15 error injection, MXNet's default parameter assignment,
+/// fidelity sampling, pinned jobs, a server failure and straggler
+/// injection.
+fn every_branch_case() -> Case {
+    let cfg = SimConfig {
+        background: Some(BackgroundLoad {
+            period_s: 3_600.0,
+            peak_fraction: 0.3,
+        }),
+        inject: Some(ErrorInjection {
+            convergence_error: 0.2,
+            speed_error: 0.2,
+        }),
+        assignment: AssignmentPolicy::MxnetDefault,
+        track_fidelity: true,
+        min_rescale_interval_s: 300.0,
+        server_failures: vec![(900.0, ServerId(7))],
+        straggler: StragglerPolicy::with_injection(0.002),
+        ..base_config()
+    };
+    Case::testbed("every round branch", 5, cfg)
+}
+
+#[test]
+fn production_matches_reference_on_every_round_branch() {
+    assert_matches_reference(&every_branch_case());
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `run` and `run_reference` share the round code, so drift inside a
+/// round moves both alike and the equivalence cases cannot see it. This
+/// pins the every-branch run's serialized report (telemetry off, event
+/// log included) to the hash recorded before the simulator was split
+/// into components. A change meant to move a decision updates it.
+#[test]
+fn every_branch_report_matches_its_pinned_hash() {
+    const PINNED: u64 = 0x9fce_d911_e132_4db1;
+    let case = every_branch_case();
+    let mut sim = Simulation::new(
+        case.cluster.clone(),
+        case.specs.clone(),
+        Box::new(OptimusScheduler::build()),
+        case.cfg.clone(),
+    );
+    let report = sim.run();
+    assert_eq!(report.unfinished_jobs, 0);
+    assert!(!report.fidelity.is_empty(), "fidelity sampling ran");
+    assert!(
+        report.straggler_replacements > 0,
+        "stragglers were injected"
+    );
+    let json = serde_json::to_string(&report).expect("report serializes");
+    assert_eq!(
+        fnv1a(json.as_bytes()),
+        PINNED,
+        "every-branch report drifted"
+    );
 }
 
 /// The edge-case grid: degenerate workloads, clusters and timings.
@@ -615,7 +686,7 @@ fn event_engine_cost_is_events_not_ticks() {
     assert!(waves > 0, "running jobs advanced through progress waves");
     // The whole point: calendar entries and waves are both far fewer
     // than the 40 000 grid ticks the reference loop walks.
-    let max_ticks = (base_config().max_time_s / base_config().tick_s).round() as u64;
+    let max_ticks = base_config().max_time_s as u64; // one-second ticks
     assert!(
         scheduled < max_ticks / 2,
         "scheduled {scheduled} events for a {max_ticks}-tick horizon"
