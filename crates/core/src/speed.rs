@@ -14,7 +14,8 @@
 //! * **synchronous** (Eqn 4): `f(p,w) = (θ₀·M/w + θ₁ + θ₂·w/p + θ₃·w +
 //!   θ₄·p)⁻¹` → regress `1/f` on `[M/w, 1, w/p, w, p]`.
 
-use optimus_fitting::{FitError, LinearModel, NonNegLinearFit};
+use optimus_fitting::nnls::{nnls_rows, MAX_WIDTH};
+use optimus_fitting::{FitError, LinearModel};
 use optimus_telemetry::Telemetry;
 use optimus_workload::TrainingMode;
 use serde::{Deserialize, Serialize};
@@ -142,12 +143,10 @@ impl SpeedModel {
         self.samples.len()
     }
 
-    /// Number of coefficients the feature map produces.
-    pub fn num_coefficients(&self) -> usize {
-        match self.mode {
-            TrainingMode::Asynchronous => 4,
-            TrainingMode::Synchronous => 5,
-        }
+    /// The recorded samples, oldest first (profiling runs, then the
+    /// retained online observations).
+    pub fn samples(&self) -> &[SpeedSample] {
+        &self.samples
     }
 
     /// Refits the model by NNLS over all samples.
@@ -155,23 +154,57 @@ impl SpeedModel {
     /// Returns [`FitError::NotEnoughSamples`] until the sample count
     /// reaches the coefficient count; the previous model (if any)
     /// survives a failed refit.
+    ///
+    /// The result is `NonNegLinearFit::fit_rows` over the samples'
+    /// feature rows and targets, bit for bit, with the same errors and
+    /// `nnls.*` counters, but nothing is materialized:
+    /// [`nnls_rows`] rebuilds each row from its sample on every pass,
+    /// and the coefficients overwrite the previous fit's in place, so a
+    /// refit of a fitted model allocates nothing.
     pub fn refit(&mut self) -> Result<(), FitError> {
-        let rows: Vec<Vec<f64>> = self
-            .samples
-            .iter()
-            .map(|s| self.features(s.p, s.w))
-            .collect();
-        let targets: Vec<f64> = self
-            .samples
-            .iter()
-            .map(|s| match self.mode {
+        self.tel.incr("speed.refits");
+        let (n, width) = (self.samples.len(), self.width());
+        // `fit_rows`'s shape checks, in its order.
+        if n == 0 {
+            return Err(FitError::NotEnoughSamples { got: 0, need: 1 });
+        }
+        if n < width {
+            return Err(FitError::NotEnoughSamples {
+                got: n,
+                need: width,
+            });
+        }
+        self.tel.incr("nnls.solves");
+        let solved = nnls_rows(n, width, |r| {
+            let s = self.samples[r];
+            let target = match self.mode {
                 TrainingMode::Asynchronous => s.w as f64 / s.speed,
                 TrainingMode::Synchronous => 1.0 / s.speed,
-            })
-            .collect();
-        self.tel.incr("speed.refits");
-        let fitted = NonNegLinearFit.fit_rows_traced(&rows, &targets, &self.tel)?;
-        self.model = Some(fitted);
+            };
+            (self.feature_row(s.p, s.w).0, target)
+        });
+        let sol = match solved {
+            Ok(sol) => sol,
+            Err(e) => {
+                self.tel.incr("nnls.fit_failures");
+                return Err(e);
+            }
+        };
+        self.tel.observe("nnls.iterations", sol.iterations as f64);
+        let theta = &sol.x[..width];
+        match &mut self.model {
+            Some(model) => {
+                model.theta.clear();
+                model.theta.extend_from_slice(theta);
+                model.residual_ss = sol.residual_ss;
+            }
+            None => {
+                self.model = Some(LinearModel {
+                    theta: theta.to_vec(),
+                    residual_ss: sol.residual_ss,
+                })
+            }
+        }
         self.gen += 1;
         Ok(())
     }
@@ -220,17 +253,19 @@ impl SpeedModel {
         (raw * self.prediction_scale).max(0.0)
     }
 
-    /// The feature row for a configuration (heap-allocating; used by the
-    /// occasional refit — predictions use [`Self::feature_row`]).
-    fn features(&self, p: u32, w: u32) -> Vec<f64> {
-        let (row, n) = self.feature_row(p, w);
-        row[..n].to_vec()
+    /// Coefficients the feature map produces.
+    fn width(&self) -> usize {
+        match self.mode {
+            TrainingMode::Asynchronous => 4,
+            TrainingMode::Synchronous => 5,
+        }
     }
 
-    /// The feature row on the stack: `predict` sits on the allocator's
-    /// per-candidate hot path, where a `Vec` per call is measurable.
+    /// The feature row for a configuration and its width, on the
+    /// stack: `predict` sits on the allocator's per-candidate hot path
+    /// and `refit` rebuilds every row on each NNLS pass.
     #[inline]
-    fn feature_row(&self, p: u32, w: u32) -> ([f64; 5], usize) {
+    fn feature_row(&self, p: u32, w: u32) -> ([f64; MAX_WIDTH], usize) {
         let pf = p as f64;
         let wf = w as f64;
         match self.mode {

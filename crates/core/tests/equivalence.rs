@@ -11,14 +11,22 @@
 //! Resource quantities are generated as multiples of 0.25 so all sums
 //! are exactly representable — a disagreement can only come from a real
 //! algorithmic divergence, never float noise.
+//!
+//! The speed models' refit is checked the same way: `SpeedModel::refit`
+//! (the allocation-free `nnls_rows`) against `NonNegLinearFit::fit_rows`
+//! over materialized feature rows, bit for bit, telemetry included.
 
 use optimus_cluster::{Cluster, ResourceVec};
 use optimus_core::allocation::{OptimusAllocator, ResourceAllocator};
 use optimus_core::placement::{OptimusPlacer, TaskPlacer};
 use optimus_core::prelude::*;
 use optimus_core::reference::{ReferenceOptimusAllocator, ReferenceOptimusPlacer};
+use optimus_core::speed::SpeedSample;
 use optimus_core::RoundDelta;
+use optimus_fitting::nnls::nnls_traced;
+use optimus_fitting::{FitError, LinearModel, Matrix, NonNegLinearFit};
 use optimus_ps::PsJobModel;
+use optimus_telemetry::Telemetry;
 use optimus_workload::{JobId, ModelKind, TrainingMode};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -566,4 +574,236 @@ fn contended_clusters_fall_back_to_the_full_path() {
     let fresh = scheduler.schedule(&jobs, &cluster);
     assert_eq!(out.allocations(), fresh.allocations());
     assert_eq!(out.placements(), fresh.placements());
+}
+
+// -- Speed refits ---------------------------------------------------------
+
+/// One step of a speed-sample stream.
+#[derive(Debug, Clone)]
+enum SpeedOp {
+    Record(u32, u32, f64),
+    Refit,
+}
+
+/// A sample stream: training mode (true = synchronous), batch size `M`,
+/// the profiling samples, an optional window applied after them, then
+/// records and refits.
+type SpeedStream = (bool, f64, Vec<(u32, u32, f64)>, Option<usize>, Vec<SpeedOp>);
+
+/// `(p, w, speed)`: few distinct small configurations, so rows repeat,
+/// and slow speeds, whose large targets leave rounding noise above the
+/// dual tolerance on dependent columns: those enter, and their passive
+/// subsystems are singular (the ridge retry). Also `p = 0` and NaN
+/// speeds, which `record` drops, and tiny positive speeds whose targets
+/// overflow to ∞ (`"nnls rhs"`) or come close.
+fn speed_sample() -> impl Strategy<Value = (u32, u32, f64)> {
+    let speed = (0u32..16, 0.01f64..50.0).prop_map(|(roll, speed)| match roll {
+        0 => 1e-310,
+        1 => f64::MIN_POSITIVE,
+        2 => f64::NAN,
+        3..=6 => speed * 1e-5,
+        _ => speed,
+    });
+    let p = (0u32..4, 1u32..4, 0u32..24).prop_map(|(roll, small, wide)| match roll {
+        0 => wide,
+        _ => small,
+    });
+    (p, 1u32..24, speed)
+}
+
+fn speed_stream() -> impl Strategy<Value = SpeedStream> {
+    let op = (0u32..4, speed_sample()).prop_map(|(roll, (p, w, speed))| match roll {
+        0 => SpeedOp::Refit,
+        _ => SpeedOp::Record(p, w, speed),
+    });
+    // M = 0 zeroes the synchronous model's first feature (Gram
+    // zero-skips), M = 1e300 overflows its Gram, and M = ∞ makes the
+    // feature itself non-finite (`"nnls matrix"`).
+    let batch = (0u32..8, 1.0f64..512.0).prop_map(|(roll, batch)| match roll {
+        0 => 0.0,
+        1 => 1e-8,
+        2 => 1e300,
+        3 => f64::INFINITY,
+        _ => batch,
+    });
+    let window = (0usize..6).prop_map(|k| (k > 0).then_some(k));
+    (
+        any::<bool>(),
+        batch,
+        prop::collection::vec(speed_sample(), 0..8),
+        window,
+        prop::collection::vec(op, 0..48),
+    )
+}
+
+/// The feature row and target of one sample (Eqns 3 and 4).
+fn speed_row(sync: bool, batch: f64, s: &SpeedSample) -> (Vec<f64>, f64) {
+    let (p, w) = (s.p as f64, s.w as f64);
+    if sync {
+        (vec![batch / w, 1.0, w / p, w, p], 1.0 / s.speed)
+    } else {
+        (vec![1.0, w / p, w, p], w / s.speed)
+    }
+}
+
+/// The oracle refit: the rows materialized and fit by `fit_rows`, with
+/// the counters the refit keeps (`nnls_traced` on the same matrix,
+/// once `fit_rows`'s shape checks pass).
+fn oracle_refit(
+    model: &SpeedModel,
+    sync: bool,
+    batch: f64,
+    tel: &Telemetry,
+) -> Result<LinearModel, FitError> {
+    tel.incr("speed.refits");
+    let (rows, targets): (Vec<Vec<f64>>, Vec<f64>) = model
+        .samples()
+        .iter()
+        .map(|s| speed_row(sync, batch, s))
+        .unzip();
+    let fit = NonNegLinearFit.fit_rows(&rows, &targets);
+    if !matches!(fit, Err(FitError::NotEnoughSamples { .. })) {
+        let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+        let a = Matrix::from_rows(&refs).expect("non-empty rows");
+        let traced = nnls_traced(&a, &targets, tel);
+        assert_eq!(traced.is_ok(), fit.is_ok(), "fit_rows runs nnls");
+    }
+    fit
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Runs a stream through `SpeedModel::refit` and through the oracle and
+/// requires identical results after every refit: coefficient and RSS
+/// bits, error variant and message, the surviving model after a failure,
+/// and every counter and histogram. Returns each refit's outcome.
+fn assert_refits_match(stream: &SpeedStream) -> Vec<Result<(), FitError>> {
+    let (sync, batch, profile, window, ops) = stream;
+    let (sync, batch) = (*sync, *batch);
+    let mode = if sync {
+        TrainingMode::Synchronous
+    } else {
+        TrainingMode::Asynchronous
+    };
+    let (tel, oracle_tel) = (Telemetry::enabled(), Telemetry::enabled());
+    let mut model = SpeedModel::new(mode, batch).with_telemetry(tel.clone());
+    for &(p, w, speed) in profile {
+        model.record(p, w, speed);
+    }
+    if let Some(window) = *window {
+        model = model.with_sample_window(window);
+    }
+    let mut last_ok: Option<LinearModel> = None;
+    let mut outcomes = Vec::new();
+    for op in ops {
+        match *op {
+            SpeedOp::Record(p, w, speed) => model.record(p, w, speed),
+            SpeedOp::Refit => {
+                let want = oracle_refit(&model, sync, batch, &oracle_tel);
+                let got = model.refit();
+                match (&got, &want) {
+                    (Ok(()), Ok(fit)) => {
+                        assert_eq!(bits(model.coefficients()), bits(&fit.theta));
+                        assert_eq!(
+                            model.residual_ss().map(f64::to_bits),
+                            Some(fit.residual_ss.to_bits())
+                        );
+                        last_ok = Some(fit.clone());
+                    }
+                    (Err(e), Err(f)) => {
+                        assert_eq!(e, f);
+                        assert_eq!(e.to_string(), f.to_string());
+                        let kept = last_ok.as_ref().map_or(Vec::new(), |m| bits(&m.theta));
+                        assert_eq!(bits(model.coefficients()), kept, "the last fit survives");
+                    }
+                    _ => panic!("refit {got:?} but oracle {want:?}"),
+                }
+                assert_eq!(tel.summary(), oracle_tel.summary());
+                outcomes.push(got);
+            }
+        }
+    }
+    outcomes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `SpeedModel::refit` is `NonNegLinearFit::fit_rows` over the same
+    /// samples, bit for bit, in both training modes, across windows,
+    /// degenerate and repeated configurations, overflowing targets and
+    /// under-determined histories.
+    #[test]
+    fn speed_refit_matches_fit_rows(stream in speed_stream()) {
+        assert_refits_match(&stream);
+    }
+}
+
+/// The streams the property draws at random, pinned: each hits a
+/// branch of the replay on purpose and asserts the outcome it expects.
+#[test]
+fn speed_refit_matches_fit_rows_on_edge_streams() {
+    use SpeedOp::{Record, Refit};
+    let truth = PsJobModel::new(ModelKind::ResNet50.profile(), TrainingMode::Synchronous);
+    let profiled: Vec<(u32, u32, f64)> = [(1, 1), (2, 2), (4, 4), (8, 8), (4, 8), (8, 4)]
+        .iter()
+        .map(|&(p, w)| (p, w, truth.speed(p, w)))
+        .collect();
+    let err = |e: &Result<(), FitError>| e.as_ref().err().cloned();
+
+    // Too few samples, then enough: `fit_rows`'s two shape errors.
+    let out = assert_refits_match(&(
+        true,
+        32.0,
+        Vec::new(),
+        None,
+        vec![Refit, Record(1, 1, 0.5), Refit, Record(2, 2, 0.9), Refit],
+    ));
+    assert_eq!(
+        err(&out[0]),
+        Some(FitError::NotEnoughSamples { got: 0, need: 1 })
+    );
+    assert_eq!(
+        err(&out[2]),
+        Some(FitError::NotEnoughSamples { got: 2, need: 5 })
+    );
+
+    // One configuration repeated at slow speeds: the rows are equal, so
+    // every passive subsystem wider than one column is singular, and
+    // the large targets leave rounding noise above the dual tolerance,
+    // so a second column enters through the ridge retry.
+    for sync in [false, true] {
+        let mut repeated: Vec<SpeedOp> = (0..12)
+            .map(|k| Record(2, 2, 1e-6 * (1.0 + 0.01 * k as f64)))
+            .collect();
+        repeated.push(Refit);
+        let out = assert_refits_match(&(sync, 32.0, Vec::new(), None, repeated));
+        assert!(out.iter().all(Result::is_ok));
+    }
+
+    // A tiny positive speed: w/speed overflows to ∞ and the refit fails
+    // on the rhs, keeping the profiled model.
+    let out = assert_refits_match(&(
+        false,
+        32.0,
+        profiled.clone(),
+        None,
+        vec![Refit, Record(4, 4, 1e-310), Refit],
+    ));
+    assert!(out[0].is_ok());
+    assert_eq!(
+        err(&out[1]),
+        Some(FitError::NonFiniteInput {
+            context: "nnls rhs"
+        })
+    );
+
+    // A window evicts the overflowing sample again.
+    let mut ops = vec![Record(4, 4, 1e-310), Refit];
+    ops.extend((0..4).map(|i| Record(3, 6, truth.speed(3, 6) * (1.0 + 0.01 * i as f64))));
+    ops.push(Refit);
+    let out = assert_refits_match(&(true, 32.0, profiled, Some(3), ops));
+    assert!(out[0].is_err() && out[1].is_ok());
 }

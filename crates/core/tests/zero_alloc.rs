@@ -19,6 +19,11 @@
 //! which allocate by design and are not part of the steady-state round
 //! contract.
 //!
+//! Last, a speed-model refit of an already-fitted model (both training
+//! modes, with a disabled and a recording telemetry handle) must also
+//! make zero allocator calls: `nnls_rows` rebuilds rows on the stack
+//! and the coefficients overwrite the previous fit's `Vec`.
+//!
 //! The file intentionally holds a single test: the counter is global,
 //! and a sibling test running concurrently would pollute it.
 
@@ -30,6 +35,7 @@ use optimus_cluster::{Cluster, ResourceVec};
 use optimus_core::prelude::*;
 use optimus_core::RoundDelta;
 use optimus_ps::PsJobModel;
+use optimus_telemetry::Telemetry;
 use optimus_workload::{JobId, ModelKind, TrainingMode};
 
 struct CountingAlloc;
@@ -180,6 +186,23 @@ fn warm_steady_state_round_allocates_nothing() {
                 _ => stats.alloc_full && !stats.skipped_full && !stats.place_reused,
             };
             assert!(kind_ok, "{name} round ran the wrong path: {stats:?}");
+        }
+    }
+
+    // A speed refit of a fitted model: the first refit creates the
+    // model and the telemetry entries, the next sample is recorded
+    // outside the measurement (the sample `Vec` may grow), and the
+    // measured refit folds it in.
+    for mode in [TrainingMode::Synchronous, TrainingMode::Asynchronous] {
+        for tel in [Telemetry::disabled(), Telemetry::enabled()] {
+            let mut speed = job(0, mode).speed.with_telemetry(tel);
+            speed.refit().expect("profiled");
+            speed.record(3, 5, 0.8);
+            let before = ALLOC_CALLS.load(Ordering::SeqCst);
+            let fitted = speed.refit();
+            let calls = ALLOC_CALLS.load(Ordering::SeqCst) - before;
+            assert!(fitted.is_ok());
+            assert_eq!(calls, 0, "a {mode:?} speed refit must not touch the heap");
         }
     }
 }

@@ -15,13 +15,14 @@
 //! * [`Matrix`] — a small dense row-major matrix with the decompositions
 //!   needed for least squares,
 //! * [`nnls()`] — Lawson–Hanson active-set non-negative least squares,
+//!   and [`nnls_rows`], its allocation-free replay over rows rebuilt on
+//!   demand (the speed models' refit),
 //! * [`preprocess`] — the paper's outlier removal and loss normalization,
 //! * [`loss_curve`] — the convergence-curve model and the one-shot
 //!   [`LossCurveFitter::fit`], the oracle [`batch`] is checked against,
 //! * [`linfit`] — non-negative linear model fitting on arbitrary feature
-//!   maps (used by the speed models in `optimus-core`), with weighted
-//!   variants,
-//! * [`qr`] — Householder-QR least squares for ill-conditioned systems,
+//!   maps (the oracle of the speed models' refit in `optimus-core`),
+//!   with weighted variants,
 //! * [`families`] — §7 pluggable curve families (inverse-k, exponential
 //!   decay) with residual-based model selection,
 //! * [`stats`] — small statistics helpers shared by the experiment harness,
@@ -37,7 +38,6 @@ pub mod linfit;
 pub mod loss_curve;
 pub mod nnls;
 pub mod preprocess;
-pub mod qr;
 pub mod stats;
 
 pub use batch::{fit_batch, BatchFitJob, BatchScratch, LANES};
@@ -46,5 +46,4 @@ pub use families::{fit_best, CurveFamily, ExpDecayFamily, FittedCurve, InverseKF
 pub use linalg::Matrix;
 pub use linfit::{LinearModel, NonNegLinearFit};
 pub use loss_curve::{FitSession, LossCurveFitter, LossModel};
-pub use nnls::{nnls, NnlsOptions, NnlsSolution};
-pub use qr::qr_lstsq;
+pub use nnls::{nnls, nnls_rows, NnlsOptions, NnlsSolution, SmallNnlsSolution};

@@ -224,50 +224,9 @@ impl Matrix {
                 context: "solve: rhs length != rows",
             });
         }
-        let n = self.rows;
         let mut a = self.data.clone();
         let mut x = b.to_vec();
-
-        for col in 0..n {
-            // Partial pivoting: find the largest pivot in this column.
-            let mut pivot_row = col;
-            let mut pivot_val = a[col * n + col].abs();
-            for r in (col + 1)..n {
-                let v = a[r * n + col].abs();
-                if v > pivot_val {
-                    pivot_val = v;
-                    pivot_row = r;
-                }
-            }
-            if pivot_val < 1e-13 {
-                return Err(FitError::SingularSystem);
-            }
-            if pivot_row != col {
-                for c in 0..n {
-                    a.swap(col * n + c, pivot_row * n + c);
-                }
-                x.swap(col, pivot_row);
-            }
-            let pivot = a[col * n + col];
-            for r in (col + 1)..n {
-                let factor = a[r * n + col] / pivot;
-                if factor == 0.0 {
-                    continue;
-                }
-                for c in col..n {
-                    a[r * n + c] -= factor * a[col * n + c];
-                }
-                x[r] -= factor * x[col];
-            }
-        }
-        // Back substitution.
-        for col in (0..n).rev() {
-            let mut acc = x[col];
-            for c in (col + 1)..n {
-                acc -= a[col * n + c] * x[c];
-            }
-            x[col] = acc / a[col * n + col];
-        }
+        eliminate(&mut a, &mut x)?;
         Ok(x)
     }
 
@@ -290,24 +249,10 @@ impl Matrix {
         }
         let g = self.gram();
         let rhs = self.tr_mul_vec(b)?;
-        match g.solve(&rhs) {
-            Ok(x) => Ok(x),
-            Err(FitError::SingularSystem) => {
-                let n = g.cols();
-                let mut trace = 0.0;
-                for i in 0..n {
-                    trace += g.get(i, i);
-                }
-                let lambda = 1e-10 * (trace / n as f64).max(1e-30);
-                let mut ridged = g;
-                for i in 0..n {
-                    let v = ridged.get(i, i) + lambda;
-                    ridged.set(i, i, v);
-                }
-                ridged.solve(&rhs)
-            }
-            Err(e) => Err(e),
-        }
+        let mut work = vec![0.0; g.data.len()];
+        let mut x = vec![0.0; rhs.len()];
+        solve_normal(&g.data, &rhs, &mut work, &mut x)?;
+        Ok(x)
     }
 
     /// Returns the residual sum of squares `‖A·x − b‖₂²`.
@@ -324,6 +269,88 @@ impl Matrix {
             .map(|(p, q)| (p - q) * (p - q))
             .sum())
     }
+}
+
+/// [`Matrix::lstsq`]'s solve of the normal equations `g·x = rhs`
+/// (`g` row-major `n × n`, `n = rhs.len()`): [`Matrix::solve`]'s
+/// elimination, and on a singular system the ridge retry
+/// `λ = 1e-10·max(trace/n, 1e-30)` on the diagonal. The caller owns the
+/// `n × n` elimination workspace `work` and the solution `x`, so
+/// `nnls::nnls_rows` runs this same code on the stack.
+pub(crate) fn solve_normal(
+    g: &[f64],
+    rhs: &[f64],
+    work: &mut [f64],
+    x: &mut [f64],
+) -> Result<(), FitError> {
+    work.copy_from_slice(g);
+    x.copy_from_slice(rhs);
+    match eliminate(work, x) {
+        Err(FitError::SingularSystem) => {
+            let n = rhs.len();
+            let mut trace = 0.0;
+            for i in 0..n {
+                trace += g[i * n + i];
+            }
+            let lambda = 1e-10 * (trace / n as f64).max(1e-30);
+            work.copy_from_slice(g);
+            for i in 0..n {
+                work[i * n + i] += lambda;
+            }
+            x.copy_from_slice(rhs);
+            eliminate(work, x)
+        }
+        res => res,
+    }
+}
+
+/// Gaussian elimination with partial pivoting on the row-major
+/// `n × n` system `a·x = b` (`n = x.len()`, `x` holds `b` on entry and
+/// the solution on success). Returns [`FitError::SingularSystem`] when
+/// a pivot is numerically zero.
+fn eliminate(a: &mut [f64], x: &mut [f64]) -> Result<(), FitError> {
+    let n = x.len();
+    for col in 0..n {
+        // Partial pivoting: find the largest pivot in this column.
+        let mut pivot_row = col;
+        let mut pivot_val = a[col * n + col].abs();
+        for r in (col + 1)..n {
+            let v = a[r * n + col].abs();
+            if v > pivot_val {
+                pivot_val = v;
+                pivot_row = r;
+            }
+        }
+        if pivot_val < 1e-13 {
+            return Err(FitError::SingularSystem);
+        }
+        if pivot_row != col {
+            for c in 0..n {
+                a.swap(col * n + c, pivot_row * n + c);
+            }
+            x.swap(col, pivot_row);
+        }
+        let pivot = a[col * n + col];
+        for r in (col + 1)..n {
+            let factor = a[r * n + col] / pivot;
+            if factor == 0.0 {
+                continue;
+            }
+            for c in col..n {
+                a[r * n + c] -= factor * a[col * n + c];
+            }
+            x[r] -= factor * x[col];
+        }
+    }
+    // Back substitution.
+    for col in (0..n).rev() {
+        let mut acc = x[col];
+        for c in (col + 1)..n {
+            acc -= a[col * n + c] * x[c];
+        }
+        x[col] = acc / a[col * n + col];
+    }
+    Ok(())
 }
 
 #[cfg(test)]

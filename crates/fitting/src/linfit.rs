@@ -7,13 +7,14 @@
 //! * sync:  `1 / f(p,w) = θ₀·(M/w) + θ₁ + θ₂·(w/p) + θ₃·w + θ₄·p`
 //!
 //! with all θ ≥ 0. This module fits such models with NNLS given a feature
-//! map from samples to rows, and is shared by `optimus-core`'s speed
-//! models and by the experiment harness.
+//! map from samples to rows. `optimus-core`'s speed models refit through
+//! the allocation-free [`crate::nnls::nnls_rows`] instead, and
+//! [`NonNegLinearFit::fit_rows`] is the oracle its equivalence suite
+//! checks that refit against, bit for bit.
 
 use crate::error::FitError;
 use crate::linalg::Matrix;
-use crate::nnls::{nnls, nnls_traced, NnlsSolution};
-use optimus_telemetry::Telemetry;
+use crate::nnls::{nnls, NnlsSolution};
 
 /// A fitted non-negative linear model `y ≈ θ · features(x)`.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,26 +55,6 @@ impl NonNegLinearFit {
     ///
     /// Requires at least as many samples as features.
     pub fn fit_rows(&self, rows: &[Vec<f64>], targets: &[f64]) -> Result<LinearModel, FitError> {
-        self.fit_rows_impl(rows, targets, None)
-    }
-
-    /// Like [`NonNegLinearFit::fit_rows`], but routes the NNLS solve
-    /// through [`nnls_traced`] so the handle's `nnls.*` metrics see it.
-    pub fn fit_rows_traced(
-        &self,
-        rows: &[Vec<f64>],
-        targets: &[f64],
-        tel: &Telemetry,
-    ) -> Result<LinearModel, FitError> {
-        self.fit_rows_impl(rows, targets, Some(tel))
-    }
-
-    fn fit_rows_impl(
-        &self,
-        rows: &[Vec<f64>],
-        targets: &[f64],
-        tel: Option<&Telemetry>,
-    ) -> Result<LinearModel, FitError> {
         if rows.len() != targets.len() {
             return Err(FitError::DimensionMismatch {
                 context: "fit_rows: rows/targets length mismatch",
@@ -91,10 +72,7 @@ impl NonNegLinearFit {
         }
         let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
         let a = Matrix::from_rows(&refs)?;
-        let NnlsSolution { x, residual_ss, .. } = match tel {
-            Some(tel) if tel.is_enabled() => nnls_traced(&a, targets, tel)?,
-            _ => nnls(&a, targets)?,
-        };
+        let NnlsSolution { x, residual_ss, .. } = nnls(&a, targets)?;
         Ok(LinearModel {
             theta: x,
             residual_ss,

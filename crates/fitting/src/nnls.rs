@@ -10,9 +10,15 @@
 //! unconstrained subproblem on `P`, stepping back along the segment to the
 //! previous iterate whenever the subproblem solution leaves the feasible
 //! region.
+//!
+//! [`nnls_with`] is the reference iteration. Two production callers
+//! replay it bit for bit from a cached Gram instead of a `Matrix`:
+//! [`nnls_rows`] (the speed models' refit, up to five columns, over rows
+//! rebuilt on demand) and `solve_sub2_cached` (the batched loss-curve
+//! fitter's two-column subproblems).
 
 use crate::error::FitError;
-use crate::linalg::Matrix;
+use crate::linalg::{solve_normal, Matrix};
 
 /// Options controlling the NNLS iteration.
 #[derive(Debug, Clone, Copy)]
@@ -363,6 +369,269 @@ fn solve2(g: [f64; 4], rhs: [f64; 2]) -> Result<[f64; 2], FitError> {
     acc -= a[1] * x[1];
     x[0] = acc / a[0];
     Ok(x)
+}
+
+/// The widest row [`nnls_rows`] takes: the synchronous speed model's
+/// five features (Eqn 4).
+pub const MAX_WIDTH: usize = 5;
+
+/// An [`NnlsSolution`] on the stack: `x[..width]` holds the
+/// coefficients and the rest is zero.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SmallNnlsSolution {
+    /// The non-negative coefficients, zero past the row width.
+    pub x: [f64; MAX_WIDTH],
+    /// Residual sum of squares `‖A·x − b‖₂²` at the solution.
+    pub residual_ss: f64,
+    /// Number of outer iterations performed.
+    pub iterations: usize,
+}
+
+/// [`nnls`] over `n_rows` rows of `width ≤ MAX_WIDTH` columns that
+/// `row(r)` rebuilds on demand as `(features, target)`, without
+/// allocating: the same coefficient bits, residual bits, iteration
+/// count and error as `nnls` on the matrix of those rows.
+///
+/// It replays [`nnls_with`] with default options:
+///
+/// * **One Gram.** One pass over the rows builds the full `AᵀA` upper
+///   triangle in `Matrix::gram`'s order (ascending rows, a term skipped
+///   only when its row entry is exactly zero) and `Aᵀb` in
+///   `Matrix::tr_mul_vec`'s. The submatrix of passive columns keeps
+///   their ascending order, so its Gram and right-hand side are these
+///   entries restricted to the passive set: the same sums term for
+///   term. `solve_subproblem` → `Matrix::lstsq` is then replayed on the
+///   stack: the under-determined check, then the very elimination and
+///   ridge retry `lstsq` runs, on the restricted system (as
+///   [`solve_sub2_cached`] does for two columns).
+/// * **First dual.** At `x = 0` every `A·x` entry is `+0.0` (the rows
+///   are finite by then), so `b − A·x` is `b` and the dual is `Aᵀb`.
+///   The residual sum of squares at `x = 0` is summed in the same pass.
+/// * **Later duals.** `w = Aᵀ(b − A·x)` is one pass that rebuilds each
+///   row and accumulates `A·x` (`Matrix::mul_vec`'s order), the dual
+///   and `‖A·x − b‖²` (`Matrix::residual_ss`'s order) at once, so the
+///   final dual pass has already summed the returned residual.
+/// * **Reuse.** A rejected entry leaves `x` unchanged, so its dual and
+///   residual are reused, and the trial solve is the inner loop's
+///   first solve (same passive set).
+///
+/// The error order is `nnls_with`'s: a non-finite target
+/// (`"nnls rhs"`), then a non-finite feature (`"nnls matrix"`), then
+/// subproblem and iteration-limit errors as they arise.
+///
+/// # Panics
+///
+/// Panics if `width > MAX_WIDTH`.
+pub fn nnls_rows(
+    n_rows: usize,
+    width: usize,
+    row: impl Fn(usize) -> ([f64; MAX_WIDTH], f64),
+) -> Result<SmallNnlsSolution, FitError> {
+    assert!(width <= MAX_WIDTH, "nnls_rows: width {width} > {MAX_WIDTH}");
+    let opts = NnlsOptions::default();
+    let tol = opts.tolerance;
+
+    // Upper triangle of AᵀA, Aᵀb and ‖b‖² (the residual at x = 0).
+    let mut gram = [[0.0_f64; MAX_WIDTH]; MAX_WIDTH];
+    let mut atb = [0.0_f64; MAX_WIDTH];
+    let mut rss = 0.0_f64;
+    let (mut rhs_finite, mut rows_finite) = (true, true);
+    for r in 0..n_rows {
+        let (a, b) = row(r);
+        rhs_finite &= b.is_finite();
+        for i in 0..width {
+            let ri = a[i];
+            rows_finite &= ri.is_finite();
+            if ri != 0.0 {
+                for j in i..width {
+                    gram[i][j] += ri * a[j];
+                }
+            }
+            atb[i] += ri * b;
+        }
+        let d = 0.0 - b;
+        rss += d * d;
+    }
+    if !rhs_finite {
+        return Err(FitError::NonFiniteInput {
+            context: "nnls rhs",
+        });
+    }
+    if !rows_finite {
+        return Err(FitError::NonFiniteInput {
+            context: "nnls matrix",
+        });
+    }
+
+    let mut x = [0.0_f64; MAX_WIDTH];
+    let mut passive = [false; MAX_WIDTH];
+    let mut rejected = [false; MAX_WIDTH];
+    let mut w = atb;
+    let mut dual_stale = false;
+    let mut iterations = 0usize;
+
+    loop {
+        if dual_stale {
+            (w, rss) = dual_pass(n_rows, width, &row, &x);
+        }
+        dual_stale = true;
+
+        let mut best: Option<(usize, f64)> = None;
+        for i in 0..width {
+            if !passive[i] && !rejected[i] && w[i] > tol {
+                match best {
+                    Some((_, bw)) if bw >= w[i] => {}
+                    _ => best = Some((i, w[i])),
+                }
+            }
+        }
+        let Some((enter, _)) = best else {
+            return Ok(SmallNnlsSolution {
+                x,
+                residual_ss: rss,
+                iterations,
+            });
+        };
+
+        iterations += 1;
+        if iterations > opts.max_iterations {
+            return Err(FitError::IterationLimit {
+                limit: opts.max_iterations,
+            });
+        }
+
+        passive[enter] = true;
+        let (mut z, mut p_idx, mut m) = solve_passive(&gram, &atb, n_rows, width, &passive)?;
+        let slot = p_idx[..m]
+            .iter()
+            .position(|&i| i == enter)
+            .expect("enter in P");
+        if z[slot] <= tol {
+            passive[enter] = false;
+            rejected[enter] = true;
+            dual_stale = false;
+            continue;
+        }
+
+        let mut first = true;
+        loop {
+            iterations += 1;
+            if iterations > opts.max_iterations {
+                return Err(FitError::IterationLimit {
+                    limit: opts.max_iterations,
+                });
+            }
+            if !first {
+                (z, p_idx, m) = solve_passive(&gram, &atb, n_rows, width, &passive)?;
+            }
+            first = false;
+
+            if z[..m].iter().all(|&zi| zi > tol) {
+                for (slot, &i) in p_idx[..m].iter().enumerate() {
+                    x[i] = z[slot];
+                }
+                for i in 0..width {
+                    if !passive[i] {
+                        x[i] = 0.0;
+                    }
+                }
+                rejected = [false; MAX_WIDTH];
+                break;
+            }
+
+            let mut alpha = f64::INFINITY;
+            for (slot, &i) in p_idx[..m].iter().enumerate() {
+                if z[slot] <= tol {
+                    let denom = x[i] - z[slot];
+                    if denom > 0.0 {
+                        alpha = alpha.min(x[i] / denom);
+                    } else {
+                        alpha = 0.0;
+                    }
+                }
+            }
+            if !alpha.is_finite() {
+                alpha = 0.0;
+            }
+            for (slot, &i) in p_idx[..m].iter().enumerate() {
+                x[i] += alpha * (z[slot] - x[i]);
+            }
+            for &i in &p_idx[..m] {
+                if x[i] <= tol {
+                    x[i] = 0.0;
+                    passive[i] = false;
+                }
+            }
+            if !passive.iter().any(|&p| p) {
+                break;
+            }
+        }
+    }
+}
+
+/// One pass of [`nnls_rows`] at iterate `x`: the dual `Aᵀ(b − A·x)` and
+/// `‖A·x − b‖²`, in `nnls_with`'s operation order.
+fn dual_pass(
+    n_rows: usize,
+    width: usize,
+    row: &impl Fn(usize) -> ([f64; MAX_WIDTH], f64),
+    x: &[f64; MAX_WIDTH],
+) -> ([f64; MAX_WIDTH], f64) {
+    let mut w = [0.0_f64; MAX_WIDTH];
+    let mut rss = 0.0_f64;
+    for r in 0..n_rows {
+        let (a, b) = row(r);
+        let mut ax = 0.0_f64;
+        for c in 0..width {
+            ax += a[c] * x[c];
+        }
+        let resid = b - ax;
+        for c in 0..width {
+            w[c] += a[c] * resid;
+        }
+        let d = ax - b;
+        rss += d * d;
+    }
+    (w, rss)
+}
+
+/// `solve_subproblem` for [`nnls_rows`]: the passive columns' Gram and
+/// right-hand side restricted from the full ones, then `Matrix::lstsq`'s
+/// under-determined check and normal-equation solve. Returns the
+/// solution in passive-column order, the passive columns and their
+/// count.
+fn solve_passive(
+    gram: &[[f64; MAX_WIDTH]; MAX_WIDTH],
+    atb: &[f64; MAX_WIDTH],
+    n_rows: usize,
+    width: usize,
+    passive: &[bool; MAX_WIDTH],
+) -> Result<([f64; MAX_WIDTH], [usize; MAX_WIDTH], usize), FitError> {
+    let mut p_idx = [0usize; MAX_WIDTH];
+    let mut m = 0usize;
+    for (i, _) in passive[..width].iter().enumerate().filter(|(_, &p)| p) {
+        p_idx[m] = i;
+        m += 1;
+    }
+    if n_rows < m {
+        return Err(FitError::NotEnoughSamples {
+            got: n_rows,
+            need: m,
+        });
+    }
+    let mut g = [0.0_f64; MAX_WIDTH * MAX_WIDTH];
+    let mut rhs = [0.0_f64; MAX_WIDTH];
+    for s in 0..m {
+        rhs[s] = atb[p_idx[s]];
+        for t in 0..m {
+            let (lo, hi) = if s <= t { (s, t) } else { (t, s) };
+            g[s * m + t] = gram[p_idx[lo]][p_idx[hi]];
+        }
+    }
+    let mut work = [0.0_f64; MAX_WIDTH * MAX_WIDTH];
+    let mut z = [0.0_f64; MAX_WIDTH];
+    solve_normal(&g[..m * m], &rhs[..m], &mut work[..m * m], &mut z[..m])?;
+    Ok((z, p_idx, m))
 }
 
 #[cfg(test)]

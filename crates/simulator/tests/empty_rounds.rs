@@ -1,4 +1,5 @@
-//! Proof that a scheduling round with nothing live allocates nothing.
+//! Proof that a scheduling round with nothing live allocates nothing,
+//! and that a busy round's allocator calls do not grow with history.
 //!
 //! A `#[global_allocator]` shim counts every `alloc`/`realloc`/
 //! `alloc_zeroed`. Two runs differ only in their time cap: one job
@@ -7,6 +8,12 @@
 //! rounds with an empty live list. The longer run executes thousands
 //! more of those rounds and must touch the allocator exactly as often
 //! as the shorter one.
+//!
+//! Busy rounds allocate (views clone speed models, refits collect
+//! results), but a fixed number of times: two long jobs run through
+//! round 400, and the calls per round over rounds 200–400 may not
+//! exceed those over rounds 100–200. A speed refit that materialized
+//! its sample history would make the count grow with it.
 //!
 //! The counter is per thread, because the test harness's own threads
 //! allocate concurrently (its bookkeeping for the test thread it just
@@ -114,5 +121,48 @@ fn rounds_with_nothing_live_allocate_nothing() {
         long,
         "4800 extra empty rounds allocated {} times",
         long as i64 - short as i64
+    );
+}
+
+/// Heap allocations of a run of two long jobs (one per training mode),
+/// capped just past round `rounds`, on one refit thread.
+fn busy_run_allocations(rounds: u32) -> u64 {
+    let long = |id, model, mode| JobSpec::new(JobId(id), model, mode, 0.001).scaled(5.0);
+    let specs = vec![
+        long(0, ModelKind::ResNet50, TrainingMode::Synchronous),
+        long(1, ModelKind::Seq2Seq, TrainingMode::Asynchronous),
+    ];
+    let cfg = SimConfig {
+        interval_s: BUSY_INTERVAL_S,
+        max_time_s: rounds as f64 * BUSY_INTERVAL_S + 1.0,
+        sample_every_s: 1e12,
+        refit_threads: Some(1),
+        ..SimConfig::default()
+    };
+    let before = ALLOC_CALLS.with(Cell::get);
+    let mut sim = Simulation::new(
+        Cluster::paper_testbed(),
+        specs,
+        Box::new(OptimusScheduler::build()),
+        cfg,
+    );
+    let report = sim.run();
+    let after = ALLOC_CALLS.with(Cell::get);
+    assert_eq!(report.unfinished_jobs, 2, "both jobs run past the cap");
+    drop(report);
+    after - before
+}
+
+const BUSY_INTERVAL_S: f64 = 60.0;
+
+#[test]
+fn busy_round_allocations_do_not_grow_with_history() {
+    let [r100, r200, r400] = [100, 200, 400].map(busy_run_allocations);
+    let early = (r200 - r100) as f64 / 100.0;
+    let late = (r400 - r200) as f64 / 200.0;
+    // One call of slack per round covers amortized `Vec` doubling.
+    assert!(
+        late <= early + 1.0,
+        "allocator calls per busy round grew from {early} (rounds 100-200) to {late} (200-400)"
     );
 }

@@ -28,8 +28,9 @@ bench-fit:
 # cross-checked against the naive reference scheduler (non-zero exit on
 # any divergent allocation or placement), plus the zero-allocation
 # proof for warm full rounds (`schedule_into`) and for every kind of
-# warm delta round the simulator runs (`schedule_delta`), and for warm
-# batched refits of one to eight jobs (`fit_batch`).
+# warm delta round the simulator runs (`schedule_delta`), for a refit of
+# a fitted speed model, and for warm batched refits of one to eight
+# jobs (`fit_batch`).
 bench-alloc:
     cargo run --release -p optimus-bench --bin bench_sched -- --samples 1 --verify
     cargo test --release -p optimus-core --test zero_alloc
@@ -37,7 +38,8 @@ bench-alloc:
 
 # Prove the optimized paths byte-identical to their naive oracles
 # (property-based where inputs vary): the allocator/placer against the
-# reference scheduler, the incremental loss preprocessing against the
+# reference scheduler, the speed-model refit against
+# `NonNegLinearFit::fit_rows`, the incremental loss preprocessing against the
 # full pass, the batched SoA fit engine (the only production fitter)
 # against `LossCurveFitter::fit`, and the simulator's production path
 # (`Simulation::run`) against the tick-loop oracle
