@@ -18,6 +18,11 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+/// Progress fraction below which a job is still in its "beginning
+/// state" (§4.1), where the allocator scales its gains by the priority
+/// factor.
+pub(crate) const YOUNG_PROGRESS: f64 = 0.1;
+
 /// Task counts granted to one job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Allocation {
@@ -194,11 +199,9 @@ impl Ord for Candidate {
 #[derive(Debug, Clone)]
 pub struct OptimusAllocator {
     /// Gain multiplier for jobs still in their "beginning state"
-    /// (progress below [`Self::young_progress`]); the paper's default
-    /// experiments use 1.0 and §6.3 evaluates 0.95.
+    /// (progress below 10 %); the paper's default experiments use 1.0
+    /// and §6.3 evaluates 0.95.
     priority_factor: f64,
-    /// Progress below which a job counts as young.
-    young_progress: f64,
     /// Telemetry sink (disabled by default): `alloc.rounds`,
     /// `alloc.marginal_gain_evals`, and per-grant decision records.
     tel: Telemetry,
@@ -208,7 +211,6 @@ impl Default for OptimusAllocator {
     fn default() -> Self {
         OptimusAllocator {
             priority_factor: 1.0,
-            young_progress: 0.1,
             tel: Telemetry::disabled(),
         }
     }
@@ -231,12 +233,6 @@ impl OptimusAllocator {
     /// [`TraceEvent::AllocRound`] summary.
     pub fn with_telemetry(mut self, tel: Telemetry) -> Self {
         self.tel = tel;
-        self
-    }
-
-    /// Sets the progress fraction below which the factor applies.
-    pub fn with_young_progress(mut self, progress: f64) -> Self {
-        self.young_progress = progress;
         self
     }
 
@@ -281,7 +277,7 @@ impl OptimusAllocator {
                 t_now - t_next
             };
             let mut gain = reduction / dominant;
-            if job.progress < self.young_progress {
+            if job.progress < YOUNG_PROGRESS {
                 gain *= self.priority_factor;
             }
             match best {
@@ -368,7 +364,7 @@ impl OptimusAllocator {
                     },
                     dom_worker: cache.dom_worker,
                     dom_ps: cache.dom_ps,
-                    young: job.progress < self.young_progress,
+                    young: job.progress < YOUNG_PROGRESS,
                     priority_factor: self.priority_factor,
                     runners_up: Vec::new(),
                 });
@@ -560,7 +556,7 @@ impl ResourceAllocator for OptimusAllocator {
                         },
                         dom_worker: caches[idx].dom_worker,
                         dom_ps: caches[idx].dom_ps,
-                        young: job.progress < self.young_progress,
+                        young: job.progress < YOUNG_PROGRESS,
                         priority_factor: self.priority_factor,
                         runners_up: Vec::new(),
                     });

@@ -22,7 +22,7 @@
 //! * [`scheduler`] — the allocator × placer composition the simulator
 //!   drives every scheduling interval (and the §6.4 ablations mix and
 //!   match),
-//! * [`reference`] — naive (unoptimized) §4.1/§4.2 implementations kept
+//! * [`reference`](mod@reference) — naive (unoptimized) §4.1/§4.2 implementations kept
 //!   as the executable specification the optimized hot path is
 //!   property-tested against.
 //!

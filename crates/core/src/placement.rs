@@ -214,7 +214,7 @@ impl FromIterator<(JobId, JobPlacement)> for PlacementStore {
 }
 
 /// Reusable working state for the Optimus placer, full and delta
-/// passes alike: the incremental [`FreeIndex`], the per-job packing
+/// passes alike: the incremental `FreeIndex`, the per-job packing
 /// buffers, the smallest-first order and the round's placement
 /// signatures all persist across rounds.
 #[derive(Debug, Default)]
@@ -1134,7 +1134,7 @@ impl TaskPlacer for OptimusPlacer {
         out.to_map()
     }
 
-    /// The full Theorem-1 pass: [`OptimusPlacer::place_delta`] with no
+    /// The full Theorem-1 pass: `OptimusPlacer::place_delta` with no
     /// previous round to reuse.
     fn place_into(
         &self,

@@ -17,7 +17,7 @@
 //! [`OptimusAllocator`]: crate::allocation::OptimusAllocator
 //! [`OptimusPlacer`]: crate::placement::OptimusPlacer
 
-use crate::allocation::{Allocation, ResourceAllocator};
+use crate::allocation::{Allocation, ResourceAllocator, YOUNG_PROGRESS};
 use crate::scheduler::{JobPlacement, JobView};
 use optimus_cluster::{Cluster, ResourceKind, ResourceVec, ServerId};
 use optimus_ps::TaskCounts;
@@ -67,18 +67,16 @@ impl Ord for Candidate {
 
 /// The marginal-gain allocator exactly as first implemented: `t_now`,
 /// `t_worker`, and `t_ps` are recomputed from the speed model on every
-/// [`best_candidate`](Self::best_candidate) call.
+/// `best_candidate` call.
 #[derive(Debug, Clone)]
 pub struct ReferenceOptimusAllocator {
     priority_factor: f64,
-    young_progress: f64,
 }
 
 impl Default for ReferenceOptimusAllocator {
     fn default() -> Self {
         ReferenceOptimusAllocator {
             priority_factor: 1.0,
-            young_progress: 0.1,
         }
     }
 }
@@ -88,12 +86,6 @@ impl ReferenceOptimusAllocator {
     /// [`OptimusAllocator::with_priority_factor`](crate::allocation::OptimusAllocator::with_priority_factor)).
     pub fn with_priority_factor(mut self, factor: f64) -> Self {
         self.priority_factor = factor;
-        self
-    }
-
-    /// Sets the progress fraction below which the factor applies.
-    pub fn with_young_progress(mut self, progress: f64) -> Self {
-        self.young_progress = progress;
         self
     }
 
@@ -124,7 +116,7 @@ impl ReferenceOptimusAllocator {
                 t_now - t_next
             };
             let mut gain = reduction / dominant;
-            if job.progress < self.young_progress {
+            if job.progress < YOUNG_PROGRESS {
                 gain *= self.priority_factor;
             }
             match best {

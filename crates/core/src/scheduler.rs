@@ -470,13 +470,13 @@ impl Scheduler for CompositeScheduler {
     ///   and both paths are deterministic. O(jobs) id comparison, no
     ///   allocation, no placement.
     /// - **delta allocation** — dirty jobs re-derive their grants with
-    ///   [`OptimusAllocator::solo_climb`]; clean jobs replay last
+    ///   `OptimusAllocator::solo_climb`; clean jobs replay last
     ///   round's stored rows. Sound iff rounds are uncontended, which
-    ///   [`certificate_check`] proves *after the fact* on the
+    ///   `certificate_check` proves *after the fact* on the
     ///   assembled rows (and stored rows are only trusted when the
     ///   round that produced them passed it too). Any failure falls
     ///   back to the full greedy pass — bit-identical by construction.
-    /// - **delta placement** — [`OptimusPlacer::place_delta`] reuses
+    /// - **delta placement** — `OptimusPlacer::place_delta` reuses
     ///   the whole previous store when the ordered placement inputs
     ///   match exactly, else replays the longest matching prefix.
     fn schedule_delta(

@@ -43,15 +43,6 @@ pub struct SpeedModel {
     /// the sensitivity experiments (Fig 15) to inject controlled
     /// speed-estimation error.
     prediction_scale: f64,
-    /// Optional cap on retained samples: when set, old observations are
-    /// forgotten FIFO so the model tracks a drifting environment
-    /// (contention, stragglers) instead of averaging over its history.
-    /// The initial profiling samples are protected — the window applies
-    /// to online observations only.
-    window: Option<usize>,
-    /// Number of leading samples protected from the window (the §3.2
-    /// profiling runs).
-    protected: usize,
     /// Mutation generation: bumped by every [`Self::record`] and every
     /// successful [`Self::refit`]. Two models with equal generations
     /// (obtained via `clone`) are bitwise-identical predictors, which is
@@ -73,8 +64,6 @@ impl SpeedModel {
             samples: Vec::new(),
             model: None,
             prediction_scale: 1.0,
-            window: None,
-            protected: 0,
             gen: 0,
             tel: Telemetry::disabled(),
         }
@@ -85,16 +74,6 @@ impl SpeedModel {
     /// handle's `nnls.*` metrics.
     pub fn with_telemetry(mut self, tel: Telemetry) -> Self {
         self.tel = tel;
-        self
-    }
-
-    /// Caps retained *online* samples at `window`, forgetting the oldest
-    /// first. Samples recorded before this call (the profiling runs) are
-    /// never evicted — they anchor the model across the whole
-    /// configuration space.
-    pub fn with_sample_window(mut self, window: usize) -> Self {
-        self.window = Some(window.max(1));
-        self.protected = self.samples.len();
         self
     }
 
@@ -123,11 +102,6 @@ impl SpeedModel {
         }
         self.samples.push(SpeedSample { p, w, speed });
         self.gen += 1;
-        if let Some(window) = self.window {
-            while self.samples.len() > self.protected + window {
-                self.samples.remove(self.protected);
-            }
-        }
     }
 
     /// Mutation generation of this model: equal generations on clones of
@@ -144,7 +118,7 @@ impl SpeedModel {
     }
 
     /// The recorded samples, oldest first (profiling runs, then the
-    /// retained online observations).
+    /// online observations).
     pub fn samples(&self) -> &[SpeedSample] {
         &self.samples
     }
@@ -405,44 +379,6 @@ mod tests {
         let (asy, _) = fit_from_truth(TrainingMode::Asynchronous, &PROFILE_CONFIGS);
         assert_eq!(asy.coefficients().len(), 4);
         assert!(asy.coefficients().iter().all(|&c| c >= 0.0));
-    }
-
-    #[test]
-    fn sample_window_forgets_stale_observations() {
-        let profile = ModelKind::ResNet50.profile();
-        let truth = PsJobModel::new(profile, TrainingMode::Synchronous);
-        let mut m = SpeedModel::new(TrainingMode::Synchronous, profile.batch_size as f64);
-        for &(p, w) in &PROFILE_CONFIGS {
-            m.record(p, w, truth.speed(p, w));
-        }
-        let mut m = m.with_sample_window(10);
-        let protected = m.sample_count();
-        // A burst of observations from a degraded environment (half
-        // speed), then recovery: with the window, the stale degraded
-        // samples age out.
-        for _ in 0..10 {
-            m.record(10, 10, truth.speed(10, 10) * 0.5);
-        }
-        for _ in 0..10 {
-            m.record(10, 10, truth.speed(10, 10));
-        }
-        assert_eq!(m.sample_count(), protected + 10);
-        m.refit().unwrap();
-        let err = (m.predict(10, 10) - truth.speed(10, 10)).abs() / truth.speed(10, 10);
-        assert!(err < 0.05, "window should track recovery: err {err}");
-    }
-
-    #[test]
-    fn window_never_evicts_profiling_samples() {
-        let mut m = SpeedModel::new(TrainingMode::Asynchronous, 256.0);
-        m.record(1, 1, 0.5);
-        m.record(8, 8, 3.0);
-        let mut m = m.with_sample_window(2);
-        for i in 0..20 {
-            m.record(4, 4, 1.0 + i as f64 * 0.001);
-        }
-        // 2 protected + 2 window.
-        assert_eq!(m.sample_count(), 4);
     }
 
     #[test]

@@ -586,9 +586,8 @@ enum SpeedOp {
 }
 
 /// A sample stream: training mode (true = synchronous), batch size `M`,
-/// the profiling samples, an optional window applied after them, then
-/// records and refits.
-type SpeedStream = (bool, f64, Vec<(u32, u32, f64)>, Option<usize>, Vec<SpeedOp>);
+/// the profiling samples, then records and refits.
+type SpeedStream = (bool, f64, Vec<(u32, u32, f64)>, Vec<SpeedOp>);
 
 /// `(p, w, speed)`: few distinct small configurations, so rows repeat,
 /// and slow speeds, whose large targets leave rounding noise above the
@@ -626,12 +625,10 @@ fn speed_stream() -> impl Strategy<Value = SpeedStream> {
         3 => f64::INFINITY,
         _ => batch,
     });
-    let window = (0usize..6).prop_map(|k| (k > 0).then_some(k));
     (
         any::<bool>(),
         batch,
         prop::collection::vec(speed_sample(), 0..8),
-        window,
         prop::collection::vec(op, 0..48),
     )
 }
@@ -680,7 +677,7 @@ fn bits(v: &[f64]) -> Vec<u64> {
 /// bits, error variant and message, the surviving model after a failure,
 /// and every counter and histogram. Returns each refit's outcome.
 fn assert_refits_match(stream: &SpeedStream) -> Vec<Result<(), FitError>> {
-    let (sync, batch, profile, window, ops) = stream;
+    let (sync, batch, profile, ops) = stream;
     let (sync, batch) = (*sync, *batch);
     let mode = if sync {
         TrainingMode::Synchronous
@@ -691,9 +688,6 @@ fn assert_refits_match(stream: &SpeedStream) -> Vec<Result<(), FitError>> {
     let mut model = SpeedModel::new(mode, batch).with_telemetry(tel.clone());
     for &(p, w, speed) in profile {
         model.record(p, w, speed);
-    }
-    if let Some(window) = *window {
-        model = model.with_sample_window(window);
     }
     let mut last_ok: Option<LinearModel> = None;
     let mut outcomes = Vec::new();
@@ -732,7 +726,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// `SpeedModel::refit` is `NonNegLinearFit::fit_rows` over the same
-    /// samples, bit for bit, in both training modes, across windows,
+    /// samples, bit for bit, in both training modes, across
     /// degenerate and repeated configurations, overflowing targets and
     /// under-determined histories.
     #[test]
@@ -758,7 +752,6 @@ fn speed_refit_matches_fit_rows_on_edge_streams() {
         true,
         32.0,
         Vec::new(),
-        None,
         vec![Refit, Record(1, 1, 0.5), Refit, Record(2, 2, 0.9), Refit],
     ));
     assert_eq!(
@@ -779,7 +772,7 @@ fn speed_refit_matches_fit_rows_on_edge_streams() {
             .map(|k| Record(2, 2, 1e-6 * (1.0 + 0.01 * k as f64)))
             .collect();
         repeated.push(Refit);
-        let out = assert_refits_match(&(sync, 32.0, Vec::new(), None, repeated));
+        let out = assert_refits_match(&(sync, 32.0, Vec::new(), repeated));
         assert!(out.iter().all(Result::is_ok));
     }
 
@@ -789,21 +782,21 @@ fn speed_refit_matches_fit_rows_on_edge_streams() {
         false,
         32.0,
         profiled.clone(),
-        None,
         vec![Refit, Record(4, 4, 1e-310), Refit],
     ));
     assert!(out[0].is_ok());
-    assert_eq!(
-        err(&out[1]),
-        Some(FitError::NonFiniteInput {
-            context: "nnls rhs"
-        })
-    );
+    let rhs = Some(FitError::NonFiniteInput {
+        context: "nnls rhs",
+    });
+    assert_eq!(err(&out[1]), rhs);
 
-    // A window evicts the overflowing sample again.
-    let mut ops = vec![Record(4, 4, 1e-310), Refit];
+    // The overflowing sample stays in the history: later good samples
+    // do not revive the fit, and every refit keeps the profiled model.
+    let mut ops = vec![Refit, Record(4, 4, 1e-310), Refit];
     ops.extend((0..4).map(|i| Record(3, 6, truth.speed(3, 6) * (1.0 + 0.01 * i as f64))));
     ops.push(Refit);
-    let out = assert_refits_match(&(true, 32.0, profiled, Some(3), ops));
-    assert!(out[0].is_err() && out[1].is_ok());
+    let out = assert_refits_match(&(true, 32.0, profiled, ops));
+    assert!(out[0].is_ok());
+    assert_eq!(err(&out[1]), rhs);
+    assert_eq!(err(&out[2]), rhs);
 }

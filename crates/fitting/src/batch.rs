@@ -66,8 +66,8 @@
 //!
 //! * **Job walks own lanes; the walk alone decides.** Each job's walk
 //!   is a resumable transcription of `fit`'s candidate walk that
-//!   *requests* one β₂ evaluation at a time ([`JobWalk::next_request`])
-//!   and consumes its outcome ([`JobWalk::consume`]). The lanes of a
+//!   *requests* one β₂ evaluation at a time (`JobWalk::next_request`)
+//!   and consumes its outcome (`JobWalk::consume`). The lanes of a
 //!   group are dealt round-robin to its live jobs (those past the
 //!   prologue checks), and the gather pass copies a job's samples into
 //!   every lane it owns; a group of [`LANES`] live jobs gives each job
@@ -111,7 +111,7 @@
 //! * **Gram caching is exact.** The Lawson–Hanson subproblem Gram/RHS
 //!   depend on the rows only, so they are computed once per candidate in
 //!   pass A and every active-set solve replays through
-//!   [`solve_sub2_cached`] in O(1) — same accumulation order as
+//!   `solve_sub2_cached` in O(1) — same accumulation order as
 //!   `Matrix::gram`, whose zero-row guards only ever skip exactly-zero
 //!   terms.
 //! * **Non-finite rows show in the Gram diagonal.** `nnls_with` fails a

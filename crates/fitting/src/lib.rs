@@ -22,9 +22,6 @@
 //!   [`LossCurveFitter::fit`], the oracle [`batch`] is checked against,
 //! * [`linfit`] — non-negative linear model fitting on arbitrary feature
 //!   maps (the oracle of the speed models' refit in `optimus-core`),
-//!   with weighted variants,
-//! * [`families`] — §7 pluggable curve families (inverse-k, exponential
-//!   decay) with residual-based model selection,
 //! * [`stats`] — small statistics helpers shared by the experiment harness,
 //! * [`batch`] — the production loss-curve fitter: batched
 //!   structure-of-arrays fitting, SIMD across jobs, bit-identical to
@@ -32,7 +29,6 @@
 
 pub mod batch;
 pub mod error;
-pub mod families;
 pub mod linalg;
 pub mod linfit;
 pub mod loss_curve;
@@ -42,7 +38,6 @@ pub mod stats;
 
 pub use batch::{fit_batch, BatchFitJob, BatchScratch, LANES};
 pub use error::FitError;
-pub use families::{fit_best, CurveFamily, ExpDecayFamily, FittedCurve, InverseKFamily};
 pub use linalg::Matrix;
 pub use linfit::{LinearModel, NonNegLinearFit};
 pub use loss_curve::{FitSession, LossCurveFitter, LossModel};

@@ -79,40 +79,6 @@ impl NonNegLinearFit {
         })
     }
 
-    /// Fits a *weighted* model: `min Σ wᵢ·(θ·Fᵢ − yᵢ)² s.t. θ ≥ 0`.
-    ///
-    /// Each row and target is scaled by `√wᵢ` before the NNLS solve —
-    /// the standard reduction of weighted least squares to ordinary
-    /// least squares. Non-positive weights drop their samples.
-    pub fn fit_rows_weighted(
-        &self,
-        rows: &[Vec<f64>],
-        targets: &[f64],
-        weights: &[f64],
-    ) -> Result<LinearModel, FitError> {
-        if rows.len() != weights.len() {
-            return Err(FitError::DimensionMismatch {
-                context: "fit_rows_weighted: rows/weights length mismatch",
-            });
-        }
-        if rows.len() != targets.len() {
-            return Err(FitError::DimensionMismatch {
-                context: "fit_rows_weighted: rows/targets length mismatch",
-            });
-        }
-        let mut wrows = Vec::with_capacity(rows.len());
-        let mut wtargets = Vec::with_capacity(targets.len());
-        for ((row, &y), &w) in rows.iter().zip(targets.iter()).zip(weights.iter()) {
-            if !(w.is_finite() && w > 0.0) {
-                continue;
-            }
-            let sw = w.sqrt();
-            wrows.push(row.iter().map(|v| v * sw).collect::<Vec<f64>>());
-            wtargets.push(y * sw);
-        }
-        self.fit_rows(&wrows, &wtargets)
-    }
-
     /// Fits the model via a feature map applied to raw samples.
     pub fn fit<S>(
         &self,
@@ -179,50 +145,6 @@ mod tests {
     fn mismatched_lengths_rejected() {
         let rows = vec![vec![1.0], vec![2.0]];
         assert!(NonNegLinearFit.fit_rows(&rows, &[1.0]).is_err());
-    }
-
-    #[test]
-    fn weighted_fit_prioritizes_heavy_samples() {
-        // Two inconsistent clusters of samples; the heavily weighted one
-        // must dominate the fitted slope.
-        let rows: Vec<Vec<f64>> = (1..=6).map(|i| vec![i as f64]).collect();
-        // First three targets follow slope 2, last three slope 5.
-        let targets = [2.0, 4.0, 6.0, 20.0, 25.0, 30.0];
-        let heavy_first = NonNegLinearFit
-            .fit_rows_weighted(&rows, &targets, &[100.0, 100.0, 100.0, 0.01, 0.01, 0.01])
-            .unwrap();
-        assert!(
-            (heavy_first.theta[0] - 2.0).abs() < 0.2,
-            "{:?}",
-            heavy_first
-        );
-        let heavy_last = NonNegLinearFit
-            .fit_rows_weighted(&rows, &targets, &[0.01, 0.01, 0.01, 100.0, 100.0, 100.0])
-            .unwrap();
-        assert!((heavy_last.theta[0] - 5.0).abs() < 0.2, "{:?}", heavy_last);
-    }
-
-    #[test]
-    fn weighted_fit_drops_nonpositive_weights() {
-        let rows: Vec<Vec<f64>> = (1..=4).map(|i| vec![i as f64]).collect();
-        // The outlier's weight is zero, so the fit is exact.
-        let targets = [3.0, 6.0, 9.0, 999.0];
-        let m = NonNegLinearFit
-            .fit_rows_weighted(&rows, &targets, &[1.0, 1.0, 1.0, 0.0])
-            .unwrap();
-        assert!((m.theta[0] - 3.0).abs() < 1e-9);
-        assert!(m.residual_ss < 1e-12);
-    }
-
-    #[test]
-    fn weighted_fit_validates_lengths() {
-        let rows = vec![vec![1.0], vec![2.0]];
-        assert!(NonNegLinearFit
-            .fit_rows_weighted(&rows, &[1.0, 2.0], &[1.0])
-            .is_err());
-        assert!(NonNegLinearFit
-            .fit_rows_weighted(&rows, &[1.0], &[1.0, 1.0])
-            .is_err());
     }
 
     #[test]

@@ -68,7 +68,8 @@ pub fn nnls(a: &Matrix, b: &[f64]) -> Result<NnlsSolution, FitError> {
     nnls_with(a, b, NnlsOptions::default())
 }
 
-/// Like [`nnls`], but reports into a [`Telemetry`] handle: each call
+/// Like [`nnls()`], but reports into a
+/// [`Telemetry`](optimus_telemetry::Telemetry) handle: each call
 /// bumps the `nnls.solves` counter and feeds the `nnls.iterations`
 /// histogram; failed solves bump `nnls.fit_failures`.
 pub fn nnls_traced(
@@ -403,7 +404,7 @@ pub struct SmallNnlsSolution {
 ///   term. `solve_subproblem` → `Matrix::lstsq` is then replayed on the
 ///   stack: the under-determined check, then the very elimination and
 ///   ridge retry `lstsq` runs, on the restricted system (as
-///   [`solve_sub2_cached`] does for two columns).
+///   `solve_sub2_cached` does for two columns).
 /// * **First dual.** At `x = 0` every `A·x` entry is `+0.0` (the rows
 ///   are finite by then), so `b − A·x` is `b` and the dual is `Aᵀb`.
 ///   The residual sum of squares at `x = 0` is summed in the same pass.

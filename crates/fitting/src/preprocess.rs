@@ -196,7 +196,7 @@ impl PreprocessScratch {
 ///   in-place pass reads processed values behind `j` and raw values
 ///   ahead of `j`), so indices `j < stable_prefix − w` are settled and
 ///   reused; only the tail is re-run through the same
-///   [`clean_one`] kernel.
+///   `clean_one` kernel.
 /// - The normalization max is a left `f64::max` fold; splitting it at
 ///   the settled boundary and continuing from the cached prefix max is
 ///   the same sequential fold.

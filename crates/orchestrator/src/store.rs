@@ -6,10 +6,9 @@
 //! (compare-and-swap), and watchers receive every event after their
 //! registration, in order.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A store revision (monotonically increasing, starts at 1).
 pub type Revision = u64;
@@ -75,14 +74,14 @@ impl KvStore {
 
     /// The current (latest) revision.
     pub fn revision(&self) -> Revision {
-        self.inner.read().revision
+        self.read().revision
     }
 
     /// Writes `key = value`, returning the mutation's revision.
     pub fn put(&self, key: impl Into<String>, value: impl Into<String>) -> Revision {
         let key = key.into();
         let value = value.into();
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         inner.revision += 1;
         let rev = inner.revision;
         inner.data.insert(key.clone(), (value.clone(), rev));
@@ -108,7 +107,7 @@ impl KvStore {
     ) -> Option<Revision> {
         let key = key.into();
         let value = value.into();
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         let current = inner.data.get(&key).map(|(_, r)| *r).unwrap_or(0);
         if current != expected {
             return None;
@@ -129,12 +128,12 @@ impl KvStore {
 
     /// Reads a key: `(value, mod_revision)`.
     pub fn get(&self, key: &str) -> Option<(String, Revision)> {
-        self.inner.read().data.get(key).cloned()
+        self.read().data.get(key).cloned()
     }
 
     /// Deletes a key; returns the mutation revision if it existed.
     pub fn delete(&self, key: &str) -> Option<Revision> {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         inner.data.remove(key)?;
         inner.revision += 1;
         let rev = inner.revision;
@@ -151,8 +150,7 @@ impl KvStore {
     /// Lists all `(key, value, revision)` triples under a prefix, in key
     /// order.
     pub fn list(&self, prefix: &str) -> Vec<(String, String, Revision)> {
-        self.inner
-            .read()
+        self.read()
             .data
             .range(prefix.to_string()..)
             .take_while(|(k, _)| k.starts_with(prefix))
@@ -162,8 +160,8 @@ impl KvStore {
 
     /// Registers a watcher for all future events under `prefix`.
     pub fn watch(&self, prefix: impl Into<String>) -> Receiver<WatchEvent> {
-        let (tx, rx) = unbounded();
-        self.inner.write().watchers.push((prefix.into(), tx));
+        let (tx, rx) = channel();
+        self.write().watchers.push((prefix.into(), tx));
         rx
     }
 
@@ -174,8 +172,8 @@ impl KvStore {
     /// without missing events.
     pub fn watch_from(&self, prefix: impl Into<String>, from: Revision) -> Receiver<WatchEvent> {
         let prefix = prefix.into();
-        let (tx, rx) = unbounded();
-        let mut inner = self.inner.write();
+        let (tx, rx) = channel();
+        let mut inner = self.write();
         for event in &inner.history {
             if event.revision() > from && event.key().starts_with(prefix.as_str()) {
                 // Receiver is alive: we hold it in this scope.
@@ -184,6 +182,22 @@ impl KvStore {
         }
         inner.watchers.push((prefix, tx));
         rx
+    }
+
+    /// Shared access to the state. A poisoned lock (a writer panicked
+    /// mid-mutation) panics instead of exposing half-applied state.
+    fn read(&self) -> RwLockReadGuard<'_, Inner> {
+        self.inner
+            .read()
+            .expect("KvStore lock poisoned (a writer panicked)")
+    }
+
+    /// Exclusive access to the state; panics on a poisoned lock, like
+    /// [`Self::read`].
+    fn write(&self) -> RwLockWriteGuard<'_, Inner> {
+        self.inner
+            .write()
+            .expect("KvStore lock poisoned (a writer panicked)")
     }
 
     fn notify(inner: &mut Inner, event: WatchEvent) {
@@ -295,6 +309,19 @@ mod tests {
         } // receiver dropped
         s.put("pods/a", "1"); // must not panic; watcher pruned
         assert_eq!(s.get("pods/a").unwrap().0, "1");
+    }
+
+    #[test]
+    #[should_panic(expected = "KvStore lock poisoned")]
+    fn a_poisoned_lock_panics() {
+        let s = KvStore::new();
+        let inner = Arc::clone(&s.inner);
+        let writer = std::thread::spawn(move || {
+            let _guard = inner.write().unwrap();
+            panic!("writer dies holding the lock");
+        });
+        assert!(writer.join().is_err());
+        s.revision();
     }
 
     #[test]

@@ -166,11 +166,6 @@ impl PsAssignment {
         PsAssignment { shards }
     }
 
-    /// Number of parameter servers.
-    pub fn num_ps(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The blocks placed on shard `k`.
     pub fn shard(&self, k: usize) -> &[PlacedBlock] {
         &self.shards[k]

@@ -66,7 +66,7 @@ impl ChunkedDataset {
     /// `from` workers is rebalanced onto `to` — what
     /// [`ChunkAssignment::rebalance`] returns, without holding the
     /// chunk ids. Both [`ChunkAssignment::round_robin`] and every
-    /// rebalance leave worker `w` of `n` holding ⌊T/n⌋ + [w < T mod n]
+    /// rebalance leave worker `w` of `n` holding ⌊T/n⌋ + \[w < T mod n\]
     /// of the T chunks, and a rebalance moves exactly each worker's
     /// surplus over its new target (every chunk of a removed worker).
     ///

@@ -88,33 +88,14 @@ impl EnvFactors {
 pub struct PsJobModel<'a> {
     profile: &'a ModelProfile,
     mode: TrainingMode,
-    /// PS-side NIC bandwidth `B`, bytes/s.
-    ps_bandwidth: f64,
-    /// Async concurrency coefficient γ (`w'_p = γ·w`).
-    async_concurrency: f64,
 }
 
 impl<'a> PsJobModel<'a> {
-    /// Creates the model with testbed defaults (1 GbE, γ = 0.5).
+    /// Creates the model with the testbed's PS-side bandwidth
+    /// [`DEFAULT_PS_BANDWIDTH`] and async concurrency
+    /// [`DEFAULT_ASYNC_CONCURRENCY`] (γ = 0.5).
     pub fn new(profile: &'a ModelProfile, mode: TrainingMode) -> Self {
-        PsJobModel {
-            profile,
-            mode,
-            ps_bandwidth: DEFAULT_PS_BANDWIDTH,
-            async_concurrency: DEFAULT_ASYNC_CONCURRENCY,
-        }
-    }
-
-    /// Overrides the PS-side bandwidth (bytes/s).
-    pub fn with_bandwidth(mut self, bytes_per_s: f64) -> Self {
-        self.ps_bandwidth = bytes_per_s;
-        self
-    }
-
-    /// Overrides the async concurrency coefficient γ.
-    pub fn with_async_concurrency(mut self, gamma: f64) -> Self {
-        self.async_concurrency = gamma;
-        self
+        PsJobModel { profile, mode }
     }
 
     /// The training mode this model was built for.
@@ -140,7 +121,7 @@ impl<'a> PsJobModel<'a> {
     fn concurrent_pushers(&self, w: u32) -> f64 {
         match self.mode {
             TrainingMode::Synchronous => w as f64,
-            TrainingMode::Asynchronous => (self.async_concurrency * w as f64).max(1.0),
+            TrainingMode::Asynchronous => (DEFAULT_ASYNC_CONCURRENCY * w as f64).max(1.0),
         }
     }
 
@@ -167,7 +148,7 @@ impl<'a> PsJobModel<'a> {
         // 2 · (S/p) / (B / w'_p), stretched by placement locality and PS
         // imbalance (the bottleneck PS holds `imbalance ×` its fair share
         // of parameters, so transfers to it take that much longer).
-        let ideal_transfer = 2.0 * (s / pf) * pushers / self.ps_bandwidth;
+        let ideal_transfer = 2.0 * (s / pf) * pushers / DEFAULT_PS_BANDWIDTH;
         let transfer = ideal_transfer
             * env.transfer_stretch.max(0.0)
             * env.imbalance.max(1.0)
@@ -359,13 +340,6 @@ mod tests {
         let a = resnet(TrainingMode::Asynchronous);
         assert_eq!(a.minibatch(1), 32.0);
         assert_eq!(a.minibatch(8), 32.0);
-    }
-
-    #[test]
-    fn bandwidth_matters() {
-        let fast = resnet(TrainingMode::Synchronous).with_bandwidth(10.0 * DEFAULT_PS_BANDWIDTH);
-        let slow = resnet(TrainingMode::Synchronous);
-        assert!(fast.speed(10, 10) > slow.speed(10, 10));
     }
 
     #[test]

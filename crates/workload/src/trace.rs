@@ -6,7 +6,9 @@
 //! the seed (or shared with a system that lacks the generator).
 
 use crate::job::JobSpec;
+use optimus_cluster::{ResourceKind, ResourceVec};
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 use std::fmt;
 
 /// A saved workload: job specs plus provenance metadata.
@@ -67,12 +69,31 @@ impl WorkloadTrace {
         if trace.version > TRACE_VERSION {
             return Err(TraceError::UnsupportedVersion(trace.version));
         }
+        let valid_amount = |x: f64| x.is_finite() && x >= 0.0;
+        if !trace.jobs.iter().all(|j| valid_amount(j.submit_time)) {
+            return Err(TraceError::Invalid("negative or non-finite submit time"));
+        }
+        let valid_profile =
+            |r: &ResourceVec| ResourceKind::ALL.iter().all(|&k| valid_amount(r.get(k)));
+        if !trace
+            .jobs
+            .iter()
+            .all(|j| valid_profile(&j.worker_profile) && valid_profile(&j.ps_profile))
+        {
+            return Err(TraceError::Invalid(
+                "negative or non-finite resource amount",
+            ));
+        }
         if !trace
             .jobs
             .windows(2)
             .all(|w| w[0].submit_time <= w[1].submit_time)
         {
             return Err(TraceError::Invalid("jobs not in submission order"));
+        }
+        let mut ids = HashSet::with_capacity(trace.jobs.len());
+        if !trace.jobs.iter().all(|j| ids.insert(j.id)) {
+            return Err(TraceError::Invalid("duplicate job id"));
         }
         // `partial_cmp` keeps NaN on the rejected side, like the
         // negated comparison it replaces.
@@ -117,6 +138,49 @@ mod tests {
             WorkloadTrace::from_json(&json),
             Err(TraceError::UnsupportedVersion(_))
         ));
+    }
+
+    /// Parses `json`, expecting an [`TraceError::Invalid`] whose message
+    /// names `why`.
+    fn assert_invalid(json: &str, why: &str) {
+        match WorkloadTrace::from_json(json) {
+            Err(TraceError::Invalid(got)) => assert_eq!(got, why),
+            other => panic!("expected `invalid trace: {why}`, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_duplicate_job_ids() {
+        let mut trace = sample();
+        trace.jobs[1].id = trace.jobs[0].id;
+        assert_invalid(&trace.to_json(), "duplicate job id");
+    }
+
+    #[test]
+    fn rejects_negative_or_non_finite_submit_times() {
+        let mut trace = sample();
+        trace.jobs[0].submit_time = -100.0;
+        assert_invalid(&trace.to_json(), "negative or non-finite submit time");
+        // JSON has no infinity literal, but an overflowing number parses
+        // to one.
+        let mut trace = sample();
+        let last = trace.jobs.len() - 1;
+        trace.jobs[last].submit_time = 123456.5;
+        let json = trace.to_json().replace("123456.5", "1e999");
+        assert_invalid(&json, "negative or non-finite submit time");
+    }
+
+    #[test]
+    fn rejects_negative_or_non_finite_profile_amounts() {
+        let mut trace = sample();
+        trace.jobs[0].worker_profile = trace.jobs[0].worker_profile.with(ResourceKind::Cpu, -5.0);
+        assert_invalid(&trace.to_json(), "negative or non-finite resource amount");
+        let mut trace = sample();
+        trace.jobs[0].ps_profile = trace.jobs[0]
+            .ps_profile
+            .with(ResourceKind::MemoryGb, 123456.5);
+        let json = trace.to_json().replace("123456.5", "1e999");
+        assert_invalid(&json, "negative or non-finite resource amount");
     }
 
     #[test]

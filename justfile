@@ -9,10 +9,12 @@ build:
 test:
     cargo test --workspace
 
-# Lint: clippy with warnings denied, plus formatting check.
+# Lint: clippy with warnings denied, formatting check, and rustdoc with
+# warnings denied (broken intra-doc links, links to private items).
 lint:
     cargo clippy --workspace --all-targets -- -D warnings
     cargo fmt --check
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Time one scheduling decision per scalability point and append the
 # result to the committed trajectory file (compare entries across PRs).
