@@ -46,7 +46,7 @@ pub struct ConvergenceEstimator {
     origin: u64,
     /// Whether any sample arrived since the last fit.
     dirty: bool,
-    /// Outcome of the last fit, replayed by the skip-unchanged path.
+    /// Outcome of the last fit, replayed while `dirty` is false.
     last_fit: Option<Result<LossModel, FitError>>,
     /// Warm-start + scratch state for the batched fitter.
     session: FitSession,
@@ -56,7 +56,7 @@ pub struct ConvergenceEstimator {
     /// can prove the sample history has been append-only since it was
     /// built (the rebased `origin` alone could coincidentally match).
     generation: u64,
-    /// Estimator-level telemetry (`fit.skipped_unchanged`).
+    /// Estimator-level telemetry (`fit.dirty_skipped`).
     tel: Telemetry,
 }
 
@@ -205,7 +205,7 @@ impl ConvergenceEstimator {
     ///
     /// This is [`refit_convergence_batch`] on a one-estimator batch: a
     /// refit with no new samples replays the cached outcome
-    /// (`fit.skipped_unchanged`), and otherwise only the unsettled tail
+    /// (`fit.dirty_skipped`), and otherwise only the unsettled tail
     /// of the solver points is rebuilt before the warm-started batched
     /// fitter runs. The outcome is bit-identical to
     /// `LossCurveFitter::fit` on the bucketed solver points.
@@ -324,30 +324,6 @@ impl ConvergenceEstimator {
         self.predict().map(|p| p.remaining_steps).unwrap_or(default)
     }
 
-    /// Round-level dirty-set skip: when no sample arrived since the last
-    /// fit, returns the cached outcome and bumps `fit.dirty_skipped` —
-    /// the caller never pays for a fit (or a batch slot) at all. Returns
-    /// `None` when the estimator is dirty (or has never fit), in which
-    /// case the caller must refit.
-    ///
-    /// Distinct from `fit.skipped_unchanged`, which counts the same
-    /// condition detected *inside* [`ConvergenceEstimator::refit`]; this
-    /// accessor lets the simulator's round loop skip clean jobs before
-    /// gathering the batch.
-    pub fn cached_fit_if_clean(&mut self) -> Option<Result<LossModel, FitError>> {
-        if self.dirty || self.last_fit.is_none() {
-            return None;
-        }
-        self.tel.incr("fit.dirty_skipped");
-        self.last_fit.clone()
-    }
-
-    /// Whether any sample arrived since the last fit (always true before
-    /// the first fit).
-    pub fn is_dirty(&self) -> bool {
-        self.dirty || self.last_fit.is_none()
-    }
-
     /// The points fed to the solver: raw samples, or bucket averages when
     /// over the cap. The from-scratch oracle for `update_fit_points`.
     #[cfg(test)]
@@ -378,7 +354,7 @@ impl ConvergenceEstimator {
 /// How one estimator's refit is satisfied in
 /// [`refit_convergence_batch`].
 enum RefitSlot {
-    /// Outcome already known (skip-unchanged replay).
+    /// Outcome already known (a clean estimator's replay).
     Ready(Result<LossModel, FitError>),
     /// Queued for the batched SoA fit; payload is the job's stable
     /// solver-point prefix.
@@ -392,14 +368,15 @@ enum RefitSlot {
 /// estimators are grouped — [`ConvergenceEstimator::refit`] is the
 /// one-estimator case.
 ///
-/// Estimators with an unchanged history replay the cached fit under
-/// `fit.skipped_unchanged`; the rest have their solver points updated
-/// and are fanned across one worker thread per element of `workers`
-/// (each fits its lane groups in its own scratch, which the caller
-/// keeps warm across calls) in lane-width groups whose boundaries
-/// depend only on the input order — never on the thread count — so
-/// results are thread-invariant. A successful fit becomes the
-/// estimator's model; a failed one keeps the last good model.
+/// Estimators with no new samples since their last fit replay the
+/// cached outcome under `fit.dirty_skipped`, without a batch slot; the
+/// rest have their solver points updated and are fanned across one
+/// worker thread per element of `workers` (each fits its lane groups in
+/// its own scratch, which the caller keeps warm across calls) in
+/// lane-width groups whose boundaries depend only on the input order —
+/// never on the thread count — so results are thread-invariant. A
+/// successful fit becomes the estimator's model; a failed one keeps the
+/// last good model.
 pub fn refit_convergence_batch(
     ests: &mut [&mut ConvergenceEstimator],
     workers: &mut [BatchScratch],
@@ -410,7 +387,7 @@ pub fn refit_convergence_batch(
     let mut slots: Vec<RefitSlot> = Vec::with_capacity(n);
     for est in ests.iter_mut() {
         if !est.dirty && est.last_fit.is_some() {
-            est.tel.incr("fit.skipped_unchanged");
+            est.tel.incr("fit.dirty_skipped");
             slots.push(RefitSlot::Ready(
                 est.last_fit.clone().expect("guarded by is_some"),
             ));
@@ -735,7 +712,7 @@ mod tests {
                 let got = refit_against_oracle(&mut est, &format!("at {k}"));
                 // Repeated refit with no new samples replays the outcome.
                 let again = est.refit().copied();
-                assert_same_outcome(&got, &again, &format!("skip-unchanged at {k}"));
+                assert_same_outcome(&got, &again, &format!("clean replay at {k}"));
             }
         }
     }
@@ -819,7 +796,7 @@ mod tests {
             let mut refs: Vec<&mut ConvergenceEstimator> = batch.iter_mut().collect();
             for workers in [&mut one_worker[..], &mut four_workers[..]] {
                 let threads = workers.len();
-                // Re-running on an unchanged batch replays skip-unchanged
+                // Re-running on an unchanged batch replays the clean fits
                 // on both sides, so a second one-lane sweep keeps parity.
                 let want: Vec<Result<LossModel, FitError>> =
                     lone.iter_mut().map(|e| e.refit().copied()).collect();
@@ -839,42 +816,48 @@ mod tests {
         );
     }
 
-    /// `cached_fit_if_clean` replays only when truly clean, and counts
-    /// under its own counter.
+    /// A clean estimator replays its cached outcome under
+    /// `fit.dirty_skipped`; a new sample makes it fit again.
     #[test]
     fn dirty_skip_replays_cached_outcome() {
         let tel = Telemetry::enabled();
         let curve = GroundTruthCurve::new(0.3, 0.1);
         let mut est = ConvergenceEstimator::new(0.02, 100, 3).with_telemetry(tel.clone());
-        assert!(est.cached_fit_if_clean().is_none(), "no fit yet");
-        assert!(est.is_dirty());
         feed(&mut est, &curve, 100, 50, 5);
         let fitted = *est.refit().unwrap();
-        assert!(!est.is_dirty());
-        let replay = est.cached_fit_if_clean().expect("clean after refit");
+        assert_eq!(tel.counter("fit.dirty_skipped"), 0, "first fit runs");
+        let replay = *est.refit().unwrap();
         assert_eq!(
-            replay.unwrap().beta0.to_bits(),
+            replay.beta0.to_bits(),
             fitted.beta0.to_bits(),
             "replayed model"
         );
         assert_eq!(tel.counter("fit.dirty_skipped"), 1);
-        assert_eq!(tel.counter("fit.skipped_unchanged"), 0);
         est.record(51, 0.2);
-        assert!(est.is_dirty());
-        assert!(est.cached_fit_if_clean().is_none(), "dirty again");
+        est.refit().unwrap();
+        assert_eq!(tel.counter("fit.dirty_skipped"), 1, "dirty again");
+        assert_eq!(tel.counter("loss_curve.fits"), 2);
     }
 
+    /// Clean estimators ride in a batch beside dirty ones: only the
+    /// dirty one reaches the fitter.
     #[test]
     fn skip_unchanged_counts_in_telemetry() {
         let tel = Telemetry::enabled();
         let curve = GroundTruthCurve::new(0.3, 0.1);
-        let mut est = ConvergenceEstimator::new(0.02, 100, 3).with_telemetry(tel.clone());
-        feed(&mut est, &curve, 100, 50, 5);
-        est.refit().unwrap();
-        est.refit().unwrap();
-        est.refit().unwrap();
-        assert_eq!(tel.counter("fit.skipped_unchanged"), 2);
-        // The underlying fitter only ran once.
-        assert_eq!(tel.counter("loss_curve.fits"), 1);
+        let mut ests: Vec<ConvergenceEstimator> = (0..3)
+            .map(|_| ConvergenceEstimator::new(0.02, 100, 3).with_telemetry(tel.clone()))
+            .collect();
+        for (i, est) in ests.iter_mut().enumerate() {
+            feed(est, &curve, 100, 50, 5 + i as u64);
+        }
+        let mut scratch = [BatchScratch::new()];
+        let mut refs: Vec<&mut ConvergenceEstimator> = ests.iter_mut().collect();
+        refit_convergence_batch(&mut refs, &mut scratch);
+        refs[1].record(50, 0.2);
+        let out = refit_convergence_batch(&mut refs, &mut scratch);
+        assert_eq!(out.len(), 3, "one outcome per estimator");
+        assert_eq!(tel.counter("fit.dirty_skipped"), 2);
+        assert_eq!(tel.counter("loss_curve.fits"), 4);
     }
 }

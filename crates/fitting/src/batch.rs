@@ -9,11 +9,13 @@
 //! passes over structure-of-arrays buffers. The inner loops are written
 //! so the compiler can vectorize across lanes (no cross-lane
 //! reductions, branchless selects, `[f64; LANES]` accumulators), which
-//! is where the speedup comes from; on CPUs with avx512f, [`fit_batch`]
-//! additionally dispatches to an AVX-512 compilation of the passes, with
-//! the two that stream the samples (row build + Gram/RHS, and the dual
-//! sweep) hand-vectorized via intrinsics. Per-job *control* (grid walk, memoization,
-//! golden-section branching, NNLS active-set changes) stays scalar.
+//! is where the speedup comes from. The two passes that stream the
+//! samples (row build + Gram/RHS, and the dual sweep) are written once
+//! over a lane value type whose ops are lane-wise IEEE operations, and
+//! on CPUs with avx512f [`fit_batch`] runs an avx512f compilation of the
+//! same wave body, where each lane op is one `zmm` instruction.
+//! Per-job *control* (grid walk, memoization, golden-section branching,
+//! NNLS active-set changes) stays scalar.
 //!
 //! # Semantics
 //!
@@ -102,8 +104,8 @@
 //! * **Rows are recomputed, not cached.** A wave stores no regression
 //!   rows: pass A and every full dual sweep rebuild each row from the
 //!   gathered `(k, l)` sample and the lane's β₂ with the same operations
-//!   in the same order (`row` and its AVX-512 twin), so every rebuild is
-//!   the same bits. Building a row costs a few lane-wise ops; storing
+//!   in the same order (`row`, in either compilation), so every rebuild
+//!   is the same bits. Building a row costs a few lane-wise ops; storing
 //!   and re-reading three row arrays cost more, because a wave's passes
 //!   are bound by memory traffic, not arithmetic. A skipped row's `r0`
 //!   is `r1·k = +0.0·k = +0.0` without a mask, since `k` is a finite
@@ -140,10 +142,10 @@ use crate::preprocess::{preprocess_losses_incremental, LossSample};
 use optimus_telemetry::Telemetry;
 
 /// Fixed lane width of the SoA passes. Eight f64 lanes fill one AVX-512
-/// register (`eval_wave` dispatches to hand-vectorized and
-/// AVX-512-compiled passes when the CPU has avx512f) or four SSE2 /
-/// two AVX2 vectors — wide enough to fill a vector unit, narrow enough
-/// that ragged histories within a group waste little padded work.
+/// register (`eval_wave` runs the avx512f compilation of the passes
+/// when the CPU has avx512f) or four SSE2 / two AVX2 vectors — wide
+/// enough to fill a vector unit, narrow enough that ragged histories
+/// within a group waste little padded work.
 pub const LANES: usize = 8;
 
 const INV_PHI: f64 = 0.618_033_988_749_895;
@@ -189,6 +191,10 @@ pub struct BatchScratch {
     /// look-ahead buffers: each walk consumes its lanes' outcomes in
     /// its own order, and whatever it does not consume is dropped.
     outs: [Evaluated; LANES],
+    /// The wave's pass A sums (see `pass_a` for why they live here).
+    pass_a: PassA,
+    /// The wave's last dual, `[w0, w1]`, stored for the same reason.
+    dual: [Lanes; 2],
 }
 
 impl BatchScratch {
@@ -239,6 +245,9 @@ thread_local! {
     /// Full dual sweeps run on this thread (the free first sweep of a
     /// wave is not one), for the test that pins the dead-sweep rule.
     static SWEEPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Set by a test to make `eval_wave` take the portable body on an
+    /// avx512f host.
+    static PORTABLE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 fn fit_group(
@@ -934,237 +943,157 @@ struct LaneNnls {
     err: Option<FitError>,
 }
 
-/// Pass A outputs: everything lane `j`'s NNLS admission and solve need
-/// from one sweep over the gathered samples.
-struct PassA {
-    /// Rows with `gap > 1e-9` — `fit`'s kept-row count.
-    kept: [u64; LANES],
-    g00: [f64; LANES],
-    g01: [f64; LANES],
-    g11: [f64; LANES],
-    rhs0: [f64; LANES],
-    rhs1: [f64; LANES],
-}
+/// Eight f64 lanes as one value. The sample-streaming passes (`row`,
+/// `pass_a`, `sweep`) are written once over it: every op is one
+/// lane-wise IEEE 754 operation (rustc performs no FMA contraction), so
+/// the portable and the avx512f compilation of `eval_wave_body` compute
+/// the same bits, and under avx512f each op compiles to one `zmm`
+/// instruction (a keep-select to a zero-masked one).
+#[derive(Clone, Copy, Debug, Default)]
+struct Lanes([f64; LANES]);
 
-/// `fit_for_beta2`'s regression row for sample `(k, l)` under
-/// candidate `beta2`: `(r0, r1, y) = (w·k, w, gap)` with `w = gap²` when
-/// the row is kept (`gap > 1e-9`), all `+0.0` when it is skipped, plus
-/// the keep flag. `r0` is formed as `r1·k` without a mask: a skipped
-/// row's `+0.0·k` is `+0.0`, because `k` is a finite step index ≥ 0.
-/// Every pass that needs the rows rebuilds them with exactly these
-/// operations, so they come out the same bits each time.
-#[inline(always)]
-fn row(k: f64, l: f64, beta2: f64) -> (f64, f64, f64, bool) {
-    let gap = l - beta2;
-    let keep = gap > 1e-9;
-    let r1 = if keep { gap * gap } else { 0.0 };
-    (r1 * k, r1, if keep { gap } else { 0.0 }, keep)
-}
-
-/// Pass A, portable form: builds each regression row ([`row`]) and
-/// accumulates the kept count and the Gram matrix and RHS in
-/// ascending-sample order — the exact order `Matrix::gram` and
-/// `Matrix::tr_mul_vec` sum them, so every f64 is bit-identical. The
-/// rows are not stored; `kept` counts them as +1.0 increments (exact up
-/// to 2⁵³).
-fn pass_a_scalar(ks: &[f64], ls: &[f64], beta2: &[f64; LANES]) -> PassA {
-    let mut kept = [0.0_f64; LANES];
-    let mut g00 = [0.0_f64; LANES];
-    let mut g01 = [0.0_f64; LANES];
-    let mut g11 = [0.0_f64; LANES];
-    let mut rhs0 = [0.0_f64; LANES];
-    let mut rhs1 = [0.0_f64; LANES];
-    for (ks, ls) in ks.chunks_exact(LANES).zip(ls.chunks_exact(LANES)) {
-        for j in 0..LANES {
-            let (r0, r1, y, keep) = row(ks[j], ls[j], beta2[j]);
-            kept[j] += if keep { 1.0 } else { 0.0 };
-            g00[j] += r0 * r0;
-            g01[j] += r0 * r1;
-            g11[j] += r1 * r1;
-            rhs0[j] += r0 * y;
-            rhs1[j] += r1 * y;
-        }
+impl Lanes {
+    #[inline(always)]
+    fn map2(self, o: Self, f: impl Fn(f64, f64) -> f64) -> Self {
+        Self(std::array::from_fn(|j| f(self.0[j], o.0[j])))
     }
-    PassA {
-        kept: kept.map(|c| c as u64),
+
+    /// `self` where the row is kept, `+0.0` elsewhere.
+    #[inline(always)]
+    fn kept_by(self, gap: Self) -> Self {
+        self.map2(gap, |x, gap| if keeps(gap) { x } else { 0.0 })
+    }
+
+    /// `self + 1.0` where the row is kept, `self` elsewhere (one
+    /// masked add).
+    #[inline(always)]
+    fn count_kept(self, gap: Self) -> Self {
+        self.map2(gap, |n, gap| if keeps(gap) { n + 1.0 } else { n })
+    }
+}
+
+/// `fit_for_beta2`'s keep test for a row with this `gap`; false on NaN,
+/// as `_CMP_GT_OQ` is.
+#[inline(always)]
+fn keeps(gap: f64) -> bool {
+    gap > 1e-9
+}
+
+impl std::ops::Add for Lanes {
+    type Output = Self;
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        self.map2(o, |a, b| a + b)
+    }
+}
+
+impl std::ops::Sub for Lanes {
+    type Output = Self;
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        self.map2(o, |a, b| a - b)
+    }
+}
+
+impl std::ops::Mul for Lanes {
+    type Output = Self;
+    #[inline(always)]
+    fn mul(self, o: Self) -> Self {
+        self.map2(o, |a, b| a * b)
+    }
+}
+
+/// The gathered sample slots of `ks`/`ls`, one [`Lanes`] pair each, in
+/// ascending-sample order.
+#[inline(always)]
+fn slots<'a>(ks: &'a [f64], ls: &'a [f64]) -> impl Iterator<Item = (Lanes, Lanes)> + 'a {
+    let load = |s: &[f64]| Lanes(s.try_into().expect("one sample slot"));
+    ks.chunks_exact(LANES)
+        .zip(ls.chunks_exact(LANES))
+        .map(move |(k, l)| (load(k), load(l)))
+}
+
+/// Pass A's sums per lane: everything the lane's NNLS admission and
+/// solve need from one sweep over the gathered samples.
+#[derive(Debug, Default)]
+struct PassA {
+    /// Rows with `gap > 1e-9` — `fit`'s kept-row count, summed as +1.0
+    /// increments (exact up to 2⁵³).
+    kept: Lanes,
+    g00: Lanes,
+    g01: Lanes,
+    g11: Lanes,
+    rhs0: Lanes,
+    rhs1: Lanes,
+}
+
+/// `fit_for_beta2`'s regression rows for one sample slot under each
+/// lane's candidate `beta2`: `(r0, r1, y) = (w·k, w, gap)` with
+/// `w = gap²` where the row is kept (`gap > 1e-9`), all `+0.0` where it
+/// is skipped, plus the `gap` that decides it. `r0` is formed
+/// as `r1·k` without a mask: a skipped row's `+0.0·k` is `+0.0`,
+/// because `k` is a finite step index ≥ 0. Every pass that needs the
+/// rows rebuilds them with exactly these operations, so they come out
+/// the same bits each time.
+#[inline(always)]
+fn row(k: Lanes, l: Lanes, beta2: Lanes) -> (Lanes, Lanes, Lanes, Lanes) {
+    let gap = l - beta2;
+    let r1 = (gap * gap).kept_by(gap);
+    (r1 * k, r1, gap.kept_by(gap), gap)
+}
+
+/// Pass A: builds each regression row ([`row`]) and accumulates the
+/// kept count and the Gram matrix and RHS in ascending-sample order —
+/// the exact order `Matrix::gram` and `Matrix::tr_mul_vec` sum them, so
+/// every f64 is bit-identical. The rows are not stored.
+///
+/// The sums go to `out`, a `BatchScratch` field, rather than being
+/// returned, and so does `sweep`'s dual. Returned by value into the
+/// inlined wave body, pass A's sums let the SLP vectorizer pair each
+/// lane's `g00`/`g01` into `xmm` halves, which ran 22–35 % slower
+/// (ROADMAP item 8), and the dual's accumulators pick up a `vpermpd`
+/// per sample slot in both loops. Stored, both loops compile to the
+/// `zmm` instruction sequence hand-written intrinsics would give.
+#[inline(always)]
+fn pass_a(ks: &[f64], ls: &[f64], beta2: Lanes, out: &mut PassA) {
+    let zero = Lanes::default();
+    let (mut kept, mut g00, mut g01, mut g11, mut rhs0, mut rhs1) =
+        (zero, zero, zero, zero, zero, zero);
+    for (k, l) in slots(ks, ls) {
+        let (r0, r1, y, gap) = row(k, l, beta2);
+        kept = kept.count_kept(gap);
+        g00 = g00 + r0 * r0;
+        g01 = g01 + r0 * r1;
+        g11 = g11 + r1 * r1;
+        rhs0 = rhs0 + r0 * y;
+        rhs1 = rhs1 + r1 * y;
+    }
+    *out = PassA {
+        kept,
         g00,
         g01,
         g11,
         rhs0,
         rhs1,
-    }
+    };
 }
 
-/// Pass A with explicit AVX-512 intrinsics — one sweep, eight lanes per
-/// `zmm` register, reading only `ks` and `ls`. The autovectorizer does
-/// not vectorize the scalar form's select-heavy body well, so this path
-/// spells out the same dataflow by hand.
-///
-/// Bit-identity with `pass_a_scalar` holds operation by operation:
-/// every intrinsic used (`sub/mul/add_pd`, `cmp_pd GT_OQ`, the
-/// zero-masked multiply and move, the merge-masked add) is lane-wise
-/// IEEE 754 with the scalar op's exact semantics (GT_OQ, like `>`, is
-/// false on NaN; a masked-out lane gets +0.0, the scalar `else` value,
-/// or keeps its accumulator, the scalar `+ 0.0`), multiplies and adds
-/// stay separate instructions (no FMA contraction), and each
-/// accumulator sums in the same ascending-sample order.
-///
-/// # Safety
-///
-/// The CPU must support avx512f.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn pass_a_avx512(ks: &[f64], ls: &[f64], beta2: &[f64; LANES]) -> PassA {
-    use std::arch::x86_64::*;
-    let width = ks.len();
-    assert!(width.is_multiple_of(LANES) && ls.len() == width);
-    // SAFETY: both slices hold `width` elements, a multiple of LANES
-    // (= 8, one zmm), so each unaligned 8-lane load stays in bounds.
-    unsafe {
-        let b2 = _mm512_loadu_pd(beta2.as_ptr());
-        let eps = _mm512_set1_pd(1e-9);
-        let one = _mm512_set1_pd(1.0);
-        let mut kept = _mm512_setzero_pd();
-        let mut g00 = _mm512_setzero_pd();
-        let mut g01 = _mm512_setzero_pd();
-        let mut g11 = _mm512_setzero_pd();
-        let mut rhs0 = _mm512_setzero_pd();
-        let mut rhs1 = _mm512_setzero_pd();
-        let mut off = 0;
-        while off < width {
-            let (r0, r1, y, m) = row_avx512(ks.as_ptr().add(off), ls.as_ptr().add(off), b2, eps);
-            kept = _mm512_mask_add_pd(kept, m, kept, one);
-            g00 = _mm512_add_pd(g00, _mm512_mul_pd(r0, r0));
-            g01 = _mm512_add_pd(g01, _mm512_mul_pd(r0, r1));
-            g11 = _mm512_add_pd(g11, _mm512_mul_pd(r1, r1));
-            rhs0 = _mm512_add_pd(rhs0, _mm512_mul_pd(r0, y));
-            rhs1 = _mm512_add_pd(rhs1, _mm512_mul_pd(r1, y));
-            off += LANES;
-        }
-        let mut keptv = [0.0_f64; LANES];
-        let mut out = PassA {
-            kept: [0; LANES],
-            g00: [0.0; LANES],
-            g01: [0.0; LANES],
-            g11: [0.0; LANES],
-            rhs0: [0.0; LANES],
-            rhs1: [0.0; LANES],
-        };
-        _mm512_storeu_pd(keptv.as_mut_ptr(), kept);
-        _mm512_storeu_pd(out.g00.as_mut_ptr(), g00);
-        _mm512_storeu_pd(out.g01.as_mut_ptr(), g01);
-        _mm512_storeu_pd(out.g11.as_mut_ptr(), g11);
-        _mm512_storeu_pd(out.rhs0.as_mut_ptr(), rhs0);
-        _mm512_storeu_pd(out.rhs1.as_mut_ptr(), rhs1);
-        out.kept = keptv.map(|c| c as u64);
-        out
+/// One full dual sweep: `w = Aᵀ(y − A·x)` per lane, with the rows
+/// rebuilt by [`row`]. `nnls_with`'s `mul_vec`/`tr_mul_vec` pair is
+/// fused rowwise: each row's residual and its two accumulations into
+/// `w` happen in the same order as there (`0.0 + r0·x0` keeps its add:
+/// it turns a −0.0 product into +0.0, as `mul_vec` does).
+#[inline(always)]
+fn sweep(ks: &[f64], ls: &[f64], beta2: Lanes, x0: Lanes, x1: Lanes, out: &mut [Lanes; 2]) {
+    let zero = Lanes::default();
+    let (mut w0, mut w1) = (zero, zero);
+    for (k, l) in slots(ks, ls) {
+        let (r0, r1, y, _) = row(k, l, beta2);
+        let resid = y - (zero + r0 * x0 + r1 * x1);
+        w0 = w0 + r0 * resid;
+        w1 = w1 + r1 * resid;
     }
-}
-
-/// [`row`] for eight lanes at once: loads one sample slot of `ks`/`ls`
-/// and returns `(r0, r1, y)` plus the keep mask, with the same
-/// operations in the same order.
-///
-/// # Safety
-///
-/// The CPU must support avx512f, and `ks` and `ls` must each point to
-/// eight readable f64s.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[inline]
-unsafe fn row_avx512(
-    ks: *const f64,
-    ls: *const f64,
-    b2: std::arch::x86_64::__m512d,
-    eps: std::arch::x86_64::__m512d,
-) -> (
-    std::arch::x86_64::__m512d,
-    std::arch::x86_64::__m512d,
-    std::arch::x86_64::__m512d,
-    std::arch::x86_64::__mmask8,
-) {
-    use std::arch::x86_64::*;
-    // SAFETY: the caller guarantees avx512f and eight readable f64s at
-    // `ks` and `ls` (see `# Safety`).
-    unsafe {
-        let gap = _mm512_sub_pd(_mm512_loadu_pd(ls), b2);
-        let m = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(gap, eps);
-        let r1 = _mm512_maskz_mul_pd(m, gap, gap);
-        let r0 = _mm512_mul_pd(r1, _mm512_loadu_pd(ks));
-        (r0, r1, _mm512_maskz_mov_pd(m, gap), m)
-    }
-}
-
-/// One full dual sweep, portable form: `w = Aᵀ(y − A·x)` per lane, with
-/// the rows rebuilt by [`row`]. `nnls_with`'s `mul_vec`/`tr_mul_vec`
-/// pair is fused rowwise: each row's residual and its two accumulations
-/// into `w` happen in the same order as there.
-fn sweep_scalar(
-    ks: &[f64],
-    ls: &[f64],
-    beta2: &[f64; LANES],
-    x0: &[f64; LANES],
-    x1: &[f64; LANES],
-) -> ([f64; LANES], [f64; LANES]) {
-    let mut w0 = [0.0_f64; LANES];
-    let mut w1 = [0.0_f64; LANES];
-    for (ks, ls) in ks.chunks_exact(LANES).zip(ls.chunks_exact(LANES)) {
-        for j in 0..LANES {
-            let (r0, r1, y, _) = row(ks[j], ls[j], beta2[j]);
-            let mut acc = 0.0;
-            acc += r0 * x0[j];
-            acc += r1 * x1[j];
-            let resid = y - acc;
-            w0[j] += r0 * resid;
-            w1[j] += r1 * resid;
-        }
-    }
-    (w0, w1)
-}
-
-/// [`sweep_scalar`] with explicit AVX-512 intrinsics, under
-/// [`pass_a_avx512`]'s bit-identity rules (`0.0 + r0·x0` keeps its add:
-/// it turns a −0.0 product into +0.0, as the scalar form does).
-///
-/// # Safety
-///
-/// The CPU must support avx512f.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn sweep_avx512(
-    ks: &[f64],
-    ls: &[f64],
-    beta2: &[f64; LANES],
-    x0: &[f64; LANES],
-    x1: &[f64; LANES],
-) -> ([f64; LANES], [f64; LANES]) {
-    use std::arch::x86_64::*;
-    let width = ks.len();
-    assert!(width.is_multiple_of(LANES) && ls.len() == width);
-    // SAFETY: as in `pass_a_avx512`.
-    unsafe {
-        let b2 = _mm512_loadu_pd(beta2.as_ptr());
-        let eps = _mm512_set1_pd(1e-9);
-        let zero = _mm512_setzero_pd();
-        let x0v = _mm512_loadu_pd(x0.as_ptr());
-        let x1v = _mm512_loadu_pd(x1.as_ptr());
-        let mut w0 = _mm512_setzero_pd();
-        let mut w1 = _mm512_setzero_pd();
-        let mut off = 0;
-        while off < width {
-            let (r0, r1, y, _) = row_avx512(ks.as_ptr().add(off), ls.as_ptr().add(off), b2, eps);
-            let acc = _mm512_add_pd(zero, _mm512_mul_pd(r0, x0v));
-            let acc = _mm512_add_pd(acc, _mm512_mul_pd(r1, x1v));
-            let resid = _mm512_sub_pd(y, acc);
-            w0 = _mm512_add_pd(w0, _mm512_mul_pd(r0, resid));
-            w1 = _mm512_add_pd(w1, _mm512_mul_pd(r1, resid));
-            off += LANES;
-        }
-        let mut out = ([0.0_f64; LANES], [0.0_f64; LANES]);
-        _mm512_storeu_pd(out.0.as_mut_ptr(), w0);
-        _mm512_storeu_pd(out.1.as_mut_ptr(), w1);
-        out
-    }
+    *out = [w0, w1];
 }
 
 /// Executes one wave of β₂ candidate evaluations as SoA passes —
@@ -1172,61 +1101,56 @@ unsafe fn sweep_avx512(
 /// requests in `scratch.reqs`, writing each lane's outcome and NNLS
 /// facts to `scratch.outs`.
 ///
-/// Dispatches to an AVX-512 compilation of the same body when the CPU
-/// has it — with eight f64 lanes the accumulator arrays want the wider
-/// register file; the arithmetic is lane-wise IEEE either way (rustc
+/// Dispatches to an avx512f compilation of the same body when the CPU
+/// has it — with eight f64 lanes the accumulators fill one `zmm`
+/// register each; the arithmetic is lane-wise IEEE either way (rustc
 /// performs no FMA contraction), so results are bit-identical across
 /// targets.
 fn eval_wave(scratch: &mut BatchScratch, max_len: usize) {
+    #[cfg(test)]
+    if PORTABLE.with(std::cell::Cell::get) {
+        return eval_wave_body(scratch, max_len);
+    }
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx512f") {
         // SAFETY: the avx512f requirement was just checked at runtime.
         return unsafe { eval_wave_avx512(scratch, max_len) };
     }
-    eval_wave_body(scratch, max_len, false)
+    eval_wave_body(scratch, max_len)
 }
 
 /// The wave body compiled with AVX-512 codegen enabled (the
 /// `inline(always)` body is compiled with this function's target
 /// features).
+///
+/// # Safety
+///
+/// The CPU must support avx512f.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn eval_wave_avx512(scratch: &mut BatchScratch, max_len: usize) {
-    eval_wave_body(scratch, max_len, true)
+    eval_wave_body(scratch, max_len)
 }
 
 #[inline(always)]
-fn eval_wave_body(scratch: &mut BatchScratch, max_len: usize, use_avx512: bool) {
+fn eval_wave_body(scratch: &mut BatchScratch, max_len: usize) {
     let reqs = scratch.reqs;
     let lens = scratch.lens;
-    let mut beta2 = [0.0_f64; LANES];
+    let mut beta2 = Lanes::default();
     let mut active = [false; LANES];
     for j in 0..LANES {
         if let Some(r) = reqs[j] {
-            beta2[j] = r.beta2;
+            beta2.0[j] = r.beta2;
             active[j] = true;
         }
     }
 
-    // Pass A — kept counts + Gram/RHS, one sweep over all samples (see
-    // `pass_a_scalar` / `pass_a_avx512`). Inactive lanes compute garbage
-    // against β₂ = 0 that nothing reads; padded slots take the
-    // gap ≤ 1e-9 skip (see module docs).
+    // Pass A — kept counts + Gram/RHS, one sweep over all samples.
+    // Inactive lanes compute garbage against β₂ = 0 that nothing reads;
+    // padded slots take the gap ≤ 1e-9 skip (see module docs).
     let width = max_len * LANES;
     let (ks, ls) = (&scratch.ks[..width], &scratch.ls[..width]);
-    #[cfg(target_arch = "x86_64")]
-    let pa = if use_avx512 {
-        // SAFETY: `use_avx512` is true only inside `eval_wave_avx512`,
-        // whose callers check for avx512f at run time.
-        unsafe { pass_a_avx512(ks, ls, &beta2) }
-    } else {
-        pass_a_scalar(ks, ls, &beta2)
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    let pa = {
-        let _ = use_avx512;
-        pass_a_scalar(ks, ls, &beta2)
-    };
+    pass_a(ks, ls, beta2, &mut scratch.pass_a);
     let PassA {
         kept,
         g00,
@@ -1234,7 +1158,7 @@ fn eval_wave_body(scratch: &mut BatchScratch, max_len: usize, use_avx512: bool) 
         g11,
         rhs0,
         rhs1,
-    } = pa;
+    } = scratch.pass_a;
 
     // Per-lane NNLS admission, with `fit_for_beta2`'s exact counters:
     // fewer than 2 rows fails silently (before any counter), a
@@ -1252,14 +1176,14 @@ fn eval_wave_body(scratch: &mut BatchScratch, max_len: usize, use_avx512: bool) 
         if !active[j] {
             continue;
         }
-        if kept[j] < 2 {
+        if kept.0[j] < 2.0 {
             continue; // out[j] stays Failed, no counters — as in `fit`
         }
         out[j].facts.solved = true;
-        if !(g00[j].is_finite() && g11[j].is_finite())
-            && (0..lens[j]).any(|s| {
-                let (r0, r1, _, _) = row(ks[s * LANES + j], ls[s * LANES + j], beta2[j]);
-                !(r0.is_finite() && r1.is_finite())
+        if !(g00.0[j].is_finite() && g11.0[j].is_finite())
+            && slots(ks, ls).take(lens[j]).any(|(k, l)| {
+                let (r0, r1, _, _) = row(k, l, beta2);
+                !(r0.0[j].is_finite() && r1.0[j].is_finite())
             })
         {
             out[j].facts.failed = true;
@@ -1273,40 +1197,32 @@ fn eval_wave_body(scratch: &mut BatchScratch, max_len: usize, use_avx512: bool) 
     // outer iteration, then O(1) per-lane active-set advancement from
     // the cached Gram. Lanes that converge (or fail) sit out the
     // remaining sweeps with x frozen, contributing dead work only.
-    let mut x0 = [0.0_f64; LANES];
-    let mut x1 = [0.0_f64; LANES];
+    let mut x0 = Lanes::default();
+    let mut x1 = Lanes::default();
     let mut first_sweep = true;
     while st.iter().any(|l| l.running) {
-        let (w0, w1) = if first_sweep {
+        if first_sweep {
             // With x = 0 the fused rowwise dual degenerates term by
             // term to the RHS accumulation pass A already did —
             // `acc = r·0 + r·0 = +0.0`, `resid = y − 0.0 = y` bitwise —
             // so the first sweep of every wave is free.
             first_sweep = false;
-            (rhs0, rhs1)
+            scratch.dual = [rhs0, rhs1];
         } else {
             #[cfg(test)]
             SWEEPS.with(|n| n.set(n.get() + 1));
-            #[cfg(target_arch = "x86_64")]
-            let w = if use_avx512 {
-                // SAFETY: as for pass A.
-                unsafe { sweep_avx512(ks, ls, &beta2, &x0, &x1) }
-            } else {
-                sweep_scalar(ks, ls, &beta2, &x0, &x1)
-            };
-            #[cfg(not(target_arch = "x86_64"))]
-            let w = sweep_scalar(ks, ls, &beta2, &x0, &x1);
-            w
-        };
+            sweep(ks, ls, beta2, x0, x1, &mut scratch.dual);
+        }
+        let [w0, w1] = scratch.dual;
         for j in 0..LANES {
             if st[j].running {
                 advance_lane(
                     &mut st[j],
-                    &mut x0[j],
-                    &mut x1[j],
-                    [w0[j], w1[j]],
-                    [g00[j], g01[j], g11[j]],
-                    [rhs0[j], rhs1[j]],
+                    &mut x0.0[j],
+                    &mut x1.0[j],
+                    [w0.0[j], w1.0[j]],
+                    [g00.0[j], g01.0[j], g11.0[j]],
+                    [rhs0.0[j], rhs1.0[j]],
                     lens[j],
                     opts,
                 );
@@ -1334,9 +1250,9 @@ fn eval_wave_body(scratch: &mut BatchScratch, max_len: usize, use_avx512: bool) 
         }
         out[j].facts.iterations = Some(st[j].iterations);
         fitted[j] = true;
-        b0[j] = x0[j];
-        b1[j] = x1[j];
-        bb2[j] = beta2[j];
+        b0[j] = x0.0[j];
+        b1[j] = x1.0[j];
+        bb2[j] = beta2.0[j];
         bnd[j] = reqs[j].expect("active lane").bound;
     }
 
@@ -1381,9 +1297,9 @@ fn eval_wave_body(scratch: &mut BatchScratch, max_len: usize, use_avx512: bool) 
             WaveOut::Abandoned
         } else {
             WaveOut::Fit(LossModel {
-                beta0: x0[j],
-                beta1: x1[j],
-                beta2: beta2[j],
+                beta0: x0.0[j],
+                beta1: x1.0[j],
+                beta2: beta2.0[j],
                 scale: scratch.scales[j],
                 residual_ss: rss[j],
             })
@@ -1689,7 +1605,7 @@ mod tests {
                             bound,
                         })
                     });
-                    eval_wave_body(&mut scratch, max_len, false);
+                    eval_wave_body(&mut scratch, max_len);
                     let portable = scratch.outs.map(|e| key(&e));
                     // SAFETY: avx512f was detected above.
                     unsafe { eval_wave_avx512(&mut scratch, max_len) };
@@ -1698,6 +1614,98 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Whole `fit_batch` calls through both compilations of the wave
+    /// body: a lone job (its look-ahead fills every lane), then ragged
+    /// groups of twelve series (a full group plus four) holding a flat
+    /// `hi == 0` history, a too-short one, both overflow cases and a
+    /// rising curve, refit warm as every history grows. Result bits,
+    /// session state and telemetry must agree. On a host without
+    /// avx512f both runs take the portable body, so the test is only
+    /// meaningful on an avx512f host.
+    #[test]
+    fn whole_fits_match_across_compilations() {
+        let long = history(400);
+        let mut series: Vec<Vec<LossSample>> = (0..6)
+            .map(|i| {
+                let n = [400, 400, 250, 120, 90, 37][i];
+                long[..n]
+                    .iter()
+                    .map(|&(k, l)| (k, l * (1.0 + 0.3 * i as f64)))
+                    .collect()
+            })
+            .collect();
+        series.push((0..60).map(|k| (k, 1.0)).collect());
+        series.push(vec![(0, 1.0), (1, 0.9)]);
+        series.push(
+            (0..40)
+                .map(|k| (k * 1000, 1e160 / (k as f64 + 1.0)))
+                .collect(),
+        );
+        series.push(
+            (0..40)
+                .map(|k| (k * 100_000, 1e80 / (k as f64 + 1.0)))
+                .collect(),
+        );
+        series.push(
+            history(90)
+                .iter()
+                .map(|&(k, l)| (k, 1.0 + 0.01 * k as f64 + 0.1 * l))
+                .collect(),
+        );
+        series.push(history(300));
+        let run = |portable: bool| {
+            PORTABLE.with(|p| p.set(portable));
+            let tel = Telemetry::enabled();
+            let fitter = LossCurveFitter::new().with_telemetry(tel.clone());
+            let mut lone = FitSession::new();
+            let mut sessions: Vec<FitSession> = series.iter().map(|_| FitSession::new()).collect();
+            let mut scratch = BatchScratch::new();
+            let mut out = Vec::new();
+            let mut prev = 0;
+            for n in [30, 90, 200, 400] {
+                let raw = &long[..n];
+                let mut one = [BatchFitJob {
+                    fitter: &fitter,
+                    raw,
+                    stable_prefix: prev,
+                    session: &mut lone,
+                }];
+                fit_batch(&mut one, &mut scratch, &mut out);
+                let mut jobs: Vec<BatchFitJob<'_>> = series
+                    .iter()
+                    .zip(sessions.iter_mut())
+                    .map(|(raw, session)| BatchFitJob {
+                        fitter: &fitter,
+                        raw: &raw[..n.min(raw.len())],
+                        stable_prefix: prev.min(raw.len()),
+                        session,
+                    })
+                    .collect();
+                fit_batch(&mut jobs, &mut scratch, &mut out);
+                prev = n;
+            }
+            PORTABLE.with(|p| p.set(false));
+            let results: Vec<_> = out
+                .iter()
+                .map(|r| match r {
+                    Ok(m) => {
+                        Ok([m.beta0, m.beta1, m.beta2, m.scale, m.residual_ss].map(f64::to_bits))
+                    }
+                    Err(e) => Err(e.clone()),
+                })
+                .collect();
+            let state = format!("{lone:?} {sessions:?}");
+            (results, state, tel.summary())
+        };
+        let portable = run(true);
+        let dispatched = run(false);
+        assert!(portable.0.iter().any(Result::is_ok));
+        assert!(portable.0.iter().any(Result::is_err));
+        assert_eq!(portable.0, dispatched.0, "result bits");
+        assert_eq!(portable.1, dispatched.1, "session state");
+        assert_eq!(portable.2, dispatched.2, "telemetry");
     }
 
     /// A scratch holding `raws` gathered as `fit_group` deals them (lane

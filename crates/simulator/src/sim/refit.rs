@@ -13,10 +13,8 @@ pub(super) struct Refit {
     /// Each live job's speed refit: `None` without an observation this
     /// interval, else `Ok` or the error message.
     speed_fits: Vec<Option<Result<(), String>>>,
-    /// Each live job's convergence fit, cached or batched.
-    conv_slots: Vec<Option<Result<LossModel, FitError>>>,
-    /// Live-list positions whose convergence estimator must refit.
-    dirty: Vec<usize>,
+    /// Each live job's convergence fit, replayed or batched.
+    conv_fits: Vec<Result<LossModel, FitError>>,
     /// One batched-fit scratch per worker thread.
     workers: Vec<BatchScratch>,
     /// `optimus_parallel::available_threads()`, queried on first need.
@@ -30,11 +28,12 @@ impl Refit {
     /// Pass A (serial, job order) settles the previous round's speed
     /// predictions against the realized speeds before the refits fold
     /// the same observations in (nothing random, and no refit reads the
-    /// audit), refits the speed models, and replays clean convergence
-    /// fits (`fit.dirty_skipped`). Pass B refits the dirty estimators
-    /// through the batched SoA engine; each job touches only its own
-    /// models, so lane groups fan out across threads. Pass C emits the
-    /// fit records in job order, independent of the thread count.
+    /// audit) and refits the speed models. Pass B refits every live
+    /// job's convergence estimator through the batched SoA engine, which
+    /// replays the cached fit of each estimator with no new samples
+    /// (`fit.dirty_skipped`); each job touches only its own models, so
+    /// lane groups fan out across threads. Pass C emits the fit records
+    /// in job order, independent of the thread count.
     pub(super) fn run(
         &mut self,
         round: u64,
@@ -50,40 +49,27 @@ impl Refit {
         let settled = arrivals.settle.iter().map(|&i| &jobs[i]);
         rec.audit.settle_jobs(tel, round, settled);
         self.speed_fits.clear();
-        self.conv_slots.clear();
-        self.dirty.clear();
+        // The live jobs ascend, so one forward walk of the job slice
+        // refits their speed models and borrows their estimators for
+        // pass B.
+        let mut ests = Vec::with_capacity(live.len());
+        let mut walk = jobs.iter_mut();
+        let mut next = 0;
         for &i in live {
-            let job = &mut jobs[i];
+            let job = walk.nth(i - next).expect("live indices ascend within jobs");
+            next = i + 1;
             self.speed_fits
                 .push(job.observed_interval_speed().map(|speed| {
                     job.speed_model.record(job.ps, job.workers, speed);
                     job.speed_model.refit().map_err(|e| e.to_string())
                 }));
-            let cached = job.convergence.cached_fit_if_clean();
-            if cached.is_none() {
-                self.dirty.push(self.conv_slots.len());
-            }
-            self.conv_slots.push(cached);
-        }
-        // Pass B. The dirty jobs ascend, so one forward walk of the job
-        // slice borrows their estimators.
-        let mut ests = Vec::with_capacity(self.dirty.len());
-        let mut walk = jobs.iter_mut();
-        let mut next = 0;
-        for &k in &self.dirty {
-            let i = live[k];
-            let job = walk.nth(i - next).expect("live indices ascend within jobs");
             ests.push(&mut job.convergence);
-            next = i + 1;
         }
         if self.workers.len() < threads {
             self.workers.resize_with(threads, Default::default);
         }
-        let results =
+        self.conv_fits =
             optimus_core::refit_convergence_batch(&mut ests, &mut self.workers[..threads]);
-        for (&k, res) in self.dirty.iter().zip(results) {
-            self.conv_slots[k] = Some(res);
-        }
         drop(span);
         if tel.is_enabled() {
             self.emit(jobs, live, tel);
@@ -131,10 +117,7 @@ impl Refit {
                 }),
                 None => {}
             }
-            match self.conv_slots[k]
-                .take()
-                .expect("every refit candidate got a convergence result")
-            {
+            match &self.conv_fits[k] {
                 Ok(m) => tel.record(TraceEvent::ConvergenceFit {
                     job: id,
                     coeffs: vec![m.beta0, m.beta1, m.beta2],

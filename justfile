@@ -49,11 +49,17 @@ bench-alloc:
 # simulator-suite run covers every scheduler, refit thread count and
 # edge case — plus the event-calendar determinism proptests and the
 # closed-form chunk-move count against `ChunkAssignment::rebalance`.
+# The batched fitter's unit tests also run here in release, where both
+# compilations of its wave body (portable, and avx512f on hosts that
+# have it) are vectorized: they check the two against each other wave
+# by wave and over whole `fit_batch` calls, which `just test`'s debug
+# build cannot.
 equivalence:
     cargo test --release -p optimus-core --test equivalence
     cargo test --release -p optimus-ps --test chunk_rebalance
     cargo test --release -p optimus-fitting --test equivalence
     cargo test --release -p optimus-fitting --test batch_equivalence
+    cargo test --release -p optimus-fitting --lib batch::
     cargo test --release -p optimus-simulator --test equivalence
     cargo test --release -p optimus-simulator --test event_determinism
 

@@ -25,7 +25,7 @@ USAGE:
                        [--ledger DIR] [--flight CAP] [--progress SECS]
   optimus-sim batch    [--jobs N] [--seeds S1,S2,..] [--schedulers A,B,..]
                        [--threads T] [--target-hours H] [--interval SECS] [--json]
-  optimus-sim generate [--jobs N] [--seed S] [--target-hours H]
+  optimus-sim generate [--jobs N] [--seed S] [--target-hours H] [--trace-in FILE]
   optimus-sim models
 
 SCHEDULERS: optimus (default) | drf | tetris | fifo
@@ -34,8 +34,8 @@ FLAGS:
   --jobs N          number of jobs to generate       (default 9)
   --seed S          RNG seed                         (default 17)
   --scheduler NAME  scheduler under test             (default optimus)
-  --target-hours H  median target job duration       (default 2.0)
-  --interval SECS   scheduling interval              (default 600)
+  --target-hours H  median target job duration, > 0  (default 2.0)
+  --interval SECS   scheduling interval, > 0         (default 600)
   --trace-in FILE   simulate a saved workload trace instead of generating
   --trace-out FILE  also save the generated workload as a trace
   --events          record and print the decision log
@@ -57,16 +57,59 @@ BATCH FLAGS:
   --schedulers LIST comma-separated scheduler names  (default all four)
   --threads T       worker threads for the sweep     (default: all cores,
                     or the OPTIMUS_THREADS environment variable)
+
+Any other flag, and a non-finite or non-positive --interval or
+--target-hours, is an error (exit 1).
 ";
+
+/// `run`'s flags that take a value, then its boolean flags.
+const RUN_FLAGS: (&[&str], &[&str]) = (
+    &[
+        "--jobs",
+        "--seed",
+        "--scheduler",
+        "--target-hours",
+        "--interval",
+        "--trace-in",
+        "--trace-out",
+        "--trace",
+        "--chrome-trace",
+        "--ledger",
+        "--flight",
+        "--progress",
+    ],
+    &["--events", "--json"],
+);
+
+/// `batch`'s flags, as [`RUN_FLAGS`].
+const BATCH_FLAGS: (&[&str], &[&str]) = (
+    &[
+        "--jobs",
+        "--seeds",
+        "--schedulers",
+        "--threads",
+        "--target-hours",
+        "--interval",
+    ],
+    &["--json"],
+);
+
+/// `generate`'s flags, as [`RUN_FLAGS`].
+const GENERATE_FLAGS: (&[&str], &[&str]) =
+    (&["--jobs", "--seed", "--target-hours", "--trace-in"], &[]);
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help") {
+        print!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
         Some("batch") => cmd_batch(&args[1..]),
         Some("generate") => cmd_generate(&args[1..]),
-        Some("models") => cmd_models(),
-        Some("help") | Some("--help") | Some("-h") | None => {
+        Some("models") => cmd_models(&args[1..]),
+        Some("help") | Some("-h") | None => {
             print!("{USAGE}");
             ExitCode::SUCCESS
         }
@@ -83,6 +126,26 @@ struct Flags<'a> {
 }
 
 impl<'a> Flags<'a> {
+    /// Wraps subcommand `cmd`'s `args`, rejecting any argument that is
+    /// neither one of `known.0` (each followed by its value, which may
+    /// be missing at the end) nor one of `known.1`.
+    fn new(cmd: &str, args: &'a [String], known: (&[&str], &[&str])) -> Result<Self, String> {
+        let mut it = args.iter().map(String::as_str);
+        while let Some(arg) = it.next() {
+            if known.0.contains(&arg) {
+                it.next();
+            } else if !known.1.contains(&arg) {
+                let what = if arg.starts_with("--") {
+                    "flag"
+                } else {
+                    "argument"
+                };
+                return Err(format!("unknown {what} for {cmd}: {arg}"));
+            }
+        }
+        Ok(Self { args })
+    }
+
     fn get(&self, name: &str) -> Option<&'a str> {
         self.args
             .iter()
@@ -103,6 +166,18 @@ impl<'a> Flags<'a> {
                 .map_err(|_| format!("invalid value for {name}: {raw}")),
         }
     }
+
+    /// [`Flags::parse`] for a quantity that must be finite and > 0.
+    fn positive(&self, name: &str, default: f64) -> Result<f64, String> {
+        let v: f64 = self.parse(name, default)?;
+        if v.is_finite() && v > 0.0 {
+            Ok(v)
+        } else {
+            Err(format!(
+                "invalid value for {name}: {v} (must be finite and > 0)"
+            ))
+        }
+    }
 }
 
 fn build_workload(flags: &Flags) -> Result<Vec<JobSpec>, String> {
@@ -113,7 +188,7 @@ fn build_workload(flags: &Flags) -> Result<Vec<JobSpec>, String> {
     }
     let jobs: usize = flags.parse("--jobs", 9)?;
     let seed: u64 = flags.parse("--seed", 17)?;
-    let hours: f64 = flags.parse("--target-hours", 2.0)?;
+    let hours = flags.positive("--target-hours", 2.0)?;
     Ok(
         WorkloadGenerator::new(ArrivalProcess::paper_default(jobs), seed)
             .with_target_job_seconds(Some(hours * 3_600.0))
@@ -122,12 +197,8 @@ fn build_workload(flags: &Flags) -> Result<Vec<JobSpec>, String> {
 }
 
 fn cmd_run(args: &[String]) -> ExitCode {
-    if args.iter().any(|a| a == "--help") {
-        print!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    let flags = Flags { args };
     let run = || -> Result<(), String> {
+        let flags = Flags::new("run", args, RUN_FLAGS)?;
         let jobs = build_workload(&flags)?;
         if let Some(path) = flags.get("--trace-out") {
             let trace = WorkloadTrace::new("generated by optimus-sim run", jobs.clone());
@@ -181,7 +252,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 ),
                 other => return Err(format!("unknown scheduler: {other}")),
             };
-        let interval_s: f64 = flags.parse("--interval", 600.0)?;
+        let interval_s = flags.positive("--interval", 600.0)?;
         let progress_every_s: f64 = flags.parse("--progress", 0.0)?;
         let flight = match flags.get("--flight") {
             Some(raw) => {
@@ -288,15 +359,11 @@ fn cmd_run(args: &[String]) -> ExitCode {
 /// aggregated per scheduler and identical to a serial sweep — cells are
 /// collected in input order regardless of thread scheduling.
 fn cmd_batch(args: &[String]) -> ExitCode {
-    if args.iter().any(|a| a == "--help") {
-        print!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    let flags = Flags { args };
     let run = || -> Result<(), String> {
+        let flags = Flags::new("batch", args, BATCH_FLAGS)?;
         let jobs: usize = flags.parse("--jobs", 9)?;
-        let hours: f64 = flags.parse("--target-hours", 2.0)?;
-        let interval: f64 = flags.parse("--interval", 600.0)?;
+        let hours = flags.positive("--target-hours", 2.0)?;
+        let interval = flags.positive("--interval", 600.0)?;
         let threads: usize = flags.parse("--threads", optimus_bench::available_threads())?;
         let seeds: Vec<u64> = flags
             .get("--seeds")
@@ -356,8 +423,7 @@ fn cmd_batch(args: &[String]) -> ExitCode {
 }
 
 fn cmd_generate(args: &[String]) -> ExitCode {
-    let flags = Flags { args };
-    match build_workload(&flags) {
+    match Flags::new("generate", args, GENERATE_FLAGS).and_then(|flags| build_workload(&flags)) {
         Ok(jobs) => {
             let trace = WorkloadTrace::new("generated by optimus-sim generate", jobs);
             println!("{}", trace.to_json());
@@ -370,7 +436,11 @@ fn cmd_generate(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_models() -> ExitCode {
+fn cmd_models(args: &[String]) -> ExitCode {
+    if let Err(e) = Flags::new("models", args, (&[], &[])) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     println!(
         "{:<14} {:>9} {:>6} {:<22} {:>11} {:>8}",
         "model", "params M", "type", "dataset", "examples", "epochs@1%"
