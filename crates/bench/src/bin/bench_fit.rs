@@ -15,7 +15,10 @@
 //! batched timing lands in `mean_ns_optimized` so `check-bench`
 //! gates it against the history. Grid points with a `dirty` count refit
 //! only that many jobs — the rest sit clean in the batch, the shape the
-//! dirty-set tracking exists for.
+//! dirty-set tracking exists for. The reference is deterministic and
+//! only a speedup's numerator, so it is timed over at most
+//! `REFERENCE_SAMPLES` samples (recorded as `reference_samples`); its
+//! outcome is still checked against the batched one at every point.
 //!
 //! ```text
 //! bench_fit [--samples N] [--label STR] [--out FILE] [--points J,J,...]
@@ -50,6 +53,11 @@ const POINTS: [(usize, usize, Option<usize>); 8] = [
     (1_000, 500, Some(100)),
 ];
 
+/// Cap on the reference path's timed samples per point: the one-shot
+/// fits run tens of times longer than the batched refits, and timing
+/// them as often spent nearly all of a long run on the oracle.
+const REFERENCE_SAMPLES: u32 = 20;
+
 /// Loss points appended between the warm-up refit and the timed refit —
 /// one scheduling interval's worth of observations.
 const INTERVAL_SAMPLES: usize = 10;
@@ -73,6 +81,9 @@ struct BenchEntry {
     label: String,
     source: &'static str,
     samples: u32,
+    /// Timed samples of the reference path: `samples`, capped at
+    /// `REFERENCE_SAMPLES`.
+    reference_samples: u32,
     interval_samples: usize,
     points: Vec<PointRecord>,
 }
@@ -212,6 +223,7 @@ fn main() -> ExitCode {
         }
     };
     let samples = samples.max(1);
+    let reference_samples = samples.min(REFERENCE_SAMPLES);
     let label = arg_value(&args, "--label").unwrap_or_else(|| "current".into());
     let out = arg_value(&args, "--out");
     let points_filter: Option<Vec<usize>> = match arg_value(&args, "--points") {
@@ -228,7 +240,10 @@ fn main() -> ExitCode {
         }
     };
 
-    println!("bench_fit: {samples} samples per point (label: {label})\n");
+    println!(
+        "bench_fit: {samples} samples per point, {reference_samples} of the reference \
+         (label: {label})\n"
+    );
     println!(
         "{:>8} {:>9} {:>7} {:>14} {:>11} {:>9}",
         "jobs", "history", "dirty", "reference ms", "batched ms", "speedup"
@@ -244,7 +259,7 @@ fn main() -> ExitCode {
         let histories: Vec<Vec<(u64, f64)>> = (0..jobs)
             .map(|i| history(0x9E37_79B9 + i as u64, hist_len))
             .collect();
-        let (ref_ns, ref_fits) = time_reference(&histories, dirty_jobs, samples);
+        let (ref_ns, ref_fits) = time_reference(&histories, dirty_jobs, reference_samples);
         let (opt_ns, opt_fits) = time_batched(&histories, dirty_jobs, samples);
         // The batched path must be a pure optimization: identical bits.
         assert_eq!(
@@ -271,6 +286,7 @@ fn main() -> ExitCode {
         label: label.clone(),
         source: "bench_fit",
         samples,
+        reference_samples,
         interval_samples: INTERVAL_SAMPLES,
         points,
     };
@@ -288,6 +304,10 @@ fn main() -> ExitCode {
         use serde_json::Value;
         let config = Value::Object(vec![
             ("samples".into(), Value::Num(samples as f64)),
+            (
+                "reference_samples".into(),
+                Value::Num(reference_samples as f64),
+            ),
             (
                 "interval_samples".into(),
                 Value::Num(INTERVAL_SAMPLES as f64),

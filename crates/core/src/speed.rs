@@ -45,9 +45,9 @@ pub struct SpeedModel {
     prediction_scale: f64,
     /// Mutation generation: bumped by every [`Self::record`] and every
     /// successful [`Self::refit`]. Two models with equal generations
-    /// (obtained via `clone`) are bitwise-identical predictors, which is
-    /// what the delta-round engine's job fingerprints compare instead of
-    /// hashing coefficients. The prediction scale is fingerprinted
+    /// (obtained via `clone` or [`Self::predictor`]) are bitwise-identical
+    /// predictors, which is what the delta-round engine's job
+    /// fingerprints compare instead of hashing coefficients. The prediction scale is fingerprinted
     /// separately (by value), so [`Self::set_prediction_scale`] does not
     /// bump it.
     gen: u64,
@@ -75,6 +75,25 @@ impl SpeedModel {
     pub fn with_telemetry(mut self, tel: Telemetry) -> Self {
         self.tel = tel;
         self
+    }
+
+    /// A copy that predicts exactly as this model does (the same mode,
+    /// batch size, θ, prediction scale and generation) without the
+    /// sample history, and with telemetry disabled. This is what a
+    /// scheduler's [`crate::JobView`] needs: [`Self::predict`] reads
+    /// nothing else, so copying a job's model each round stays O(θ)
+    /// instead of O(history). A refit of the copy fails for want of
+    /// samples.
+    pub fn predictor(&self) -> SpeedModel {
+        SpeedModel {
+            mode: self.mode,
+            batch: self.batch,
+            samples: Vec::new(),
+            model: self.model.clone(),
+            prediction_scale: self.prediction_scale,
+            gen: self.gen,
+            tel: Telemetry::disabled(),
+        }
     }
 
     /// Sets the prediction multiplier (Fig 15 error injection; 1.0 =
@@ -282,6 +301,32 @@ mod tests {
         (12, 6),
         (6, 12),
     ];
+
+    /// A predictor copy predicts the same bits as its model (fitted or
+    /// not, either mode, any prediction scale) and keeps the
+    /// generation, but carries no samples.
+    #[test]
+    fn predictor_predicts_the_same_bits_without_history() {
+        let unfit = SpeedModel::new(TrainingMode::Synchronous, 32.0);
+        let (sync, _) = fit_from_truth(TrainingMode::Synchronous, &PROFILE_CONFIGS);
+        let (mut asynchronous, _) = fit_from_truth(TrainingMode::Asynchronous, &PROFILE_CONFIGS);
+        asynchronous.set_prediction_scale(0.7);
+        for model in [unfit, sync, asynchronous] {
+            let copy = model.predictor();
+            assert_eq!(copy.sample_count(), 0);
+            assert_eq!(copy.generation(), model.generation());
+            assert_eq!(copy.mode(), model.mode());
+            assert_eq!(
+                copy.prediction_scale().to_bits(),
+                model.prediction_scale().to_bits()
+            );
+            for p in 0..=12 {
+                for w in 0..=12 {
+                    assert_eq!(copy.predict(p, w).to_bits(), model.predict(p, w).to_bits());
+                }
+            }
+        }
+    }
 
     #[test]
     fn sync_fit_predicts_unseen_configs() {

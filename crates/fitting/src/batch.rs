@@ -42,7 +42,10 @@
 //!   hit a memo keyed by the candidate's bit pattern. The fit is a
 //!   function of `(samples, β₂)`, so a bit-equal key is the same
 //!   outcome. Only exact evaluations are stored, and the memo is
-//!   cleared per fit because the samples may have changed.
+//!   cleared per fit because the samples may have changed. Nearly every
+//!   lookup (each grid step, golden-section step and look-ahead
+//!   candidate) misses, so a per-walk 1024-bit presence filter over the
+//!   keys answers a miss without scanning the memo.
 //! * **Warm start plus abandonment.** The previous fit's best grid
 //!   index is evaluated first, and its residual bounds the scan: every
 //!   other grid candidate abandons once its residual strictly exceeds
@@ -123,13 +126,25 @@
 //!   whose diagonal is not rescans its rows for the exact verdict,
 //!   because finite rows can overflow the Gram too, and those lanes
 //!   solve as `nnls_with` does.
-//! * **Only sweeps whose dual can be used run.** The first dual sweep
-//!   of a wave is pass A's RHS (`x = 0`). After `x` changes, a lane asks
-//!   for a fresh sweep only if some column is neither passive nor
-//!   rejected: otherwise `nnls_with`'s scan finds no entering column
-//!   whatever the dual holds, and returns without counting anything, so
-//!   the lane converges on the spot. A candidate that enters both
-//!   columns thus costs one full sweep, not two.
+//! * **A full dual sweep runs only where the Gram cannot decide.** The
+//!   first dual of a wave is pass A's RHS (`x = 0`). After `x` changes,
+//!   a lane whose columns are all passive or rejected converges on the
+//!   spot: `nnls_with`'s scan would find no entering column whatever
+//!   the dual holds, and returns without counting anything. Every other
+//!   lane reads the next dual only through that scan's comparisons (is
+//!   `wᵢ > tolerance`, and which of two candidates is larger), so it can
+//!   read them off the Gram-form dual `w′ = rhs − G·x` from pass A's
+//!   sums. Every row term is non-negative, so the dot-product error
+//!   bound's absolute sums are the Gram and RHS themselves, and
+//!   `gram_dual` bounds `|w − w′|` by an `E` that also covers the
+//!   rounding of its own evaluation. When every running lane's
+//!   comparisons come out the same anywhere in `w′ ± E` (`certifies`),
+//!   the lanes advance on `w′` and no sweep runs; otherwise the
+//!   lockstep full sweep runs for all lanes, exactly as before. Nothing
+//!   else reads the dual, so coefficients, memo entries, warm indices
+//!   and counters keep their bits either way. On the simulated
+//!   workloads every check is certified, and a wave streams its samples
+//!   twice (pass A and pass C) instead of three times.
 //! * **Full-sum abandonment is prefix abandonment.** By the same
 //!   monotonicity, the full sum exceeds the bound iff some prefix does,
 //!   so the abandonment decision is recoverable from a batched full
@@ -243,8 +258,12 @@ thread_local! {
     /// Waves run on this thread, for the tests that pin lane occupancy.
     static WAVES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     /// Full dual sweeps run on this thread (the free first sweep of a
-    /// wave is not one), for the test that pins the dead-sweep rule.
+    /// wave and the certified Gram-form duals are not ones), for the
+    /// tests that pin how many the certificate leaves.
     static SWEEPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Set by a test to refuse every certificate, so each dual after a
+    /// wave's first comes from a full sweep.
+    static ALWAYS_SWEEP: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
     /// Set by a test to make `eval_wave` take the portable body on an
     /// avx512f host.
     static PORTABLE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
@@ -554,6 +573,20 @@ struct JobWalk<'a> {
     iter: usize,
     best_model: Option<LossModel>,
     done: Option<Result<LossModel, FitError>>,
+    /// Presence filter over the memo's keys: a bit per `memo_slot`
+    /// hash, set by `memo_push`. A clear bit answers a memo miss (nearly
+    /// every lookup) without scanning the memo; a set bit scans it.
+    seen: [u64; MEMO_FILTER_WORDS],
+}
+
+/// Words of `JobWalk::seen`: 1024 bits.
+const MEMO_FILTER_WORDS: usize = 16;
+
+/// The `JobWalk::seen` word and bit of a memo key: the top ten bits of
+/// its Fibonacci hash.
+fn memo_slot(bits: u64) -> (usize, u64) {
+    let h = (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 54) as usize;
+    (h / 64, 1 << (h % 64))
 }
 
 impl<'a> JobWalk<'a> {
@@ -581,6 +614,7 @@ impl<'a> JobWalk<'a> {
             iter: 0,
             best_model: None,
             done: None,
+            seen: [0; MEMO_FILTER_WORDS],
             memo,
             warm_slot,
         };
@@ -604,7 +638,18 @@ impl<'a> JobWalk<'a> {
     }
 
     fn memo_find(&self, bits: u64) -> Option<Option<LossModel>> {
+        let (word, bit) = memo_slot(bits);
+        if self.seen[word] & bit == 0 {
+            return None;
+        }
         self.memo.iter().find(|&&(b, _)| b == bits).map(|&(_, m)| m)
+    }
+
+    /// Memoizes the outstanding request's exact outcome.
+    fn memo_push(&mut self, outcome: Option<LossModel>) {
+        let (word, bit) = memo_slot(self.pending_bits);
+        self.seen[word] |= bit;
+        self.memo.push((self.pending_bits, outcome));
     }
 
     fn finish(&mut self, res: Result<LossModel, FitError>) {
@@ -792,13 +837,11 @@ impl<'a> JobWalk<'a> {
             Phase::GridAwait { i } => {
                 match *outcome {
                     WaveOut::Fit(m) => {
-                        self.memo.push((self.pending_bits, Some(m)));
+                        self.memo_push(Some(m));
                         self.apply_grid_outcome(i, Some(m));
                     }
                     WaveOut::Abandoned => {}
-                    WaveOut::Failed => {
-                        self.memo.push((self.pending_bits, None));
-                    }
+                    WaveOut::Failed => self.memo_push(None),
                 }
                 self.phase = Phase::Grid { i: i + 1 };
             }
@@ -808,8 +851,8 @@ impl<'a> JobWalk<'a> {
             | Phase::GoldenNeedC
             | Phase::GoldenNeedD
             | Phase::Final => match *outcome {
-                WaveOut::Fit(m) => self.memo.push((self.pending_bits, Some(m))),
-                WaveOut::Failed => self.memo.push((self.pending_bits, None)),
+                WaveOut::Fit(m) => self.memo_push(Some(m)),
+                WaveOut::Failed => self.memo_push(None),
                 WaveOut::Abandoned => unreachable!("no abandonment bound was set"),
             },
             Phase::Grid { .. } | Phase::GoldenStep | Phase::Done => {
@@ -1096,6 +1139,163 @@ fn sweep(ks: &[f64], ls: &[f64], beta2: Lanes, x0: Lanes, x1: Lanes, out: &mut [
     *out = [w0, w1];
 }
 
+/// Largest Gram-form magnitude a certificate accepts: below it no sum,
+/// product or partial sum of the sweep it stands in for can overflow
+/// (see [`gram_dual`]).
+const DUAL_LIMIT: f64 = 1e300;
+
+/// Each lane's dual in Gram form, `w′ᵢ = rhsᵢ − (Gᵢ₀·x₀ + Gᵢ₁·x₁)`,
+/// from pass A's `sums`, and a bound `Eᵢ` with `|wᵢ − w′ᵢ| ≤ Eᵢ`, where
+/// `wᵢ` is the dual a full [`sweep`] computes at the same `x` and `n`
+/// is the lane's row count.
+///
+/// Both are sums over the same row bits (`row` rebuilds them), so only
+/// rounding separates them. Every row term is non-negative (`r0`, `r1`
+/// and `y` are `+0.0` or `gap²·k`, `gap²`, `gap > 0`), so the absolute
+/// sums in the dot-product error bound (Higham, *Accuracy and Stability
+/// of Numerical Algorithms*, §3.1) are the Gram and RHS themselves:
+/// with `Sᵢ = rhsᵢ + Gᵢ₀·|x₀| + Gᵢ₁·|x₁|` and unit roundoff `u`, the
+/// sweep's computed `wᵢ` is within `γ(n+3)·Sᵢ` of the exact dual, pass
+/// A's Gram and RHS within `γ(n)` of theirs, and `w′ᵢ`'s own four
+/// operations add `γ(3)·Sᵢ`, about `(2n + 6)·u·Sᵢ` in all. `Eᵢ`
+/// doubles that, `2·(n + 4)·ε·Sᵢ` (`ε = 2u`), which also covers the
+/// rounding of its own evaluation. A product that underflows errs by up
+/// to `2^-1075` absolute instead; the term `(n + 1)·(1 + Gᵢᵢ + |x₀| +
+/// |x₁|)·2^-1022` covers every such error many times over and keeps the
+/// bound's own arithmetic out of the subnormal range, where each
+/// operation costs a microcode assist on x86. Rows past the lane's
+/// history and skipped rows add exact zeros, which round nothing. The
+/// bound needs every step of the sweep finite, which holds while
+/// `S₀ + S₁ + |x₀| + |x₁|` stays below [`DUAL_LIMIT`] (a row's `r0·x0`
+/// is at most `G₀₀·|x₀|` when `r0 ≥ 1` and below `|x₀|` otherwise);
+/// past it, or on NaN, `Eᵢ` is `+∞`.
+#[inline(always)]
+fn gram_dual(sums: &PassA, x: [Lanes; 2], n: Lanes) -> ([Lanes; 2], [Lanes; 2]) {
+    let splat = |v| Lanes([v; LANES]);
+    let g = [[sums.g00, sums.g01], [sums.g01, sums.g11]];
+    let rhs = [sums.rhs0, sums.rhs1];
+    let ax = x.map(|x| Lanes(x.0.map(f64::abs)));
+    let w = [0, 1].map(|i| rhs[i] - (g[i][0] * x[0] + g[i][1] * x[1]));
+    let s = [0, 1].map(|i| rhs[i] + g[i][0] * ax[0] + g[i][1] * ax[1]);
+    let size = s[0] + s[1] + ax[0] + ax[1];
+    let rel = splat(2.0 * f64::EPSILON) * (n + splat(4.0));
+    let abs = splat(f64::MIN_POSITIVE) * (n + splat(1.0));
+    let e = [0, 1].map(|i| {
+        let e = rel * s[i] + abs * (splat(1.0) + g[i][i] + ax[0] + ax[1]);
+        // `<=` is false on NaN.
+        e.map2(
+            size,
+            |e, size| if size <= DUAL_LIMIT { e } else { f64::INFINITY },
+        )
+    });
+    (w, e)
+}
+
+/// The column `nnls_with`'s scan enters on dual `w`: the largest
+/// `wᵢ > tolerance` (ties to the lower index) among columns neither
+/// passive nor rejected.
+#[inline(always)]
+fn entering(st: &LaneNnls, w: [f64; 2], tolerance: f64) -> Option<usize> {
+    let mut best: Option<(usize, f64)> = None;
+    for (i, &wi) in w.iter().enumerate() {
+        if !st.passive[i] && !st.rejected[i] && wi > tolerance {
+            match best {
+                Some((_, bw)) if bw >= wi => {}
+                _ => best = Some((i, wi)),
+            }
+        }
+    }
+    best.map(|(i, _)| i)
+}
+
+/// Whether every scan `advance_lane` can run on a dual within `e` of
+/// `w` decides as on `w` itself: each open column (neither passive nor
+/// rejected) lies wholly above the tolerance or wholly below it, and
+/// when both lie above, their intervals are disjoint. That covers the
+/// rescan after a rejection too, which reads the same dual. Rounding is
+/// monotone, so a strict comparison between computed endpoints implies
+/// it between exact ones; NaN endpoints certify nothing. Written with
+/// non-short-circuit `&`/`|`: lane states vary from lane to lane, and
+/// branching on them mispredicted more than the comparisons cost.
+#[inline(always)]
+fn certifies(st: &LaneNnls, w: [f64; 2], e: [f64; 2], tolerance: f64) -> bool {
+    let open = [0, 1].map(|i| !(st.passive[i] | st.rejected[i]));
+    let above = [0, 1].map(|i| open[i] & (w[i] - e[i] > tolerance));
+    let decided = [0, 1].map(|i| !open[i] | above[i] | (w[i] + e[i] < tolerance));
+    let ordered =
+        !(above[0] & above[1]) | (w[0] - e[0] > w[1] + e[1]) | (w[1] - e[1] > w[0] + e[0]);
+    decided[0] & decided[1] & ordered
+}
+
+/// Advances every running lane on `dual`, then on each next dual that
+/// the Gram can stand in for, until no lane runs (returns false) or a
+/// full sweep must compute the next one (returns true).
+///
+/// The Gram-form dual ([`gram_dual`]) replaces the sweep only when every
+/// running lane's scan is certified ([`certifies`]) to decide on it as
+/// on the sweep's. The answer is all lanes or none, because a sweep
+/// costs the same for one lane as for eight; when it is none, the lanes
+/// keep the previous dual and x until the caller's sweep. Lanes that do
+/// not run get a Gram-form dual too, which nothing reads.
+///
+/// Kept out of line, with x and the dual in memory: inlined into the
+/// wave body, the per-lane reads lead the vectorizer to keep pass A's
+/// and the sweep's accumulators in permuted lane order, with a
+/// `vpermpd` per sample slot.
+#[inline(never)]
+fn advance_lanes(
+    st: &mut [LaneNnls; LANES],
+    x: &mut [Lanes; 2],
+    dual: &mut [Lanes; 2],
+    sums: &PassA,
+    lens: &[usize; LANES],
+    opts: NnlsOptions,
+) -> bool {
+    let PassA {
+        g00,
+        g01,
+        g11,
+        rhs0,
+        rhs1,
+        ..
+    } = *sums;
+    let n = Lanes(lens.map(|n| n as f64));
+    loop {
+        let [w0, w1] = *dual;
+        for j in 0..LANES {
+            if st[j].running {
+                let [x0, x1] = &mut *x;
+                advance_lane(
+                    &mut st[j],
+                    &mut x0.0[j],
+                    &mut x1.0[j],
+                    [w0.0[j], w1.0[j]],
+                    [g00.0[j], g01.0[j], g11.0[j]],
+                    [rhs0.0[j], rhs1.0[j]],
+                    lens[j],
+                    opts,
+                );
+            }
+        }
+        if !st.iter().any(|l| l.running) {
+            return false;
+        }
+        #[cfg(test)]
+        if ALWAYS_SWEEP.with(std::cell::Cell::get) {
+            return true;
+        }
+        let (w, e) = gram_dual(sums, *x, n);
+        let certified = st.iter().enumerate().fold(true, |all, (j, st)| {
+            let lane = |v: [Lanes; 2]| [v[0].0[j], v[1].0[j]];
+            all & (!st.running | certifies(st, lane(w), lane(e), opts.tolerance))
+        });
+        if !certified {
+            return true;
+        }
+        *dual = w;
+    }
+}
+
 /// Executes one wave of β₂ candidate evaluations as SoA passes —
 /// build + Gram, lockstep NNLS duals, residual accumulation — on the
 /// requests in `scratch.reqs`, writing each lane's outcome and NNLS
@@ -1154,10 +1354,10 @@ fn eval_wave_body(scratch: &mut BatchScratch, max_len: usize) {
     let PassA {
         kept,
         g00,
-        g01,
         g11,
         rhs0,
         rhs1,
+        ..
     } = scratch.pass_a;
 
     // Per-lane NNLS admission, with `fit_for_beta2`'s exact counters:
@@ -1193,42 +1393,29 @@ fn eval_wave_body(scratch: &mut BatchScratch, max_len: usize) {
         ran[j] = true;
     }
 
-    // Pass B — lockstep Lawson–Hanson: one vectorized dual sweep per
-    // outer iteration, then O(1) per-lane active-set advancement from
-    // the cached Gram. Lanes that converge (or fail) sit out the
-    // remaining sweeps with x frozen, contributing dead work only.
-    let mut x0 = Lanes::default();
-    let mut x1 = Lanes::default();
-    let mut first_sweep = true;
-    while st.iter().any(|l| l.running) {
-        if first_sweep {
-            // With x = 0 the fused rowwise dual degenerates term by
-            // term to the RHS accumulation pass A already did —
-            // `acc = r·0 + r·0 = +0.0`, `resid = y − 0.0 = y` bitwise —
-            // so the first sweep of every wave is free.
-            first_sweep = false;
-            scratch.dual = [rhs0, rhs1];
-        } else {
-            #[cfg(test)]
-            SWEEPS.with(|n| n.set(n.get() + 1));
-            sweep(ks, ls, beta2, x0, x1, &mut scratch.dual);
-        }
-        let [w0, w1] = scratch.dual;
-        for j in 0..LANES {
-            if st[j].running {
-                advance_lane(
-                    &mut st[j],
-                    &mut x0.0[j],
-                    &mut x1.0[j],
-                    [w0.0[j], w1.0[j]],
-                    [g00.0[j], g01.0[j], g11.0[j]],
-                    [rhs0.0[j], rhs1.0[j]],
-                    lens[j],
-                    opts,
-                );
-            }
-        }
+    // Pass B — lockstep Lawson–Hanson: per-lane active-set advancement
+    // from the cached Gram, with a vectorized full dual sweep only where
+    // the Gram-form dual cannot stand in for it. Lanes that converge (or
+    // fail) sit out the remaining sweeps with x frozen, contributing
+    // dead work only. With x = 0 the fused rowwise dual degenerates term
+    // by term to the RHS accumulation pass A already did —
+    // `acc = r·0 + r·0 = +0.0`, `resid = y − 0.0 = y` bitwise — so the
+    // first dual of every wave is free.
+    let mut x = [Lanes::default(); 2];
+    scratch.dual = [rhs0, rhs1];
+    while advance_lanes(
+        &mut st,
+        &mut x,
+        &mut scratch.dual,
+        &scratch.pass_a,
+        &lens,
+        opts,
+    ) {
+        #[cfg(test)]
+        SWEEPS.with(|n| n.set(n.get() + 1));
+        sweep(ks, ls, beta2, x[0], x[1], &mut scratch.dual);
     }
+    let [x0, x1] = x;
 
     // Lane results: `nnls_with`'s exit-path residual (`NnlsSolution::
     // residual_ss`) is never read by the fit — it recomputes the
@@ -1329,16 +1516,7 @@ fn advance_lane(
 ) {
     let mut x = [*x0, *x1];
     loop {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, &wi) in w.iter().enumerate() {
-            if !st.passive[i] && !st.rejected[i] && wi > opts.tolerance {
-                match best {
-                    Some((_, bw)) if bw >= wi => {}
-                    _ => best = Some((i, wi)),
-                }
-            }
-        }
-        let Some((enter, _)) = best else {
+        let Some(enter) = entering(st, w, opts.tolerance) else {
             st.running = false; // converged: KKT satisfied
             break;
         };
@@ -1528,16 +1706,20 @@ mod tests {
         assert_eq!((one_lane, lone), (75, 18));
     }
 
-    /// A wave's first dual sweep is free (it is pass A's RHS), and a
-    /// lane whose columns are all passive or rejected converges without
-    /// the sweep `nnls_with` would spend on a scan that cannot pick a
-    /// column. A typical candidate enters one column on the free sweep
-    /// and the other on one full sweep, so the warm lone-job refit runs
-    /// about one full sweep per wave, not two.
+    /// A wave's first dual is free (it is pass A's RHS), and a lane
+    /// whose columns are all passive or rejected converges without the
+    /// sweep `nnls_with` would spend on a scan that cannot pick a column.
+    /// Every other dual the warm lone-job refit needs is certified from
+    /// the Gram, so it runs no full sweep at all. With certificates
+    /// refused it runs one per wave: a typical candidate enters one
+    /// column on the free dual and the other on one full sweep.
     #[test]
-    fn dead_dual_sweeps_are_skipped() {
-        let (waves, sweeps) = warm_refit_waves(&history(400), 1);
-        assert_eq!((waves, sweeps), (18, 18));
+    fn certified_duals_leave_no_sweep() {
+        assert_eq!(warm_refit_waves(&history(400), 1), (18, 0));
+        ALWAYS_SWEEP.with(|a| a.set(true));
+        let swept = warm_refit_waves(&history(400), 1);
+        ALWAYS_SWEEP.with(|a| a.set(false));
+        assert_eq!(swept, (18, 18));
     }
 
     /// On an avx512f host `fit_batch` never runs the portable wave body,
@@ -1616,16 +1798,21 @@ mod tests {
         }
     }
 
-    /// Whole `fit_batch` calls through both compilations of the wave
-    /// body: a lone job (its look-ahead fills every lane), then ragged
-    /// groups of twelve series (a full group plus four) holding a flat
-    /// `hi == 0` history, a too-short one, both overflow cases and a
-    /// rising curve, refit warm as every history grows. Result bits,
-    /// session state and telemetry must agree. On a host without
-    /// avx512f both runs take the portable body, so the test is only
-    /// meaningful on an avx512f host.
-    #[test]
-    fn whole_fits_match_across_compilations() {
+    /// Result bits, session state, telemetry summary and full dual
+    /// sweeps of whole `fit_batch` calls, with `set(true)` in force
+    /// during them: a lone job (its look-ahead fills every lane), then
+    /// ragged groups of twelve series (a full group plus four) holding a
+    /// flat `hi == 0` history, a too-short one, both overflow cases and
+    /// a rising curve, refit warm as every history grows.
+    #[allow(clippy::type_complexity)]
+    fn whole_fits(
+        set: impl Fn(bool),
+    ) -> (
+        Vec<Result<[u64; 5], FitError>>,
+        String,
+        optimus_telemetry::TelemetrySummary,
+        usize,
+    ) {
         let long = history(400);
         let mut series: Vec<Vec<LossSample>> = (0..6)
             .map(|i| {
@@ -1655,57 +1842,340 @@ mod tests {
                 .collect(),
         );
         series.push(history(300));
-        let run = |portable: bool| {
-            PORTABLE.with(|p| p.set(portable));
-            let tel = Telemetry::enabled();
-            let fitter = LossCurveFitter::new().with_telemetry(tel.clone());
-            let mut lone = FitSession::new();
-            let mut sessions: Vec<FitSession> = series.iter().map(|_| FitSession::new()).collect();
-            let mut scratch = BatchScratch::new();
-            let mut out = Vec::new();
-            let mut prev = 0;
-            for n in [30, 90, 200, 400] {
-                let raw = &long[..n];
-                let mut one = [BatchFitJob {
-                    fitter: &fitter,
-                    raw,
-                    stable_prefix: prev,
-                    session: &mut lone,
-                }];
-                fit_batch(&mut one, &mut scratch, &mut out);
-                let mut jobs: Vec<BatchFitJob<'_>> = series
-                    .iter()
-                    .zip(sessions.iter_mut())
-                    .map(|(raw, session)| BatchFitJob {
-                        fitter: &fitter,
-                        raw: &raw[..n.min(raw.len())],
-                        stable_prefix: prev.min(raw.len()),
-                        session,
-                    })
-                    .collect();
-                fit_batch(&mut jobs, &mut scratch, &mut out);
-                prev = n;
-            }
-            PORTABLE.with(|p| p.set(false));
-            let results: Vec<_> = out
+        set(true);
+        let sweeps = SWEEPS.with(|n| n.get());
+        let tel = Telemetry::enabled();
+        let fitter = LossCurveFitter::new().with_telemetry(tel.clone());
+        let mut lone = FitSession::new();
+        let mut sessions: Vec<FitSession> = series.iter().map(|_| FitSession::new()).collect();
+        let mut scratch = BatchScratch::new();
+        let mut out = Vec::new();
+        let mut prev = 0;
+        for n in [30, 90, 200, 400] {
+            let raw = &long[..n];
+            let mut one = [BatchFitJob {
+                fitter: &fitter,
+                raw,
+                stable_prefix: prev,
+                session: &mut lone,
+            }];
+            fit_batch(&mut one, &mut scratch, &mut out);
+            let mut jobs: Vec<BatchFitJob<'_>> = series
                 .iter()
-                .map(|r| match r {
-                    Ok(m) => {
-                        Ok([m.beta0, m.beta1, m.beta2, m.scale, m.residual_ss].map(f64::to_bits))
-                    }
-                    Err(e) => Err(e.clone()),
+                .zip(sessions.iter_mut())
+                .map(|(raw, session)| BatchFitJob {
+                    fitter: &fitter,
+                    raw: &raw[..n.min(raw.len())],
+                    stable_prefix: prev.min(raw.len()),
+                    session,
                 })
                 .collect();
-            let state = format!("{lone:?} {sessions:?}");
-            (results, state, tel.summary())
-        };
-        let portable = run(true);
-        let dispatched = run(false);
-        assert!(portable.0.iter().any(Result::is_ok));
-        assert!(portable.0.iter().any(Result::is_err));
+            fit_batch(&mut jobs, &mut scratch, &mut out);
+            prev = n;
+        }
+        let sweeps = SWEEPS.with(|n| n.get()) - sweeps;
+        set(false);
+        let results: Vec<_> = out
+            .iter()
+            .map(|r| match r {
+                Ok(m) => Ok([m.beta0, m.beta1, m.beta2, m.scale, m.residual_ss].map(f64::to_bits)),
+                Err(e) => Err(e.clone()),
+            })
+            .collect();
+        assert!(results.iter().any(Result::is_ok));
+        assert!(results.iter().any(Result::is_err));
+        let state = format!("{lone:?} {sessions:?}");
+        (results, state, tel.summary(), sweeps)
+    }
+
+    /// Whole fits through both compilations of the wave body agree. On a
+    /// host without avx512f both runs take the portable body, so the
+    /// test is only meaningful on an avx512f host.
+    #[test]
+    fn whole_fits_match_across_compilations() {
+        let portable = whole_fits(|on| PORTABLE.with(|p| p.set(on)));
+        let dispatched = whole_fits(|_| {});
         assert_eq!(portable.0, dispatched.0, "result bits");
         assert_eq!(portable.1, dispatched.1, "session state");
         assert_eq!(portable.2, dispatched.2, "telemetry");
+    }
+
+    /// Whole fits agree whether the certificate stands in for sweeps or
+    /// every dual after a wave's first is swept, and the certificate
+    /// leaves fewer sweeps.
+    #[test]
+    fn whole_fits_match_with_and_without_the_certificate() {
+        let swept = whole_fits(|on| ALWAYS_SWEEP.with(|a| a.set(on)));
+        let certified = whole_fits(|_| {});
+        assert_eq!(swept.0, certified.0, "result bits");
+        assert_eq!(swept.1, certified.1, "session state");
+        assert_eq!(swept.2, certified.2, "telemetry");
+        assert!(
+            certified.3 < swept.3,
+            "sweeps {} vs {}",
+            certified.3,
+            swept.3
+        );
+    }
+
+    /// The decisions `advance_lane` takes on dual `w`: the scan's
+    /// entering column, and the rescan's after that column is rejected.
+    fn scans(st: &LaneNnls, w: [f64; 2], tolerance: f64) -> [Option<usize>; 2] {
+        let first = entering(st, w, tolerance);
+        let rescan = first.and_then(|i| {
+            let mut st = st.clone();
+            st.rejected[i] = true;
+            entering(&st, w, tolerance)
+        });
+        [first, rescan]
+    }
+
+    /// Lane states a scan can meet: both columns open (as after an
+    /// interpolation empties P), one passive, one rejected.
+    const OPEN_STATES: [([bool; 2], [bool; 2]); 5] = [
+        ([false, false], [false, false]),
+        ([true, false], [false, false]),
+        ([false, true], [false, false]),
+        ([false, false], [true, false]),
+        ([false, false], [false, true]),
+    ];
+
+    /// Certified and fallback lane checks of [`check_duals`].
+    #[derive(Default)]
+    struct Tally {
+        certified: usize,
+        fallback: usize,
+    }
+
+    /// Runs pass A and a real sweep at `(β₂, x)` on every lane of a
+    /// gathered scratch, and checks each lane's Gram-form dual against
+    /// the sweep's: the bound holds wherever it is finite, and in every
+    /// state of [`OPEN_STATES`] a certified lane's scans decide as on
+    /// the sweep's dual.
+    fn check_duals(
+        scratch: &BatchScratch,
+        max_len: usize,
+        beta2: Lanes,
+        x: [Lanes; 2],
+        tally: &mut Tally,
+    ) {
+        let width = max_len * LANES;
+        let (ks, ls) = (&scratch.ks[..width], &scratch.ls[..width]);
+        let mut sums = PassA::default();
+        pass_a(ks, ls, beta2, &mut sums);
+        let mut swept = [Lanes::default(); 2];
+        sweep(ks, ls, beta2, x[0], x[1], &mut swept);
+        let tolerance = NnlsOptions::default().tolerance;
+        let (wg, eg) = gram_dual(&sums, x, Lanes(scratch.lens.map(|n| n as f64)));
+        for j in 0..LANES {
+            let lane = |v: [Lanes; 2]| [v[0].0[j], v[1].0[j]];
+            let (w, e, ws) = (lane(wg), lane(eg), lane(swept));
+            for i in 0..2 {
+                assert!(
+                    !e[i].is_finite() || (ws[i] - w[i]).abs() <= e[i],
+                    "lane {j} column {i}: sweep {} Gram {} bound {}",
+                    ws[i],
+                    w[i],
+                    e[i]
+                );
+            }
+            for (passive, rejected) in OPEN_STATES {
+                let st = LaneNnls {
+                    passive,
+                    rejected,
+                    running: true,
+                    ..LaneNnls::default()
+                };
+                if certifies(&st, w, e, tolerance) {
+                    tally.certified += 1;
+                    assert_eq!(
+                        scans(&st, w, tolerance),
+                        scans(&st, ws, tolerance),
+                        "lane {j} state {passive:?}/{rejected:?}: Gram {w:?} ± {e:?}, sweep {ws:?}"
+                    );
+                } else {
+                    tally.fallback += 1;
+                }
+            }
+        }
+    }
+
+    /// Checks the certificate over a gathered group of eight series:
+    /// at the x values a real lockstep Lawson–Hanson pass reaches (the
+    /// sweep's dual driving it), at each lane's least-squares solutions,
+    /// at x placing a dual within a few ulps of the tolerance, and at
+    /// tiny x whose row products underflow and huge x past the limit.
+    fn check_group(raws: &[Vec<LossSample>], tally: &mut Tally) {
+        let refs: Vec<&[LossSample]> = raws.iter().map(Vec::as_slice).collect();
+        let (scratch, max_len) = gathered(&refs);
+        let width = max_len * LANES;
+        let (ks, ls) = (&scratch.ks[..width], &scratch.ls[..width]);
+        let opts = NnlsOptions::default();
+        let hi: [f64; LANES] = std::array::from_fn(|j| {
+            let min = refs[j % refs.len()]
+                .iter()
+                .map(|&(_, l)| l)
+                .fold(f64::INFINITY, f64::min);
+            (min - 1e-9).max(0.0)
+        });
+        // Grid candidates, and β₂ leaving the smallest gap just above or
+        // at 1e-9.
+        let fractions = [0.0, 0.25, 0.5, 0.75, 30.0 / 31.0, 1.0];
+        for (f, &frac) in fractions.iter().enumerate() {
+            let beta2 = Lanes(std::array::from_fn(|j| {
+                let b = hi[j] * frac;
+                if f + 1 == fractions.len() && j % 2 == 1 {
+                    b - 1e-9 * (j as f64 / 8.0)
+                } else {
+                    b
+                }
+            }));
+            let mut sums = PassA::default();
+            pass_a(ks, ls, beta2, &mut sums);
+
+            // The lockstep pass as `eval_wave_body` runs it, every dual
+            // from a real sweep.
+            let mut st: [LaneNnls; LANES] = Default::default();
+            for (j, l) in st.iter_mut().enumerate() {
+                l.running =
+                    sums.kept.0[j] >= 2.0 && sums.g00.0[j].is_finite() && sums.g11.0[j].is_finite();
+            }
+            let mut x = [Lanes::default(); 2];
+            let mut dual = [sums.rhs0, sums.rhs1];
+            for _ in 0..8 {
+                let [w0, w1] = dual;
+                for (j, st) in st.iter_mut().enumerate() {
+                    if st.running {
+                        let [x0, x1] = &mut x;
+                        advance_lane(
+                            st,
+                            &mut x0.0[j],
+                            &mut x1.0[j],
+                            [w0.0[j], w1.0[j]],
+                            [sums.g00.0[j], sums.g01.0[j], sums.g11.0[j]],
+                            [sums.rhs0.0[j], sums.rhs1.0[j]],
+                            scratch.lens[j],
+                            opts,
+                        );
+                    }
+                }
+                if !st.iter().any(|l| l.running) {
+                    break;
+                }
+                check_duals(&scratch, max_len, beta2, x, tally);
+                sweep(ks, ls, beta2, x[0], x[1], &mut dual);
+            }
+
+            // Least-squares solutions on P = {0}, {1}; x placing one
+            // column's dual a few ulps either side of the tolerance; x
+            // making the two duals tie, for the two-candidate argmax.
+            let lane = |f: &dyn Fn(usize) -> f64| Lanes(std::array::from_fn(f));
+            let zero = Lanes::default();
+            let t = opts.tolerance;
+            let (g, rhs) = ([sums.g00, sums.g01, sums.g11], [sums.rhs0, sums.rhs1]);
+            let mut xs = vec![
+                [lane(&|j| rhs[0].0[j] / g[0].0[j]), zero],
+                [zero, lane(&|j| rhs[1].0[j] / g[2].0[j])],
+            ];
+            for ulps in [-3.0, -1.0, 0.0, 1.0, 3.0] {
+                let nudge = 1.0 + ulps * f64::EPSILON;
+                let tie0 = |j: usize| (rhs[0].0[j] - rhs[1].0[j]) / (g[0].0[j] - g[1].0[j]);
+                let tie1 = |j: usize| (rhs[1].0[j] - rhs[0].0[j]) / (g[2].0[j] - g[1].0[j]);
+                xs.extend([
+                    [lane(&|j| (rhs[1].0[j] - t) / g[1].0[j] * nudge), zero],
+                    [zero, lane(&|j| (rhs[0].0[j] - t) / g[1].0[j] * nudge)],
+                    [lane(&|j| tie0(j) * nudge), zero],
+                    [zero, lane(&|j| tie1(j) * nudge)],
+                ]);
+            }
+            for tiny in [5e-324, 1e-310, 1e-300, 1e290] {
+                xs.push([
+                    lane(&|j| tiny * (j + 1) as f64),
+                    lane(&|j| tiny / (j + 1) as f64),
+                ]);
+            }
+            for x in xs {
+                check_duals(&scratch, max_len, beta2, x, tally);
+            }
+        }
+    }
+
+    /// Past `DUAL_LIMIT`, or on NaN, the bound is infinite, so nothing
+    /// that could overflow a sweep step is certified; below it, finite.
+    #[test]
+    fn gram_dual_refuses_what_could_overflow() {
+        let splat = |v| Lanes([v; LANES]);
+        let sums = PassA {
+            g00: splat(1e200),
+            g01: splat(1.0),
+            g11: splat(1.0),
+            rhs0: splat(1.0),
+            rhs1: splat(1.0),
+            ..PassA::default()
+        };
+        let bound = |x0: f64| gram_dual(&sums, [splat(x0), splat(0.0)], splat(400.0)).1;
+        assert!(bound(1e99)
+            .iter()
+            .all(|e| e.0.iter().all(|e| e.is_finite())));
+        for x0 in [1e101, f64::INFINITY, f64::NAN] {
+            assert!(bound(x0).iter().all(|e| e.0 == [f64::INFINITY; LANES]));
+        }
+    }
+
+    /// The certificate is sound: wherever it stands in for a sweep, the
+    /// scans decide exactly as on the sweep's dual, and its bound holds.
+    /// Random histories at scales from 1e-6 to 1e6, then adversarial
+    /// ones: losses small enough that the duals sit near the tolerance,
+    /// huge step indices that bring the Gram near overflow, and both
+    /// overflow cases. Both branches must run.
+    #[test]
+    fn certified_duals_decide_as_the_sweep() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut unit = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut tally = Tally::default();
+        for _ in 0..24 {
+            let raws: Vec<Vec<LossSample>> = (0..LANES)
+                .map(|_| {
+                    let n = 3 + (unit() * 400.0) as usize;
+                    let stride = 1 + (unit() * 50.0) as u64;
+                    let scale = 10f64.powf(unit() * 12.0 - 6.0);
+                    let (b0, b1, b2) = (0.01 + unit(), 0.5 + 2.0 * unit(), unit());
+                    (0..n as u64)
+                        .map(|i| {
+                            let k = i * stride;
+                            let l = 1.0 / (b0 * k as f64 + b1) + b2;
+                            let spike = if unit() < 0.02 { 5.0 } else { 1.0 };
+                            (k, scale * l * spike * (1.0 + 0.1 * (unit() - 0.5)))
+                        })
+                        .collect()
+                })
+                .collect();
+            check_group(&raws, &mut tally);
+        }
+        for e in [-9, -7, -5, 40, 60, 65, 70, 72, 74, 76, 80] {
+            let scale = 10f64.powi(e);
+            let stride = if e > 0 { 10u64.pow(15) } else { 1 };
+            let raws: Vec<Vec<LossSample>> = (0..LANES)
+                .map(|j| {
+                    history(40 + 50 * j)
+                        .iter()
+                        .map(|&(k, l)| (k * stride, scale * l * (1.0 + 0.1 * j as f64)))
+                        .collect()
+                })
+                .collect();
+            check_group(&raws, &mut tally);
+        }
+        assert!(
+            tally.certified > 0 && tally.fallback > 0,
+            "{} lane checks certified, {} fell back",
+            tally.certified,
+            tally.fallback
+        );
     }
 
     /// A scratch holding `raws` gathered as `fit_group` deals them (lane

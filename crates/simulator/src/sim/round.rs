@@ -173,7 +173,7 @@ impl SchedulerRound {
             // of 60 epochs before the first successful fit.
             let default_remaining = (60.0 * spe) as u64;
             let mut remaining = job.convergence.remaining_steps_or(default_remaining) as f64;
-            let mut speed = job.speed_model.clone();
+            let mut speed = job.speed_model.predictor();
             let mut progress = job.estimated_progress();
             if let Some(inject) = cfg.inject {
                 // Fig 15: feed truth × (1 ± e·(1−progress)) instead.

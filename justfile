@@ -53,7 +53,10 @@ bench-alloc:
 # compilations of its wave body (portable, and avx512f on hosts that
 # have it) are vectorized: they check the two against each other wave
 # by wave and over whole `fit_batch` calls, which `just test`'s debug
-# build cannot.
+# build cannot. They also check the Gram-form dual certificate against
+# real dual sweeps on random and adversarial lanes
+# (`certified_duals_decide_as_the_sweep`) and whole `fit_batch` calls
+# with certificates on and off.
 equivalence:
     cargo test --release -p optimus-core --test equivalence
     cargo test --release -p optimus-ps --test chunk_rebalance
