@@ -130,11 +130,7 @@ impl EventLog {
 
     /// Serializes the log as JSON lines (one event per line).
     pub fn to_json_lines(&self) -> String {
-        self.events
-            .iter()
-            .map(|e| serde_json::to_string(e).expect("SimEvent serializes"))
-            .collect::<Vec<_>>()
-            .join("\n")
+        json_lines(self.events.iter())
     }
 
     /// Serializes only the *schedule stream* — the per-round placement
@@ -143,20 +139,28 @@ impl EventLog {
     /// the run ledger hashes alongside the full event log: two runs
     /// whose schedule streams hash identically made the same decisions.
     pub fn schedule_stream_json_lines(&self) -> String {
-        self.events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e.kind,
-                    SimEventKind::JobScheduled { .. }
-                        | SimEventKind::JobPaused { .. }
-                        | SimEventKind::ChunksRebalanced { .. }
-                )
-            })
-            .map(|e| serde_json::to_string(e).expect("SimEvent serializes"))
-            .collect::<Vec<_>>()
-            .join("\n")
+        json_lines(self.events.iter().filter(|e| {
+            matches!(
+                e.kind,
+                SimEventKind::JobScheduled { .. }
+                    | SimEventKind::JobPaused { .. }
+                    | SimEventKind::ChunksRebalanced { .. }
+            )
+        }))
     }
+}
+
+/// The events as JSON lines joined by newlines, with no newline after
+/// the last.
+fn json_lines<'a>(events: impl Iterator<Item = &'a SimEvent>) -> String {
+    let mut out = String::new();
+    for (i, e) in events.enumerate() {
+        if i > 0 {
+            out.push('\n');
+        }
+        e.write_json(&mut out);
+    }
+    out
 }
 
 #[cfg(test)]

@@ -190,7 +190,7 @@ impl FlightLog {
     pub fn to_json_lines(&self) -> String {
         let mut out = String::new();
         for snap in &self.snapshots {
-            out.push_str(&serde_json::to_string(snap).expect("snapshot serializes"));
+            snap.write_json(&mut out);
             out.push('\n');
         }
         out

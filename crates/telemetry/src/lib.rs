@@ -257,12 +257,8 @@ impl Telemetry {
     /// decision records and spans first (in their own orders), then the
     /// final counter/gauge/histogram snapshot.
     pub fn to_json_lines(&self) -> String {
-        let lines = self.with_state(trace::snapshot_lines).unwrap_or_default();
         let mut out = String::new();
-        for line in &lines {
-            out.push_str(&serde_json::to_string(line).expect("trace line serializes"));
-            out.push('\n');
-        }
+        self.with_state(|s| trace::write_json_lines(s, false, &mut out));
         out
     }
 
@@ -277,12 +273,8 @@ impl Telemetry {
     /// the stream the run ledger hashes and `optimus-trace diff`
     /// compares.
     pub fn to_canonical_json_lines(&self) -> String {
-        let lines = self.with_state(trace::snapshot_lines).unwrap_or_default();
         let mut out = String::new();
-        for line in &trace::canonical_lines(&lines) {
-            out.push_str(&serde_json::to_string(line).expect("trace line serializes"));
-            out.push('\n');
-        }
+        self.with_state(|s| trace::write_json_lines(s, true, &mut out));
         out
     }
 

@@ -320,12 +320,13 @@ impl Telemetry {
     /// so it is canonical as-is — the run ledger hashes these bytes
     /// directly.
     pub fn why_json_lines(&self) -> String {
-        let records = self.why_records();
         let mut out = String::new();
-        for rec in &records {
-            out.push_str(&serde_json::to_string(rec).expect("why record serializes"));
-            out.push('\n');
-        }
+        self.with_state(|s| {
+            for rec in s.why.values() {
+                rec.write_json(&mut out);
+                out.push('\n');
+            }
+        });
         out
     }
 }

@@ -10,6 +10,7 @@ use crate::metrics::Histogram;
 use crate::span::SpanRecord;
 use crate::State;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Version of the JSONL trace schema. Every exported [`TraceLine`]
 /// carries it as `"v"`, so tools can detect traces written by an
@@ -304,61 +305,193 @@ pub(crate) fn snapshot_lines(state: &mut State) -> Vec<TraceLine> {
             event: r.event.clone(),
         });
     }
-    for s in &state.spans {
-        lines.push(TraceLine::from_span(s));
-    }
-    for (name, &value) in &state.counters {
-        lines.push(TraceLine::Counter {
-            v: Some(SCHEMA_VERSION),
-            name: name.clone(),
-            value,
-        });
-    }
-    for (name, &value) in &state.gauges {
-        lines.push(TraceLine::Gauge {
-            v: Some(SCHEMA_VERSION),
-            name: name.clone(),
-            value,
-        });
-    }
-    for (name, h) in &state.histograms {
-        lines.push(TraceLine::from_histogram(name, h));
-    }
+    lines.extend(state.spans.iter().map(TraceLine::from_span));
+    lines.extend(metric_lines(state));
     lines
+}
+
+/// The counter, gauge and histogram lines, in that order, each kind
+/// name-sorted.
+fn metric_lines(state: &State) -> impl Iterator<Item = TraceLine> + '_ {
+    let counters = state
+        .counters
+        .iter()
+        .map(|(name, &value)| TraceLine::Counter {
+            v: Some(SCHEMA_VERSION),
+            name: name.clone(),
+            value,
+        });
+    let gauges = state.gauges.iter().map(|(name, &value)| TraceLine::Gauge {
+        v: Some(SCHEMA_VERSION),
+        name: name.clone(),
+        value,
+    });
+    let histograms = state
+        .histograms
+        .iter()
+        .map(|(name, h)| TraceLine::from_histogram(name, h));
+    counters.chain(gauges).chain(histograms)
+}
+
+/// Appends [`snapshot_lines`] as JSON lines, or only their canonical
+/// form (`canonical_line`) when `canonical` is set: the same bytes as
+/// serializing each (canonicalized) snapshot line and a newline, but
+/// written straight from the recorder's state, with no copy of its
+/// decision records.
+pub(crate) fn write_json_lines(state: &State, canonical: bool, out: &mut String) {
+    fn as_is(line: Line<'_>) -> Option<Line<'_>> {
+        Some(line)
+    }
+    let rule: fn(Line<'_>) -> Option<Line<'_>> = if canonical { canonical_line } else { as_is };
+    for r in &state.records {
+        let line = Line::Event {
+            v: Some(SCHEMA_VERSION),
+            seq: r.seq,
+            t_us: r.t_us,
+            event: Cow::Borrowed(&r.event),
+        };
+        if let Some(Line::Event {
+            v,
+            seq,
+            t_us,
+            event,
+        }) = rule(line)
+        {
+            write_event_line(v, seq, t_us, &event, out);
+        }
+    }
+    if rule(Line::Span).is_some() {
+        for s in &state.spans {
+            push_line(&TraceLine::from_span(s), out);
+        }
+    }
+    for line in metric_lines(state) {
+        if rule(line.borrowed()).is_some() {
+            push_line(&line, out);
+        }
+    }
+}
+
+/// Appends one line of JSON and its newline.
+fn push_line(line: &TraceLine, out: &mut String) {
+    line.write_json(out);
+    out.push('\n');
+}
+
+/// Appends the JSON line [`TraceLine::Event`] serializes to, from the
+/// record's parts (`trace::tests` pins the two to the same bytes).
+fn write_event_line(v: Option<u32>, seq: u64, t_us: u64, event: &TraceEvent, out: &mut String) {
+    out.push_str("{\"type\":\"Event\",\"v\":");
+    v.write_json(out);
+    out.push_str(",\"seq\":");
+    seq.write_json(out);
+    out.push_str(",\"t_us\":");
+    t_us.write_json(out);
+    out.push_str(",\"event\":");
+    event.write_json(out);
+    out.push_str("}\n");
+}
+
+/// One export line as `canonical_line` sees it: a decision record by
+/// its parts, borrowed from wherever it lives, or another line by kind
+/// (and, for a metric, its name).
+enum Line<'a> {
+    /// A [`TraceLine::Event`].
+    Event {
+        v: Option<u32>,
+        seq: u64,
+        t_us: u64,
+        event: Cow<'a, TraceEvent>,
+    },
+    /// A [`TraceLine::Span`].
+    Span,
+    /// A counter, gauge or histogram line, by name.
+    Metric(&'a str),
+}
+
+impl TraceLine {
+    fn borrowed(&self) -> Line<'_> {
+        match self {
+            TraceLine::Event {
+                v,
+                seq,
+                t_us,
+                event,
+            } => Line::Event {
+                v: *v,
+                seq: *seq,
+                t_us: *t_us,
+                event: Cow::Borrowed(event),
+            },
+            TraceLine::Span { .. } => Line::Span,
+            TraceLine::Counter { name, .. }
+            | TraceLine::Gauge { name, .. }
+            | TraceLine::Histogram { name, .. } => Line::Metric(name),
+        }
+    }
+}
+
+/// The canonicalization rule, one line at a time, shared by
+/// [`canonical_lines`] and [`crate::Telemetry::to_canonical_json_lines`]:
+/// spans are dropped (their timings are nondeterministic by nature), as
+/// are metrics whose name contains `"wall"`; an event keeps its
+/// sequence number, with its timestamp and a `Round`'s wall field
+/// zeroed; every other line is kept as it is.
+fn canonical_line(line: Line<'_>) -> Option<Line<'_>> {
+    match line {
+        Line::Span => None,
+        Line::Metric(name) if name.contains("wall") => None,
+        Line::Event { v, seq, event, .. } => {
+            let event = match event.as_ref() {
+                &TraceEvent::Round {
+                    round,
+                    t_s,
+                    active_jobs,
+                    ..
+                } => Cow::Owned(TraceEvent::Round {
+                    round,
+                    t_s,
+                    active_jobs,
+                    wall_us: 0,
+                }),
+                _ => event,
+            };
+            Some(Line::Event {
+                v,
+                seq,
+                t_us: 0,
+                event,
+            })
+        }
+        metric => Some(metric),
+    }
 }
 
 /// Strips everything wall-clock-dependent from export lines so two
 /// identical-config runs canonicalize to identical bytes: spans are
-/// dropped (their timings are nondeterministic by nature), event
-/// timestamps and the `Round` wall field are zeroed, and metrics whose
-/// name contains `"wall"` are removed. What survives is exactly the
-/// *decision* content of the run — the stream the run ledger hashes
-/// and `optimus-trace diff` walks.
+/// dropped, event timestamps and the `Round` wall field are zeroed, and
+/// metrics whose name contains `"wall"` are removed. What survives is
+/// exactly the *decision* content of the run — the stream the run
+/// ledger hashes and `optimus-trace diff` walks. The rule is the one
+/// [`crate::Telemetry::to_canonical_json_lines`] applies as it writes.
 pub fn canonical_lines(lines: &[TraceLine]) -> Vec<TraceLine> {
-    let mut out = Vec::with_capacity(lines.len());
-    for line in lines {
-        match line {
-            TraceLine::Span { .. } => {}
-            TraceLine::Counter { name, .. }
-            | TraceLine::Gauge { name, .. }
-            | TraceLine::Histogram { name, .. }
-                if name.contains("wall") => {}
-            TraceLine::Event { v, seq, event, .. } => {
-                let mut event = event.clone();
-                if let TraceEvent::Round { wall_us, .. } = &mut event {
-                    *wall_us = 0;
-                }
-                out.push(TraceLine::Event {
-                    v: *v,
-                    seq: *seq,
-                    t_us: 0,
-                    event,
-                });
-            }
-            other => out.push(other.clone()),
-        }
-    }
-    out
+    lines
+        .iter()
+        .filter_map(|line| match canonical_line(line.borrowed())? {
+            Line::Event {
+                v,
+                seq,
+                t_us,
+                event,
+            } => Some(TraceLine::Event {
+                v,
+                seq,
+                t_us,
+                event: event.into_owned(),
+            }),
+            Line::Span | Line::Metric(_) => Some(line.clone()),
+        })
+        .collect()
 }
 
 /// Renders export lines as a Chrome `trace_event` JSON document: spans
@@ -431,5 +564,125 @@ fn event_name(event: &TraceEvent) -> &'static str {
         TraceEvent::Round { .. } => "Round",
         TraceEvent::JobEvent { .. } => "JobEvent",
         TraceEvent::EstimatorSample { .. } => "EstimatorSample",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Telemetry;
+
+    /// One event of every kind, with floats, escapes and empty vectors.
+    fn every_event() -> Vec<TraceEvent> {
+        vec![
+            TraceEvent::AllocGrant {
+                round: 3,
+                job: 1,
+                action: "worker".into(),
+                gain: 0.125,
+                ps: 1,
+                workers: 2,
+            },
+            TraceEvent::AllocRound {
+                round: 3,
+                jobs: 4,
+                granted: 9,
+                evals: 40,
+            },
+            TraceEvent::Placement {
+                job: 1,
+                ps: 1,
+                workers: 2,
+                servers: 1,
+                shrunk: 0,
+            },
+            TraceEvent::ConvergenceFit {
+                job: 2,
+                coeffs: vec![1e-5, 0.5, f64::NAN],
+                residual: 3.0,
+                samples: 12,
+            },
+            TraceEvent::SpeedFit {
+                job: 2,
+                coeffs: vec![],
+                residual: -0.0,
+                samples: 0,
+            },
+            TraceEvent::FitFailure {
+                job: 0,
+                what: "nnls".into(),
+                reason: "bad \"row\"\n\u{1}é".into(),
+            },
+            TraceEvent::Round {
+                round: 7,
+                t_s: 4200.5,
+                active_jobs: 3,
+                wall_us: 1234,
+            },
+            TraceEvent::JobEvent {
+                t_s: 60.0,
+                job: 5,
+                what: "scheduled 4x8".into(),
+            },
+            TraceEvent::EstimatorSample {
+                round: 2,
+                job: 5,
+                model: "speed".into(),
+                predicted: f64::INFINITY,
+                realized: 1.5,
+                rel_err: 9.0e15,
+            },
+        ]
+    }
+
+    #[test]
+    fn event_lines_write_like_the_derived_trace_line() {
+        for (seq, event) in every_event().into_iter().enumerate() {
+            for v in [Some(SCHEMA_VERSION), None] {
+                let line = TraceLine::Event {
+                    v,
+                    seq: seq as u64,
+                    t_us: 99 + seq as u64,
+                    event: event.clone(),
+                };
+                let mut direct = String::new();
+                write_event_line(v, seq as u64, 99 + seq as u64, &event, &mut direct);
+                let expected = serde::value::render(&line.to_value(), None, 0) + "\n";
+                assert_eq!(direct, expected);
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_export_matches_the_snapshot_line_by_line() {
+        let tel = Telemetry::enabled();
+        for event in every_event() {
+            tel.span("sim.round").end();
+            tel.record(event);
+        }
+        tel.add("alloc.rounds", 3);
+        tel.add("sim.wall_total_us", 77);
+        tel.gauge("audit.speed.calibration", 0.875);
+        tel.gauge("sim.wall_rate", 1.5);
+        tel.observe("nnls.iterations", 4.0);
+        tel.observe("sim.round_wall_us", 1234.0);
+
+        let render = |lines: &[TraceLine]| -> String {
+            lines
+                .iter()
+                .map(|l| serde::value::render(&l.to_value(), None, 0) + "\n")
+                .collect()
+        };
+        let snapshot = tel.with_state(snapshot_lines).unwrap();
+        assert_eq!(tel.to_json_lines(), render(&snapshot));
+        let canonical = canonical_lines(&snapshot);
+        assert_eq!(tel.to_canonical_json_lines(), render(&canonical));
+
+        // The rule did what it says: no spans or wall metrics, and no
+        // timestamps or round wall times.
+        assert_eq!(canonical.len(), every_event().len() + 3);
+        let text = tel.to_canonical_json_lines();
+        assert!(!text.contains("Span") && !text.contains("_wall") && !text.contains("1234"));
+        assert_eq!(render(&canonical_lines(&canonical)), text, "idempotent");
     }
 }

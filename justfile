@@ -56,7 +56,12 @@ bench-alloc:
 # build cannot. They also check the Gram-form dual certificate against
 # real dual sweeps on random and adversarial lanes
 # (`certified_duals_decide_as_the_sweep`) and whole `fit_batch` calls
-# with certificates on and off.
+# with certificates on and off. Last, the JSON writers: every derive
+# shape and value edge case of `Serialize::write_json` against the
+# `Value`-tree renderer it replaced, the streaming trace export against
+# the trace snapshot, and every record of every ledger artifact of a
+# run with stragglers, rebalances and a server failure
+# (`streamed_artifacts_match_their_value_trees`).
 equivalence:
     cargo test --release -p optimus-core --test equivalence
     cargo test --release -p optimus-ps --test chunk_rebalance
@@ -65,6 +70,9 @@ equivalence:
     cargo test --release -p optimus-fitting --lib batch::
     cargo test --release -p optimus-simulator --test equivalence
     cargo test --release -p optimus-simulator --test event_determinism
+    cargo test --release -p serde --test write_json
+    cargo test --release -p optimus-telemetry --lib trace::
+    cargo test --release --test ledger_diff streamed_artifacts_match_their_value_trees
 
 # Ledger smoke: two identical small runs must produce byte-identical
 # artifacts — `optimus-trace diff` exits non-zero if they diverge — and

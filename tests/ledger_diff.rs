@@ -188,3 +188,120 @@ fn production_ledger_matches_the_full_rounds_oracle() {
     let _ = std::fs::remove_dir_all(&dir_delta);
     let _ = std::fs::remove_dir_all(&dir_full);
 }
+
+/// `value::render` of `x`'s `Value` tree: the tree path every artifact
+/// record took before records were written straight into strings.
+fn rendered<T: serde::Serialize>(x: &T) -> String {
+    serde::value::render(&x.to_value(), None, 0)
+}
+
+/// Each rendered record followed by a newline.
+fn rendered_lines<'a, T: serde::Serialize + 'a>(items: impl IntoIterator<Item = &'a T>) -> String {
+    items.into_iter().map(|x| rendered(x) + "\n").collect()
+}
+
+/// The artifact exporters write records straight into one string
+/// (`Serialize::write_json` and the streaming trace writer). On a run
+/// with stragglers, chunk rebalances and a server failure, every
+/// record of every artifact must come out as its `Value` tree renders,
+/// and the canonical trace must equal `canonical_lines` of the full
+/// export, rendered line by line.
+#[test]
+fn streamed_artifacts_match_their_value_trees() {
+    use optimus::ps::StragglerPolicy;
+    use optimus::simulator::{SimEvent, SimEventKind};
+    use optimus::telemetry::trace::canonical_lines;
+    use optimus::telemetry::TraceLine;
+
+    let jobs = WorkloadGenerator::new(ArrivalProcess::paper_default(8), 11)
+        .with_target_job_seconds(Some(1_800.0))
+        .generate();
+    let tel = Telemetry::enabled();
+    tel.enable_provenance();
+    let cfg = SimConfig {
+        interval_s: 120.0,
+        seed: 11,
+        assignment: AssignmentPolicy::Paa,
+        straggler: StragglerPolicy::with_injection(0.002),
+        server_failures: vec![(600.0, ServerId(3))],
+        record_events: true,
+        telemetry: tel.clone(),
+        flight: Some(FlightConfig::default()),
+        ..SimConfig::default()
+    };
+    let report = Simulation::new(
+        Cluster::paper_testbed(),
+        jobs,
+        Box::new(OptimusScheduler::build_with_telemetry(tel.clone())),
+        cfg,
+    )
+    .run();
+    assert!(report.straggler_replacements > 0, "stragglers replaced");
+    assert!(report.chunks_moved > 0, "chunks rebalanced");
+    assert!(
+        report.events.all().last().is_some_and(|e| e.t > 600.0),
+        "the run outlives the server failure"
+    );
+
+    // events.jsonl and schedule.jsonl: newline-joined, no final newline.
+    let joined = |events: Vec<&SimEvent>| -> String {
+        events
+            .into_iter()
+            .map(rendered)
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let events = report.events.all();
+    assert_eq!(
+        report.events.to_json_lines(),
+        joined(events.iter().collect())
+    );
+    let schedule = events.iter().filter(|e| {
+        matches!(
+            e.kind,
+            SimEventKind::JobScheduled { .. }
+                | SimEventKind::JobPaused { .. }
+                | SimEventKind::ChunksRebalanced { .. }
+        )
+    });
+    assert_eq!(
+        report.events.schedule_stream_json_lines(),
+        joined(schedule.collect())
+    );
+
+    // jct.jsonl, flight.jsonl and provenance.jsonl.
+    for b in &report.breakdown {
+        assert_eq!(serde_json::to_string(b).unwrap(), rendered(b));
+    }
+    let flight = report.flight.as_ref().expect("flight recorder on");
+    assert!(!flight.snapshots.is_empty());
+    assert_eq!(flight.to_json_lines(), rendered_lines(&flight.snapshots));
+    let why = tel.why_records();
+    assert!(!why.is_empty());
+    assert_eq!(tel.why_json_lines(), rendered_lines(&why));
+
+    // trace.jsonl: the full export line by line, holding exactly the
+    // recorded decisions, then its canonical form.
+    let full = tel.to_json_lines();
+    let snapshot: Vec<TraceLine> = full
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("trace line parses"))
+        .collect();
+    assert_eq!(full, rendered_lines(&snapshot));
+    let recorded: Vec<(u64, u64)> = tel.records().iter().map(|r| (r.seq, r.t_us)).collect();
+    let exported: Vec<(u64, u64)> = snapshot
+        .iter()
+        .filter_map(|l| match l {
+            TraceLine::Event { seq, t_us, .. } => Some((*seq, *t_us)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(exported, recorded);
+    assert_eq!(
+        tel.to_canonical_json_lines(),
+        rendered_lines(&canonical_lines(&snapshot))
+    );
+
+    // And the whole report, which nests every shape above.
+    assert_eq!(serde_json::to_string(&report).unwrap(), rendered(&report));
+}

@@ -93,3 +93,25 @@ fn check_bench_names_points_without_a_baseline() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A line nested far past the JSON parser's 128-level limit is one more
+/// unparseable line: `optimus-trace FILE` reports it and exits 1,
+/// where unbounded recursion used to abort on a stack overflow.
+#[test]
+fn deeply_nested_trace_line_is_an_error_not_a_crash() {
+    let path = std::env::temp_dir().join(format!("optimus-deep-{}.jsonl", std::process::id()));
+    std::fs::write(&path, "[".repeat(200_000) + "\n").expect("trace writes");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_optimus-trace"))
+        .arg(&path)
+        .output()
+        .expect("optimus-trace runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("no parseable trace lines (1 unparseable)"),
+        "stderr: {stderr}"
+    );
+
+    let _ = std::fs::remove_file(&path);
+}
