@@ -13,7 +13,11 @@
 //!
 //! Both must produce identical coefficient bits (asserted), and the
 //! batched timing lands in `mean_ns_optimized` so `check-bench`
-//! gates it against the history. Grid points with a `dirty` count refit
+//! gates it against the history. The batched samples' median and
+//! quartiles are recorded next to the mean, which one slow sample
+//! moves, and so are the SoA waves one batched refit runs
+//! (`waves_per_refit`): a count that moves only with the fitter's lane
+//! use, free of timing noise. Grid points with a `dirty` count refit
 //! only that many jobs — the rest sit clean in the batch, the shape the
 //! dirty-set tracking exists for. The reference is deterministic and
 //! only a speedup's numerator, so it is timed over at most
@@ -72,6 +76,12 @@ struct PointRecord {
     mean_ns_reference: u64,
     /// The batched SoA path — the gated metric.
     mean_ns_optimized: u64,
+    /// Quartiles of the batched samples (nearest rank).
+    q1_ns_optimized: u64,
+    median_ns_optimized: u64,
+    q3_ns_optimized: u64,
+    /// SoA waves of one batched refit.
+    waves_per_refit: u64,
     speedup: f64,
 }
 
@@ -179,14 +189,36 @@ fn time_reference(
     ((total_ns / samples.max(1) as u128) as u64, outcomes)
 }
 
+/// The batched path at one grid point.
+struct Batched {
+    /// ns per interval, one entry per sample, sorted.
+    sorted_ns: Vec<u64>,
+    /// SoA waves of one refit (the same in every sample).
+    waves: u64,
+    outcomes: Vec<FitBits>,
+}
+
+impl Batched {
+    fn mean_ns(&self) -> u64 {
+        (self.sorted_ns.iter().map(|&ns| ns as u128).sum::<u128>() / self.sorted_ns.len() as u128)
+            as u64
+    }
+
+    /// The nearest-rank `q` quantile of the samples.
+    fn quantile_ns(&self, q: f64) -> u64 {
+        self.sorted_ns[((self.sorted_ns.len() - 1) as f64 * q).round() as usize]
+    }
+}
+
 /// Appends the interval's samples to the first `dirty` warmed
-/// estimators and times the resulting batched refit sweep, returning
-/// mean ns per interval and the fit outcomes.
-fn time_batched(histories: &[Vec<(u64, f64)>], dirty: usize, samples: u32) -> (u64, Vec<FitBits>) {
+/// estimators and times the resulting batched refit sweep, once per
+/// sample.
+fn time_batched(histories: &[Vec<(u64, f64)>], dirty: usize, samples: u32) -> Batched {
     // One serial worker whose scratch stays warm across samples, as the
     // simulator keeps it across rounds.
     let mut scratch = [BatchScratch::new()];
-    let mut total_ns = 0u128;
+    let mut sorted_ns = Vec::new();
+    let mut waves = 0;
     let mut outcomes = Vec::new();
     for _ in 0..samples {
         let mut ests = warmed_estimators(histories);
@@ -196,12 +228,19 @@ fn time_batched(histories: &[Vec<(u64, f64)>], dirty: usize, samples: u32) -> (u
             }
         }
         let mut refs: Vec<&mut ConvergenceEstimator> = ests.iter_mut().collect();
+        let before = scratch[0].waves();
         let start = Instant::now();
         let fits = std::hint::black_box(refit_convergence_batch(&mut refs, &mut scratch));
-        total_ns += start.elapsed().as_nanos();
+        sorted_ns.push(start.elapsed().as_nanos() as u64);
+        waves = scratch[0].waves() - before;
         outcomes = fits.iter().map(|r| r.as_ref().ok().map(bits)).collect();
     }
-    ((total_ns / samples.max(1) as u128) as u64, outcomes)
+    sorted_ns.sort_unstable();
+    Batched {
+        sorted_ns,
+        waves,
+        outcomes,
+    }
 }
 
 fn main() -> ExitCode {
@@ -245,8 +284,8 @@ fn main() -> ExitCode {
          (label: {label})\n"
     );
     println!(
-        "{:>8} {:>9} {:>7} {:>14} {:>11} {:>9}",
-        "jobs", "history", "dirty", "reference ms", "batched ms", "speedup"
+        "{:>8} {:>9} {:>7} {:>14} {:>11} {:>11} {:>9} {:>9}",
+        "jobs", "history", "dirty", "reference ms", "batched ms", "median ms", "speedup", "waves"
     );
     let mut points = Vec::new();
     for &(jobs, hist_len, dirty) in &POINTS {
@@ -260,17 +299,21 @@ fn main() -> ExitCode {
             .map(|i| history(0x9E37_79B9 + i as u64, hist_len))
             .collect();
         let (ref_ns, ref_fits) = time_reference(&histories, dirty_jobs, reference_samples);
-        let (opt_ns, opt_fits) = time_batched(&histories, dirty_jobs, samples);
+        let batched = time_batched(&histories, dirty_jobs, samples);
         // The batched path must be a pure optimization: identical bits.
         assert_eq!(
-            ref_fits, opt_fits,
+            ref_fits, batched.outcomes,
             "batched path diverged from reference at {jobs} jobs x {hist_len} history"
         );
+        let opt_ns = batched.mean_ns();
+        let median_ns = batched.quantile_ns(0.5);
         let speedup = ref_ns as f64 / opt_ns.max(1) as f64;
         println!(
-            "{jobs:>8} {hist_len:>9} {dirty_jobs:>7} {:>14.3} {:>11.3} {speedup:>8.2}x",
+            "{jobs:>8} {hist_len:>9} {dirty_jobs:>7} {:>14.3} {:>11.3} {:>11.3} {speedup:>8.2}x {:>9}",
             ref_ns as f64 / 1e6,
             opt_ns as f64 / 1e6,
+            median_ns as f64 / 1e6,
+            batched.waves,
         );
         points.push(PointRecord {
             jobs,
@@ -278,6 +321,10 @@ fn main() -> ExitCode {
             dirty,
             mean_ns_reference: ref_ns,
             mean_ns_optimized: opt_ns,
+            q1_ns_optimized: batched.quantile_ns(0.25),
+            median_ns_optimized: median_ns,
+            q3_ns_optimized: batched.quantile_ns(0.75),
+            waves_per_refit: batched.waves,
             speedup,
         });
     }

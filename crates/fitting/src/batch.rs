@@ -74,24 +74,35 @@
 //!   *requests* one β₂ evaluation at a time (`JobWalk::next_request`)
 //!   and consumes its outcome (`JobWalk::consume`). The lanes of a
 //!   group are dealt round-robin to its live jobs (those past the
-//!   prologue checks), and the gather pass copies a job's samples into
-//!   every lane it owns; a group of [`LANES`] live jobs gives each job
-//!   one lane. A job fills its lanes with its frontier request plus
+//!   prologue checks), and a gather copies a job's samples into every
+//!   lane it owns; a group of [`LANES`] live jobs gives each job one
+//!   lane. When a walk finishes while others still run, its lanes are
+//!   dealt round-robin to those and re-gathered (`BatchScratch::
+//!   redeal`), after every walk has consumed the last wave and with
+//!   every request cleared, so no outcome is matched to a lane's new
+//!   owner. A job fills its lanes with its frontier request plus
 //!   evaluations its walk will ask for next, neither memoized nor
 //!   already requested: the next grid candidates, under the frontier's
 //!   bound (at least every later one, since the best residual only
-//!   falls), or the golden-section probes of the next iterations —
-//!   probe positions depend only on which branch each iteration takes,
-//!   never on residual values, so both branches of the next few
-//!   iterations (and the final midpoint past the last) are known in
-//!   advance and seven lanes advance three iterations per wave. Each
-//!   wave's outcomes are the look-ahead buffer: at the start of the
-//!   next wave the walk consumes them in its own order, by β₂ bits and
-//!   re-judged against its own bound, until it asks for one no lane
-//!   computed — the new frontier. Unconsumed outcomes are dropped.
-//!   Memo hits, degenerate `hi == 0` grids and divergent golden-section
-//!   paths therefore cannot desynchronize anything: a lane with no
-//!   evaluation to run sits the wave out.
+//!   falls), or the golden-section probes of the next iterations.
+//!   Probe positions depend only on which branch each iteration takes,
+//!   never on residual values, so the probes of any branch sequence
+//!   are known in advance. The walk predicts the sequence from the
+//!   vertex of the parabola through the three lowest residuals in its
+//!   memo and fills its lanes along that one path, so seven lanes
+//!   advance seven iterations per wave while the prediction holds.
+//!   Where the vertex is undefined, and past iteration
+//!   `PATH_ITERS`, where residuals near the optimum differ by little
+//!   more than rounding, it falls back to both branches breadth first
+//!   (and the final midpoint past the last iteration). Each wave's
+//!   outcomes are the look-ahead buffer: at the start of the next wave
+//!   the walk consumes them in its own order, by β₂ bits and re-judged
+//!   against its own bound, until it asks for one no lane computed —
+//!   the new frontier. Unconsumed outcomes, a mispredicted path's
+//!   included, are dropped. Memo hits, degenerate `hi == 0` grids and
+//!   divergent golden-section paths therefore cannot desynchronize
+//!   anything: a lane with no evaluation to run sits the wave out, and
+//!   the prediction moves only the wave count.
 //! * **Counters follow consumption.** A wave returns each lane's NNLS
 //!   facts (`nnls.solves`, `nnls.fit_failures`, `nnls.iterations`)
 //!   instead of recording them, and the walk records them when it
@@ -153,7 +164,7 @@
 use crate::error::FitError;
 use crate::loss_curve::{FitSession, LossCurveFitter, LossModel};
 use crate::nnls::{solve_sub2_cached, NnlsOptions};
-use crate::preprocess::{preprocess_losses_incremental, LossSample};
+use crate::preprocess::{preprocess_losses_incremental, LossSample, PreprocessScratch};
 use optimus_telemetry::Telemetry;
 
 /// Fixed lane width of the SoA passes. Eight f64 lanes fill one AVX-512
@@ -210,12 +221,67 @@ pub struct BatchScratch {
     pass_a: PassA,
     /// The wave's last dual, `[w0, w1]`, stored for the same reason.
     dual: [Lanes; 2],
+    /// Waves run through this scratch (see [`BatchScratch::waves`]).
+    waves: u64,
 }
 
 impl BatchScratch {
     /// Creates empty scratch buffers.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// SoA waves run through this scratch since it was created. Unlike
+    /// the fit's telemetry counters, the count depends on how jobs are
+    /// grouped: a job with more lanes needs fewer waves.
+    pub fn waves(&self) -> u64 {
+        self.waves
+    }
+
+    /// Gives lane `j` to group job `k`: its samples, padded with
+    /// `(0, 0.0)` up to the group's longest history, its length and its
+    /// scale.
+    fn gather(&mut self, j: usize, k: usize, samples: &[LossSample], p: &Prologue, max_len: usize) {
+        self.owner[j] = k;
+        self.lens[j] = p.len;
+        self.scales[j] = p.scale;
+        for s in 0..max_len {
+            let (step, l) = samples
+                .get(s)
+                .map_or((0.0, 0.0), |&(step, l)| (step as f64, l));
+            self.ks[s * LANES + j] = step;
+            self.ls[s * LANES + j] = l;
+        }
+    }
+
+    /// Deals the lanes of jobs whose walk has finished (no `frontier`)
+    /// round-robin to the jobs still walking, re-gathering each.
+    fn redeal(
+        &mut self,
+        frontier: &[Option<EvalReq>; LANES],
+        samples: &[&[LossSample]; LANES],
+        pro: &[Prologue; LANES],
+        max_len: usize,
+    ) {
+        let mut live = [0usize; LANES];
+        let mut n_live = 0;
+        for (k, f) in frontier.iter().enumerate() {
+            if f.is_some() {
+                live[n_live] = k;
+                n_live += 1;
+            }
+        }
+        if n_live == 0 {
+            return;
+        }
+        let mut turn = 0;
+        for j in 0..LANES {
+            if frontier[self.owner[j]].is_none() {
+                let k = live[turn % n_live];
+                turn += 1;
+                self.gather(j, k, samples[k], &pro[k], max_len);
+            }
+        }
     }
 
     /// Last wave's outcome for group job `k`'s candidate `bits`, with
@@ -255,8 +321,6 @@ struct Prologue {
 
 #[cfg(test)]
 thread_local! {
-    /// Waves run on this thread, for the tests that pin lane occupancy.
-    static WAVES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     /// Full dual sweeps run on this thread (the free first sweep of a
     /// wave and the certified Gram-form duals are not ones), for the
     /// tests that pin how many the certificate leaves.
@@ -267,6 +331,12 @@ thread_local! {
     /// Set by a test to make `eval_wave` take the portable body on an
     /// avx512f host.
     static PORTABLE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// Set by a test to invert every branch the golden-section
+    /// look-ahead predicts, so its path is wrong wherever it was right.
+    static INVERT_PREDICTION: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// Set by a test to plan every golden-section look-ahead as the
+    /// two-branch tree, as if no prediction were defined.
+    static NO_PREDICTION: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 fn fit_group(
@@ -336,46 +406,21 @@ fn fit_group(
         };
     }
 
-    // Pass 2 — deal the lanes round-robin to the live jobs, so each of
-    // n holds ⌊LANES/n⌋ or ⌈LANES/n⌉ (one each in a full group), and
-    // gather each job's samples into every lane it owns, padded with
-    // (0, 0.0) up to the group's longest history. Every slot the waves
-    // read is written here, so the buffers only grow when a group is
-    // longer than any before.
-    let width = max_len * LANES;
-    for buf in [&mut scratch.ks, &mut scratch.ls] {
-        if buf.len() < width {
-            buf.resize(width, 0.0);
-        }
-    }
-    scratch.reqs = [None; LANES]; // no look-ahead from the previous group
-    if n_live > 0 {
-        scratch.owner = std::array::from_fn(|j| live[j % n_live]);
-        for j in 0..LANES {
-            let k = scratch.owner[j];
-            let samples = group[k].session.pre.samples();
-            scratch.lens[j] = pro[k].len;
-            scratch.scales[j] = pro[k].scale;
-            for s in 0..max_len {
-                let (step, l) = samples
-                    .get(s)
-                    .map_or((0.0, 0.0), |&(step, l)| (step as f64, l));
-                scratch.ks[s * LANES + j] = step;
-                scratch.ls[s * LANES + j] = l;
-            }
-        }
-    }
-
-    // Pass 3 — build the job walks (mutable borrows into each job's
-    // session memo + warm index; `pre` is no longer needed).
+    // Pass 2 — build the job walks (mutable borrows into each job's
+    // session memo + warm index) and keep each job's preprocessed
+    // samples for the gathers.
     let mut walks: [Option<JobWalk<'_>>; LANES] = Default::default();
-    for ((slot, job), p) in walks.iter_mut().zip(group.iter_mut()).zip(pro.iter_mut()) {
+    let mut samples: [&[LossSample]; LANES] = [&[]; LANES];
+    for (k, (job, p)) in group.iter_mut().zip(pro.iter_mut()).enumerate() {
         let FitSession {
+            pre,
             memo,
             warm_grid_index,
             ..
         } = &mut *job.session;
-        *slot = Some(JobWalk::new(
+        let pre: &PreprocessScratch = pre;
+        samples[k] = pre.samples();
+        walks[k] = Some(JobWalk::new(
             job.fitter,
             memo,
             warm_grid_index,
@@ -384,15 +429,39 @@ fn fit_group(
         ));
     }
 
+    // Pass 3 — deal the lanes round-robin to the live jobs, so each of
+    // n holds ⌊LANES/n⌋ or ⌈LANES/n⌉ (one each in a full group), and
+    // gather each job's samples into every lane it owns. Every slot the
+    // waves read is written by a gather, so the buffers only grow when a
+    // group is longer than any before.
+    let width = max_len * LANES;
+    for buf in [&mut scratch.ks, &mut scratch.ls] {
+        if buf.len() < width {
+            buf.resize(width, 0.0);
+        }
+    }
+    scratch.reqs = [None; LANES]; // no look-ahead from the previous group
+    if n_live > 0 {
+        for j in 0..LANES {
+            let k = live[j % n_live];
+            scratch.gather(j, k, samples[k], &pro[k], max_len);
+        }
+    }
+
     // Wave loop: each walk consumes what its lanes computed last wave,
-    // then fills its lanes with its frontier request and look-ahead;
-    // one SoA pass evaluates them all.
+    // the lanes of walks that finished go to the live ones, and each
+    // live walk fills its lanes with its frontier request and
+    // look-ahead; one SoA pass evaluates them all.
     let mut frontier: [Option<EvalReq>; LANES] = [None; LANES];
     loop {
         for (k, walk) in walks.iter_mut().flatten().enumerate() {
             frontier[k] = walk.drain(frontier[k], |bits| scratch.answered(k, bits));
         }
+        // Every outcome is consumed or dropped now, so no lane's old
+        // request can be matched to a new owner (two grids both start
+        // at β₂ = 0 and can ask for the same bits).
         scratch.reqs = [None; LANES];
+        scratch.redeal(&frontier, &samples, &pro, max_len);
         let mut any = false;
         for (k, walk) in walks.iter().flatten().enumerate() {
             if let Some(req) = frontier[k] {
@@ -403,8 +472,7 @@ fn fit_group(
         if !any {
             break;
         }
-        #[cfg(test)]
-        WAVES.with(|w| w.set(w.get() + 1));
+        scratch.waves += 1;
         eval_wave(scratch, max_len);
     }
     for walk in walks.into_iter().flatten() {
@@ -552,6 +620,15 @@ enum Phase {
 /// wave: three full levels (2 + 4 + 8) plus the root.
 const TREE: usize = 16;
 
+/// Golden-section iterations the look-ahead predicts a path through
+/// before it falls back to the tree. Near the optimum the residuals of
+/// neighboring probes differ by little more than rounding: on the
+/// benchmark's three refit workloads (seed 17) the predicted branch was
+/// right 99.9–100 % of the time in iterations 0–19, 98 % in 20–29 and
+/// 67 % in 30–39, and on testbed-dense and sparse-quarter, of paths
+/// through 25, 30, 35 or 40 iterations, 30 ran the fewest waves.
+const PATH_ITERS: usize = 30;
+
 /// Resumable interpreter of one job's candidate walk: `fit`'s grid scan
 /// and golden-section refinement plus the memo and warm start.
 struct JobWalk<'a> {
@@ -577,6 +654,12 @@ struct JobWalk<'a> {
     /// hash, set by `memo_push`. A clear bit answers a memo miss (nearly
     /// every lookup) without scanning the memo; a set bit scans it.
     seen: [u64; MEMO_FILTER_WORDS],
+    /// `(residual, β₂)` of the three lowest finite residuals among the
+    /// first `low_seen` memo entries, ascending (`+∞` pads): `vertex`
+    /// folds in only the entries added since its last call. Cells, so
+    /// the fold can run from `plan`'s shared borrow.
+    low: std::cell::Cell<[(f64, f64); 3]>,
+    low_seen: std::cell::Cell<usize>,
 }
 
 /// Words of `JobWalk::seen`: 1024 bits.
@@ -615,6 +698,8 @@ impl<'a> JobWalk<'a> {
             best_model: None,
             done: None,
             seen: [0; MEMO_FILTER_WORDS],
+            low: std::cell::Cell::new([(f64::INFINITY, 0.0); 3]),
+            low_seen: std::cell::Cell::new(0),
             memo,
             warm_slot,
         };
@@ -650,6 +735,34 @@ impl<'a> JobWalk<'a> {
         let (word, bit) = memo_slot(self.pending_bits);
         self.seen[word] |= bit;
         self.memo.push((self.pending_bits, outcome));
+    }
+
+    /// The β₂ at the vertex of the parabola through the three lowest
+    /// residuals in the memo — every exact outcome the walk has
+    /// consumed, grid or golden-section — or `None` where it is
+    /// undefined (fewer than three finite residuals, collinear points,
+    /// overflow). It only steers look-ahead, so it need not be accurate.
+    fn vertex(&self) -> Option<f64> {
+        let mut low = self.low.get();
+        for m in self.memo[self.low_seen.get()..]
+            .iter()
+            .filter_map(|&(_, m)| m)
+        {
+            let at = low.iter().position(|&(r, _)| m.residual_ss < r);
+            if let Some(i) = at {
+                low.copy_within(i..2, i + 1);
+                low[i] = (m.residual_ss, m.beta2);
+            }
+        }
+        self.low.set(low);
+        self.low_seen.set(self.memo.len());
+        let [(f1, x1), (f2, x2), (f3, x3)] = low;
+        if !f3.is_finite() {
+            return None;
+        }
+        let (p, q) = ((x1 - x2) * (f1 - f3), (x1 - x3) * (f1 - f2));
+        let x = x1 - 0.5 * ((x1 - x2) * p - (x1 - x3) * q) / (p - q);
+        x.is_finite().then_some(x)
     }
 
     fn finish(&mut self, res: Result<LossModel, FitError>) {
@@ -942,12 +1055,38 @@ impl<'a> JobWalk<'a> {
         }
     }
 
-    /// Emits, breadth first, the probes of the golden-section iterations
-    /// from `iter` on — both branches of each, the final midpoint as the
-    /// leaf — until `emit` runs out of lanes or the queue of [`TREE`]
-    /// nodes runs dry.
+    /// Emits the probes of the golden-section iterations from `iter` on
+    /// until `emit` runs out of lanes: first along the path `vertex`
+    /// predicts, through iteration [`PATH_ITERS`], then breadth first
+    /// from where the path stops — both branches of each iteration, the
+    /// final midpoint as the leaf — until the queue of [`TREE`] nodes
+    /// runs dry. Without a vertex the tree starts at `iter`.
+    ///
+    /// Iteration `i` keeps `[a, d]` when `f(c) < f(d)`, which for a
+    /// parabola with its vertex at `x̂` holds when `x̂` lies nearer `c`
+    /// than `d`, so the path predicts `left ⇔ x̂ < (c + d)/2`. A wrong
+    /// prediction costs only the lanes past it: the walk consumes
+    /// outcomes by β₂ bits, so it leaves the path where it diverges.
     fn golden_ahead(&self, iter: usize, emit: &mut impl FnMut(f64, f64) -> bool) {
-        let mut queue = [(self.br, iter); TREE];
+        let (mut br, mut iter) = (self.br, iter);
+        let vertex = self.vertex();
+        #[cfg(test)]
+        let vertex = vertex.filter(|_| !NO_PREDICTION.with(std::cell::Cell::get));
+        #[cfg(test)]
+        let flip = INVERT_PREDICTION.with(std::cell::Cell::get);
+        #[cfg(not(test))]
+        let flip = false;
+        if let Some(x) = vertex {
+            while iter < self.refine_iters.min(PATH_ITERS) {
+                let left = (x < (br.c + br.d) / 2.0) != flip;
+                br = br.narrow(left);
+                if !emit(br.fresh(left), f64::INFINITY) {
+                    return;
+                }
+                iter += 1;
+            }
+        }
+        let mut queue = [(br, iter); TREE];
         let (mut head, mut tail) = (0, 1);
         while head < tail {
             let (br, it) = queue[head];
@@ -1677,10 +1816,10 @@ mod tests {
                     session,
                 })
                 .collect();
-            let before = (WAVES.with(|w| w.get()), SWEEPS.with(|n| n.get()));
+            let before = (scratch.waves(), SWEEPS.with(|n| n.get()));
             fit_batch(&mut jobs, &mut scratch, &mut out);
             (
-                WAVES.with(|w| w.get()) - before.0,
+                (scratch.waves() - before.0) as usize,
                 SWEEPS.with(|n| n.get()) - before.1,
             )
         };
@@ -1695,15 +1834,20 @@ mod tests {
 
     /// A lone job owns every lane and fills them with its own look-ahead,
     /// so a warm refit of a simulator-sized (400-point) history needs
-    /// under a quarter of the waves of the one-lane walk, which is what
-    /// each job of a full group still runs: one wave per evaluation
-    /// (warm index, 31 more grid points, 2 + 40 probes, the midpoint).
+    /// under a sixth of the waves of the one-lane walk, which is what
+    /// each job of a full group of identical jobs still runs: one wave
+    /// per evaluation (warm index, 31 more grid points, 2 + 40 probes,
+    /// the midpoint). The lone job's 12 are four grid waves, one tree
+    /// wave for the first golden-section probes (the warm-bounded grid
+    /// leaves fewer than three exact residuals, so no vertex yet), four
+    /// along the predicted path (eight iterations each) and three in
+    /// the tree past iteration `PATH_ITERS`.
     #[test]
     fn a_lone_job_fills_every_lane() {
         let raw = history(400);
         let (one_lane, _) = warm_refit_waves(&raw, LANES);
         let (lone, _) = warm_refit_waves(&raw, 1);
-        assert_eq!((one_lane, lone), (75, 18));
+        assert_eq!((one_lane, lone), (75, 12));
     }
 
     /// A wave's first dual is free (it is pass A's RHS), and a lane
@@ -1715,11 +1859,11 @@ mod tests {
     /// column on the free dual and the other on one full sweep.
     #[test]
     fn certified_duals_leave_no_sweep() {
-        assert_eq!(warm_refit_waves(&history(400), 1), (18, 0));
+        assert_eq!(warm_refit_waves(&history(400), 1), (12, 0));
         ALWAYS_SWEEP.with(|a| a.set(true));
         let swept = warm_refit_waves(&history(400), 1);
         ALWAYS_SWEEP.with(|a| a.set(false));
-        assert_eq!(swept, (18, 18));
+        assert_eq!(swept, (12, 12));
     }
 
     /// On an avx512f host `fit_batch` never runs the portable wave body,
@@ -1798,21 +1942,32 @@ mod tests {
         }
     }
 
-    /// Result bits, session state, telemetry summary and full dual
-    /// sweeps of whole `fit_batch` calls, with `set(true)` in force
-    /// during them: a lone job (its look-ahead fills every lane), then
-    /// ragged groups of twelve series (a full group plus four) holding a
-    /// flat `hi == 0` history, a too-short one, both overflow cases and
-    /// a rising curve, refit warm as every history grows.
-    #[allow(clippy::type_complexity)]
-    fn whole_fits(
-        set: impl Fn(bool),
-    ) -> (
-        Vec<Result<[u64; 5], FitError>>,
-        String,
-        optimus_telemetry::TelemetrySummary,
-        usize,
-    ) {
+    /// What whole `fit_batch` calls produced: the part that must not
+    /// depend on how they ran (result bits, session state, telemetry
+    /// summary), and the waves and full dual sweeps they ran.
+    struct WholeFits {
+        results: Vec<Result<[u64; 5], FitError>>,
+        state: String,
+        telemetry: optimus_telemetry::TelemetrySummary,
+        sweeps: usize,
+        waves: u64,
+    }
+
+    impl WholeFits {
+        fn assert_same_outcomes(&self, other: &WholeFits) {
+            assert_eq!(self.results, other.results, "result bits");
+            assert_eq!(self.state, other.state, "session state");
+            assert_eq!(self.telemetry, other.telemetry, "telemetry");
+        }
+    }
+
+    /// Whole `fit_batch` calls with `set(true)` in force during them: a
+    /// lone job (its look-ahead fills every lane), then ragged groups of
+    /// thirteen series (a full group plus five) holding a flat history,
+    /// an all-zero `hi == 0` one that finishes after one wave and hands
+    /// its lanes on, a too-short one, both overflow cases and a rising
+    /// curve, refit warm as every history grows.
+    fn whole_fits(set: impl Fn(bool)) -> WholeFits {
         let long = history(400);
         let mut series: Vec<Vec<LossSample>> = (0..6)
             .map(|i| {
@@ -1824,6 +1979,7 @@ mod tests {
             })
             .collect();
         series.push((0..60).map(|k| (k, 1.0)).collect());
+        series.push((0..60).map(|k| (k, 0.0)).collect());
         series.push(vec![(0, 1.0), (1, 0.9)]);
         series.push(
             (0..40)
@@ -1884,8 +2040,13 @@ mod tests {
             .collect();
         assert!(results.iter().any(Result::is_ok));
         assert!(results.iter().any(Result::is_err));
-        let state = format!("{lone:?} {sessions:?}");
-        (results, state, tel.summary(), sweeps)
+        WholeFits {
+            results,
+            state: format!("{lone:?} {sessions:?}"),
+            telemetry: tel.summary(),
+            sweeps,
+            waves: scratch.waves(),
+        }
     }
 
     /// Whole fits through both compilations of the wave body agree. On a
@@ -1894,10 +2055,7 @@ mod tests {
     #[test]
     fn whole_fits_match_across_compilations() {
         let portable = whole_fits(|on| PORTABLE.with(|p| p.set(on)));
-        let dispatched = whole_fits(|_| {});
-        assert_eq!(portable.0, dispatched.0, "result bits");
-        assert_eq!(portable.1, dispatched.1, "session state");
-        assert_eq!(portable.2, dispatched.2, "telemetry");
+        whole_fits(|_| {}).assert_same_outcomes(&portable);
     }
 
     /// Whole fits agree whether the certificate stands in for sweeps or
@@ -1907,14 +2065,33 @@ mod tests {
     fn whole_fits_match_with_and_without_the_certificate() {
         let swept = whole_fits(|on| ALWAYS_SWEEP.with(|a| a.set(on)));
         let certified = whole_fits(|_| {});
-        assert_eq!(swept.0, certified.0, "result bits");
-        assert_eq!(swept.1, certified.1, "session state");
-        assert_eq!(swept.2, certified.2, "telemetry");
+        certified.assert_same_outcomes(&swept);
         assert!(
-            certified.3 < swept.3,
+            certified.sweeps < swept.sweeps,
             "sweeps {} vs {}",
-            certified.3,
-            swept.3
+            certified.sweeps,
+            swept.sweeps
+        );
+    }
+
+    /// Look-ahead only decides which evaluations run early, so whole
+    /// fits agree whether the golden-section path follows the predicted
+    /// branches, the inverted ones, or no prediction (the two-branch
+    /// tree throughout). A path that is always wrong wastes its lanes,
+    /// so it needs at least as many waves as the predicted one.
+    #[test]
+    fn whole_fits_match_under_bad_speculation() {
+        let predicted = whole_fits(|_| {});
+        let inverted = whole_fits(|on| INVERT_PREDICTION.with(|f| f.set(on)));
+        let unpredicted = whole_fits(|on| NO_PREDICTION.with(|f| f.set(on)));
+        predicted.assert_same_outcomes(&inverted);
+        predicted.assert_same_outcomes(&unpredicted);
+        assert!(
+            predicted.waves <= inverted.waves && predicted.waves <= unpredicted.waves,
+            "waves: predicted {}, inverted {}, unpredicted {}",
+            predicted.waves,
+            inverted.waves,
+            unpredicted.waves
         );
     }
 
@@ -2231,15 +2408,10 @@ mod tests {
         assert_eq!(kind(rejudge(WaveOut::Failed, 3.0, 1.0)), Some(-2.0));
     }
 
-    /// Jobs that fail the prologue get no lane; every live job gets
-    /// ⌊LANES/n⌋ or ⌈LANES/n⌉, including a flat `hi == 0` one.
-    #[test]
-    fn lanes_go_only_to_live_jobs() {
+    /// Fits `raws` as one group, checks every result against `fit`,
+    /// and returns the final lane owners and the waves run.
+    fn fit_one_group(raws: &[&[LossSample]]) -> ([usize; LANES], u64) {
         let fitter = LossCurveFitter::new();
-        let healthy = history(120);
-        let flat: Vec<LossSample> = (0..4).map(|k| (k, 1.0)).collect();
-        let short: Vec<LossSample> = vec![(0, 1.0), (1, 0.9)];
-        let raws = [&short[..], &flat[..], &healthy[..], &short[..]];
         let mut sessions: Vec<FitSession> = raws.iter().map(|_| FitSession::new()).collect();
         let mut jobs: Vec<BatchFitJob<'_>> = raws
             .iter()
@@ -2254,9 +2426,47 @@ mod tests {
         let mut scratch = BatchScratch::new();
         let mut out = Vec::new();
         fit_batch(&mut jobs, &mut scratch, &mut out);
-        assert_eq!(scratch.owner, [1, 2, 1, 2, 1, 2, 1, 2]);
         for (raw, res) in raws.iter().zip(&out) {
             assert_eq!(res, &fitter.fit(raw));
         }
+        (scratch.owner, scratch.waves())
+    }
+
+    /// Jobs that fail the prologue get no lane; every live job gets
+    /// ⌊LANES/n⌋ or ⌈LANES/n⌉. Identical live jobs with as many lanes
+    /// each walk in step and finish in the same wave, so no lane is
+    /// re-dealt and the table still holds the initial deal when the fit
+    /// returns.
+    #[test]
+    fn lanes_are_dealt_only_to_live_jobs() {
+        let healthy = history(120);
+        let short: Vec<LossSample> = vec![(0, 1.0), (1, 0.9)];
+        let two = [&short[..], &healthy[..], &healthy[..], &short[..]];
+        assert_eq!(fit_one_group(&two).0, [1, 2, 1, 2, 1, 2, 1, 2]);
+        let four = [
+            &healthy[..],
+            &short[..],
+            &healthy[..],
+            &healthy[..],
+            &healthy[..],
+        ];
+        assert_eq!(fit_one_group(&four).0, [0, 2, 3, 4, 0, 2, 3, 4]);
+    }
+
+    /// An all-zero history has `hi == 0`: its whole grid is β₂ = 0, one
+    /// evaluation, so its walk finishes after the first wave and its
+    /// four lanes go to the long job, which then walks on all eight. It
+    /// finishes within one wave of the long job fit alone, and every
+    /// final owner is a live job.
+    #[test]
+    fn finished_walks_hand_their_lanes_on() {
+        let healthy = history(400);
+        let zero: Vec<LossSample> = (0..4).map(|k| (k, 0.0)).collect();
+        let short: Vec<LossSample> = vec![(0, 1.0), (1, 0.9)];
+        let (_, alone) = fit_one_group(&[&healthy[..]]);
+        let raws = [&short[..], &zero[..], &healthy[..], &short[..]];
+        let (owner, waves) = fit_one_group(&raws);
+        assert_eq!(owner, [2; LANES]);
+        assert!(waves <= alone + 1, "{waves} waves, {alone} alone");
     }
 }

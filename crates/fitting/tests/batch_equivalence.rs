@@ -354,3 +354,73 @@ fn batched_telemetry_is_independent_of_lane_grouping() {
         );
     }
 }
+
+/// Groups whose walks finish at very different waves: an all-zero
+/// `hi == 0` history needs one evaluation, one whose rows all overflow
+/// fails its 32 grid candidates and stops before any golden-section
+/// probe, and healthy histories walk all 75, in groups of two to five
+/// live jobs whose lane shares differ. The lanes of each finished walk
+/// are dealt on to the jobs still walking, several times per group, as
+/// the histories grow across warm refits. Every result must match
+/// `fit`, and the telemetry must match the same jobs fit one per batch.
+#[test]
+fn early_finishers_hand_their_lanes_on() {
+    use optimus_telemetry::TelemetrySummary;
+    let zero: Vec<LossSample> = (0..30).map(|k| (k, 0.0)).collect();
+    let rows_overflow: Vec<LossSample> = (0..40)
+        .map(|k| (k * 1000, 1e160 / (k as f64 + 1.0)))
+        .collect();
+    let healthy: Vec<Vec<LossSample>> = (0..4)
+        .map(|i| history(4242 + i as u64, 60 + 110 * i))
+        .collect();
+    let short = vec![(0, 1.0), (1, 0.5)];
+    let groups: Vec<Vec<&[LossSample]>> = vec![
+        vec![&zero, &healthy[3]],
+        vec![&healthy[0], &zero, &healthy[2]],
+        vec![&rows_overflow, &healthy[1], &short, &zero, &healthy[3]],
+        vec![&healthy[2], &rows_overflow, &healthy[0], &zero, &healthy[1]],
+    ];
+    let unnormalized = LossCurveFitter::new().without_normalization();
+    // Three growing prefixes per history, refit warm; one batch per
+    // group, or one per job when `lone`.
+    let run = |lone: bool| -> TelemetrySummary {
+        let tel = Telemetry::enabled();
+        let fitter = LossCurveFitter::new().with_telemetry(tel.clone());
+        let overflow_fitter = unnormalized.clone().with_telemetry(tel.clone());
+        let mut scratch = BatchScratch::new();
+        for (g, raws) in groups.iter().enumerate() {
+            let mut sessions: Vec<FitSession> = raws.iter().map(|_| FitSession::new()).collect();
+            let mut prev = vec![0; raws.len()];
+            for round in 1..=3 {
+                let jobs: Vec<(&LossCurveFitter, &[LossSample], usize)> = raws
+                    .iter()
+                    .zip(&prev)
+                    .map(|(&raw, &stable)| {
+                        let fitter = if std::ptr::eq(raw, rows_overflow.as_slice()) {
+                            &overflow_fitter
+                        } else {
+                            &fitter
+                        };
+                        (fitter, &raw[..(raw.len() * round / 3).max(2)], stable)
+                    })
+                    .collect();
+                let ctx = format!("group {g} round {round} lone {lone}");
+                if lone {
+                    for (i, job) in jobs.iter().enumerate() {
+                        assert_batch_matches_fit(
+                            std::slice::from_ref(job),
+                            &mut sessions[i..=i],
+                            &mut scratch,
+                            &ctx,
+                        );
+                    }
+                } else {
+                    assert_batch_matches_fit(&jobs, &mut sessions, &mut scratch, &ctx);
+                }
+                prev = jobs.iter().map(|&(_, raw, _)| raw.len()).collect();
+            }
+        }
+        tel.summary()
+    };
+    assert_eq!(run(false), run(true), "telemetry depends on the grouping");
+}
