@@ -799,4 +799,25 @@ fn speed_refit_matches_fit_rows_on_edge_streams() {
     assert!(out[0].is_ok());
     assert_eq!(err(&out[1]), rhs);
     assert_eq!(err(&out[2]), rhs);
+
+    // A speed of `f64::MIN_POSITIVE`: its target 1/speed ≈ 4.5e307 is
+    // finite, but the subproblem solutions overflow and a coordinate
+    // goes NaN. While that coordinate is passive the step length must
+    // stay 0, so the refit cycles to the iteration limit, as `nnls`
+    // does; a step taken along the other columns instead ends early
+    // on a different solution.
+    let mut ops: Vec<SpeedOp> = [
+        (1, 18, 9.503537856019665),
+        (2, 13, 31.573686925214638),
+        (1, 20, 43.55986695828578),
+        (15, 6, 8.087225711174712),
+        (16, 1, 38.9040184774132),
+        (1, 2, f64::MIN_POSITIVE),
+    ]
+    .iter()
+    .map(|&(p, w, speed)| Record(p, w, speed))
+    .collect();
+    ops.push(Refit);
+    let out = assert_refits_match(&(true, 6.429171686884862, Vec::new(), ops));
+    assert_eq!(err(&out[0]), Some(FitError::IterationLimit { limit: 300 }));
 }

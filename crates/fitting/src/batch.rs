@@ -126,36 +126,38 @@
 //!   step index ≥ 0.
 //! * **Gram caching is exact.** The Lawson–Hanson subproblem Gram/RHS
 //!   depend on the rows only, so they are computed once per candidate in
-//!   pass A and every active-set solve replays through
+//!   pass A. Each lane drives the active-set step the speed refit also
+//!   uses (`nnls::ActiveSet`, a bit-for-bit replay of [`crate::nnls()`]'s
+//!   scan and inner loop), and every subproblem solve replays through
 //!   `solve_sub2_cached` in O(1) — same accumulation order as
 //!   `Matrix::gram`, whose zero-row guards only ever skip exactly-zero
 //!   terms.
-//! * **Non-finite rows show in the Gram diagonal.** `nnls_with` fails a
+//! * **Non-finite rows show in the Gram diagonal.** `nnls` fails a
 //!   solve when any row holds an ∞ or NaN. Every `g00`/`g11` term is a
 //!   square, ≥ 0, so such a row makes `g00` or `g11` non-finite; a lane
 //!   whose diagonal is finite therefore has only finite rows. A lane
 //!   whose diagonal is not rescans its rows for the exact verdict,
 //!   because finite rows can overflow the Gram too, and those lanes
-//!   solve as `nnls_with` does.
+//!   solve as `nnls` does.
 //! * **A full dual sweep runs only where the Gram cannot decide.** The
-//!   first dual of a wave is pass A's RHS (`x = 0`). After `x` changes,
-//!   a lane whose columns are all passive or rejected converges on the
-//!   spot: `nnls_with`'s scan would find no entering column whatever
-//!   the dual holds, and returns without counting anything. Every other
-//!   lane reads the next dual only through that scan's comparisons (is
-//!   `wᵢ > tolerance`, and which of two candidates is larger), so it can
-//!   read them off the Gram-form dual `w′ = rhs − G·x` from pass A's
-//!   sums. Every row term is non-negative, so the dot-product error
-//!   bound's absolute sums are the Gram and RHS themselves, and
-//!   `gram_dual` bounds `|w − w′|` by an `E` that also covers the
-//!   rounding of its own evaluation. When every running lane's
-//!   comparisons come out the same anywhere in `w′ ± E` (`certifies`),
-//!   the lanes advance on `w′` and no sweep runs; otherwise the
-//!   lockstep full sweep runs for all lanes, exactly as before. Nothing
-//!   else reads the dual, so coefficients, memo entries, warm indices
-//!   and counters keep their bits either way. On the simulated
-//!   workloads every check is certified, and a wave streams its samples
-//!   twice (pass A and pass C) instead of three times.
+//!   first dual of a wave is pass A's RHS (`x = 0`). After `x` changes, a
+//!   lane whose columns are all passive or rejected converges on the spot
+//!   (the step is saturated): `nnls`'s scan would find no entering column
+//!   whatever the dual holds, and returns without counting anything.
+//!   Every other lane reads the next dual only through that scan's
+//!   comparisons (is `wᵢ > tolerance`, and which of two candidates is
+//!   larger), so it can read them off the Gram-form dual `w′ = rhs − G·x`
+//!   from pass A's sums. Every row term is non-negative, so the
+//!   dot-product error bound's absolute sums are the Gram and RHS
+//!   themselves, and `gram_dual` bounds `|w − w′|` by an `E` that also
+//!   covers the rounding of its own evaluation. When every running lane's
+//!   comparisons come out the same anywhere in `w′ ± E`
+//!   (`ActiveSet::certifies`), the lanes advance on `w′` and no sweep
+//!   runs; otherwise the lockstep full sweep runs for all lanes, exactly
+//!   as before. Nothing else reads the dual, so coefficients, memo
+//!   entries, warm indices and counters keep their bits either way. On
+//!   the simulated workloads every check is certified, and a wave streams
+//!   its samples twice (pass A and pass C) instead of three times.
 //! * **Full-sum abandonment is prefix abandonment.** By the same
 //!   monotonicity, the full sum exceeds the bound iff some prefix does,
 //!   so the abandonment decision is recoverable from a batched full
@@ -163,7 +165,7 @@
 
 use crate::error::FitError;
 use crate::loss_curve::{FitSession, LossCurveFitter, LossModel};
-use crate::nnls::{solve_sub2_cached, NnlsOptions};
+use crate::nnls::{solve_sub2_cached, ActiveSet, Step};
 use crate::preprocess::{preprocess_losses_incremental, LossSample, PreprocessScratch};
 use optimus_telemetry::Telemetry;
 
@@ -1115,14 +1117,44 @@ fn residual_of(m: Option<LossModel>) -> f64 {
     m.map(|m| m.residual_ss).unwrap_or(f64::INFINITY)
 }
 
-/// Per-lane Lawson–Hanson state between lockstep dual passes.
+/// Per-lane Lawson–Hanson state between lockstep dual passes: the
+/// shared active-set step's state, whether the lane still needs duals,
+/// and the error it stopped on.
 #[derive(Clone, Default)]
 struct LaneNnls {
-    passive: [bool; 2],
-    rejected: [bool; 2],
-    iterations: usize,
+    set: ActiveSet<2>,
     running: bool,
     err: Option<FitError>,
+}
+
+impl LaneNnls {
+    /// Advances lane `j` on its column of `dual`, updating its column of
+    /// `x`, with every subproblem solved from its cached Gram in `sums`
+    /// (`solve_sub2_cached`), until it converges, fails or needs the
+    /// next dual.
+    #[inline(always)]
+    fn advance(&mut self, j: usize, x: &mut [Lanes; 2], dual: &[Lanes; 2], sums: &PassA, n: usize) {
+        let g = [sums.g00.0[j], sums.g01.0[j], sums.g11.0[j]];
+        let rhs = lane(&[sums.rhs0, sums.rhs1], j);
+        let solve = |passive: &[bool; 2]| solve_sub2_cached(g[0], g[1], g[2], rhs, n, *passive);
+        let mut xj = lane(x, j);
+        let step = self.set.advance(&mut xj, &lane(dual, j), solve);
+        [x[0].0[j], x[1].0[j]] = xj;
+        match step {
+            Ok(Step::NeedsDual) => {}
+            Ok(Step::Optimal | Step::Saturated) => self.running = false,
+            Err(e) => {
+                self.err = Some(e);
+                self.running = false;
+            }
+        }
+    }
+}
+
+/// Lane `j` of a pair of column vectors: that lane's two column values.
+#[inline(always)]
+fn lane(v: &[Lanes; 2], j: usize) -> [f64; 2] {
+    [v[0].0[j], v[1].0[j]]
 }
 
 /// Eight f64 lanes as one value. The sample-streaming passes (`row`,
@@ -1261,7 +1293,7 @@ fn pass_a(ks: &[f64], ls: &[f64], beta2: Lanes, out: &mut PassA) {
 }
 
 /// One full dual sweep: `w = Aᵀ(y − A·x)` per lane, with the rows
-/// rebuilt by [`row`]. `nnls_with`'s `mul_vec`/`tr_mul_vec` pair is
+/// rebuilt by [`row`]. `nnls`'s `mul_vec`/`tr_mul_vec` pair is
 /// fused rowwise: each row's residual and its two accumulations into
 /// `w` happen in the same order as there (`0.0 + r0·x0` keeps its add:
 /// it turns a −0.0 product into +0.0, as `mul_vec` does).
@@ -1330,52 +1362,16 @@ fn gram_dual(sums: &PassA, x: [Lanes; 2], n: Lanes) -> ([Lanes; 2], [Lanes; 2]) 
     (w, e)
 }
 
-/// The column `nnls_with`'s scan enters on dual `w`: the largest
-/// `wᵢ > tolerance` (ties to the lower index) among columns neither
-/// passive nor rejected.
-#[inline(always)]
-fn entering(st: &LaneNnls, w: [f64; 2], tolerance: f64) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, &wi) in w.iter().enumerate() {
-        if !st.passive[i] && !st.rejected[i] && wi > tolerance {
-            match best {
-                Some((_, bw)) if bw >= wi => {}
-                _ => best = Some((i, wi)),
-            }
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
-/// Whether every scan `advance_lane` can run on a dual within `e` of
-/// `w` decides as on `w` itself: each open column (neither passive nor
-/// rejected) lies wholly above the tolerance or wholly below it, and
-/// when both lie above, their intervals are disjoint. That covers the
-/// rescan after a rejection too, which reads the same dual. Rounding is
-/// monotone, so a strict comparison between computed endpoints implies
-/// it between exact ones; NaN endpoints certify nothing. Written with
-/// non-short-circuit `&`/`|`: lane states vary from lane to lane, and
-/// branching on them mispredicted more than the comparisons cost.
-#[inline(always)]
-fn certifies(st: &LaneNnls, w: [f64; 2], e: [f64; 2], tolerance: f64) -> bool {
-    let open = [0, 1].map(|i| !(st.passive[i] | st.rejected[i]));
-    let above = [0, 1].map(|i| open[i] & (w[i] - e[i] > tolerance));
-    let decided = [0, 1].map(|i| !open[i] | above[i] | (w[i] + e[i] < tolerance));
-    let ordered =
-        !(above[0] & above[1]) | (w[0] - e[0] > w[1] + e[1]) | (w[1] - e[1] > w[0] + e[0]);
-    decided[0] & decided[1] & ordered
-}
-
 /// Advances every running lane on `dual`, then on each next dual that
 /// the Gram can stand in for, until no lane runs (returns false) or a
 /// full sweep must compute the next one (returns true).
 ///
 /// The Gram-form dual ([`gram_dual`]) replaces the sweep only when every
-/// running lane's scan is certified ([`certifies`]) to decide on it as
-/// on the sweep's. The answer is all lanes or none, because a sweep
-/// costs the same for one lane as for eight; when it is none, the lanes
-/// keep the previous dual and x until the caller's sweep. Lanes that do
-/// not run get a Gram-form dual too, which nothing reads.
+/// running lane's scan is certified (`ActiveSet::certifies`) to decide
+/// on it as on the sweep's. The answer is all lanes or none, because a
+/// sweep costs the same for one lane as for eight; when it is none, the
+/// lanes keep the previous dual and x until the caller's sweep. Lanes
+/// that do not run get a Gram-form dual too, which nothing reads.
 ///
 /// Kept out of line, with x and the dual in memory: inlined into the
 /// wave body, the per-lane reads lead the vectorizer to keep pass A's
@@ -1388,32 +1384,12 @@ fn advance_lanes(
     dual: &mut [Lanes; 2],
     sums: &PassA,
     lens: &[usize; LANES],
-    opts: NnlsOptions,
 ) -> bool {
-    let PassA {
-        g00,
-        g01,
-        g11,
-        rhs0,
-        rhs1,
-        ..
-    } = *sums;
     let n = Lanes(lens.map(|n| n as f64));
     loop {
-        let [w0, w1] = *dual;
-        for j in 0..LANES {
-            if st[j].running {
-                let [x0, x1] = &mut *x;
-                advance_lane(
-                    &mut st[j],
-                    &mut x0.0[j],
-                    &mut x1.0[j],
-                    [w0.0[j], w1.0[j]],
-                    [g00.0[j], g01.0[j], g11.0[j]],
-                    [rhs0.0[j], rhs1.0[j]],
-                    lens[j],
-                    opts,
-                );
+        for (j, st) in st.iter_mut().enumerate() {
+            if st.running {
+                st.advance(j, x, dual, sums, lens[j]);
             }
         }
         if !st.iter().any(|l| l.running) {
@@ -1425,8 +1401,7 @@ fn advance_lanes(
         }
         let (w, e) = gram_dual(sums, *x, n);
         let certified = st.iter().enumerate().fold(true, |all, (j, st)| {
-            let lane = |v: [Lanes; 2]| [v[0].0[j], v[1].0[j]];
-            all & (!st.running | certifies(st, lane(w), lane(e), opts.tolerance))
+            all & (!st.running | st.set.certifies(&lane(&w, j), &lane(&e, j)))
         });
         if !certified {
             return true;
@@ -1502,15 +1477,14 @@ fn eval_wave_body(scratch: &mut BatchScratch, max_len: usize) {
     // Per-lane NNLS admission, with `fit_for_beta2`'s exact counters:
     // fewer than 2 rows fails silently (before any counter), a
     // non-finite row counts a solve *and* a failure. Post-preprocessing
-    // losses are always finite, so `y` never trips `nnls_with`'s rhs
+    // losses are always finite, so `y` never trips `nnls`'s rhs
     // check — only row overflow (`w·k → ∞`) can. Every Gram diagonal
     // term is ≥ 0, so a non-finite row makes `g00` or `g11` non-finite;
-    // only such a lane rescans its rows for `nnls_with`'s verdict
+    // only such a lane rescans its rows for `nnls`'s verdict
     // (finite rows can overflow the Gram too, and those must solve).
     let mut out = [Evaluated::default(); LANES];
     let mut st: [LaneNnls; LANES] = Default::default();
     let mut ran = [false; LANES];
-    let opts = NnlsOptions::default();
     for j in 0..LANES {
         if !active[j] {
             continue;
@@ -1542,21 +1516,14 @@ fn eval_wave_body(scratch: &mut BatchScratch, max_len: usize) {
     // first dual of every wave is free.
     let mut x = [Lanes::default(); 2];
     scratch.dual = [rhs0, rhs1];
-    while advance_lanes(
-        &mut st,
-        &mut x,
-        &mut scratch.dual,
-        &scratch.pass_a,
-        &lens,
-        opts,
-    ) {
+    while advance_lanes(&mut st, &mut x, &mut scratch.dual, &scratch.pass_a, &lens) {
         #[cfg(test)]
         SWEEPS.with(|n| n.set(n.get() + 1));
         sweep(ks, ls, beta2, x[0], x[1], &mut scratch.dual);
     }
     let [x0, x1] = x;
 
-    // Lane results: `nnls_with`'s exit-path residual (`NnlsSolution::
+    // Lane results: `nnls`'s exit-path residual (`NnlsSolution::
     // residual_ss`) is never read by the fit — it recomputes the
     // loss-space residual below — so the batched path skips it.
     let mut b0 = [0.0_f64; LANES];
@@ -1574,7 +1541,7 @@ fn eval_wave_body(scratch: &mut BatchScratch, max_len: usize) {
             out[j].facts.failed = true;
             continue; // out[j] stays Failed
         }
-        out[j].facts.iterations = Some(st[j].iterations);
+        out[j].facts.iterations = Some(st[j].set.iterations);
         fitted[j] = true;
         b0[j] = x0.0[j];
         b1[j] = x1.0[j];
@@ -1632,149 +1599,6 @@ fn eval_wave_body(scratch: &mut BatchScratch, max_len: usize) {
         };
     }
     scratch.outs = out;
-}
-
-/// Advances one lane's Lawson–Hanson state after a dual sweep — the
-/// section of [`crate::nnls::nnls_with`]'s outer loop between two dual
-/// recomputations, with every subproblem solved from the cached Gram.
-/// The sweep itself fuses `nnls_with`'s `mul_vec`/`tr_mul_vec` pair
-/// rowwise: each row's residual and its two accumulations into `w`
-/// happen in the same order. Rejecting an entering column leaves `x`
-/// unchanged, so the dual is unchanged too and `nnls_with`'s
-/// recompute-and-rescan collapses into the `continue` here.
-#[allow(clippy::too_many_arguments)]
-fn advance_lane(
-    st: &mut LaneNnls,
-    x0: &mut f64,
-    x1: &mut f64,
-    w: [f64; 2],
-    gram: [f64; 3],
-    rhs: [f64; 2],
-    n_rows: usize,
-    opts: NnlsOptions,
-) {
-    let mut x = [*x0, *x1];
-    loop {
-        let Some(enter) = entering(st, w, opts.tolerance) else {
-            st.running = false; // converged: KKT satisfied
-            break;
-        };
-
-        st.iterations += 1;
-        if st.iterations > opts.max_iterations {
-            st.err = Some(FitError::IterationLimit {
-                limit: opts.max_iterations,
-            });
-            st.running = false;
-            break;
-        }
-
-        st.passive[enter] = true;
-        let trial = solve_sub2_cached(gram[0], gram[1], gram[2], rhs, n_rows, st.passive);
-        let (z, m, slots) = match trial {
-            Ok(v) => v,
-            Err(e) => {
-                st.err = Some(e);
-                st.running = false;
-                break;
-            }
-        };
-        let slot = slots[..m]
-            .iter()
-            .position(|&i| i == enter)
-            .expect("enter in P");
-        if z[slot] <= opts.tolerance {
-            st.passive[enter] = false;
-            st.rejected[enter] = true;
-            continue; // x unchanged ⇒ dual unchanged ⇒ rescan now
-        }
-
-        // `nnls_with`'s first inner iteration re-solves exactly the
-        // passive set the trial just solved; hand it the trial's
-        // solution instead (the iteration counter still advances).
-        let mut cached = Some((z, m, slots));
-        let mut failed = false;
-        loop {
-            st.iterations += 1;
-            if st.iterations > opts.max_iterations {
-                st.err = Some(FitError::IterationLimit {
-                    limit: opts.max_iterations,
-                });
-                st.running = false;
-                failed = true;
-                break;
-            }
-            let (z, m, slots) = match cached.take() {
-                Some(zs) => zs,
-                None => {
-                    match solve_sub2_cached(gram[0], gram[1], gram[2], rhs, n_rows, st.passive) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            st.err = Some(e);
-                            st.running = false;
-                            failed = true;
-                            break;
-                        }
-                    }
-                }
-            };
-
-            let all_positive = z[..m].iter().all(|&zi| zi > opts.tolerance);
-            if all_positive {
-                for (slot, &i) in slots[..m].iter().enumerate() {
-                    x[i] = z[slot];
-                }
-                for (xi, &p) in x.iter_mut().zip(st.passive.iter()) {
-                    if !p {
-                        *xi = 0.0;
-                    }
-                }
-                st.rejected = [false; 2];
-                break;
-            }
-
-            let mut alpha = f64::INFINITY;
-            for (slot, &i) in slots[..m].iter().enumerate() {
-                if z[slot] <= opts.tolerance {
-                    let denom = x[i] - z[slot];
-                    if denom > 0.0 {
-                        alpha = alpha.min(x[i] / denom);
-                    } else {
-                        alpha = 0.0;
-                    }
-                }
-            }
-            if !alpha.is_finite() {
-                alpha = 0.0;
-            }
-            for (slot, &i) in slots[..m].iter().enumerate() {
-                x[i] += alpha * (z[slot] - x[i]);
-            }
-            for &i in &slots[..m] {
-                if x[i] <= opts.tolerance {
-                    x[i] = 0.0;
-                    st.passive[i] = false;
-                }
-            }
-            if !st.passive.iter().any(|&p| p) {
-                break;
-            }
-        }
-        if failed {
-            break;
-        }
-        // x changed (or P emptied): a fresh dual sweep is needed before
-        // the next entering-column scan — unless no column can enter
-        // whatever the dual holds. `nnls_with` would then recompute the
-        // dual only for its scan to find no candidate, counting nothing,
-        // so the lane converges here and the sweep is skipped.
-        if (0..2).all(|i| st.passive[i] || st.rejected[i]) {
-            st.running = false;
-        }
-        break;
-    }
-    *x0 = x[0];
-    *x1 = x[1];
 }
 
 #[cfg(test)]
@@ -1852,7 +1676,7 @@ mod tests {
 
     /// A wave's first dual is free (it is pass A's RHS), and a lane
     /// whose columns are all passive or rejected converges without the
-    /// sweep `nnls_with` would spend on a scan that cannot pick a column.
+    /// sweep `nnls` would spend on a scan that cannot pick a column.
     /// Every other dual the warm lone-job refit needs is certified from
     /// the Gram, so it runs no full sweep at all. With certificates
     /// refused it runs one per wave: a typical candidate enters one
@@ -2095,14 +1919,14 @@ mod tests {
         );
     }
 
-    /// The decisions `advance_lane` takes on dual `w`: the scan's
+    /// The decisions the active-set step takes on dual `w`: the scan's
     /// entering column, and the rescan's after that column is rejected.
-    fn scans(st: &LaneNnls, w: [f64; 2], tolerance: f64) -> [Option<usize>; 2] {
-        let first = entering(st, w, tolerance);
+    fn scans(set: &ActiveSet<2>, w: [f64; 2]) -> [Option<usize>; 2] {
+        let first = set.entering(&w);
         let rescan = first.and_then(|i| {
-            let mut st = st.clone();
-            st.rejected[i] = true;
-            entering(&st, w, tolerance)
+            let mut set = *set;
+            set.rejected[i] = true;
+            set.entering(&w)
         });
         [first, rescan]
     }
@@ -2142,11 +1966,9 @@ mod tests {
         pass_a(ks, ls, beta2, &mut sums);
         let mut swept = [Lanes::default(); 2];
         sweep(ks, ls, beta2, x[0], x[1], &mut swept);
-        let tolerance = NnlsOptions::default().tolerance;
         let (wg, eg) = gram_dual(&sums, x, Lanes(scratch.lens.map(|n| n as f64)));
         for j in 0..LANES {
-            let lane = |v: [Lanes; 2]| [v[0].0[j], v[1].0[j]];
-            let (w, e, ws) = (lane(wg), lane(eg), lane(swept));
+            let (w, e, ws) = (lane(&wg, j), lane(&eg, j), lane(&swept, j));
             for i in 0..2 {
                 assert!(
                     !e[i].is_finite() || (ws[i] - w[i]).abs() <= e[i],
@@ -2157,17 +1979,16 @@ mod tests {
                 );
             }
             for (passive, rejected) in OPEN_STATES {
-                let st = LaneNnls {
+                let set = ActiveSet {
                     passive,
                     rejected,
-                    running: true,
-                    ..LaneNnls::default()
+                    iterations: 0,
                 };
-                if certifies(&st, w, e, tolerance) {
+                if set.certifies(&w, &e) {
                     tally.certified += 1;
                     assert_eq!(
-                        scans(&st, w, tolerance),
-                        scans(&st, ws, tolerance),
+                        scans(&set, w),
+                        scans(&set, ws),
                         "lane {j} state {passive:?}/{rejected:?}: Gram {w:?} ± {e:?}, sweep {ws:?}"
                     );
                 } else {
@@ -2187,7 +2008,6 @@ mod tests {
         let (scratch, max_len) = gathered(&refs);
         let width = max_len * LANES;
         let (ks, ls) = (&scratch.ks[..width], &scratch.ls[..width]);
-        let opts = NnlsOptions::default();
         let hi: [f64; LANES] = std::array::from_fn(|j| {
             let min = refs[j % refs.len()]
                 .iter()
@@ -2220,20 +2040,9 @@ mod tests {
             let mut x = [Lanes::default(); 2];
             let mut dual = [sums.rhs0, sums.rhs1];
             for _ in 0..8 {
-                let [w0, w1] = dual;
                 for (j, st) in st.iter_mut().enumerate() {
                     if st.running {
-                        let [x0, x1] = &mut x;
-                        advance_lane(
-                            st,
-                            &mut x0.0[j],
-                            &mut x1.0[j],
-                            [w0.0[j], w1.0[j]],
-                            [sums.g00.0[j], sums.g01.0[j], sums.g11.0[j]],
-                            [sums.rhs0.0[j], sums.rhs1.0[j]],
-                            scratch.lens[j],
-                            opts,
-                        );
+                        st.advance(j, &mut x, &dual, &sums, scratch.lens[j]);
                     }
                 }
                 if !st.iter().any(|l| l.running) {
@@ -2248,7 +2057,7 @@ mod tests {
             // making the two duals tie, for the two-candidate argmax.
             let lane = |f: &dyn Fn(usize) -> f64| Lanes(std::array::from_fn(f));
             let zero = Lanes::default();
-            let t = opts.tolerance;
+            let t = crate::nnls::TOLERANCE;
             let (g, rhs) = ([sums.g00, sums.g01, sums.g11], [sums.rhs0, sums.rhs1]);
             let mut xs = vec![
                 [lane(&|j| rhs[0].0[j] / g[0].0[j]), zero],

@@ -20,8 +20,8 @@
 //! * [`preprocess`] — the paper's outlier removal and loss normalization,
 //! * [`loss_curve`] — the convergence-curve model and the one-shot
 //!   [`LossCurveFitter::fit`], the oracle [`batch`] is checked against,
-//! * [`linfit`] — non-negative linear model fitting on arbitrary feature
-//!   maps (the oracle of the speed models' refit in `optimus-core`),
+//! * [`linfit`] — non-negative linear model fitting over feature rows
+//!   (the oracle of the speed models' refit in `optimus-core`),
 //! * [`stats`] — small statistics helpers shared by the experiment harness,
 //! * [`batch`] — the production loss-curve fitter: batched
 //!   structure-of-arrays fitting, SIMD across jobs, bit-identical to
@@ -41,4 +41,4 @@ pub use error::FitError;
 pub use linalg::Matrix;
 pub use linfit::{LinearModel, NonNegLinearFit};
 pub use loss_curve::{FitSession, LossCurveFitter, LossModel};
-pub use nnls::{nnls, nnls_rows, NnlsOptions, NnlsSolution, SmallNnlsSolution};
+pub use nnls::{nnls, nnls_rows, NnlsSolution, SmallNnlsSolution};

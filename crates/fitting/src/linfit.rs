@@ -1,4 +1,4 @@
-//! Non-negative linear model fitting over arbitrary feature maps.
+//! Non-negative linear model fitting over feature rows.
 //!
 //! The speed functions of §3.2 (Eqns 3/4) become *linear* in their
 //! coefficients once the speed is inverted:
@@ -6,8 +6,8 @@
 //! * async: `w / f(p,w) = θ₀ + θ₁·(w/p) + θ₂·w + θ₃·p`
 //! * sync:  `1 / f(p,w) = θ₀·(M/w) + θ₁ + θ₂·(w/p) + θ₃·w + θ₄·p`
 //!
-//! with all θ ≥ 0. This module fits such models with NNLS given a feature
-//! map from samples to rows. `optimus-core`'s speed models refit through
+//! with all θ ≥ 0. This module fits such models with NNLS given their
+//! feature rows. `optimus-core`'s speed models refit through
 //! the allocation-free [`crate::nnls::nnls_rows`] instead, and
 //! [`NonNegLinearFit::fit_rows`] is the oracle its equivalence suite
 //! checks that refit against, bit for bit.
@@ -78,17 +78,6 @@ impl NonNegLinearFit {
             residual_ss,
         })
     }
-
-    /// Fits the model via a feature map applied to raw samples.
-    pub fn fit<S>(
-        &self,
-        samples: &[S],
-        targets: &[f64],
-        features: impl Fn(&S) -> Vec<f64>,
-    ) -> Result<LinearModel, FitError> {
-        let rows: Vec<Vec<f64>> = samples.iter().map(features).collect();
-        self.fit_rows(&rows, targets)
-    }
 }
 
 #[cfg(test)]
@@ -98,24 +87,15 @@ mod tests {
     #[test]
     fn recovers_planted_nonneg_coefficients() {
         let theta = [1.02, 2.78, 4.92, 0.0, 0.02];
-        let samples: Vec<(f64, f64)> = (1..=12)
+        let rows: Vec<Vec<f64>> = (1..=12)
             .flat_map(|p| (1..=12).map(move |w| (p as f64, w as f64)))
+            .map(|(p, w)| vec![32.0 / w, 1.0, w / p, w, p])
             .collect();
-        let feat = |s: &(f64, f64)| {
-            let (p, w) = *s;
-            vec![32.0 / w, 1.0, w / p, w, p]
-        };
-        let targets: Vec<f64> = samples
+        let targets: Vec<f64> = rows
             .iter()
-            .map(|s| {
-                feat(s)
-                    .iter()
-                    .zip(theta.iter())
-                    .map(|(f, t)| f * t)
-                    .sum::<f64>()
-            })
+            .map(|r| r.iter().zip(theta.iter()).map(|(f, t)| f * t).sum())
             .collect();
-        let m = NonNegLinearFit.fit(&samples, &targets, feat).unwrap();
+        let m = NonNegLinearFit.fit_rows(&rows, &targets).unwrap();
         for (got, want) in m.theta.iter().zip(theta.iter()) {
             assert!((got - want).abs() < 1e-6, "{got} vs {want}");
         }

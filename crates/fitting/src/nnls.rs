@@ -11,34 +11,25 @@
 //! previous iterate whenever the subproblem solution leaves the feasible
 //! region.
 //!
-//! [`nnls_with`] is the reference iteration. Two production callers
-//! replay it bit for bit from a cached Gram instead of a `Matrix`:
-//! [`nnls_rows`] (the speed models' refit, up to five columns, over rows
-//! rebuilt on demand) and `solve_sub2_cached` (the batched loss-curve
-//! fitter's two-column subproblems).
+//! [`nnls()`] is the reference iteration, the oracle. The production
+//! fitters solve from a cached Gram instead of a `Matrix` and share one
+//! active-set step, `ActiveSet`, which replays the oracle's scan and
+//! inner loop bit for bit: [`nnls_rows`] (the speed models' refit, up
+//! to five columns, over rows rebuilt on demand) drives it with a
+//! restricted-Gram solve, and the batched loss-curve fitter
+//! ([`crate::batch`]) with `solve_sub2_cached`, its two-column solve.
 
 use crate::error::FitError;
 use crate::linalg::{solve_normal, Matrix};
 
-/// Options controlling the NNLS iteration.
-#[derive(Debug, Clone, Copy)]
-pub struct NnlsOptions {
-    /// Maximum number of outer iterations. The textbook bound is `3·n`,
-    /// but we default to a generous multiple to be safe on noisy data.
-    pub max_iterations: usize,
-    /// Dual-feasibility tolerance: the algorithm stops when every inactive
-    /// coordinate has `w_i ≤ tolerance`.
-    pub tolerance: f64,
-}
+/// Outer-iteration limit of every solve in this module. The textbook
+/// bound is `3·n`; this is a generous multiple, to be safe on noisy
+/// data.
+pub(crate) const MAX_ITERATIONS: usize = 300;
 
-impl Default for NnlsOptions {
-    fn default() -> Self {
-        NnlsOptions {
-            max_iterations: 300,
-            tolerance: 1e-11,
-        }
-    }
-}
+/// Dual-feasibility tolerance: a solve stops when no column outside the
+/// passive set has `wᵢ > TOLERANCE`.
+pub(crate) const TOLERANCE: f64 = 1e-11;
 
 /// The result of an NNLS solve.
 #[derive(Debug, Clone)]
@@ -51,7 +42,7 @@ pub struct NnlsSolution {
     pub iterations: usize,
 }
 
-/// Solves `min ‖A·x − b‖₂ s.t. x ≥ 0` with default options.
+/// Solves `min ‖A·x − b‖₂ s.t. x ≥ 0`.
 ///
 /// # Examples
 ///
@@ -65,33 +56,6 @@ pub struct NnlsSolution {
 /// assert_eq!(sol.x[1], 0.0);
 /// ```
 pub fn nnls(a: &Matrix, b: &[f64]) -> Result<NnlsSolution, FitError> {
-    nnls_with(a, b, NnlsOptions::default())
-}
-
-/// Like [`nnls()`], but reports into a
-/// [`Telemetry`](optimus_telemetry::Telemetry) handle: each call
-/// bumps the `nnls.solves` counter and feeds the `nnls.iterations`
-/// histogram; failed solves bump `nnls.fit_failures`.
-pub fn nnls_traced(
-    a: &Matrix,
-    b: &[f64],
-    tel: &optimus_telemetry::Telemetry,
-) -> Result<NnlsSolution, FitError> {
-    tel.incr("nnls.solves");
-    match nnls(a, b) {
-        Ok(sol) => {
-            tel.observe("nnls.iterations", sol.iterations as f64);
-            Ok(sol)
-        }
-        Err(e) => {
-            tel.incr("nnls.fit_failures");
-            Err(e)
-        }
-    }
-}
-
-/// Solves `min ‖A·x − b‖₂ s.t. x ≥ 0` with explicit options.
-pub fn nnls_with(a: &Matrix, b: &[f64], opts: NnlsOptions) -> Result<NnlsSolution, FitError> {
     if b.len() != a.rows() {
         return Err(FitError::DimensionMismatch {
             context: "nnls: rhs length != rows",
@@ -133,7 +97,7 @@ pub fn nnls_with(a: &Matrix, b: &[f64], opts: NnlsOptions) -> Result<NnlsSolutio
         // Pick the most promising inactive, non-rejected coordinate.
         let mut best: Option<(usize, f64)> = None;
         for i in 0..n {
-            if !passive[i] && !rejected[i] && w[i] > opts.tolerance {
+            if !passive[i] && !rejected[i] && w[i] > TOLERANCE {
                 match best {
                     Some((_, bw)) if bw >= w[i] => {}
                     _ => best = Some((i, w[i])),
@@ -152,9 +116,9 @@ pub fn nnls_with(a: &Matrix, b: &[f64], opts: NnlsOptions) -> Result<NnlsSolutio
         };
 
         iterations += 1;
-        if iterations > opts.max_iterations {
+        if iterations > MAX_ITERATIONS {
             return Err(FitError::IterationLimit {
-                limit: opts.max_iterations,
+                limit: MAX_ITERATIONS,
             });
         }
 
@@ -166,7 +130,7 @@ pub fn nnls_with(a: &Matrix, b: &[f64], opts: NnlsOptions) -> Result<NnlsSolutio
             let p_idx: Vec<usize> = (0..n).filter(|&i| passive[i]).collect();
             let z = solve_subproblem(a, b, &p_idx)?;
             let slot = p_idx.iter().position(|&i| i == enter).expect("enter in P");
-            if z[slot] <= opts.tolerance {
+            if z[slot] <= TOLERANCE {
                 passive[enter] = false;
                 rejected[enter] = true;
                 continue;
@@ -177,9 +141,9 @@ pub fn nnls_with(a: &Matrix, b: &[f64], opts: NnlsOptions) -> Result<NnlsSolutio
         // solution leaves the feasible region, step back and shrink P.
         loop {
             iterations += 1;
-            if iterations > opts.max_iterations {
+            if iterations > MAX_ITERATIONS {
                 return Err(FitError::IterationLimit {
-                    limit: opts.max_iterations,
+                    limit: MAX_ITERATIONS,
                 });
             }
 
@@ -187,7 +151,7 @@ pub fn nnls_with(a: &Matrix, b: &[f64], opts: NnlsOptions) -> Result<NnlsSolutio
             let z = solve_subproblem(a, b, &p_idx)?;
 
             // Any non-positive coordinate in the subproblem solution?
-            let all_positive = z.iter().all(|&zi| zi > opts.tolerance);
+            let all_positive = z.iter().all(|&zi| zi > TOLERANCE);
             if all_positive {
                 for (slot, &i) in p_idx.iter().enumerate() {
                     x[i] = z[slot];
@@ -206,7 +170,7 @@ pub fn nnls_with(a: &Matrix, b: &[f64], opts: NnlsOptions) -> Result<NnlsSolutio
             // Step length α: largest step toward z that stays feasible.
             let mut alpha = f64::INFINITY;
             for (slot, &i) in p_idx.iter().enumerate() {
-                if z[slot] <= opts.tolerance {
+                if z[slot] <= TOLERANCE {
                     let denom = x[i] - z[slot];
                     if denom > 0.0 {
                         alpha = alpha.min(x[i] / denom);
@@ -223,7 +187,7 @@ pub fn nnls_with(a: &Matrix, b: &[f64], opts: NnlsOptions) -> Result<NnlsSolutio
             }
             // Freeze coordinates that hit the boundary.
             for &i in &p_idx {
-                if x[i] <= opts.tolerance {
+                if x[i] <= TOLERANCE {
                     x[i] = 0.0;
                     passive[i] = false;
                 }
@@ -233,6 +197,28 @@ pub fn nnls_with(a: &Matrix, b: &[f64], opts: NnlsOptions) -> Result<NnlsSolutio
             if !passive.iter().any(|&p| p) {
                 break;
             }
+        }
+    }
+}
+
+/// Like [`nnls()`], but reports into a
+/// [`Telemetry`](optimus_telemetry::Telemetry) handle: each call
+/// bumps the `nnls.solves` counter and feeds the `nnls.iterations`
+/// histogram; failed solves bump `nnls.fit_failures`.
+pub fn nnls_traced(
+    a: &Matrix,
+    b: &[f64],
+    tel: &optimus_telemetry::Telemetry,
+) -> Result<NnlsSolution, FitError> {
+    tel.incr("nnls.solves");
+    match nnls(a, b) {
+        Ok(sol) => {
+            tel.observe("nnls.iterations", sol.iterations as f64);
+            Ok(sol)
+        }
+        Err(e) => {
+            tel.incr("nnls.fit_failures");
+            Err(e)
         }
     }
 }
@@ -250,9 +236,10 @@ fn solve_subproblem(a: &Matrix, b: &[f64], p_idx: &[usize]) -> Result<Vec<f64>, 
     sub.lstsq(b)
 }
 
-/// The `cols ≤ 2` subproblem solve of [`nnls_with`] (`solve_subproblem`
+/// The `cols ≤ 2` subproblem solve of [`nnls()`] (`solve_subproblem`
 /// → `Matrix::lstsq` → `Matrix::solve`, ridge retry on singularity)
-/// from a precomputed Gram matrix and right-hand side.
+/// from a precomputed Gram matrix and right-hand side: the batched
+/// fitter's `solve` for [`ActiveSet::advance`].
 ///
 /// The Gram products `g00/g01/g11` and `rhs` are functions of the rows
 /// alone, not of the passive set, so the batched fitter
@@ -272,6 +259,15 @@ fn solve_subproblem(a: &Matrix, b: &[f64], p_idx: &[usize]) -> Result<Vec<f64>, 
 ///   the ridge `λ = 1e-10·max(trace/n, 1e-30)` sums the trace in the
 ///   same order.
 ///
+/// It returns what `solve_passive` returns on the same Gram restricted
+/// to two columns, bit for bit (`nnls::tests` pins that), so the
+/// general solve could stand in for it. It stays because it is faster
+/// where it matters: a build that sent the batched fitter's subproblems
+/// through `solve_passive` (and so `solve_normal`) instead was slower
+/// in every one of 6 alternating pairs of `benchmark --one W --seed 17`
+/// on a 2-vCPU Xeon with avx512f (run time 0.80–0.83 s → 0.97–0.98 s on
+/// cluster-steady, 0.45–0.47 s → 0.50–0.51 s on testbed-dense).
+///
 /// `n_rows` is the row count for `lstsq`'s under-determined check.
 pub(crate) fn solve_sub2_cached(
     g00: f64,
@@ -280,7 +276,7 @@ pub(crate) fn solve_sub2_cached(
     rhs2: [f64; 2],
     n_rows: usize,
     passive: [bool; 2],
-) -> Result<([f64; 2], usize, [usize; 2]), FitError> {
+) -> Result<([f64; 2], [usize; 2], usize), FitError> {
     let mut slots = [0usize; 2];
     let mut m = 0usize;
     for (i, &p) in passive.iter().enumerate() {
@@ -307,7 +303,7 @@ pub(crate) fn solve_sub2_cached(
             }
             Err(e) => return Err(e),
         };
-        Ok(([z, 0.0], 1, slots))
+        Ok(([z, 0.0], slots, 1))
     } else {
         let z = match solve2([g00, g01, g01, g11], rhs2) {
             Ok(z) => z,
@@ -320,7 +316,7 @@ pub(crate) fn solve_sub2_cached(
             }
             Err(e) => return Err(e),
         };
-        Ok((z, 2, slots))
+        Ok((z, slots, 2))
     }
 }
 
@@ -372,6 +368,205 @@ fn solve2(g: [f64; 4], rhs: [f64; 2]) -> Result<[f64; 2], FitError> {
     Ok(x)
 }
 
+/// What [`ActiveSet::advance`] stopped on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// No column enters on the dual: `x` is the solution.
+    Optimal,
+    /// `x` changed, and every column is passive or rejected: the next
+    /// scan can pick no column whatever the dual holds, so `x` is the
+    /// solution and no dual is needed to know it.
+    Saturated,
+    /// `x` changed: the next scan needs the dual at the new `x`.
+    NeedsDual,
+}
+
+/// Lawson–Hanson's active-set state over `N` columns, and the one
+/// step both production fitters take between two dual computations:
+/// [`nnls()`]'s entering-column scan and inner loop, replayed bit for
+/// bit on any `solve` that returns what its `solve_subproblem` returns
+/// on the same passive set. The caller owns the duals and the iterate;
+/// [`nnls_rows`] computes each dual in a row pass, the batched fitter
+/// from its lanes' Gram or in a lockstep sweep.
+///
+/// Two shortcuts against `nnls` change no bit: rejecting an entering
+/// column leaves `x` unchanged, so the dual is unchanged too and the
+/// step rescans at once, and the trial solve of an entering column is
+/// the inner loop's first solve (same passive set). A caller with fewer
+/// than `N` columns pads with columns whose duals are zero: they never
+/// enter, and only keep a step from reporting `Step::Saturated`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ActiveSet<const N: usize> {
+    /// Columns in the passive (free) set P.
+    pub(crate) passive: [bool; N],
+    /// Columns whose trial entry was rejected (a non-positive
+    /// subproblem coefficient) since `x` last changed, which prevents
+    /// cycling when a true coefficient sits exactly on the boundary.
+    pub(crate) rejected: [bool; N],
+    /// Outer iterations so far, as [`NnlsSolution::iterations`] counts.
+    pub(crate) iterations: usize,
+}
+
+impl<const N: usize> Default for ActiveSet<N> {
+    fn default() -> Self {
+        ActiveSet {
+            passive: [false; N],
+            rejected: [false; N],
+            iterations: 0,
+        }
+    }
+}
+
+impl<const N: usize> ActiveSet<N> {
+    /// The column [`nnls()`]'s scan enters on dual `w`: the largest
+    /// `wᵢ > TOLERANCE` (ties to the lower index) among the columns
+    /// neither passive nor rejected.
+    #[inline(always)]
+    pub(crate) fn entering(&self, w: &[f64; N]) -> Option<usize> {
+        let mut best: Option<(usize, f64)> = None;
+        for (i, &wi) in w.iter().enumerate() {
+            if !self.passive[i] && !self.rejected[i] && wi > TOLERANCE {
+                match best {
+                    Some((_, bw)) if bw >= wi => {}
+                    _ => best = Some((i, wi)),
+                }
+            }
+        }
+        best.map(|(i, _)| i)
+    }
+
+    /// Whether every scan [`advance`](Self::advance) can run on a dual
+    /// within `e` of `w` decides as on `w` itself: each open column
+    /// (neither passive nor rejected) lies wholly above the tolerance or
+    /// wholly below it, and the intervals of the columns above are
+    /// pairwise disjoint. That covers the rescans after rejections too,
+    /// which read the same dual. Rounding is monotone, so a strict
+    /// comparison between computed endpoints implies it between exact
+    /// ones; NaN endpoints certify nothing. Written with non-short-
+    /// circuit `&`/`|`: the batched fitter's lane states vary from lane
+    /// to lane, and branching on them mispredicted more than the
+    /// comparisons cost.
+    #[inline(always)]
+    pub(crate) fn certifies(&self, w: &[f64; N], e: &[f64; N]) -> bool {
+        let open: [bool; N] = std::array::from_fn(|i| !(self.passive[i] | self.rejected[i]));
+        let above: [bool; N] = std::array::from_fn(|i| open[i] & (w[i] - e[i] > TOLERANCE));
+        let mut all = true;
+        for i in 0..N {
+            all &= !open[i] | above[i] | (w[i] + e[i] < TOLERANCE);
+            for j in i + 1..N {
+                all &= !(above[i] & above[j])
+                    | (w[i] - e[i] > w[j] + e[j])
+                    | (w[j] - e[j] > w[i] + e[i]);
+            }
+        }
+        all
+    }
+
+    /// Runs [`nnls()`]'s outer loop from a scan on dual `w` (the dual at
+    /// `x`) to the next point that needs a new dual, updating `x` in
+    /// place. `solve(passive)` solves the subproblem on the passive
+    /// columns, returning the solution in passive-column order, the
+    /// passive columns and their count.
+    ///
+    /// Errors are `solve`'s and the iteration limit, as `nnls` raises
+    /// them.
+    #[inline(always)]
+    pub(crate) fn advance(
+        &mut self,
+        x: &mut [f64; N],
+        w: &[f64; N],
+        mut solve: impl FnMut(&[bool; N]) -> Result<([f64; N], [usize; N], usize), FitError>,
+    ) -> Result<Step, FitError> {
+        let trial = loop {
+            let Some(enter) = self.entering(w) else {
+                return Ok(Step::Optimal);
+            };
+            self.count()?;
+            self.passive[enter] = true;
+            let trial = solve(&self.passive)?;
+            let (z, slots, m) = trial;
+            let slot = slots[..m]
+                .iter()
+                .position(|&i| i == enter)
+                .expect("enter in P");
+            if z[slot] <= TOLERANCE {
+                // x unchanged ⇒ dual unchanged ⇒ rescan now.
+                self.passive[enter] = false;
+                self.rejected[enter] = true;
+                continue;
+            }
+            break trial;
+        };
+
+        let mut solved = Some(trial);
+        loop {
+            self.count()?;
+            let (z, slots, m) = match solved.take() {
+                Some(trial) => trial,
+                None => solve(&self.passive)?,
+            };
+            if z[..m].iter().all(|&zi| zi > TOLERANCE) {
+                for (slot, &i) in slots[..m].iter().enumerate() {
+                    x[i] = z[slot];
+                }
+                for (xi, &p) in x.iter_mut().zip(&self.passive) {
+                    if !p {
+                        *xi = 0.0;
+                    }
+                }
+                self.rejected = [false; N];
+                break;
+            }
+
+            // Step length α: largest step toward z that stays feasible.
+            let mut alpha = f64::INFINITY;
+            for (slot, &i) in slots[..m].iter().enumerate() {
+                if z[slot] <= TOLERANCE {
+                    let denom = x[i] - z[slot];
+                    if denom > 0.0 {
+                        alpha = alpha.min(x[i] / denom);
+                    } else {
+                        alpha = 0.0;
+                    }
+                }
+            }
+            if !alpha.is_finite() {
+                alpha = 0.0;
+            }
+            for (slot, &i) in slots[..m].iter().enumerate() {
+                x[i] += alpha * (z[slot] - x[i]);
+            }
+            // Freeze coordinates that hit the boundary.
+            for &i in &slots[..m] {
+                if x[i] <= TOLERANCE {
+                    x[i] = 0.0;
+                    self.passive[i] = false;
+                }
+            }
+            if !self.passive.iter().any(|&p| p) {
+                break;
+            }
+        }
+        if (0..N).all(|i| self.passive[i] || self.rejected[i]) {
+            Ok(Step::Saturated)
+        } else {
+            Ok(Step::NeedsDual)
+        }
+    }
+
+    /// Counts one iteration, failing past [`MAX_ITERATIONS`].
+    #[inline(always)]
+    fn count(&mut self) -> Result<(), FitError> {
+        self.iterations += 1;
+        if self.iterations > MAX_ITERATIONS {
+            return Err(FitError::IterationLimit {
+                limit: MAX_ITERATIONS,
+            });
+        }
+        Ok(())
+    }
+}
+
 /// The widest row [`nnls_rows`] takes: the synchronous speed model's
 /// five features (Eqn 4).
 pub const MAX_WIDTH: usize = 5;
@@ -388,12 +583,12 @@ pub struct SmallNnlsSolution {
     pub iterations: usize,
 }
 
-/// [`nnls`] over `n_rows` rows of `width ≤ MAX_WIDTH` columns that
+/// [`nnls()`] over `n_rows` rows of `width ≤ MAX_WIDTH` columns that
 /// `row(r)` rebuilds on demand as `(features, target)`, without
 /// allocating: the same coefficient bits, residual bits, iteration
 /// count and error as `nnls` on the matrix of those rows.
 ///
-/// It replays [`nnls_with`] with default options:
+/// It drives `ActiveSet` from one Gram:
 ///
 /// * **One Gram.** One pass over the rows builds the full `AᵀA` upper
 ///   triangle in `Matrix::gram`'s order (ascending rows, a term skipped
@@ -402,23 +597,21 @@ pub struct SmallNnlsSolution {
 ///   their ascending order, so its Gram and right-hand side are these
 ///   entries restricted to the passive set: the same sums term for
 ///   term. `solve_subproblem` → `Matrix::lstsq` is then replayed on the
-///   stack: the under-determined check, then the very elimination and
-///   ridge retry `lstsq` runs, on the restricted system (as
-///   `solve_sub2_cached` does for two columns).
+///   stack (`solve_passive`): the under-determined check, then the very
+///   elimination and ridge retry `lstsq` runs, on the restricted system.
 /// * **First dual.** At `x = 0` every `A·x` entry is `+0.0` (the rows
 ///   are finite by then), so `b − A·x` is `b` and the dual is `Aᵀb`.
 ///   The residual sum of squares at `x = 0` is summed in the same pass.
 /// * **Later duals.** `w = Aᵀ(b − A·x)` is one pass that rebuilds each
 ///   row and accumulates `A·x` (`Matrix::mul_vec`'s order), the dual
 ///   and `‖A·x − b‖²` (`Matrix::residual_ss`'s order) at once, so the
-///   final dual pass has already summed the returned residual.
-/// * **Reuse.** A rejected entry leaves `x` unchanged, so its dual and
-///   residual are reused, and the trial solve is the inner loop's
-///   first solve (same passive set).
+///   final dual pass has already summed the returned residual. A
+///   saturated step needs no dual, but it needs that residual, so it
+///   gets the same pass.
 ///
-/// The error order is `nnls_with`'s: a non-finite target
-/// (`"nnls rhs"`), then a non-finite feature (`"nnls matrix"`), then
-/// subproblem and iteration-limit errors as they arise.
+/// The error order is `nnls`'s: a non-finite target (`"nnls rhs"`),
+/// then a non-finite feature (`"nnls matrix"`), then subproblem and
+/// iteration-limit errors as they arise.
 ///
 /// # Panics
 ///
@@ -429,8 +622,6 @@ pub fn nnls_rows(
     row: impl Fn(usize) -> ([f64; MAX_WIDTH], f64),
 ) -> Result<SmallNnlsSolution, FitError> {
     assert!(width <= MAX_WIDTH, "nnls_rows: width {width} > {MAX_WIDTH}");
-    let opts = NnlsOptions::default();
-    let tol = opts.tolerance;
 
     // Upper triangle of AᵀA, Aᵀb and ‖b‖² (the residual at x = 0).
     let mut gram = [[0.0_f64; MAX_WIDTH]; MAX_WIDTH];
@@ -465,113 +656,21 @@ pub fn nnls_rows(
     }
 
     let mut x = [0.0_f64; MAX_WIDTH];
-    let mut passive = [false; MAX_WIDTH];
-    let mut rejected = [false; MAX_WIDTH];
+    let mut set = ActiveSet::<MAX_WIDTH>::default();
     let mut w = atb;
-    let mut dual_stale = false;
-    let mut iterations = 0usize;
-
-    loop {
-        if dual_stale {
-            (w, rss) = dual_pass(n_rows, width, &row, &x);
-        }
-        dual_stale = true;
-
-        let mut best: Option<(usize, f64)> = None;
-        for i in 0..width {
-            if !passive[i] && !rejected[i] && w[i] > tol {
-                match best {
-                    Some((_, bw)) if bw >= w[i] => {}
-                    _ => best = Some((i, w[i])),
-                }
-            }
-        }
-        let Some((enter, _)) = best else {
-            return Ok(SmallNnlsSolution {
-                x,
-                residual_ss: rss,
-                iterations,
-            });
-        };
-
-        iterations += 1;
-        if iterations > opts.max_iterations {
-            return Err(FitError::IterationLimit {
-                limit: opts.max_iterations,
-            });
-        }
-
-        passive[enter] = true;
-        let (mut z, mut p_idx, mut m) = solve_passive(&gram, &atb, n_rows, width, &passive)?;
-        let slot = p_idx[..m]
-            .iter()
-            .position(|&i| i == enter)
-            .expect("enter in P");
-        if z[slot] <= tol {
-            passive[enter] = false;
-            rejected[enter] = true;
-            dual_stale = false;
-            continue;
-        }
-
-        let mut first = true;
-        loop {
-            iterations += 1;
-            if iterations > opts.max_iterations {
-                return Err(FitError::IterationLimit {
-                    limit: opts.max_iterations,
-                });
-            }
-            if !first {
-                (z, p_idx, m) = solve_passive(&gram, &atb, n_rows, width, &passive)?;
-            }
-            first = false;
-
-            if z[..m].iter().all(|&zi| zi > tol) {
-                for (slot, &i) in p_idx[..m].iter().enumerate() {
-                    x[i] = z[slot];
-                }
-                for i in 0..width {
-                    if !passive[i] {
-                        x[i] = 0.0;
-                    }
-                }
-                rejected = [false; MAX_WIDTH];
-                break;
-            }
-
-            let mut alpha = f64::INFINITY;
-            for (slot, &i) in p_idx[..m].iter().enumerate() {
-                if z[slot] <= tol {
-                    let denom = x[i] - z[slot];
-                    if denom > 0.0 {
-                        alpha = alpha.min(x[i] / denom);
-                    } else {
-                        alpha = 0.0;
-                    }
-                }
-            }
-            if !alpha.is_finite() {
-                alpha = 0.0;
-            }
-            for (slot, &i) in p_idx[..m].iter().enumerate() {
-                x[i] += alpha * (z[slot] - x[i]);
-            }
-            for &i in &p_idx[..m] {
-                if x[i] <= tol {
-                    x[i] = 0.0;
-                    passive[i] = false;
-                }
-            }
-            if !passive.iter().any(|&p| p) {
-                break;
-            }
-        }
+    let solve = |passive: &[bool; MAX_WIDTH]| solve_passive(&gram, &atb, n_rows, width, passive);
+    while set.advance(&mut x, &w, solve)? != Step::Optimal {
+        (w, rss) = dual_pass(n_rows, width, &row, &x);
     }
+    Ok(SmallNnlsSolution {
+        x,
+        residual_ss: rss,
+        iterations: set.iterations,
+    })
 }
 
 /// One pass of [`nnls_rows`] at iterate `x`: the dual `Aᵀ(b − A·x)` and
-/// `‖A·x − b‖²`, in `nnls_with`'s operation order.
+/// `‖A·x − b‖²`, in [`nnls()`]'s operation order.
 fn dual_pass(
     n_rows: usize,
     width: usize,
@@ -641,6 +740,79 @@ mod tests {
 
     fn mat(rows: &[&[f64]]) -> Matrix {
         Matrix::from_rows(rows).unwrap()
+    }
+
+    /// The batched fitter's two-column solve returns `solve_passive`'s
+    /// bits, slots, count and errors on the same Gram and passive set:
+    /// on Grams of random rows (signed, and the fitter's `[w·k, w]`
+    /// shape), with each column passive alone and both, and on the
+    /// degenerate ones: singular and near-singular (the ridge retry,
+    /// with one or two columns), a pivot swap, more passive columns than
+    /// rows, and overflowed or NaN entries.
+    #[test]
+    fn two_column_solve_matches_the_general_solve() {
+        let general = |g: [f64; 3], rhs: [f64; 2], n_rows: usize, passive: [bool; 2]| {
+            let mut gram = [[0.0; MAX_WIDTH]; MAX_WIDTH];
+            (gram[0][0], gram[0][1], gram[1][1]) = (g[0], g[1], g[2]);
+            let atb = [rhs[0], rhs[1], 0.0, 0.0, 0.0];
+            let p = [passive[0], passive[1], false, false, false];
+            let (z, slots, m) = solve_passive(&gram, &atb, n_rows, 2, &p)?;
+            Ok(([z[0], z[1]], [slots[0], slots[1]], m))
+        };
+        let key = |r: Result<([f64; 2], [usize; 2], usize), FitError>| {
+            r.map(|(z, slots, m)| (z.map(f64::to_bits), slots, m))
+        };
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut unit = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut cases: Vec<([f64; 3], [f64; 2], usize)> = Vec::new();
+        for i in 0..400 {
+            let n = 1 + (unit() * 12.0) as usize;
+            let (mut g, mut rhs) = ([0.0; 3], [0.0; 2]);
+            for _ in 0..n {
+                let r = if i % 2 == 0 {
+                    [unit() * 4.0 - 2.0, unit() * 4.0 - 2.0]
+                } else {
+                    let w = unit() * unit();
+                    [w * (unit() * 400.0).floor(), w]
+                };
+                let y = unit() * 2.0 - 0.5;
+                if r[0] != 0.0 {
+                    g[0] += r[0] * r[0];
+                    g[1] += r[0] * r[1];
+                }
+                g[2] += r[1] * r[1];
+                rhs[0] += r[0] * y;
+                rhs[1] += r[1] * y;
+            }
+            cases.push((g, rhs, n));
+        }
+        let nan = f64::NAN;
+        for n in [0, 1, 2, 7] {
+            cases.extend([
+                ([1.0, 1.0, 1.0], [1.0, 2.0], n),
+                ([4.0, 2.0, 1.0], [3.0, -1.0], n),
+                ([1e-14, 0.0, 1e-14], [1e-3, 2e-3], n),
+                ([2.0, 1.0 - 1e-15, 0.5], [1.0, 1.0], n),
+                ([1.0, 3.0, 2.0], [0.5, -0.5], n),
+                ([0.0, 0.0, 5.0], [0.0, 2.0], n),
+                ([f64::INFINITY, 1.0, 1.0], [f64::INFINITY, 1.0], n),
+                ([1.0, nan, 1.0], [1.0, nan], n),
+            ]);
+        }
+        for (g, rhs, n) in cases {
+            for passive in [[true, false], [false, true], [true, true]] {
+                assert_eq!(
+                    key(solve_sub2_cached(g[0], g[1], g[2], rhs, n, passive)),
+                    key(general(g, rhs, n, passive)),
+                    "G {g:?}, rhs {rhs:?}, {n} rows, passive {passive:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! ragged (every lane a different length) and grow across rounds with
 //! honest stable-prefix claims, sessions are reused across unrelated
 //! series, batches span 1..3× the lane width, and the degenerate cases
-//! (≤ 2 distinct steps, all-NaN, flat `hi == 0` grids, a stale warm
-//! start) run both as one-lane batches and inside mixed groups, so lane
+//! (≤ 2 distinct steps, all-NaN, constant histories, all-zero ones with
+//! a `hi == 0` grid, a stale warm start) run both as one-lane batches and inside mixed groups, so lane
 //! desynchronization would be caught.
 
 use optimus_fitting::preprocess::LossSample;
@@ -181,9 +181,9 @@ proptest! {
     }
 }
 
-/// Degenerate histories (empty, ≤ 2 distinct steps, all-NaN, flat
-/// `hi == 0`, regression rows that overflow, and finite rows whose Gram
-/// overflows) and a stale warm start, each fit as a one-lane batch and
+/// Degenerate histories (empty, ≤ 2 distinct steps, all-NaN, constant,
+/// all-zero with a `hi == 0` grid, regression rows that overflow, and
+/// finite rows whose Gram overflows) and a stale warm start, each fit as a one-lane batch and
 /// mixed into one group with healthy lanes: per-lane error
 /// short-circuits must not disturb their neighbors, and the warm start
 /// is only a hint.
@@ -210,6 +210,20 @@ fn degenerate_lanes_mixed_with_healthy_lanes() {
     // `g00 = Σ (w·k)²` overflows, and the solves still run.
     let gram_overflow: Vec<LossSample> = (0..40)
         .map(|k| (k * 100_000, 1e80 / (k as f64 + 1.0)))
+        .collect();
+    // Every kept row at step 1 (the zeros make `hi == 0` and are
+    // skipped): the two columns are equal, so their duals tie exactly
+    // and the scan's tie-break decides which coefficient carries the fit.
+    let tied: Vec<LossSample> = vec![(1, 1.0), (1, 1.0), (2, 0.0), (3, 0.0), (4, 0.0)];
+    // Steps near 1e12 on a falling curve with slope β₀ ≈ 2e-11, just
+    // above the dual tolerance: alone, the slope column's coefficient
+    // is below the tolerance, so it is rejected at x = 0; once the
+    // intercept has entered and moved x, it enters again and stays.
+    let far_steps: Vec<LossSample> = (0..100u64)
+        .map(|i| {
+            let k = 1_000_000_000_000 + i * 1_000_000_000;
+            (k, 1.0 / (2e-11 * k as f64 - 19.0) + 0.1)
+        })
         .collect();
     for (raw, want, solves, failures) in [
         (&rows_overflow, Err(FitError::NoViableModel), 32, 32),
@@ -247,12 +261,15 @@ fn degenerate_lanes_mixed_with_healthy_lanes() {
             (2, f64::NAN),
             (3, f64::NAN),
         ]),
-        same(vec![(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)]), // flat: hi == 0 grid
-        same(vec![(0, 0.0), (1, 0.0), (2, 0.0)]),
-        (&unnormalized, [early, late]), // second group starts here
+        // Constant: normalized to 1.0, so hi = 1 − 1e-9.
+        same(vec![(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)]),
+        same(vec![(0, 0.0), (1, 0.0), (2, 0.0)]), // all zero: hi == 0 grid
+        (&unnormalized, [early, late]),           // second group starts here
         same(healthy),
         same_unnormalized(rows_overflow),
         same_unnormalized(gram_overflow),
+        same(tied),
+        same(far_steps),
     ];
     let n = lanes.len();
     let mut mixed_sessions: Vec<FitSession> = (0..n).map(|_| FitSession::new()).collect();
@@ -298,17 +315,19 @@ fn degenerate_lanes_mixed_with_healthy_lanes() {
 /// lone job owns all eight lanes, two jobs four each, three jobs
 /// 3/3/2, …) and as one call holding them all must return the same
 /// bits and report the same summary as one-job batches — the
-/// simulator's thread-count-invariant ledger depends on it. A flat
-/// `hi == 0` job and a too-short one sit beside live jobs in every
-/// split; lanes go to live jobs only.
+/// simulator's thread-count-invariant ledger depends on it. A constant
+/// job, an all-zero one (whose grid is `hi == 0`) and a too-short one
+/// sit beside live jobs in every split; lanes go to live jobs only.
 #[test]
 fn batched_telemetry_is_independent_of_lane_grouping() {
     use optimus_telemetry::TelemetrySummary;
     let mut raws: Vec<Vec<LossSample>> = (0..11)
         .map(|i| history(900 + i as u64, 20 + i * 13))
         .collect();
-    raws.insert(2, (0..6).map(|k| (k, 1.0)).collect()); // flat: hi == 0
+    // Constant: normalized to 1.0, so hi = 1 − 1e-9.
+    raws.insert(2, (0..6).map(|k| (k, 1.0)).collect());
     raws.insert(5, vec![(0, 1.0), (1, 0.5)]); // NotEnoughSamples
+    raws.insert(8, (0..6).map(|k| (k, 0.0)).collect()); // all zero: hi == 0
     raws.push(history(77, 400)); // the simulator's fit-point cap
     let n = raws.len();
     // Two passes per session, the second warm on unchanged histories.

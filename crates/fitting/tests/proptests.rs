@@ -108,14 +108,13 @@ proptest! {
         t1 in 0.0f64..5.0,
         t2 in 0.0f64..5.0,
     ) {
-        let samples: Vec<(f64, f64)> = (1..=6)
-            .flat_map(|p| (1..=6).map(move |w| (p as f64, w as f64)))
+        let rows: Vec<Vec<f64>> = (1..=6)
+            .flat_map(|p| (1..=6).map(move |w| vec![1.0, p as f64, w as f64]))
             .collect();
-        let feat = |s: &(f64, f64)| vec![1.0, s.0, s.1];
-        let targets: Vec<f64> = samples.iter().map(|s| t0 + t1 * s.0 + t2 * s.1).collect();
-        let m = NonNegLinearFit.fit(&samples, &targets, feat).unwrap();
-        for (s, y) in samples.iter().zip(targets.iter()) {
-            let pred = m.predict(&[1.0, s.0, s.1]).unwrap();
+        let targets: Vec<f64> = rows.iter().map(|r| t0 + t1 * r[1] + t2 * r[2]).collect();
+        let m = NonNegLinearFit.fit_rows(&rows, &targets).unwrap();
+        for (r, y) in rows.iter().zip(targets.iter()) {
+            let pred = m.predict(r).unwrap();
             prop_assert!((pred - y).abs() < 1e-6);
         }
     }

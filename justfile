@@ -56,7 +56,12 @@ bench-alloc:
 # build cannot. They also check the Gram-form dual certificate against
 # real dual sweeps on random and adversarial lanes
 # (`certified_duals_decide_as_the_sweep`) and whole `fit_batch` calls
-# with certificates on and off. Last, the JSON writers: every derive
+# with certificates on and off. Beside them run the NNLS unit tests:
+# both production fitters drive one active-set step (`ActiveSet`) and
+# differ only in their subproblem solve, and
+# `two_column_solve_matches_the_general_solve` pins the batched
+# fitter's two-column solve to the speed refit's general one, bit for
+# bit, on random and degenerate Grams. Last, the JSON writers: every derive
 # shape and value edge case of `Serialize::write_json` against the
 # `Value`-tree renderer it replaced, the streaming trace export against
 # the trace snapshot, and every record of every ledger artifact of a
@@ -68,6 +73,7 @@ equivalence:
     cargo test --release -p optimus-fitting --test equivalence
     cargo test --release -p optimus-fitting --test batch_equivalence
     cargo test --release -p optimus-fitting --lib batch::
+    cargo test --release -p optimus-fitting --lib nnls::
     cargo test --release -p optimus-simulator --test equivalence
     cargo test --release -p optimus-simulator --test event_determinism
     cargo test --release -p serde --test write_json
