@@ -11,18 +11,21 @@
 //!   dirty jobs gathered into lane groups, one wave-synchronized β₂
 //!   grid scan per group, clean jobs replaying their cached fit.
 //!
-//! Both must produce identical coefficient bits (asserted), and the
-//! batched timing lands in `mean_ns_optimized` so `check-bench`
-//! gates it against the history. The batched samples' median and
-//! quartiles are recorded next to the mean, which one slow sample
-//! moves, and so are the SoA waves one batched refit runs
-//! (`waves_per_refit`): a count that moves only with the fitter's lane
-//! use, free of timing noise. Grid points with a `dirty` count refit
+//! Both must produce identical coefficient bits (asserted). The
+//! batched path's per-sample times are the gated metric `batched_ns`
+//! (lower is better), recorded with their median and quartiles in the
+//! trajectory format of [`optimus_bench::trajectory`], under a host
+//! block: `optimus-trace check-bench` compares the newest entry with
+//! the latest earlier one from the same host. Beside it each point
+//! records the SoA waves one batched refit runs (`waves_per_refit`): a
+//! count that moves only with the fitter's lane use, free of timing
+//! noise. Grid points with a `dirty` count refit
 //! only that many jobs — the rest sit clean in the batch, the shape the
 //! dirty-set tracking exists for. The reference is deterministic and
 //! only a speedup's numerator, so it is timed over at most
-//! `REFERENCE_SAMPLES` samples (recorded as `reference_samples`); its
-//! outcome is still checked against the batched one at every point.
+//! `REFERENCE_SAMPLES` samples (recorded as `reference_samples`, their
+//! mean as `reference_ns`); its outcome is still checked against the
+//! batched one at every point.
 //!
 //! ```text
 //! bench_fit [--samples N] [--label STR] [--out FILE] [--points J,J,...]
@@ -34,7 +37,9 @@
 //! points whose job count is in the comma-separated list (CI smokes the
 //! 5000-job point alone).
 
-use optimus_bench::{append_trajectory, arg_value};
+use optimus_bench::arg_value;
+use optimus_bench::host::Host;
+use optimus_bench::trajectory::{append_trajectory, Metric};
 use optimus_core::{refit_convergence_batch, ConvergenceEstimator};
 use optimus_fitting::{BatchScratch, LossCurveFitter, LossModel};
 use serde::Serialize;
@@ -66,23 +71,19 @@ const REFERENCE_SAMPLES: u32 = 20;
 /// one scheduling interval's worth of observations.
 const INTERVAL_SAMPLES: usize = 10;
 
-/// One timed grid point.
+/// One timed grid point: `jobs=J history=H`, plus `dirty=D` when only
+/// `D` jobs gained samples since the warm-up fit.
 #[derive(Serialize)]
 struct PointRecord {
-    jobs: usize,
-    history: usize,
-    /// Jobs that gained samples since the warm-up fit; null = all.
-    dirty: Option<usize>,
-    mean_ns_reference: u64,
-    /// The batched SoA path — the gated metric.
-    mean_ns_optimized: u64,
-    /// Quartiles of the batched samples (nearest rank).
-    q1_ns_optimized: u64,
-    median_ns_optimized: u64,
-    q3_ns_optimized: u64,
+    key: String,
+    /// Mean of the reference path's samples, ns.
+    reference_ns: u64,
     /// SoA waves of one batched refit.
     waves_per_refit: u64,
+    /// `reference_ns` over the batched median.
     speedup: f64,
+    /// `batched_ns`: the batched SoA path, one value per sample.
+    metrics: Vec<Metric>,
 }
 
 /// One appended trajectory entry.
@@ -91,6 +92,7 @@ struct BenchEntry {
     label: String,
     source: &'static str,
     samples: u32,
+    host: Host,
     /// Timed samples of the reference path: `samples`, capped at
     /// `REFERENCE_SAMPLES`.
     reference_samples: u32,
@@ -191,23 +193,11 @@ fn time_reference(
 
 /// The batched path at one grid point.
 struct Batched {
-    /// ns per interval, one entry per sample, sorted.
-    sorted_ns: Vec<u64>,
+    /// ns per interval, one entry per sample.
+    ns: Vec<f64>,
     /// SoA waves of one refit (the same in every sample).
     waves: u64,
     outcomes: Vec<FitBits>,
-}
-
-impl Batched {
-    fn mean_ns(&self) -> u64 {
-        (self.sorted_ns.iter().map(|&ns| ns as u128).sum::<u128>() / self.sorted_ns.len() as u128)
-            as u64
-    }
-
-    /// The nearest-rank `q` quantile of the samples.
-    fn quantile_ns(&self, q: f64) -> u64 {
-        self.sorted_ns[((self.sorted_ns.len() - 1) as f64 * q).round() as usize]
-    }
 }
 
 /// Appends the interval's samples to the first `dirty` warmed
@@ -217,7 +207,7 @@ fn time_batched(histories: &[Vec<(u64, f64)>], dirty: usize, samples: u32) -> Ba
     // One serial worker whose scratch stays warm across samples, as the
     // simulator keeps it across rounds.
     let mut scratch = [BatchScratch::new()];
-    let mut sorted_ns = Vec::new();
+    let mut ns = Vec::new();
     let mut waves = 0;
     let mut outcomes = Vec::new();
     for _ in 0..samples {
@@ -231,13 +221,12 @@ fn time_batched(histories: &[Vec<(u64, f64)>], dirty: usize, samples: u32) -> Ba
         let before = scratch[0].waves();
         let start = Instant::now();
         let fits = std::hint::black_box(refit_convergence_batch(&mut refs, &mut scratch));
-        sorted_ns.push(start.elapsed().as_nanos() as u64);
+        ns.push(start.elapsed().as_nanos() as f64);
         waves = scratch[0].waves() - before;
         outcomes = fits.iter().map(|r| r.as_ref().ok().map(bits)).collect();
     }
-    sorted_ns.sort_unstable();
     Batched {
-        sorted_ns,
+        ns,
         waves,
         outcomes,
     }
@@ -284,8 +273,8 @@ fn main() -> ExitCode {
          (label: {label})\n"
     );
     println!(
-        "{:>8} {:>9} {:>7} {:>14} {:>11} {:>11} {:>9} {:>9}",
-        "jobs", "history", "dirty", "reference ms", "batched ms", "median ms", "speedup", "waves"
+        "{:>8} {:>9} {:>7} {:>14} {:>11} {:>22} {:>9} {:>9}",
+        "jobs", "history", "dirty", "reference ms", "median ms", "[q1, q3] ms", "speedup", "waves"
     );
     let mut points = Vec::new();
     for &(jobs, hist_len, dirty) in &POINTS {
@@ -305,27 +294,25 @@ fn main() -> ExitCode {
             ref_fits, batched.outcomes,
             "batched path diverged from reference at {jobs} jobs x {hist_len} history"
         );
-        let opt_ns = batched.mean_ns();
-        let median_ns = batched.quantile_ns(0.5);
-        let speedup = ref_ns as f64 / opt_ns.max(1) as f64;
+        let metric = Metric::new("batched_ns", false, "ns", batched.ns);
+        let speedup = ref_ns as f64 / metric.median.max(1.0);
         println!(
-            "{jobs:>8} {hist_len:>9} {dirty_jobs:>7} {:>14.3} {:>11.3} {:>11.3} {speedup:>8.2}x {:>9}",
+            "{jobs:>8} {hist_len:>9} {dirty_jobs:>7} {:>14.3} {:>11.3} {:>22} {speedup:>8.2}x {:>9}",
             ref_ns as f64 / 1e6,
-            opt_ns as f64 / 1e6,
-            median_ns as f64 / 1e6,
+            metric.median / 1e6,
+            format!("[{:.3}, {:.3}]", metric.q1 / 1e6, metric.q3 / 1e6),
             batched.waves,
         );
+        let mut key = format!("jobs={jobs} history={hist_len}");
+        if let Some(d) = dirty {
+            key += &format!(" dirty={d}");
+        }
         points.push(PointRecord {
-            jobs,
-            history: hist_len,
-            dirty,
-            mean_ns_reference: ref_ns,
-            mean_ns_optimized: opt_ns,
-            q1_ns_optimized: batched.quantile_ns(0.25),
-            median_ns_optimized: median_ns,
-            q3_ns_optimized: batched.quantile_ns(0.75),
+            key,
+            reference_ns: ref_ns,
             waves_per_refit: batched.waves,
             speedup,
+            metrics: vec![metric],
         });
     }
 
@@ -333,6 +320,7 @@ fn main() -> ExitCode {
         label: label.clone(),
         source: "bench_fit",
         samples,
+        host: Host::probe(),
         reference_samples,
         interval_samples: INTERVAL_SAMPLES,
         points,

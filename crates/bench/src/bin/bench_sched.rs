@@ -24,14 +24,22 @@
 //!   remaining work) and the round runs through
 //!   `Scheduler::schedule_delta` with an exact dirty list — the path a
 //!   delta-tracking driver takes. The same mutated state is also timed
-//!   through the full path, and both are recorded (`delta: 1` / `0`)
-//!   so `check-bench` gates each independently; the speedup ratio is
-//!   printed. Churn points use synchronous-mode jobs on a cluster with
-//!   headroom: saturating speed curves stop the solo climbs at finite
-//!   counts, which is the regime where the delta engine's uncontended
-//!   certificate holds and grants replay (asynchronous mixes fill the
-//!   cluster and fall back to the full path — correct, but not the
-//!   steady state this point measures).
+//!   through the full path, and both are recorded (keys ending
+//!   `path=delta` / `path=full`) so `check-bench` gates each
+//!   independently; the speedup ratio is printed. Churn points use
+//!   synchronous-mode jobs on a cluster with headroom: saturating speed
+//!   curves stop the solo climbs at finite counts, which is the regime
+//!   where the delta engine's uncontended certificate holds and grants
+//!   replay (asynchronous mixes fill the cluster and fall back to the
+//!   full path — correct, but not the steady state this point
+//!   measures).
+//!
+//! Each point records one gated metric, `ns` (one decision, lower is
+//! better): every sample's time and their median and quartiles, in the
+//! trajectory format of [`optimus_bench::trajectory`]; the entry
+//! carries the host block. The table prints the medians.
+//! `optimus-trace check-bench` compares the newest entry with the
+//! latest earlier one recorded on the same host.
 //!
 //! With `--out`, the file is read (it must hold a JSON array, or not
 //! exist), the new entry is appended, and the array is rewritten —
@@ -44,9 +52,10 @@
 //! every round is a configuration bug, not a win). Exit is non-zero on
 //! any divergence.
 
-use optimus_bench::{
-    append_trajectory, arg_value, available_threads, run_indexed, synthetic_views,
-};
+use optimus_bench::host::Host;
+use optimus_bench::stats::median;
+use optimus_bench::trajectory::{append_trajectory, Metric};
+use optimus_bench::{arg_value, available_threads, run_indexed, synthetic_views};
 use optimus_cluster::{Cluster, ResourceVec};
 use optimus_core::prelude::*;
 use optimus_core::reference::{ReferenceOptimusAllocator, ReferenceOptimusPlacer};
@@ -66,20 +75,22 @@ const CHURN_POINTS: [(usize, usize); 2] = [(1_000, 6_000), (10_000, 60_000)];
 /// Fraction of jobs dirtied between churn rounds, in percent.
 const CHURN_PCT: u64 = 10;
 
-/// One timed grid point. `churn_pct`/`delta` are absent on full-round
-/// points so their records keep matching the pre-delta history in
-/// `check-bench` (a missing key field is a distinct grid coordinate).
+/// One timed grid point: `jobs=J nodes=N`, plus `churn_pct=10
+/// path=delta` (incremental `schedule_delta`) or `path=full` (full path
+/// on the same churned state) at a churn point.
 #[derive(Serialize)]
 struct PointRecord {
-    jobs: usize,
-    nodes: usize,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    churn_pct: Option<u64>,
-    /// `1` = incremental `schedule_delta` path, `0` = full path on the
-    /// same churned state.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    delta: Option<u64>,
-    mean_ns: u64,
+    key: String,
+    metrics: Vec<Metric>,
+}
+
+impl PointRecord {
+    fn new(key: String, ns: Vec<f64>) -> PointRecord {
+        PointRecord {
+            key,
+            metrics: vec![Metric::new("ns", false, "ns", ns)],
+        }
+    }
 }
 
 /// One appended trajectory entry.
@@ -88,6 +99,7 @@ struct BenchEntry {
     label: String,
     source: &'static str,
     samples: u32,
+    host: Host,
     points: Vec<PointRecord>,
 }
 
@@ -188,7 +200,7 @@ fn main() -> ExitCode {
     println!("bench_sched: {samples} samples per point (label: {label})\n");
     println!(
         "{:>8} {:>8} {:>14} {:>12}",
-        "jobs", "nodes", "mean ns", "ms"
+        "jobs", "nodes", "median ns", "ms"
     );
     let mut points = Vec::new();
     let mut scratch = RoundScratch::default();
@@ -200,14 +212,14 @@ fn main() -> ExitCode {
         // simulator sees every interval.
         scheduler.schedule_into(jobs, &cluster, &mut scratch, &mut decision);
         scheduler.schedule_into(jobs, &cluster, &mut scratch, &mut decision);
-        let mut total_ns = 0u128;
+        let mut ns = Vec::new();
         for _ in 0..samples {
             let start = Instant::now();
             scheduler.schedule_into(jobs, &cluster, &mut scratch, &mut decision);
-            total_ns += start.elapsed().as_nanos();
+            ns.push(start.elapsed().as_nanos() as f64);
             std::hint::black_box(&decision);
         }
-        let mean_ns = (total_ns / samples as u128) as u64;
+        let median_ns = median(&ns);
         if verify {
             let reference = CompositeScheduler::new(
                 "reference",
@@ -226,16 +238,10 @@ fn main() -> ExitCode {
             }
         }
         println!(
-            "{jobs_n:>8} {nodes:>8} {mean_ns:>14} {:>12.3}",
-            mean_ns as f64 / 1e6
+            "{jobs_n:>8} {nodes:>8} {median_ns:>14.0} {:>12.3}",
+            median_ns / 1e6
         );
-        points.push(PointRecord {
-            jobs: jobs_n,
-            nodes,
-            churn_pct: None,
-            delta: None,
-            mean_ns,
-        });
+        points.push(PointRecord::new(format!("jobs={jobs_n} nodes={nodes}"), ns));
     }
 
     // --- Steady-state churn points -----------------------------------
@@ -257,8 +263,8 @@ fn main() -> ExitCode {
         scheduler.schedule_into(&jobs, &cluster, &mut full_scratch, &mut full_out);
 
         let mut seed = 0x9E37_79B9_7F4A_7C15u64 ^ jobs_n as u64;
-        let mut delta_ns = 0u128;
-        let mut full_ns = 0u128;
+        let mut delta_ns = Vec::new();
+        let mut full_ns = Vec::new();
         let mut fallbacks = 0u64;
         let mut replayed = 0u64;
         for _ in 0..samples {
@@ -276,14 +282,14 @@ fn main() -> ExitCode {
                 &mut delta_scratch,
                 &mut delta_out,
             );
-            delta_ns += start.elapsed().as_nanos();
+            delta_ns.push(start.elapsed().as_nanos() as f64);
             std::hint::black_box(&delta_out);
             fallbacks += u64::from(stats.alloc_full);
             replayed += stats.replayed_grants;
 
             let start = Instant::now();
             scheduler.schedule_into(&jobs, &cluster, &mut full_scratch, &mut full_out);
-            full_ns += start.elapsed().as_nanos();
+            full_ns.push(start.elapsed().as_nanos() as f64);
             std::hint::black_box(&full_out);
 
             if verify
@@ -305,25 +311,19 @@ fn main() -> ExitCode {
             );
             return ExitCode::FAILURE;
         }
-        let delta_mean = (delta_ns / samples as u128) as u64;
-        let full_mean = (full_ns / samples as u128) as u64;
-        let speedup = full_mean as f64 / delta_mean.max(1) as f64;
+        let (delta_median, full_median) = (median(&delta_ns), median(&full_ns));
+        let speedup = full_median / delta_median.max(1.0);
         let replayed_per_round = replayed / u64::from(samples);
         println!(
-            "{jobs_n:>8} {nodes:>8} {delta_mean:>14} {:>12.3}  churn {CHURN_PCT}% delta \
+            "{jobs_n:>8} {nodes:>8} {delta_median:>14.0} {:>12.3}  churn {CHURN_PCT}% delta \
              ({speedup:.1}x vs full {:.3} ms, {replayed_per_round} grants replayed/round, \
              {fallbacks} fallbacks)",
-            delta_mean as f64 / 1e6,
-            full_mean as f64 / 1e6,
+            delta_median / 1e6,
+            full_median / 1e6,
         );
-        for (is_delta, mean_ns) in [(1, delta_mean), (0, full_mean)] {
-            points.push(PointRecord {
-                jobs: jobs_n,
-                nodes,
-                churn_pct: Some(CHURN_PCT),
-                delta: Some(is_delta),
-                mean_ns,
-            });
+        for (path, ns) in [("delta", delta_ns), ("full", full_ns)] {
+            let key = format!("jobs={jobs_n} nodes={nodes} churn_pct={CHURN_PCT} path={path}");
+            points.push(PointRecord::new(key, ns));
         }
     }
 
@@ -331,6 +331,7 @@ fn main() -> ExitCode {
         label: label.clone(),
         source: "bench_sched",
         samples,
+        host: Host::probe(),
         points,
     };
 

@@ -23,15 +23,29 @@
 //! (`Simulation::run_reference`) — before any timing is recorded: a
 //! nondeterministic (or divergent) engine cannot quietly publish a
 //! throughput number. The 1000-job point skips the oracle, whose
-//! `jobs × ticks` cost is the wall this engine exists to avoid. Timings append
-//! to a labeled JSON trajectory (`BENCH_sim.json` via `just bench-sim`)
-//! guarded by `optimus-trace check-bench`.
+//! `jobs × ticks` cost is the wall this engine exists to avoid.
+//!
+//! Both rates are gated metrics (higher is better), recorded per sample
+//! with their median and quartiles in the trajectory format of
+//! [`optimus_bench::trajectory`], under a host block. Timings append to
+//! a labeled JSON trajectory (`BENCH_sim.json` via `just bench-sim`);
+//! `optimus-trace check-bench` compares the newest entry with the latest
+//! earlier one from the same host.
+//!
+//! At the 100-job point a paired gate also holds decision-provenance
+//! recording to 5 % wall-clock overhead: `OVERHEAD_PAIRS` pairs of a
+//! telemetry-enabled run and the same run with provenance, alternating
+//! which runs first, and the median of the per-pair ratios is gated, so
+//! a host slowdown that lasts a run or two moves one pair, not the gate.
 //!
 //! ```text
 //! bench_sim [--samples N] [--label STR] [--out FILE] [--points LIST]
 //! ```
 
-use optimus_bench::{append_trajectory, arg_value};
+use optimus_bench::arg_value;
+use optimus_bench::host::Host;
+use optimus_bench::stats::median;
+use optimus_bench::trajectory::{append_trajectory, Metric};
 use optimus_cluster::Cluster;
 use optimus_core::prelude::OptimusScheduler;
 use optimus_simulator::{SimConfig, SimReport, Simulation};
@@ -117,20 +131,22 @@ const POINTS: [GridPoint; 4] = [
 /// exact same runs.
 const SEED: u64 = 17;
 
-/// One timed grid point.
+/// Telemetry/provenance run pairs behind the provenance-overhead gate.
+const OVERHEAD_PAIRS: usize = 20;
+
+/// One timed grid point: `jobs=J`.
 #[derive(Serialize)]
 struct PointRecord {
-    jobs: u64,
-    mean_wall_ns: u64,
+    key: String,
     sim_seconds: f64,
-    sim_seconds_per_wall_second: f64,
     events: u64,
-    events_per_wall_second: f64,
     /// Wall-clock overhead of decision-provenance recording vs the same
-    /// telemetry-enabled run without it, percent (100-job point only;
-    /// gated at ≤5 %).
-    #[serde(skip_serializing_if = "Option::is_none")]
+    /// telemetry-enabled run without it, percent: the median over
+    /// `OVERHEAD_PAIRS` pairs (100-job point only; gated at ≤5 %).
     provenance_overhead_pct: Option<f64>,
+    /// `sim_seconds_per_wall_second` and `events_per_wall_second`, one
+    /// value per sample.
+    metrics: Vec<Metric>,
 }
 
 /// One appended trajectory entry.
@@ -140,6 +156,7 @@ struct BenchEntry {
     source: &'static str,
     samples: u32,
     seed: u64,
+    host: Host,
     points: Vec<PointRecord>,
 }
 
@@ -255,7 +272,7 @@ fn main() -> ExitCode {
     println!("bench_sim: {samples} samples per point (label: {label})\n");
     println!(
         "{:>6} {:>12} {:>14} {:>16} {:>10} {:>14}",
-        "jobs", "wall ms", "sim seconds", "sim-s per wall-s", "events", "events per s"
+        "jobs", "median ms", "sim seconds", "sim-s per wall-s", "events", "events per s"
     );
     let mut points = Vec::new();
     let mut gate_failed = false;
@@ -267,7 +284,7 @@ fn main() -> ExitCode {
         // Warm-up run (allocators, page faults) whose timing is
         // discarded but whose JCT vector anchors the determinism check.
         let (_, _, _, witness) = run_once(point, Simulation::run, Instrumentation::Off);
-        let mut total_ns = 0u128;
+        let mut wall_s = Vec::new();
         let mut sim_seconds = 0.0;
         let mut events = 0u64;
         for _ in 0..samples {
@@ -277,14 +294,23 @@ fn main() -> ExitCode {
                 jct_bits, witness,
                 "nondeterministic simulation at {jobs} jobs — refusing to record timings"
             );
-            total_ns += wall_ns as u128;
+            wall_s.push((wall_ns as f64 / 1e9).max(1e-12));
             sim_seconds = sim_s;
             events = ev;
         }
-        let mean_wall_ns = (total_ns / samples as u128) as u64;
-        let wall_s = mean_wall_ns as f64 / 1e9;
-        let sim_per_wall = sim_seconds / wall_s.max(1e-12);
-        let events_per_s = events as f64 / wall_s.max(1e-12);
+        let rates = |amount: f64| wall_s.iter().map(|w| amount / w).collect::<Vec<f64>>();
+        let sim_per_wall = Metric::new(
+            "sim_seconds_per_wall_second",
+            true,
+            "sim-s/s",
+            rates(sim_seconds),
+        );
+        let events_per_s = Metric::new(
+            "events_per_wall_second",
+            true,
+            "events/s",
+            rates(events as f64),
+        );
         if point.check_reference {
             let (_, _, _, reference_bits) =
                 run_once(point, Simulation::run_reference, Instrumentation::Off);
@@ -297,31 +323,36 @@ fn main() -> ExitCode {
         // Provenance-overhead gate (100-job point): why-record keeping
         // must cost ≤5 % wall over the same telemetry-enabled run
         // without it — and must not change a single decision bit (the
-        // JCT witness doubles as the byte-identity proof here). Best of
-        // two samples per variant to damp scheduler jitter.
+        // JCT witness doubles as the byte-identity proof here). Paired
+        // runs, alternating which variant goes first, gated on the
+        // median per-pair ratio to damp host jitter.
         let provenance_overhead_pct = if jobs == 100 {
-            let best = |instr: Instrumentation| {
-                (0..2)
-                    .map(|_| {
-                        let (wall_ns, _, _, jct_bits) = run_once(point, Simulation::run, instr);
-                        assert_eq!(
-                            jct_bits, witness,
-                            "instrumentation changed decisions at {jobs} jobs — \
-                             refusing to record timings"
-                        );
-                        wall_ns
-                    })
-                    .min()
-                    .expect("two samples")
+            let timed = |instr: Instrumentation| {
+                let (wall_ns, _, _, jct_bits) = run_once(point, Simulation::run, instr);
+                assert_eq!(
+                    jct_bits, witness,
+                    "instrumentation changed decisions at {jobs} jobs — \
+                     refusing to record timings"
+                );
+                wall_ns.max(1) as f64
             };
-            let tel_ns = best(Instrumentation::Telemetry);
-            let prov_ns = best(Instrumentation::Provenance);
-            let pct = 100.0 * (prov_ns as f64 / tel_ns.max(1) as f64 - 1.0);
+            let (mut tel_ns, mut prov_ns) = (Vec::new(), Vec::new());
+            for pair in 0..OVERHEAD_PAIRS {
+                if pair % 2 == 0 {
+                    tel_ns.push(timed(Instrumentation::Telemetry));
+                    prov_ns.push(timed(Instrumentation::Provenance));
+                } else {
+                    prov_ns.push(timed(Instrumentation::Provenance));
+                    tel_ns.push(timed(Instrumentation::Telemetry));
+                }
+            }
+            let ratios: Vec<f64> = prov_ns.iter().zip(&tel_ns).map(|(p, t)| p / t).collect();
+            let pct = 100.0 * (median(&ratios) - 1.0);
             println!(
-                "{jobs:>6} provenance overhead {pct:+.2} % \
-                 (telemetry {:.2} ms → +provenance {:.2} ms)",
-                tel_ns as f64 / 1e6,
-                prov_ns as f64 / 1e6,
+                "{jobs:>6} provenance overhead {pct:+.2} % (median of {OVERHEAD_PAIRS} pairs; \
+                 telemetry {:.2} ms → +provenance {:.2} ms, medians)",
+                median(&tel_ns) / 1e6,
+                median(&prov_ns) / 1e6,
             );
             if pct > 5.0 {
                 eprintln!(
@@ -335,17 +366,17 @@ fn main() -> ExitCode {
             None
         };
         println!(
-            "{jobs:>6} {:>12.2} {sim_seconds:>14.0} {sim_per_wall:>16.0} {events:>10} {events_per_s:>14.0}",
-            mean_wall_ns as f64 / 1e6,
+            "{jobs:>6} {:>12.2} {sim_seconds:>14.0} {:>16.0} {events:>10} {:>14.0}",
+            median(&wall_s) * 1e3,
+            sim_per_wall.median,
+            events_per_s.median,
         );
         points.push(PointRecord {
-            jobs: jobs as u64,
-            mean_wall_ns,
+            key: format!("jobs={jobs}"),
             sim_seconds,
-            sim_seconds_per_wall_second: sim_per_wall,
             events,
-            events_per_wall_second: events_per_s,
             provenance_overhead_pct,
+            metrics: vec![sim_per_wall, events_per_s],
         });
     }
 
@@ -354,6 +385,7 @@ fn main() -> ExitCode {
         source: "bench_sim",
         samples,
         seed: SEED,
+        host: Host::probe(),
         points,
     };
 

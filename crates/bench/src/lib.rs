@@ -5,13 +5,29 @@
 //! holds what they share: scheduler/assignment bundles, the multi-seed
 //! comparison runner behind Figs 11/13/16/17/18/19, the synthetic
 //! Fig-12 job population, and plain-text table/series printers (plus
-//! JSON lines for machine consumption).
+//! JSON lines for machine consumption). It also owns the `BENCH_*.json`
+//! trajectory format ([`trajectory`]) and compiles the end-to-end
+//! benchmark's host fingerprint, order statistics and median/quartile
+//! verdict ([`host`], [`stats`], [`compare`]) from that package's own
+//! files: the benchmark builds from its own directory and cannot depend
+//! on this crate, so the `bench_*` trajectories and
+//! `optimus-trace check-bench` share its judge this way.
+
+#[path = "bin/benchmark/compare.rs"]
+pub mod compare;
+#[allow(rustdoc::private_intra_doc_links)]
+#[path = "bin/benchmark/host.rs"]
+pub mod host;
+#[allow(rustdoc::private_intra_doc_links)]
+#[path = "bin/benchmark/stats.rs"]
+pub mod stats;
+pub mod trajectory;
 
 use optimus_cluster::Cluster;
 use optimus_core::allocation::{DrfAllocator, FifoAllocator, OptimusAllocator, TetrisAllocator};
 use optimus_core::placement::{OptimusPlacer, PackPlacer, SpreadPlacer};
 use optimus_core::prelude::*;
-use optimus_fitting::stats;
+use optimus_fitting::stats::{mean, std_dev};
 use optimus_ps::PsJobModel;
 use optimus_simulator::{AssignmentPolicy, SimConfig, SimReport, Simulation};
 use optimus_workload::arrivals::ModePolicy;
@@ -291,31 +307,31 @@ pub fn aggregate(name: String, reports: &[SimReport]) -> SchedulerResult {
     let makespans: Vec<f64> = reports.iter().map(|r| r.makespan).collect();
     SchedulerResult {
         scheduler: name,
-        avg_jct: stats::mean(&jcts),
-        std_jct: stats::std_dev(&jcts),
-        p50_jct: stats::mean(&reports.iter().map(|r| r.p50_jct()).collect::<Vec<_>>()),
-        p95_jct: stats::mean(&reports.iter().map(|r| r.p95_jct()).collect::<Vec<_>>()),
-        makespan: stats::mean(&makespans),
-        std_makespan: stats::std_dev(&makespans),
-        overhead_fraction: stats::mean(
+        avg_jct: mean(&jcts),
+        std_jct: std_dev(&jcts),
+        p50_jct: mean(&reports.iter().map(|r| r.p50_jct()).collect::<Vec<_>>()),
+        p95_jct: mean(&reports.iter().map(|r| r.p95_jct()).collect::<Vec<_>>()),
+        makespan: mean(&makespans),
+        std_makespan: std_dev(&makespans),
+        overhead_fraction: mean(
             &reports
                 .iter()
                 .map(|r| r.scaling_overhead_fraction())
                 .collect::<Vec<_>>(),
         ),
-        mean_tasks: stats::mean(
+        mean_tasks: mean(
             &reports
                 .iter()
                 .map(|r| r.mean_running_tasks())
                 .collect::<Vec<_>>(),
         ),
-        worker_utilization: stats::mean(
+        worker_utilization: mean(
             &reports
                 .iter()
                 .map(|r| r.mean_worker_utilization())
                 .collect::<Vec<_>>(),
         ),
-        ps_utilization: stats::mean(
+        ps_utilization: mean(
             &reports
                 .iter()
                 .map(|r| r.mean_ps_utilization())
@@ -414,48 +430,9 @@ pub fn arg_value(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
-/// Appends one entry to a committed `BENCH_*.json` trajectory: the
-/// file holds a JSON array (a missing file starts an empty one) and is
-/// rewritten pretty-printed with a trailing newline. Fails, naming
-/// `path`, when the file is not a JSON array or cannot be read or
-/// written.
-pub fn append_trajectory<T: Serialize>(path: &str, entry: &T) -> Result<(), String> {
-    let mut entries: Vec<serde_json::Value> = match std::fs::read_to_string(path) {
-        Ok(text) => match serde_json::from_str(&text) {
-            Ok(serde_json::Value::Array(v)) => v,
-            Ok(_) | Err(_) => return Err(format!("{path} exists but is not a JSON array")),
-        },
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(format!("{path}: {e}")),
-    };
-    entries.push(serde_json::to_value(entry).expect("entry serializes"));
-    let json = serde_json::to_string_pretty(&serde_json::Value::Array(entries))
-        .expect("entries serialize");
-    std::fs::write(path, json + "\n").map_err(|e| format!("{path}: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn trajectory_appends_to_an_array_and_rejects_anything_else() {
-        let path = std::env::temp_dir().join(format!("bench-traj-{}.json", std::process::id()));
-        let path = path.to_str().expect("utf-8 temp path").to_string();
-        let _ = std::fs::remove_file(&path);
-        append_trajectory(&path, &vec![1u32]).expect("creates the file");
-        append_trajectory(&path, &vec![2u32]).expect("appends");
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.ends_with("]\n"), "{text}");
-        match serde_json::from_str(&text) {
-            Ok(serde_json::Value::Array(v)) => assert_eq!(v.len(), 2),
-            other => panic!("not an array: {other:?}"),
-        }
-        std::fs::write(&path, "{}").unwrap();
-        let err = append_trajectory(&path, &1u32).unwrap_err();
-        assert_eq!(err, format!("{path} exists but is not a JSON array"));
-        std::fs::remove_file(&path).unwrap();
-    }
 
     #[test]
     fn choices_have_unique_names() {

@@ -164,7 +164,9 @@
 //!   pass.
 
 use crate::error::FitError;
-use crate::loss_curve::{FitSession, LossCurveFitter, LossModel};
+use crate::loss_curve::{
+    FitSession, LossCurveFitter, LossModel, GRID_POINTS, INV_PHI, REFINE_ITERS,
+};
 use crate::nnls::{solve_sub2_cached, ActiveSet, Step};
 use crate::preprocess::{preprocess_losses_incremental, LossSample, PreprocessScratch};
 use optimus_telemetry::Telemetry;
@@ -176,11 +178,9 @@ use optimus_telemetry::Telemetry;
 /// within a group waste little padded work.
 pub const LANES: usize = 8;
 
-const INV_PHI: f64 = 0.618_033_988_749_895;
-
 /// One job's inputs to [`fit_batch`].
 pub struct BatchFitJob<'a> {
-    /// Fitter configuration (grid size, preprocessing, telemetry).
+    /// Fitter configuration (preprocessing, telemetry).
     /// Jobs may use *different* fitters; nothing requires a shared
     /// configuration.
     pub fitter: &'a LossCurveFitter,
@@ -630,6 +630,7 @@ const TREE: usize = 16;
 /// 67 % in 30–39, and on testbed-dense and sparse-quarter, of paths
 /// through 25, 30, 35 or 40 iterations, 30 ran the fewest waves.
 const PATH_ITERS: usize = 30;
+const _: () = assert!(PATH_ITERS <= REFINE_ITERS);
 
 /// Resumable interpreter of one job's candidate walk: `fit`'s grid scan
 /// and golden-section refinement plus the memo and warm start.
@@ -637,8 +638,6 @@ struct JobWalk<'a> {
     memo: &'a mut Vec<(u64, Option<LossModel>)>,
     warm_slot: &'a mut Option<usize>,
     tel: &'a Telemetry,
-    steps: usize,
-    refine_iters: usize,
     hi: f64,
     phase: Phase,
     /// Bit pattern of the candidate an outstanding request is for.
@@ -682,11 +681,8 @@ impl<'a> JobWalk<'a> {
         hi: f64,
         err: Option<FitError>,
     ) -> Self {
-        let steps = fitter.grid_points.max(2);
         let mut walk = JobWalk {
             tel: &fitter.tel,
-            steps,
-            refine_iters: fitter.refine_iters,
             hi,
             phase: Phase::Warm,
             pending_bits: 0,
@@ -714,14 +710,14 @@ impl<'a> JobWalk<'a> {
                 // The memo is cleared and the warm index resolved only
                 // after the prologue checks pass.
                 walk.memo.clear();
-                walk.warm_idx = (*walk.warm_slot).filter(|&i| i < steps);
+                walk.warm_idx = (*walk.warm_slot).filter(|&i| i < GRID_POINTS);
             }
         }
         walk
     }
 
     fn grid_beta2(&self, i: usize) -> f64 {
-        self.hi * i as f64 / (self.steps - 1) as f64
+        self.hi * i as f64 / (GRID_POINTS - 1) as f64
     }
 
     fn memo_find(&self, bits: u64) -> Option<Option<LossModel>> {
@@ -824,7 +820,7 @@ impl<'a> JobWalk<'a> {
                     }
                 }
                 Phase::Grid { i } => {
-                    if i >= self.steps {
+                    if i >= GRID_POINTS {
                         self.finish_grid();
                         continue;
                     }
@@ -870,7 +866,7 @@ impl<'a> JobWalk<'a> {
                     Err(req) => return Some(req),
                 },
                 Phase::GoldenStep => {
-                    if self.iter >= self.refine_iters {
+                    if self.iter >= REFINE_ITERS {
                         self.phase = Phase::Final;
                         continue;
                     }
@@ -926,7 +922,7 @@ impl<'a> JobWalk<'a> {
             self.tel.incr("fit.warm_start_hits");
         }
         *self.warm_slot = Some(best_idx);
-        let cell = self.hi / (self.steps - 1) as f64;
+        let cell = self.hi / (GRID_POINTS - 1) as f64;
         let a = (grid_best.beta2 - cell).max(0.0);
         let b = (grid_best.beta2 + cell).min(self.hi);
         self.best_model = Some(grid_best);
@@ -1050,7 +1046,7 @@ impl<'a> JobWalk<'a> {
 
     /// Emits grid candidates `from..` until `emit` runs out of lanes.
     fn grid_ahead(&self, from: usize, bound: f64, emit: &mut impl FnMut(f64, f64) -> bool) {
-        for i in from..self.steps {
+        for i in from..GRID_POINTS {
             if !emit(self.grid_beta2(i), bound) {
                 return;
             }
@@ -1079,7 +1075,7 @@ impl<'a> JobWalk<'a> {
         #[cfg(not(test))]
         let flip = false;
         if let Some(x) = vertex {
-            while iter < self.refine_iters.min(PATH_ITERS) {
+            while iter < PATH_ITERS {
                 let left = (x < (br.c + br.d) / 2.0) != flip;
                 br = br.narrow(left);
                 if !emit(br.fresh(left), f64::INFINITY) {
@@ -1093,7 +1089,7 @@ impl<'a> JobWalk<'a> {
         while head < tail {
             let (br, it) = queue[head];
             head += 1;
-            if it >= self.refine_iters {
+            if it >= REFINE_ITERS {
                 if !emit(br.mid(), f64::INFINITY) {
                     return;
                 }

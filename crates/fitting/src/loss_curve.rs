@@ -14,6 +14,15 @@ use crate::nnls::{nnls, nnls_traced};
 use crate::preprocess::{preprocess_losses, LossSample, PreprocessOptions, PreprocessScratch};
 use optimus_telemetry::Telemetry;
 
+/// Points of the β₂ grid scan, both ends of `[0, hi]` included.
+pub(crate) const GRID_POINTS: usize = 32;
+
+/// Golden-section refinement iterations around the best grid cell.
+pub(crate) const REFINE_ITERS: usize = 40;
+
+/// `1/φ`, the golden-section step.
+pub(crate) const INV_PHI: f64 = 0.618_033_988_749_895;
+
 /// A fitted convergence curve `l(k) = 1/(β₀·k + β₁) + β₂`.
 ///
 /// Coefficients are in *normalized* loss units (the preprocessing divides
@@ -147,10 +156,6 @@ impl LossModel {
 #[derive(Debug, Clone)]
 pub struct LossCurveFitter {
     pub(crate) preprocess: PreprocessOptions,
-    /// Number of initial grid points for the β₂ scan.
-    pub(crate) grid_points: usize,
-    /// Golden-section refinement iterations around the best grid cell.
-    pub(crate) refine_iters: usize,
     /// Telemetry sink for the per-candidate NNLS solves (disabled by
     /// default).
     pub(crate) tel: Telemetry,
@@ -168,8 +173,6 @@ impl LossCurveFitter {
     pub fn new() -> Self {
         LossCurveFitter {
             preprocess: PreprocessOptions::default(),
-            grid_points: 32,
-            refine_iters: 40,
             tel: Telemetry::disabled(),
         }
     }
@@ -225,9 +228,8 @@ impl LossCurveFitter {
         // loss (modulo noise; the small margin below handles that).
         let hi = (min_loss - 1e-9).max(0.0);
         let mut best: Option<(f64, LossModel)> = None;
-        let steps = self.grid_points.max(2);
-        for i in 0..steps {
-            let beta2 = hi * i as f64 / (steps - 1) as f64;
+        for i in 0..GRID_POINTS {
+            let beta2 = hi * i as f64 / (GRID_POINTS - 1) as f64;
             if let Ok(m) = fit_for_beta2(samples, beta2, pre.scale, &self.tel) {
                 if best.as_ref().is_none_or(|(r, _)| m.residual_ss < *r) {
                     best = Some((m.residual_ss, m));
@@ -239,17 +241,16 @@ impl LossCurveFitter {
         };
 
         // Golden-section refinement of β₂ around the best grid cell.
-        let cell = hi / (steps - 1) as f64;
+        let cell = hi / (GRID_POINTS - 1) as f64;
         let mut a = (grid_best.beta2 - cell).max(0.0);
         let mut b = (grid_best.beta2 + cell).min(hi);
         let mut best_model = grid_best;
         if b > a {
-            const INV_PHI: f64 = 0.618_033_988_749_895;
             let mut c = b - (b - a) * INV_PHI;
             let mut d = a + (b - a) * INV_PHI;
             let mut fc = residual_for_beta2(samples, c, pre.scale, &self.tel);
             let mut fd = residual_for_beta2(samples, d, pre.scale, &self.tel);
-            for _ in 0..self.refine_iters {
+            for _ in 0..REFINE_ITERS {
                 if fc < fd {
                     b = d;
                     d = c;

@@ -140,8 +140,10 @@ paper-fig12:
     cargo run --release -p optimus-bench --bin fig12_scalability > target/fig12_scalability.txt
     diff -u results/fig12_scalability.txt target/fig12_scalability.txt
 
-# Regression watchdog: fail if the newest committed bench entry is
-# slower than the best prior entry beyond the tolerance.
+# Regression judge: in each BENCH_*.json, compare the newest entry with
+# the latest earlier entry from the same host (the end-to-end
+# benchmark's median/quartile verdict, 10 % bound); fail when a point
+# is worse or nothing could be compared.
 check-bench:
     cargo run --release --bin optimus-trace -- check-bench
 
@@ -158,7 +160,7 @@ check-bench:
 # JCT witness against the tick-loop oracle), the run-ledger determinism
 # smoke, the flight-recorder timeline smoke, the decision-provenance
 # why smoke, the end-to-end benchmark smoke, the Fig-12 results diff,
-# and the bench regression watchdog.
+# and the bench regression judge.
 ci: lint build test equivalence bench-alloc ledger timeline why e2e-smoke paper-fig12 check-bench
     cargo run --release -p optimus-bench --bin bench_fit -- --samples 1 --points 5000
     cargo run --release -p optimus-bench --bin bench_sim -- --samples 1 --points 100

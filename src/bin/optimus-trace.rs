@@ -1,6 +1,6 @@
 //! `optimus-trace` — inspect Optimus telemetry traces and run ledgers.
 //!
-//! Three modes:
+//! Five modes:
 //!
 //! * **summarize** — per-job timelines, scheduling-round percentiles and
 //!   the final counter/histogram snapshot of a telemetry JSONL trace
@@ -15,14 +15,23 @@
 //!   rejected on the way, and which delta path produced the grant;
 //! * **diff** — compare two run-ledger directories artifact by artifact
 //!   and localize the first divergent round/job/event;
-//! * **check-bench** — regression watchdog over the committed
-//!   `BENCH_sched.json` / `BENCH_fit.json` / `BENCH_sim.json` history
-//!   files.
+//! * **check-bench** — regression judge over the committed
+//!   `BENCH_sched.json` / `BENCH_fit.json` / `BENCH_sim.json`
+//!   trajectories: the newest entry against the latest earlier entry
+//!   from the same host, with the end-to-end benchmark's
+//!   median/quartile verdict (`optimus_bench::compare`).
+//!
+//! Every mode follows one exit-code rule: 0 when all is well, 1 when
+//! the check found something (two runs diverge, a bench metric is
+//! worse, or nothing could be gated), 2 on a bad argument or an input
+//! that cannot be read or is not valid.
 
 use optimus::fitting::stats::{mean, p50_p95_p99};
 use optimus::ledger::{self, LoadedRun};
 use optimus::telemetry::provenance::parse_why_lines;
 use optimus::telemetry::{DeltaWhy, PlaceReject, TraceEvent, TraceLine, WhyRecord, SCHEMA_VERSION};
+use optimus_bench::compare;
+use optimus_bench::trajectory::{same_host, Entry};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
@@ -35,8 +44,13 @@ USAGE:
   optimus-trace timeline RUN_DIR [--width N] [--segments FILE] [--chrome FILE]
   optimus-trace why [JOB] RUN_DIR [--round R] [--summary] [--ledger RUN_DIR]
   optimus-trace diff [--ignore ARTIFACT]... RUN_A RUN_B
-  optimus-trace check-bench [--sched FILE] [--fit FILE] [--sim FILE]
-                            [--tolerance F]
+  optimus-trace check-bench [FILE]...
+
+EXIT CODES (every mode):
+  0  all is well
+  1  the check found something: runs diverge (diff), a bench metric
+     is worse or nothing was gated (check-bench)
+  2  a bad argument, or an input that cannot be read or is not valid
 
 SUMMARIZE FLAGS:
   --top N       counters to list                 (default 10)
@@ -69,14 +83,16 @@ DIFF:
   the runs cannot be compared line-by-line because an artifact exists
   on only one side (e.g. a provenance.jsonl recorded in one run only).
 
-CHECK-BENCH FLAGS:
-  --sched FILE     scheduling bench history      (default BENCH_sched.json)
-  --fit FILE       fitting bench history         (default BENCH_fit.json)
-  --sim FILE       whole-sim throughput history  (default BENCH_sim.json)
-  --tolerance F    allowed regression vs best prior entry (default 0.10)
-  Exit code 1 when the newest entry regresses past the tolerance.
-  Grid points of the newest entry that no prior entry measured are
-  listed as not gated.
+CHECK-BENCH:
+  Judges each trajectory FILE (default: BENCH_sched.json BENCH_fit.json
+  BENCH_sim.json): the newest entry against the latest earlier entry
+  whose host matches on CPU model, core count, avx512f, rustc and
+  refit threads, with the end-to-end benchmark's median/quartile
+  verdict at a 10 % bound on every point-metric pair both carry.
+  Prints both labels and the host. Entries without a host block are
+  never compared. Exit code 1 when a pair is worse, or when nothing is
+  gated (no same-host earlier entry, or no shared point); points of
+  the newest entry without a baseline are listed as not gated.
 ";
 
 fn main() -> ExitCode {
@@ -84,7 +100,7 @@ fn main() -> ExitCode {
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         print!("{USAGE}");
         return if args.is_empty() {
-            ExitCode::FAILURE
+            ExitCode::from(2)
         } else {
             ExitCode::SUCCESS
         };
@@ -115,7 +131,7 @@ fn cmd_summarize(args: &[String]) -> ExitCode {
             Ok(n) => n,
             Err(_) => {
                 eprintln!("invalid value for --top: {raw}");
-                return ExitCode::FAILURE;
+                return ExitCode::from(2);
             }
         },
     };
@@ -127,7 +143,7 @@ fn cmd_summarize(args: &[String]) -> ExitCode {
             Ok(run) => run,
             Err(e) => {
                 eprintln!("error: {e}");
-                return ExitCode::FAILURE;
+                return ExitCode::from(2);
             }
         };
         print_manifest(&run);
@@ -143,7 +159,7 @@ fn cmd_summarize(args: &[String]) -> ExitCode {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("error: {path}: {e}");
-                return ExitCode::FAILURE;
+                return ExitCode::from(2);
             }
         }
     };
@@ -158,14 +174,14 @@ fn cmd_summarize(args: &[String]) -> ExitCode {
     }
     if lines.is_empty() {
         eprintln!("error: {path}: no parseable trace lines ({bad} unparseable)");
-        return ExitCode::FAILURE;
+        return ExitCode::from(2);
     }
     if bad > 0 {
         eprintln!("warning: skipped {bad} unparseable lines");
     }
     if let Err(e) = check_versions(&lines) {
         eprintln!("error: {path}: {e}");
-        return ExitCode::FAILURE;
+        return ExitCode::from(2);
     }
 
     print_overview(path, &lines);
@@ -1299,221 +1315,129 @@ fn cmd_diff(args: &[String]) -> ExitCode {
 
 // -- check-bench ------------------------------------------------------
 
-/// One bench history file's check plan: which fields identify a grid
-/// point and which fields are the guarded metrics. Each metric carries
-/// its own direction (`true` = higher is better) and is compared
-/// independently within the grid point: a run that trades simulated
-/// throughput against event throughput regresses whichever side fell,
-/// rather than being judged on a single blended number.
-struct BenchCheck {
-    default_path: &'static str,
-    flag: &'static str,
-    key_fields: &'static [&'static str],
-    /// `(field, higher_is_better)`: latencies guard against increases,
-    /// throughputs against decreases.
-    metrics: &'static [(&'static str, bool)],
-}
+/// The trajectories `check-bench` reads when given no file.
+const BENCH_FILES: [&str; 3] = ["BENCH_sched.json", "BENCH_fit.json", "BENCH_sim.json"];
 
-const BENCH_CHECKS: [BenchCheck; 3] = [
-    BenchCheck {
-        default_path: "BENCH_sched.json",
-        flag: "--sched",
-        // `churn_pct`/`delta` are absent on full-round points (legacy
-        // and new), so pre-delta history keeps gating those; the
-        // steady-state churn points carry both and gate separately per
-        // path (delta=1 incremental, delta=0 full).
-        key_fields: &["jobs", "nodes", "churn_pct", "delta"],
-        metrics: &[("mean_ns", false)],
-    },
-    BenchCheck {
-        default_path: "BENCH_fit.json",
-        flag: "--fit",
-        key_fields: &["jobs", "history", "dirty"],
-        metrics: &[("mean_ns_optimized", false)],
-    },
-    BenchCheck {
-        default_path: "BENCH_sim.json",
-        flag: "--sim",
-        key_fields: &["jobs"],
-        metrics: &[
-            ("sim_seconds_per_wall_second", true),
-            ("events_per_wall_second", true),
-        ],
-    },
-];
+/// The regression bound every point-metric pair is judged against.
+const BENCH_BOUND: f64 = 0.10;
 
 fn cmd_check_bench(args: &[String]) -> ExitCode {
-    let tolerance: f64 = match flag_value(args, "--tolerance") {
-        None => 0.10,
-        Some(raw) => match raw.parse() {
-            Ok(t) => t,
-            Err(_) => {
-                eprintln!("invalid value for --tolerance: {raw}");
-                return ExitCode::from(2);
-            }
-        },
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        eprintln!("unknown flag for check-bench: {flag}");
+        return ExitCode::from(2);
+    }
+    let files: Vec<&str> = if args.is_empty() {
+        BENCH_FILES.to_vec()
+    } else {
+        args.iter().map(String::as_str).collect()
     };
-    let mut regressions = 0usize;
-    for check in &BENCH_CHECKS {
-        let path = flag_value(args, check.flag).unwrap_or(check.default_path);
-        if !Path::new(path).exists() {
-            println!("check-bench: {path}: not found, skipped");
-            continue;
-        }
-        match check_bench_file(path, check, tolerance) {
-            Ok(found) => regressions += found,
+    let mut failed = false;
+    for path in files {
+        match check_bench_file(path) {
+            Ok(passed) => failed |= !passed,
             Err(e) => {
                 eprintln!("error: {e}");
                 return ExitCode::from(2);
             }
         }
     }
-    if regressions > 0 {
-        eprintln!(
-            "check-bench: {regressions} regression(s) past tolerance {:.0} %",
-            tolerance * 100.0
-        );
+    if failed {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
     }
 }
 
-/// Checks the newest entry of one bench history against the best prior
-/// entry per grid point. Returns the number of regressions found.
-fn check_bench_file(path: &str, check: &BenchCheck, tolerance: f64) -> Result<usize, String> {
+/// Judges the newest entry of one trajectory against the latest earlier
+/// entry from the same host, with the benchmark's median/quartile
+/// verdict on every point-metric pair both carry. Returns whether the
+/// file passes: no pair is worse past [`BENCH_BOUND`] and at least one
+/// pair was judged.
+fn check_bench_file(path: &str) -> Result<bool, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let value: serde_json::Value =
         serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
     let entries = value
         .as_array()
         .ok_or_else(|| format!("{path}: expected a JSON array of bench entries"))?;
-    if entries.len() < 2 {
+    // Entries without a host block predate the host-aware format and
+    // are never compared.
+    let hosted: Vec<Entry> = entries
+        .iter()
+        .filter(|e| e.get("host").is_some())
+        .map(serde_json::from_value)
+        .collect::<Result<_, _>>()
+        .map_err(|e| format!("{path}: {e}"))?;
+    let newest_hosted = entries.last().is_some_and(|e| e.get("host").is_some());
+    let Some((newest, earlier)) = hosted.split_last().filter(|_| newest_hosted) else {
+        println!("check-bench: {path}: FAIL: no entry, or the newest has no host block");
+        return Ok(false);
+    };
+    let host = newest.host.line();
+    let Some(base) = earlier
+        .iter()
+        .rev()
+        .find(|e| same_host(&e.host, &newest.host))
+    else {
         println!(
-            "check-bench: {path}: {} entr{}, nothing to compare yet — pass",
-            entries.len(),
-            if entries.len() == 1 { "y" } else { "ies" }
+            "check-bench: {path}: FAIL: newest entry {:?} has no earlier entry on its {host}",
+            newest.label
         );
-        return Ok(0);
-    }
-    let newest = &entries[entries.len() - 1];
-    let prior = &entries[..entries.len() - 1];
-    let label = |e: &serde_json::Value| {
-        e.get("label")
-            .and_then(|l| l.as_str())
-            .unwrap_or("<unlabelled>")
-            .to_string()
+        return Ok(false);
     };
-    let points = |e: &serde_json::Value| -> Vec<serde_json::Value> {
-        e.get("points")
-            .and_then(|p| p.as_array())
-            .map(<[serde_json::Value]>::to_vec)
-            .unwrap_or_default()
+    println!(
+        "check-bench: {path}: newest {:?} vs {:?}, {host}",
+        newest.label, base.label
+    );
+    let show = |s: &compare::Side| {
+        let sig = compare::sig;
+        format!("{} [{}, {}]", sig(s.median), sig(s.q1), sig(s.q3))
     };
-    // A key field may legitimately be absent or null in a point (the
-    // all-dirty `bench_fit` points carry `dirty: null`, and pre-PR-8
-    // entries no `dirty` at all), so a missing value is a distinct
-    // grid coordinate rather than grounds to skip the point — old
-    // entries keep gating the matching legacy points.
-    let key_of = |p: &serde_json::Value| -> Vec<Option<u64>> {
-        check
-            .key_fields
-            .iter()
-            .map(|f| p.get(f).and_then(|v| v.as_u64()))
-            .collect()
-    };
-    let grid_of = |key: &[Option<u64>]| -> String {
-        check
-            .key_fields
-            .iter()
-            .zip(key)
-            .map(|(f, v)| match v {
-                Some(v) => format!("{f}={v}"),
-                None => format!("{f}=-"),
-            })
-            .collect::<Vec<_>>()
-            .join(" ")
-    };
-    let mut regressions = 0usize;
-    let mut checked = 0usize;
-    // Newest-entry points with a metric that no prior entry measured at
-    // the same grid point: reported, since they pass without a gate.
-    let mut ungated: Vec<(String, Vec<&str>)> = Vec::new();
-    for point in points(newest) {
-        let key = key_of(&point);
-        let mut no_baseline = Vec::new();
-        for &(metric, higher_is_better) in check.metrics {
-            let Some(new_val) = point.get(metric).and_then(|v| v.as_f64()) else {
+    let (mut gated, mut worse) = (0usize, 0usize);
+    for point in &newest.points {
+        let base_point = base.points.iter().find(|p| p.key == point.key);
+        for metric in &point.metrics {
+            let Some(base_metric) =
+                base_point.and_then(|p| p.metrics.iter().find(|m| m.name == metric.name))
+            else {
+                println!(
+                    "check-bench: {path}: not gated, no same-host baseline: {} ({})",
+                    point.key, metric.name
+                );
                 continue;
             };
-            // Best prior value for the same grid point and metric:
-            // lowest latency, or highest throughput. A metric absent
-            // from every prior entry (added after the history started)
-            // has no baseline and is skipped.
-            let mut best: Option<(f64, String)> = None;
-            for entry in prior {
-                for p in points(entry) {
-                    if key_of(&p) != key {
-                        continue;
-                    }
-                    if let Some(v) = p.get(metric).and_then(|v| v.as_f64()) {
-                        let better = if higher_is_better {
-                            best.as_ref().is_none_or(|(b, _)| v > *b)
-                        } else {
-                            best.as_ref().is_none_or(|(b, _)| v < *b)
-                        };
-                        if better {
-                            best = Some((v, label(entry)));
-                        }
-                    }
-                }
-            }
-            let Some((best_val, best_label)) = best else {
-                no_baseline.push(metric);
-                continue;
-            };
-            checked += 1;
-            let regressed = if higher_is_better {
-                new_val < best_val * (1.0 - tolerance)
-            } else {
-                new_val > best_val * (1.0 + tolerance)
-            };
-            if regressed {
-                regressions += 1;
-                let show = |v: f64| {
-                    if higher_is_better {
-                        format!("{v:.2}")
-                    } else {
-                        format!("{:.2} ms", v / 1e6)
-                    }
-                };
+            let (b, n) = (base_metric.side(), metric.side());
+            let verdict = compare::verdict(metric.higher_is_better(), &b, &n, BENCH_BOUND);
+            gated += 1;
+            println!(
+                "  {:<46} {:<28} {:>30} -> {:>30} {} {:>7.4}  {verdict}",
+                point.key,
+                metric.name,
+                show(&b),
+                show(&n),
+                metric.unit,
+                n.median / b.median,
+            );
+            if verdict == compare::Verdict::Worse {
+                worse += 1;
                 eprintln!(
-                    "check-bench: {path}: REGRESSION at {}: {} {} vs best {} \
-                     ({:?}, {:+.1} %)",
-                    grid_of(&key),
-                    metric,
-                    show(new_val),
-                    show(best_val),
-                    best_label,
-                    100.0 * (new_val / best_val - 1.0),
+                    "check-bench: {path}: WORSE at {}: {} median {} vs {} {}",
+                    point.key,
+                    metric.name,
+                    compare::sig(n.median),
+                    compare::sig(b.median),
+                    metric.unit
                 );
             }
         }
-        if !no_baseline.is_empty() {
-            ungated.push((grid_of(&key), no_baseline));
-        }
     }
     println!(
-        "check-bench: {path}: newest entry {:?} vs {} prior — {checked} point-metric pairs \
-         checked, {regressions} regression(s)",
-        label(newest),
-        prior.len(),
+        "check-bench: {path}: {gated} point-metric pair(s) judged at a {:.0} % bound, \
+         {worse} worse",
+        BENCH_BOUND * 100.0
     );
-    for (grid, metrics) in &ungated {
-        println!(
-            "check-bench: {path}: not gated, no prior baseline: {grid} ({})",
-            metrics.join(", ")
-        );
+    if gated == 0 {
+        println!("check-bench: {path}: FAIL: nothing gated on {host}");
     }
-    Ok(regressions)
+    Ok(gated > 0 && worse == 0)
 }
