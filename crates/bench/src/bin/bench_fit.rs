@@ -13,7 +13,8 @@
 //!
 //! Both must produce identical coefficient bits (asserted). The
 //! batched path's per-sample times are the gated metric `batched_ns`
-//! (lower is better), recorded with their median and quartiles in the
+//! (lower is better; a sample is the mean of the refits it groups),
+//! recorded with their median and quartiles in the
 //! trajectory format of [`optimus_bench::trajectory`], under a host
 //! block: `optimus-trace check-bench` compares the newest entry with
 //! the latest earlier one from the same host. Beside it each point
@@ -36,15 +37,26 @@
 //! existing entries are never modified. `--points` keeps only the grid
 //! points whose job count is in the comma-separated list (CI smokes the
 //! 5000-job point alone).
+//!
+//! Each point works out its batched sample count from its own cost.
+//! `--samples` is a floor: after every point's reference timing and an
+//! untimed warm-up refit, the points take batched samples in turn until
+//! the sampling has run for `POINT_BUDGET` per point, so each point's
+//! median and quartiles span the whole sampling phase rather than the
+//! few milliseconds five samples of a small point take, and a spell of
+//! host load moves few of them. A sample is the mean of as many refits
+//! as the warm-up's cost (estimators built, then refitted) fits in
+//! `SAMPLE_TIME`, which keeps every point's recorded values to a few
+//! tens.
 
-use optimus_bench::arg_value;
+use optimus_bench::cli::Bench;
 use optimus_bench::host::Host;
-use optimus_bench::trajectory::{append_trajectory, Metric};
+use optimus_bench::trajectory::Metric;
 use optimus_core::{refit_convergence_batch, ConvergenceEstimator};
 use optimus_fitting::{BatchScratch, LossCurveFitter, LossModel};
 use serde::Serialize;
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The acceptance grid: (jobs, history length in loss samples, dirty
 /// jobs). `None` refits every job — the legacy all-dirty shape. The
@@ -66,6 +78,14 @@ const POINTS: [(usize, usize, Option<usize>); 8] = [
 /// fits run tens of times longer than the batched refits, and timing
 /// them as often spent nearly all of a long run on the oracle.
 const REFERENCE_SAMPLES: u32 = 20;
+
+/// Least wall time of the batched sampling per grid point run, the
+/// untimed estimator builds included.
+const POINT_BUDGET: Duration = Duration::from_secs(4);
+
+/// Least wall time of one batched sample, its estimator builds
+/// included.
+const SAMPLE_TIME: Duration = Duration::from_millis(50);
 
 /// Loss points appended between the warm-up refit and the timed refit —
 /// one scheduling interval's worth of observations.
@@ -91,6 +111,7 @@ struct PointRecord {
 struct BenchEntry {
     label: String,
     source: &'static str,
+    /// `--samples`: the fewest batched samples a point took.
     samples: u32,
     host: Host,
     /// Timed samples of the reference path: `samples`, capped at
@@ -129,18 +150,26 @@ fn history(seed: u64, n: usize) -> Vec<(u64, f64)> {
         .collect()
 }
 
-/// Builds one estimator per job, feeds the pre-interval history and
-/// refits once so the timed call sees interval-shaped incremental work.
-fn warmed_estimators(histories: &[Vec<(u64, f64)>]) -> Vec<ConvergenceEstimator> {
+/// The state every timed refit starts from: one estimator per job, fed
+/// the pre-interval history and refitted once, then given the
+/// interval's samples if it is one of the first `dirty` jobs, so the
+/// timed call sees interval-shaped incremental work.
+fn interval_estimators(histories: &[Vec<(u64, f64)>], dirty: usize) -> Vec<ConvergenceEstimator> {
     histories
         .iter()
-        .map(|h| {
+        .enumerate()
+        .map(|(i, h)| {
             let mut est = ConvergenceEstimator::new(0.02, 100, 3);
             let split = h.len() - INTERVAL_SAMPLES;
             for &(k, l) in &h[..split] {
                 est.record(k, l);
             }
             let _ = est.refit();
+            if i < dirty {
+                for &(k, l) in &h[split..] {
+                    est.record(k, l);
+                }
+            }
             est
         })
         .collect()
@@ -193,115 +222,146 @@ fn time_reference(
 
 /// The batched path at one grid point.
 struct Batched {
-    /// ns per interval, one entry per sample.
-    ns: Vec<f64>,
-    /// SoA waves of one refit (the same in every sample).
+    histories: Vec<Vec<(u64, f64)>>,
+    dirty: usize,
+    /// One serial worker whose scratch stays warm across samples, as the
+    /// simulator keeps it across rounds.
+    scratch: [BatchScratch; 1],
+    /// Refits one sample averages: as many as the warm-up (estimators
+    /// built, then refitted) says fit in `SAMPLE_TIME`.
+    refits: usize,
+    /// SoA waves of one refit (the same in every refit).
     waves: u64,
     outcomes: Vec<FitBits>,
+    /// Mean ns per interval, one entry per sample.
+    ns: Vec<f64>,
 }
 
-/// Appends the interval's samples to the first `dirty` warmed
-/// estimators and times the resulting batched refit sweep, once per
-/// sample.
-fn time_batched(histories: &[Vec<(u64, f64)>], dirty: usize, samples: u32) -> Batched {
-    // One serial worker whose scratch stays warm across samples, as the
-    // simulator keeps it across rounds.
-    let mut scratch = [BatchScratch::new()];
-    let mut ns = Vec::new();
-    let mut waves = 0;
-    let mut outcomes = Vec::new();
-    for _ in 0..samples {
-        let mut ests = warmed_estimators(histories);
-        for (est, h) in ests.iter_mut().zip(histories).take(dirty) {
-            for &(k, l) in &h[h.len() - INTERVAL_SAMPLES..] {
-                est.record(k, l);
-            }
+impl Batched {
+    /// Runs the untimed warm-up refit of the first `dirty` of the jobs
+    /// with these `histories`.
+    fn new(histories: Vec<Vec<(u64, f64)>>, dirty: usize) -> Batched {
+        let mut batched = Batched {
+            histories,
+            dirty,
+            scratch: [BatchScratch::new()],
+            refits: 0,
+            waves: 0,
+            outcomes: Vec::new(),
+            ns: Vec::new(),
+        };
+        let warm_up = Instant::now();
+        let (_, waves, outcomes) = batched.refit();
+        let refits = SAMPLE_TIME.as_secs_f64() / warm_up.elapsed().as_secs_f64();
+        Batched {
+            refits: refits.ceil() as usize,
+            waves,
+            outcomes,
+            ..batched
         }
-        let mut refs: Vec<&mut ConvergenceEstimator> = ests.iter_mut().collect();
-        let before = scratch[0].waves();
-        let start = Instant::now();
-        let fits = std::hint::black_box(refit_convergence_batch(&mut refs, &mut scratch));
-        ns.push(start.elapsed().as_nanos() as f64);
-        waves = scratch[0].waves() - before;
-        outcomes = fits.iter().map(|r| r.as_ref().ok().map(bits)).collect();
     }
-    Batched {
-        ns,
-        waves,
-        outcomes,
+
+    /// Times one batched refit sweep of freshly built interval
+    /// estimators: its ns, SoA waves and outcomes.
+    fn refit(&mut self) -> (f64, u64, Vec<FitBits>) {
+        let mut ests = interval_estimators(&self.histories, self.dirty);
+        let mut refs: Vec<&mut ConvergenceEstimator> = ests.iter_mut().collect();
+        let before = self.scratch[0].waves();
+        let start = Instant::now();
+        let fits = std::hint::black_box(refit_convergence_batch(&mut refs, &mut self.scratch));
+        let ns = start.elapsed().as_nanos() as f64;
+        let outcomes = fits.iter().map(|r| r.as_ref().ok().map(bits)).collect();
+        (ns, self.scratch[0].waves() - before, outcomes)
+    }
+
+    /// Takes one sample: the mean of `refits` timed refits.
+    fn sample(&mut self) {
+        let total: f64 = (0..self.refits).map(|_| self.refit().0).sum();
+        self.ns.push(total / self.refits as f64);
     }
 }
+
+const USAGE: &str = "\
+bench_fit — per-interval convergence-refit timing trajectory
+
+USAGE: bench_fit [--samples N] [--label STR] [--out FILE] [--points J,J,...]
+
+  --samples N    least batched samples per point       (default 5)
+  --label STR    label of the recorded entry           (default current)
+  --out FILE     append the entry to this trajectory file
+  --points LIST  grid points to run (job counts, comma-separated;
+                 default: all)
+
+An unknown flag, a flag with no value and a job count no grid point has
+are errors (exit 2).
+";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!(
-            "bench_fit — per-interval convergence-refit timing trajectory\n\n\
-             USAGE: bench_fit [--samples N] [--label STR] [--out FILE] [--ledger DIR]\n\
-             \x20                [--points J,J,...]"
-        );
-        return ExitCode::SUCCESS;
-    }
-    let samples: u32 = match arg_value(&args, "--samples").map(|v| v.parse()) {
-        None => 5,
-        Some(Ok(n)) => n,
-        Some(Err(_)) => {
-            eprintln!("error: --samples expects an integer");
-            return ExitCode::FAILURE;
-        }
+    let bench = match Bench::parse("bench_fit", USAGE, &[], &[], 5, &POINTS.map(|p| p.0)) {
+        Ok(bench) => bench,
+        Err(code) => return code,
     };
-    let samples = samples.max(1);
+    let (samples, label) = (bench.samples, &bench.label);
     let reference_samples = samples.min(REFERENCE_SAMPLES);
-    let label = arg_value(&args, "--label").unwrap_or_else(|| "current".into());
-    let out = arg_value(&args, "--out");
-    let points_filter: Option<Vec<usize>> = match arg_value(&args, "--points") {
-        None => None,
-        Some(raw) => {
-            let parsed: Result<Vec<usize>, _> = raw.split(',').map(|p| p.trim().parse()).collect();
-            match parsed {
-                Ok(v) => Some(v),
-                Err(_) => {
-                    eprintln!("error: --points expects a comma-separated list of job counts");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    };
 
     println!(
-        "bench_fit: {samples} samples per point, {reference_samples} of the reference \
-         (label: {label})\n"
+        "bench_fit: at least {samples} samples per point, {reference_samples} of the \
+         reference (label: {label})\n"
     );
     println!(
-        "{:>8} {:>9} {:>7} {:>14} {:>11} {:>22} {:>9} {:>9}",
-        "jobs", "history", "dirty", "reference ms", "median ms", "[q1, q3] ms", "speedup", "waves"
+        "{:>8} {:>9} {:>7} {:>14} {:>11} {:>22} {:>9} {:>9} {:>8}",
+        "jobs",
+        "history",
+        "dirty",
+        "reference ms",
+        "median ms",
+        "[q1, q3] ms",
+        "speedup",
+        "waves",
+        "samples"
     );
-    let mut points = Vec::new();
-    for &(jobs, hist_len, dirty) in &POINTS {
-        if let Some(filter) = &points_filter {
-            if !filter.contains(&jobs) {
-                continue;
-            }
+    let grid: Vec<(usize, usize, Option<usize>)> =
+        POINTS.into_iter().filter(|p| bench.keeps(p.0)).collect();
+    let mut runs: Vec<(u64, Batched)> = grid
+        .iter()
+        .map(|&(jobs, hist_len, dirty)| {
+            let dirty_jobs = dirty.unwrap_or(jobs);
+            let histories: Vec<Vec<(u64, f64)>> = (0..jobs)
+                .map(|i| history(0x9E37_79B9 + i as u64, hist_len))
+                .collect();
+            let (ref_ns, ref_fits) = time_reference(&histories, dirty_jobs, reference_samples);
+            let batched = Batched::new(histories, dirty_jobs);
+            // The batched path must be a pure optimization: identical bits.
+            assert_eq!(
+                ref_fits, batched.outcomes,
+                "batched path diverged from reference at {jobs} jobs x {hist_len} history"
+            );
+            (ref_ns, batched)
+        })
+        .collect();
+    // The points take their samples in turn, so each point's samples
+    // spread over the whole sampling phase and a spell of host load
+    // touches every point a little instead of one point a lot.
+    let start = Instant::now();
+    let budget = POINT_BUDGET * runs.len() as u32;
+    while runs.iter().any(|(_, b)| b.ns.len() < samples as usize) || start.elapsed() < budget {
+        for (_, batched) in &mut runs {
+            batched.sample();
         }
+    }
+
+    let mut points = Vec::new();
+    for (&(jobs, hist_len, dirty), (ref_ns, batched)) in grid.iter().zip(runs) {
         let dirty_jobs = dirty.unwrap_or(jobs);
-        let histories: Vec<Vec<(u64, f64)>> = (0..jobs)
-            .map(|i| history(0x9E37_79B9 + i as u64, hist_len))
-            .collect();
-        let (ref_ns, ref_fits) = time_reference(&histories, dirty_jobs, reference_samples);
-        let batched = time_batched(&histories, dirty_jobs, samples);
-        // The batched path must be a pure optimization: identical bits.
-        assert_eq!(
-            ref_fits, batched.outcomes,
-            "batched path diverged from reference at {jobs} jobs x {hist_len} history"
-        );
         let metric = Metric::new("batched_ns", false, "ns", batched.ns);
         let speedup = ref_ns as f64 / metric.median.max(1.0);
         println!(
-            "{jobs:>8} {hist_len:>9} {dirty_jobs:>7} {:>14.3} {:>11.3} {:>22} {speedup:>8.2}x {:>9}",
+            "{jobs:>8} {hist_len:>9} {dirty_jobs:>7} {:>14.3} {:>11.3} {:>22} {speedup:>8.2}x {:>9} {:>8}",
             ref_ns as f64 / 1e6,
             metric.median / 1e6,
             format!("[{:.3}, {:.3}]", metric.q1 / 1e6, metric.q3 / 1e6),
             batched.waves,
+            metric.values.len(),
         );
         let mut key = format!("jobs={jobs} history={hist_len}");
         if let Some(d) = dirty {
@@ -316,7 +376,7 @@ fn main() -> ExitCode {
         });
     }
 
-    let entry = BenchEntry {
+    bench.record(&BenchEntry {
         label: label.clone(),
         source: "bench_fit",
         samples,
@@ -324,59 +384,5 @@ fn main() -> ExitCode {
         reference_samples,
         interval_samples: INTERVAL_SAMPLES,
         points,
-    };
-
-    if let Some(path) = out {
-        if let Err(e) = append_trajectory(&path, &entry) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("\nappended entry '{label}' to {path}");
-    }
-
-    if let Some(dir) = arg_value(&args, "--ledger") {
-        use optimus_telemetry::ledger::RunLedger;
-        use serde_json::Value;
-        let config = Value::Object(vec![
-            ("samples".into(), Value::Num(samples as f64)),
-            (
-                "reference_samples".into(),
-                Value::Num(reference_samples as f64),
-            ),
-            (
-                "interval_samples".into(),
-                Value::Num(INTERVAL_SAMPLES as f64),
-            ),
-            (
-                "points".into(),
-                Value::Array(
-                    POINTS
-                        .iter()
-                        .map(|&(j, h, d)| {
-                            Value::Array(vec![
-                                Value::Num(j as f64),
-                                Value::Num(h as f64),
-                                d.map(|d| Value::Num(d as f64)).unwrap_or(Value::Null),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]);
-        let mut ledger = RunLedger::new("bench_fit", &label)
-            .threads(optimus_bench::available_threads())
-            .config(config);
-        ledger.add_artifact(
-            "entry.json",
-            serde_json::to_string_pretty(&entry).expect("entry serializes") + "\n",
-        );
-        match ledger.write(std::path::Path::new(&dir)) {
-            Ok(path) => println!("run ledger written to {}", path.display()),
-            Err(e) => {
-                eprintln!("error: {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    })
 }

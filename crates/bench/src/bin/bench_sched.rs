@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! bench_sched [--samples N] [--label STR] [--out FILE] [--verify]
-//!             [--points LIST] [--churn-jobs LIST] [--ledger DIR]
+//!             [--points LIST] [--churn-jobs LIST]
 //! ```
 //!
 //! Two kinds of grid points:
@@ -52,10 +52,11 @@
 //! every round is a configuration bug, not a win). Exit is non-zero on
 //! any divergence.
 
+use optimus_bench::cli::{self, job_counts, Bench};
 use optimus_bench::host::Host;
 use optimus_bench::stats::median;
-use optimus_bench::trajectory::{append_trajectory, Metric};
-use optimus_bench::{arg_value, available_threads, run_indexed, synthetic_views};
+use optimus_bench::trajectory::Metric;
+use optimus_bench::{available_threads, run_indexed, synthetic_views};
 use optimus_cluster::{Cluster, ResourceVec};
 use optimus_core::prelude::*;
 use optimus_core::reference::{ReferenceOptimusAllocator, ReferenceOptimusPlacer};
@@ -103,23 +104,6 @@ struct BenchEntry {
     points: Vec<PointRecord>,
 }
 
-/// Parses a `--points`/`--churn-jobs` job-count filter: a comma list of
-/// job counts, or `none` for the empty set. `None` means "no filter".
-fn parse_filter(raw: Option<String>) -> Result<Option<Vec<usize>>, String> {
-    let Some(raw) = raw else { return Ok(None) };
-    if raw == "none" {
-        return Ok(Some(Vec::new()));
-    }
-    raw.split(',')
-        .map(|s| {
-            s.trim()
-                .parse::<usize>()
-                .map_err(|_| format!("invalid job count {s:?}"))
-        })
-        .collect::<Result<Vec<usize>, String>>()
-        .map(Some)
-}
-
 /// Dirties `pct` % of `jobs` (at least one) with a deterministic LCG:
 /// a tiny multiplicative jitter on `remaining_work` that flips the
 /// fingerprint without moving any saturating solo-climb stop. Returns
@@ -139,58 +123,58 @@ fn churn_round(jobs: &mut [JobView], pct: u64, seed: &mut u64) -> Vec<u32> {
     dirty.into_iter().collect()
 }
 
+const USAGE: &str = "\
+bench_sched — scheduling-decision timing trajectory
+
+USAGE: bench_sched [--samples N] [--label STR] [--out FILE] [--verify]
+                   [--points LIST] [--churn-jobs LIST]
+
+  --samples N        timed samples per point            (default 10)
+  --label STR        label of the recorded entry        (default current)
+  --out FILE         append the entry to this trajectory file
+  --verify           check decisions against the reference scheduler and
+                     the delta path against the full path
+  --points LIST      full-round grid points to run (job counts,
+                     comma-separated, or 'none'; default: all)
+  --churn-jobs LIST  steady-state 10 % churn points to run
+                     (default: 1000,10000; 'none' disables)
+
+An unknown flag, a flag with no value and a job count no grid point has
+are errors (exit 2).
+";
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!(
-            "bench_sched — scheduling-decision timing trajectory\n\n\
-             USAGE: bench_sched [--samples N] [--label STR] [--out FILE] [--verify]\n\
-             \x20                 [--points LIST] [--churn-jobs LIST] [--ledger DIR]\n\n\
-             \x20 --points LIST      full-round grid points to run (job counts,\n\
-             \x20                    comma-separated, or 'none'; default: all)\n\
-             \x20 --churn-jobs LIST  steady-state 10 % churn points to run\n\
-             \x20                    (default: 1000,10000; 'none' disables)"
-        );
-        return ExitCode::SUCCESS;
-    }
-    let verify = args.iter().any(|a| a == "--verify");
-    let samples: u32 = match arg_value(&args, "--samples").map(|v| v.parse()) {
-        None => 10,
-        Some(Ok(n)) => n,
-        Some(Err(_)) => {
-            eprintln!("error: --samples expects an integer");
-            return ExitCode::FAILURE;
-        }
+    let full_jobs = POINTS.map(|(jobs, _)| jobs);
+    let churn_jobs = CHURN_POINTS.map(|(jobs, _)| jobs);
+    let bench = match Bench::parse(
+        "bench_sched",
+        USAGE,
+        &["--churn-jobs"],
+        &["--verify"],
+        10,
+        &full_jobs,
+    ) {
+        Ok(bench) => bench,
+        Err(code) => return code,
     };
-    let samples = samples.max(1);
-    let label = arg_value(&args, "--label").unwrap_or_else(|| "current".into());
-    let out = arg_value(&args, "--out");
-    let full_filter = match parse_filter(arg_value(&args, "--points")) {
+    let churn_filter = match job_counts(&bench.args, "--churn-jobs", &churn_jobs) {
         Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: --points: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return cli::fail(e),
     };
-    let churn_filter = match parse_filter(arg_value(&args, "--churn-jobs")) {
-        Ok(f) => f.unwrap_or_else(|| vec![1_000, 10_000]),
-        Err(e) => {
-            eprintln!("error: --churn-jobs: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let verify = bench.args.has("--verify");
+    let (samples, label) = (bench.samples, &bench.label);
 
     let node_cap = ResourceVec::new(32.0, 4.0, 128.0, 10.0);
     let scheduler = OptimusScheduler::build();
     let full_points: Vec<(usize, usize)> = POINTS
         .iter()
         .copied()
-        .filter(|(j, _)| full_filter.as_ref().is_none_or(|f| f.contains(j)))
+        .filter(|&(j, _)| bench.keeps(j))
         .collect();
     let churn_points: Vec<(usize, usize)> = CHURN_POINTS
         .iter()
         .copied()
-        .filter(|(j, _)| churn_filter.contains(j))
+        .filter(|(j, _)| churn_filter.as_ref().is_none_or(|f| f.contains(j)))
         .collect();
     let sizes: Vec<usize> = full_points.iter().map(|&(jobs, _)| jobs).collect();
     let job_sets = run_indexed(&sizes, available_threads(), |_, &n| {
@@ -327,53 +311,11 @@ fn main() -> ExitCode {
         }
     }
 
-    let entry = BenchEntry {
+    bench.record(&BenchEntry {
         label: label.clone(),
         source: "bench_sched",
         samples,
         host: Host::probe(),
         points,
-    };
-
-    if let Some(path) = out {
-        if let Err(e) = append_trajectory(&path, &entry) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("\nappended entry '{label}' to {path}");
-    }
-
-    if let Some(dir) = arg_value(&args, "--ledger") {
-        use optimus_telemetry::ledger::RunLedger;
-        use serde_json::Value;
-        let grid = |pts: &[(usize, usize)]| {
-            Value::Array(
-                pts.iter()
-                    .map(|&(j, n)| Value::Array(vec![Value::Num(j as f64), Value::Num(n as f64)]))
-                    .collect(),
-            )
-        };
-        let config = Value::Object(vec![
-            ("samples".into(), Value::Num(samples as f64)),
-            ("verify".into(), Value::Bool(verify)),
-            ("points".into(), grid(&full_points)),
-            ("churn_points".into(), grid(&churn_points)),
-            ("churn_pct".into(), Value::Num(CHURN_PCT as f64)),
-        ]);
-        let mut ledger = RunLedger::new("bench_sched", &label)
-            .threads(available_threads())
-            .config(config);
-        ledger.add_artifact(
-            "entry.json",
-            serde_json::to_string_pretty(&entry).expect("entry serializes") + "\n",
-        );
-        match ledger.write(std::path::Path::new(&dir)) {
-            Ok(path) => println!("run ledger written to {}", path.display()),
-            Err(e) => {
-                eprintln!("error: {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    })
 }

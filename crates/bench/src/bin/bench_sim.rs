@@ -42,10 +42,10 @@
 //! bench_sim [--samples N] [--label STR] [--out FILE] [--points LIST]
 //! ```
 
-use optimus_bench::arg_value;
+use optimus_bench::cli::Bench;
 use optimus_bench::host::Host;
 use optimus_bench::stats::median;
-use optimus_bench::trajectory::{append_trajectory, Metric};
+use optimus_bench::trajectory::Metric;
 use optimus_cluster::Cluster;
 use optimus_core::prelude::OptimusScheduler;
 use optimus_simulator::{SimConfig, SimReport, Simulation};
@@ -227,47 +227,28 @@ fn run_once(
     )
 }
 
+const USAGE: &str = "\
+bench_sim — whole-simulation throughput trajectory
+
+USAGE: bench_sim [--samples N] [--label STR] [--out FILE] [--points LIST]
+
+  --samples N    timed samples per point               (default 3)
+  --label STR    label of the recorded entry           (default current)
+  --out FILE     append the entry to this trajectory file
+  --points LIST  grid points to run (job counts, comma-separated;
+                 default: all)
+
+An unknown flag, a flag with no value and a job count no grid point has
+are errors (exit 2).
+";
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!(
-            "bench_sim — whole-simulation throughput trajectory\n\n\
-             USAGE: bench_sim [--samples N] [--label STR] [--out FILE] [--points LIST]\n\n\
-             --points LIST   comma-separated job counts to run (default: all grid points)"
-        );
-        return ExitCode::SUCCESS;
-    }
-    let samples: u32 = match arg_value(&args, "--samples").map(|v| v.parse()) {
-        None => 3,
-        Some(Ok(n)) => n,
-        Some(Err(_)) => {
-            eprintln!("error: --samples expects an integer");
-            return ExitCode::FAILURE;
-        }
+    let grid: Vec<usize> = POINTS.iter().map(|p| p.jobs).collect();
+    let bench = match Bench::parse("bench_sim", USAGE, &[], &[], 3, &grid) {
+        Ok(bench) => bench,
+        Err(code) => return code,
     };
-    let samples = samples.max(1);
-    let label = arg_value(&args, "--label").unwrap_or_else(|| "current".into());
-    let out = arg_value(&args, "--out");
-    let selected: Option<Vec<usize>> = match arg_value(&args, "--points") {
-        None => None,
-        Some(list) => match list.split(',').map(|s| s.trim().parse()).collect() {
-            Ok(v) => Some(v),
-            Err(_) => {
-                eprintln!("error: --points expects a comma-separated list of job counts");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    if let Some(sel) = &selected {
-        if let Some(unknown) = sel.iter().find(|j| !POINTS.iter().any(|p| p.jobs == **j)) {
-            let known: Vec<String> = POINTS.iter().map(|p| p.jobs.to_string()).collect();
-            eprintln!(
-                "error: no {unknown}-job grid point (known: {})",
-                known.join(", ")
-            );
-            return ExitCode::FAILURE;
-        }
-    }
+    let (samples, label) = (bench.samples, &bench.label);
 
     println!("bench_sim: {samples} samples per point (label: {label})\n");
     println!(
@@ -276,10 +257,7 @@ fn main() -> ExitCode {
     );
     let mut points = Vec::new();
     let mut gate_failed = false;
-    for point in POINTS
-        .iter()
-        .filter(|p| selected.as_ref().is_none_or(|sel| sel.contains(&p.jobs)))
-    {
+    for point in POINTS.iter().filter(|p| bench.keeps(p.jobs)) {
         let jobs = point.jobs;
         // Warm-up run (allocators, page faults) whose timing is
         // discarded but whose JCT vector anchors the determinism check.
@@ -380,24 +358,16 @@ fn main() -> ExitCode {
         });
     }
 
-    let entry = BenchEntry {
+    let recorded = bench.record(&BenchEntry {
         label: label.clone(),
         source: "bench_sim",
         samples,
         seed: SEED,
         host: Host::probe(),
         points,
-    };
-
-    if let Some(path) = out {
-        if let Err(e) = append_trajectory(&path, &entry) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("\nappended entry '{label}' to {path}");
-    }
+    });
     if gate_failed {
         return ExitCode::FAILURE;
     }
-    ExitCode::SUCCESS
+    recorded
 }

@@ -6,13 +6,15 @@
 //! comparison runner behind Figs 11/13/16/17/18/19, the synthetic
 //! Fig-12 job population, and plain-text table/series printers (plus
 //! JSON lines for machine consumption). It also owns the `BENCH_*.json`
-//! trajectory format ([`trajectory`]) and compiles the end-to-end
+//! trajectory format ([`trajectory`]) and the one command-line parser
+//! of every tool ([`cli`]), and compiles the end-to-end
 //! benchmark's host fingerprint, order statistics and median/quartile
 //! verdict ([`host`], [`stats`], [`compare`]) from that package's own
 //! files: the benchmark builds from its own directory and cannot depend
 //! on this crate, so the `bench_*` trajectories and
 //! `optimus-trace check-bench` share its judge this way.
 
+pub mod cli;
 #[path = "bin/benchmark/compare.rs"]
 pub mod compare;
 #[allow(rustdoc::private_intra_doc_links)]
@@ -30,6 +32,7 @@ use optimus_core::prelude::*;
 use optimus_fitting::stats::{mean, std_dev};
 use optimus_ps::PsJobModel;
 use optimus_simulator::{AssignmentPolicy, SimConfig, SimReport, Simulation};
+use optimus_telemetry::Telemetry;
 use optimus_workload::arrivals::ModePolicy;
 use optimus_workload::job::default_container;
 use optimus_workload::{ArrivalProcess, JobId, ModelKind, TrainingMode, WorkloadGenerator};
@@ -80,6 +83,17 @@ impl SchedulerChoice {
         }
     }
 
+    /// Builds the scheduler with `tel` wired through it: Optimus
+    /// through its allocator, placer and composite
+    /// ([`OptimusScheduler::build_with_telemetry`]), the others through
+    /// the composite.
+    pub fn build_with_telemetry(self, tel: Telemetry) -> CompositeScheduler {
+        match self {
+            SchedulerChoice::Optimus => OptimusScheduler::build_with_telemetry(tel),
+            other => other.build().with_telemetry(tel),
+        }
+    }
+
     /// Builds the scheduler.
     pub fn build(self) -> CompositeScheduler {
         match self {
@@ -122,6 +136,22 @@ impl SchedulerChoice {
                 AssignmentPolicy::MxnetDefault
             }
             _ => AssignmentPolicy::Paa,
+        }
+    }
+}
+
+/// The four schedulers a command line names: `optimus`, `drf`, `tetris`
+/// and `fifo`.
+impl std::str::FromStr for SchedulerChoice {
+    type Err = &'static str;
+
+    fn from_str(name: &str) -> Result<Self, Self::Err> {
+        match name {
+            "optimus" => Ok(SchedulerChoice::Optimus),
+            "drf" => Ok(SchedulerChoice::Drf),
+            "tetris" => Ok(SchedulerChoice::Tetris),
+            "fifo" => Ok(SchedulerChoice::Fifo),
+            _ => Err("unknown scheduler; known: optimus, drf, tetris, fifo"),
         }
     }
 }
@@ -419,15 +449,6 @@ pub fn sparkline(values: &[f64]) -> String {
             TICKS[idx.min(7)]
         })
         .collect()
-}
-
-/// The value after `name` on a `--name value` command line (the
-/// `bench_*` harnesses' flag parser).
-pub fn arg_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }
 
 #[cfg(test)]

@@ -24,12 +24,15 @@
 //! make zero allocator calls: `nnls_rows` rebuilds rows on the stack
 //! and the coefficients overwrite the previous fit's `Vec`.
 //!
-//! The file intentionally holds a single test: the counter is global,
-//! and a sibling test running concurrently would pollute it.
+//! The counter is per thread, because the test harness's own threads
+//! allocate concurrently at timing-dependent moments, and a global
+//! counter charges those calls to whatever the test thread is
+//! measuring. The measured calls run on the test thread and fan out to
+//! no other, so every allocation they make is counted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use optimus_cluster::{Cluster, ResourceVec};
 use optimus_core::prelude::*;
@@ -40,11 +43,24 @@ use optimus_workload::{JobId, ModelKind, TrainingMode};
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocator calls made by this thread. Const-initialized with no
+    /// destructor, so reading it never allocates.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocator calls this thread has made so far.
+fn alloc_calls() -> u64 {
+    ALLOC_CALLS.with(Cell::get)
+}
+
+fn count_call() {
+    ALLOC_CALLS.with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         unsafe { System.alloc(layout) }
     }
 
@@ -53,12 +69,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -130,9 +146,9 @@ fn warm_steady_state_round_allocates_nothing() {
     let warm = out.allocations().to_vec();
     scheduler.schedule_into(&jobs, &cluster, &mut scratch, &mut out);
 
-    let before = ALLOC_CALLS.load(Ordering::SeqCst);
+    let before = alloc_calls();
     scheduler.schedule_into(&jobs, &cluster, &mut scratch, &mut out);
-    let after = ALLOC_CALLS.load(Ordering::SeqCst);
+    let after = alloc_calls();
 
     assert_eq!(
         after - before,
@@ -173,9 +189,9 @@ fn warm_steady_state_round_allocates_nothing() {
     // Two cycles size every buffer; the third is measured round by round.
     for cycle in 0..3 {
         for &(name, jobs, cluster, delta) in &rounds {
-            let before = ALLOC_CALLS.load(Ordering::SeqCst);
+            let before = alloc_calls();
             let stats = scheduler.schedule_delta(jobs, cluster, delta, &mut scratch, &mut out);
-            let calls = ALLOC_CALLS.load(Ordering::SeqCst) - before;
+            let calls = alloc_calls() - before;
             if cycle < 2 {
                 continue;
             }
@@ -198,9 +214,9 @@ fn warm_steady_state_round_allocates_nothing() {
             let mut speed = job(0, mode).speed.with_telemetry(tel);
             speed.refit().expect("profiled");
             speed.record(3, 5, 0.8);
-            let before = ALLOC_CALLS.load(Ordering::SeqCst);
+            let before = alloc_calls();
             let fitted = speed.refit();
-            let calls = ALLOC_CALLS.load(Ordering::SeqCst) - before;
+            let calls = alloc_calls() - before;
             assert!(fitted.is_ok());
             assert_eq!(calls, 0, "a {mode:?} speed refit must not touch the heap");
         }

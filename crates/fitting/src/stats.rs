@@ -55,6 +55,18 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     }
 }
 
+/// Nearest-rank `q`-quantile (`q` in `[0, 1]`) of an ascending slice:
+/// the `⌈q·n⌉`-th smallest value (the smallest at `q = 0`); 0.0 for an
+/// empty slice.
+pub fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let n = sorted.len();
+    let rank = (q.clamp(0.0, 1.0) * n as f64).ceil() as usize;
+    sorted[rank.clamp(1, n) - 1]
+}
+
 /// The JCT-style `(p50, p95, p99)` digest of a sample set, each exact
 /// (linear interpolation, not bucketed); `(0, 0, 0)` for an empty slice.
 pub fn p50_p95_p99(xs: &[f64]) -> (f64, f64, f64) {
@@ -103,6 +115,23 @@ mod tests {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
         assert_eq!(median(&[]), 0.0);
+    }
+
+    #[test]
+    fn nearest_rank_picks_the_ceiling_rank() {
+        let xs = [1.0, 2.0, 3.0, 4.0];
+        let cases = [
+            (0.0, 1.0),
+            (0.25, 1.0),
+            (0.26, 2.0),
+            (0.5, 2.0),
+            (0.95, 4.0),
+            (1.0, 4.0),
+        ];
+        for (q, want) in cases {
+            assert_eq!(nearest_rank(&xs, q), want, "q = {q}");
+        }
+        assert_eq!(nearest_rank(&[], 0.5), 0.0);
     }
 
     #[test]

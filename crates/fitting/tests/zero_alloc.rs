@@ -14,22 +14,38 @@
 //! session has seen may still grow that session's buffers; that is the
 //! reuse contract, not a per-wave cost.
 //!
-//! The file intentionally holds a single test: the counter is global,
-//! and a sibling test running concurrently would pollute it.
+//! The counter is per thread, because the test harness's own threads
+//! allocate concurrently at timing-dependent moments, and a global
+//! counter charges those calls to whatever the test thread is
+//! measuring. The measured calls run on the test thread and fan out to
+//! no other, so every allocation they make is counted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use optimus_fitting::preprocess::LossSample;
 use optimus_fitting::{fit_batch, BatchFitJob, BatchScratch, FitSession, LossCurveFitter, LANES};
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocator calls made by this thread. Const-initialized with no
+    /// destructor, so reading it never allocates.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocator calls this thread has made so far.
+fn alloc_calls() -> u64 {
+    ALLOC_CALLS.with(Cell::get)
+}
+
+fn count_call() {
+    ALLOC_CALLS.with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         unsafe { System.alloc(layout) }
     }
 
@@ -38,12 +54,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -91,9 +107,9 @@ fn warm_fit_batch_makes_no_allocator_calls() {
                 })
                 .collect();
             out.clear();
-            let before = ALLOC_CALLS.load(Ordering::Relaxed);
+            let before = alloc_calls();
             fit_batch(&mut batch, &mut scratch, &mut out);
-            *calls = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+            *calls = alloc_calls() - before;
             assert!(out.iter().all(Result::is_ok), "{jobs} jobs, pass {pass}");
         }
         assert_eq!(

@@ -2,6 +2,7 @@
 
 use crate::audit::AuditSummary;
 use crate::events::EventLog;
+use optimus_fitting::stats::nearest_rank;
 use optimus_telemetry::{FlightLog, TelemetrySummary};
 use optimus_workload::JobId;
 use serde::{Deserialize, Serialize};
@@ -141,14 +142,9 @@ impl SimReport {
     /// fairness-style comparisons the mean hides: a scheduler can win
     /// on `avg_jct` while starving its slowest jobs.
     pub fn jct_percentile(&self, q: f64) -> f64 {
-        if self.jct.is_empty() {
-            return 0.0;
-        }
         let mut v: Vec<f64> = self.jct.iter().map(|&(_, t)| t).collect();
         v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let n = v.len();
-        let rank = (q.clamp(0.0, 1.0) * n as f64).ceil() as usize;
-        v[rank.clamp(1, n) - 1]
+        nearest_rank(&v, q)
     }
 
     /// Median job completion time, seconds.

@@ -105,23 +105,17 @@ impl Histogram {
         }
     }
 
-    /// Estimated `q`-quantile (`q` in `[0, 1]`) from the bucket counts:
-    /// the upper bound of the bucket holding the `⌈q·count⌉`-th
-    /// observation, clamped to the observed `[min, max]`. 0 when empty.
+    /// Estimated `q`-quantile (`q` in `[0, 1]`) from the bucket counts
+    /// ([`bucket_quantile`]).
     pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                let bound = self.bounds.get(i).copied().unwrap_or(self.max);
-                return bound.clamp(self.min, self.max);
-            }
-        }
-        self.max
+        bucket_quantile(
+            &self.bounds,
+            &self.counts,
+            self.count,
+            self.min,
+            self.max,
+            q,
+        )
     }
 
     /// The bucket index a value would land in.
@@ -144,6 +138,36 @@ impl Histogram {
     pub fn underflow(&self) -> u64 {
         self.underflow
     }
+}
+
+/// Estimated `q`-quantile (`q` in `[0, 1]`) of a histogram of `count`
+/// observations with upper bucket `bounds` (the last of `counts` is the
+/// overflow bucket past them) and observed range `[min, max]`: the
+/// upper bound of the bucket holding the `⌈q·count⌉`-th observation,
+/// clamped to that range. 0 when the histogram is empty. The
+/// collector's summaries and `optimus-trace`'s reading of an exported
+/// histogram both use it.
+pub fn bucket_quantile(
+    bounds: &[f64],
+    counts: &[u64],
+    count: u64,
+    min: f64,
+    max: f64,
+    q: f64,
+) -> f64 {
+    if count == 0 {
+        return 0.0;
+    }
+    let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
+    let mut seen = 0;
+    for (i, &c) in counts.iter().enumerate() {
+        seen += c;
+        if seen >= rank {
+            let bound = bounds.get(i).copied().unwrap_or(max);
+            return bound.clamp(min, max);
+        }
+    }
+    max
 }
 
 /// The percentile digest of one histogram, as carried in summaries.

@@ -18,11 +18,17 @@ lint:
 
 # Time one scheduling decision per scalability point and append the
 # result to the committed trajectory file (compare entries across PRs).
+# The three bench_* harnesses share one strict parser
+# (`optimus_bench::cli`): an unknown flag, a flag with no value or a
+# `--points` job count no grid point has exits 2 before anything is
+# timed, and `--out` is the only file they write.
 bench-sched:
     cargo run --release -p optimus-bench --bin bench_sched -- --out BENCH_sched.json
 
 # Time one interval's convergence refits (reference vs batched) per
 # grid point and append the result to the committed trajectory file.
+# `--samples` is a floor: the points sample the batched path in turn
+# for four seconds per point, so the small points' quartiles resolve.
 bench-fit:
     cargo run --release -p optimus-bench --bin bench_fit -- --out BENCH_fit.json
 
@@ -32,7 +38,9 @@ bench-fit:
 # proof for warm full rounds (`schedule_into`) and for every kind of
 # warm delta round the simulator runs (`schedule_delta`), for a refit of
 # a fitted speed model, and for warm batched refits of one to eight
-# jobs (`fit_batch`).
+# jobs (`fit_batch`). The proofs count the allocator calls of the test
+# thread, where all of these run, so the harness's own threads cannot
+# pollute them.
 bench-alloc:
     cargo run --release -p optimus-bench --bin bench_sched -- --samples 1 --verify
     cargo test --release -p optimus-core --test zero_alloc
@@ -142,15 +150,16 @@ paper-fig12:
 
 # Regression judge: in each BENCH_*.json, compare the newest entry with
 # the latest earlier entry from the same host (the end-to-end
-# benchmark's median/quartile verdict, 10 % bound); fail when a point
-# is worse or nothing could be compared.
+# benchmark's median/quartile verdict, 10 % bound); exit 1 when a point
+# is worse or nothing could be compared, 2 on a bad argument or an
+# unreadable file.
 check-bench:
     cargo run --release --bin optimus-trace -- check-bench
 
 # Everything CI would run: lint + build + tests (which include the
 # in-process cross-oracle ledger diffs), the optimized-vs-oracle
 # equivalence suites, 1-sample bench smoke runs (keeps the timing
-# harnesses compiling and executable without recording noise;
+# harnesses compiling and executable without recording anything;
 # bench-alloc also cross-checks decisions against the reference across
 # the standard points *and* the steady-state churn points, where
 # --verify additionally fails on any delta-path fallback to a full

@@ -24,12 +24,15 @@
 //! Every mode follows one exit-code rule: 0 when all is well, 1 when
 //! the check found something (two runs diverge, a bench metric is
 //! worse, or nothing could be gated), 2 on a bad argument or an input
-//! that cannot be read or is not valid.
+//! that cannot be read or is not valid. Every mode parses its command
+//! line with the shared strict parser, `optimus_bench::cli`.
 
-use optimus::fitting::stats::{mean, p50_p95_p99};
+use optimus::fitting::stats::{mean, nearest_rank, p50_p95_p99};
 use optimus::ledger::{self, LoadedRun};
+use optimus::telemetry::metrics::bucket_quantile;
 use optimus::telemetry::provenance::parse_why_lines;
 use optimus::telemetry::{DeltaWhy, PlaceReject, TraceEvent, TraceLine, WhyRecord, SCHEMA_VERSION};
+use optimus_bench::cli::{self, Args, Spec};
 use optimus_bench::compare;
 use optimus_bench::trajectory::{same_host, Entry};
 use std::collections::BTreeMap;
@@ -50,7 +53,9 @@ EXIT CODES (every mode):
   0  all is well
   1  the check found something: runs diverge (diff), a bench metric
      is worse or nothing was gated (check-bench)
-  2  a bad argument, or an input that cannot be read or is not valid
+  2  a bad argument (an unknown flag, a flag with no value, a missing
+     or extra argument, a value that does not parse), or an input that
+     cannot be read or is not valid
 
 SUMMARIZE FLAGS:
   --top N       counters to list                 (default 10)
@@ -95,45 +100,74 @@ CHECK-BENCH:
   the newest entry without a baseline are listed as not gated.
 ";
 
+/// Summarize's grammar. Each mode's spec lists what its usage section
+/// documents; all print the whole [`USAGE`] on `--help`.
+const SUMMARIZE: Spec = Spec {
+    name: "optimus-trace",
+    usage: USAGE,
+    values: &["--top"],
+    switches: &["--no-jobs", "--spans", "--models"],
+    positionals: 1..=1,
+};
+
+const TIMELINE: Spec = Spec {
+    name: "timeline",
+    usage: USAGE,
+    values: &["--width", "--segments", "--chrome"],
+    switches: &[],
+    positionals: 1..=1,
+};
+
+const WHY: Spec = Spec {
+    name: "why",
+    usage: USAGE,
+    values: &["--round", "--ledger"],
+    switches: &["--summary"],
+    positionals: 0..=2,
+};
+
+const DIFF: Spec = Spec {
+    name: "diff",
+    usage: USAGE,
+    values: &["--ignore"],
+    switches: &[],
+    positionals: 2..=2,
+};
+
+const CHECK_BENCH: Spec = Spec {
+    name: "check-bench",
+    usage: USAGE,
+    values: &[],
+    switches: &[],
+    positionals: 0..=usize::MAX,
+};
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
+    if args.is_empty() {
         print!("{USAGE}");
-        return if args.is_empty() {
-            ExitCode::from(2)
-        } else {
-            ExitCode::SUCCESS
-        };
+        return ExitCode::from(2);
     }
-    match args[0].as_str() {
-        "timeline" => cmd_timeline(&args[1..]),
-        "why" => cmd_why(&args[1..]),
-        "diff" => cmd_diff(&args[1..]),
-        "check-bench" => cmd_check_bench(&args[1..]),
-        _ => cmd_summarize(&args),
+    let (spec, cmd, rest): (&Spec, fn(&Args) -> ExitCode, &[String]) = match args[0].as_str() {
+        "timeline" => (&TIMELINE, cmd_timeline, &args[1..]),
+        "why" => (&WHY, cmd_why, &args[1..]),
+        "diff" => (&DIFF, cmd_diff, &args[1..]),
+        "check-bench" => (&CHECK_BENCH, cmd_check_bench, &args[1..]),
+        _ => (&SUMMARIZE, cmd_summarize, &args),
+    };
+    match spec.parse(rest) {
+        Ok(parsed) => cmd(&parsed),
+        Err(code) => code,
     }
-}
-
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
 }
 
 // -- summarize --------------------------------------------------------
 
-fn cmd_summarize(args: &[String]) -> ExitCode {
-    let path = &args[0];
-    let top: usize = match flag_value(args, "--top") {
-        None => 10,
-        Some(raw) => match raw.parse() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("invalid value for --top: {raw}");
-                return ExitCode::from(2);
-            }
-        },
+fn cmd_summarize(args: &Args) -> ExitCode {
+    let path = &args.positionals()[0];
+    let top: usize = match args.parse_or("--top", 10) {
+        Ok(n) => n,
+        Err(e) => return cli::fail(e),
     };
 
     // A directory is a run ledger: print its manifest, then summarize
@@ -142,8 +176,7 @@ fn cmd_summarize(args: &[String]) -> ExitCode {
         let run = match ledger::load_run(Path::new(path)) {
             Ok(run) => run,
             Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
+                return cli::fail(e);
             }
         };
         print_manifest(&run);
@@ -158,8 +191,7 @@ fn cmd_summarize(args: &[String]) -> ExitCode {
         match std::fs::read_to_string(path) {
             Ok(t) => t,
             Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return ExitCode::from(2);
+                return cli::fail(format!("{path}: {e}"));
             }
         }
     };
@@ -173,28 +205,28 @@ fn cmd_summarize(args: &[String]) -> ExitCode {
         }
     }
     if lines.is_empty() {
-        eprintln!("error: {path}: no parseable trace lines ({bad} unparseable)");
-        return ExitCode::from(2);
+        return cli::fail(format!(
+            "{path}: no parseable trace lines ({bad} unparseable)"
+        ));
     }
     if bad > 0 {
         eprintln!("warning: skipped {bad} unparseable lines");
     }
     if let Err(e) = check_versions(&lines) {
-        eprintln!("error: {path}: {e}");
-        return ExitCode::from(2);
+        return cli::fail(format!("{path}: {e}"));
     }
 
     print_overview(path, &lines);
     print_rounds(&lines);
-    if !args.iter().any(|a| a == "--no-jobs") {
+    if !args.has("--no-jobs") {
         print_jobs(&lines);
     }
-    if args.iter().any(|a| a == "--models") {
+    if args.has("--models") {
         print_models(&lines);
     }
     print_counters(&lines, top);
     print_histograms(&lines);
-    if args.iter().any(|a| a == "--spans") {
+    if args.has("--spans") {
         print_spans(&lines);
     }
     ExitCode::SUCCESS
@@ -260,35 +292,6 @@ fn print_manifest(run: &LoadedRun) {
     println!();
 }
 
-/// Nearest-rank percentile of an ascending-sorted slice.
-fn pctl(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let n = sorted.len();
-    let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-    sorted[rank - 1]
-}
-
-/// Quantile estimate from exported histogram buckets: the upper bound
-/// of the bucket holding the nearest-rank observation, clamped to the
-/// observed range (mirrors the collector's own estimator).
-fn hist_quantile(bounds: &[f64], counts: &[u64], count: u64, min: f64, max: f64, q: f64) -> f64 {
-    if count == 0 {
-        return 0.0;
-    }
-    let target = ((q * count as f64).ceil() as u64).clamp(1, count);
-    let mut acc = 0u64;
-    for (i, &c) in counts.iter().enumerate() {
-        acc += c;
-        if acc >= target {
-            let ub = if i < bounds.len() { bounds[i] } else { max };
-            return ub.clamp(min, max);
-        }
-    }
-    max
-}
-
 fn print_overview(path: &str, lines: &[TraceLine]) {
     let mut events = 0usize;
     let mut spans = 0usize;
@@ -340,9 +343,9 @@ fn print_rounds(lines: &[TraceLine]) {
     println!(
         "  wall per round: mean {:.0} us, p50 {:.0} us, p95 {:.0} us, p99 {:.0} us, max {:.0} us",
         mean,
-        pctl(&walls, 0.50),
-        pctl(&walls, 0.95),
-        pctl(&walls, 0.99),
+        nearest_rank(&walls, 0.50),
+        nearest_rank(&walls, 0.95),
+        nearest_rank(&walls, 0.99),
         walls[walls.len() - 1],
     );
     // Delta-round accounting (PR 9): how much churn the driver reported
@@ -590,9 +593,9 @@ fn print_histograms(lines: &[TraceLine]) {
             };
             println!(
                 "  {name}: n={count} mean={mean:.1} p50={:.1} p95={:.1} p99={:.1} max={max:.1}{saturation}",
-                hist_quantile(bounds, counts, *count, *min, *max, 0.50),
-                hist_quantile(bounds, counts, *count, *min, *max, 0.95),
-                hist_quantile(bounds, counts, *count, *min, *max, 0.99),
+                bucket_quantile(bounds, counts, *count, *min, *max, 0.50),
+                bucket_quantile(bounds, counts, *count, *min, *max, 0.95),
+                bucket_quantile(bounds, counts, *count, *min, *max, 0.99),
             );
         }
     }
@@ -630,9 +633,9 @@ fn print_spans(lines: &[TraceLine]) {
             agg.count,
             agg.total_us,
             agg.total_us as f64 / agg.count as f64,
-            pctl(&agg.durs_us, 0.50),
-            pctl(&agg.durs_us, 0.95),
-            pctl(&agg.durs_us, 0.99),
+            nearest_rank(&agg.durs_us, 0.50),
+            nearest_rank(&agg.durs_us, 0.95),
+            nearest_rank(&agg.durs_us, 0.99),
             agg.durs_us[agg.durs_us.len() - 1],
         );
     }
@@ -642,26 +645,16 @@ fn print_spans(lines: &[TraceLine]) {
 
 /// `timeline RUN_DIR`: the per-job Gantt from the run's event log plus
 /// the utilization timeline from its flight-recorder snapshots.
-fn cmd_timeline(args: &[String]) -> ExitCode {
-    let Some(dir) = args.iter().find(|a| !a.starts_with("--")) else {
-        eprintln!("usage: optimus-trace timeline RUN_DIR [--width N]");
-        return ExitCode::from(2);
-    };
-    let width: usize = match flag_value(args, "--width") {
-        None => optimus::timeline::DEFAULT_WIDTH,
-        Some(raw) => match raw.parse() {
-            Ok(w) => w,
-            Err(_) => {
-                eprintln!("invalid value for --width: {raw}");
-                return ExitCode::from(2);
-            }
-        },
+fn cmd_timeline(args: &Args) -> ExitCode {
+    let dir = &args.positionals()[0];
+    let width: usize = match args.parse_or("--width", optimus::timeline::DEFAULT_WIDTH) {
+        Ok(w) => w,
+        Err(e) => return cli::fail(e),
     };
     let run = match ledger::load_run(Path::new(dir)) {
         Ok(run) => run,
         Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
+            return cli::fail(e);
         }
     };
     let render = || -> Result<(), String> {
@@ -670,7 +663,7 @@ fn cmd_timeline(args: &[String]) -> ExitCode {
             Some(body) => {
                 let events = optimus::timeline::parse_events(body)?;
                 print!("{}", optimus::timeline::render_gantt(&events, width));
-                if let Some(path) = flag_value(args, "--segments") {
+                if let Some(path) = args.value("--segments") {
                     std::fs::write(path, optimus::timeline::segments_json_lines(&events))
                         .map_err(|e| format!("{path}: {e}"))?;
                     eprintln!("gantt segments written to {path}");
@@ -687,7 +680,7 @@ fn cmd_timeline(args: &[String]) -> ExitCode {
                 let log = optimus::telemetry::FlightLog::from_json_lines(body)
                     .map_err(|e| format!("{}: {e}", ledger::FLIGHT_ARTIFACT))?;
                 print!("{}", optimus::timeline::render_utilization(&log, width));
-                if let Some(path) = flag_value(args, "--chrome") {
+                if let Some(path) = args.value("--chrome") {
                     std::fs::write(path, log.to_chrome_counter_tracks())
                         .map_err(|e| format!("{path}: {e}"))?;
                     eprintln!("chrome counter tracks written to {path}");
@@ -701,103 +694,60 @@ fn cmd_timeline(args: &[String]) -> ExitCode {
         }
         Ok(())
     };
-    match render() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(2)
-        }
-    }
+    render().map_or_else(cli::fail, |()| ExitCode::SUCCESS)
 }
 
 // -- why --------------------------------------------------------------
 
 /// `why [JOB] RUN_DIR [--round R] [--summary]`: explain a job's
 /// decisions from the run's decision-provenance ledger.
-fn cmd_why(args: &[String]) -> ExitCode {
-    let mut round: Option<u64> = None;
-    let mut summary = false;
-    let mut dir: Option<&str> = None;
+fn cmd_why(args: &Args) -> ExitCode {
+    let round: Option<u64> = match args.parse("--round") {
+        Ok(r) => r,
+        Err(e) => return cli::fail(e),
+    };
+    let summary = args.has("--summary");
+    // The first numeric positional is the job; the other is the run
+    // directory, which `--ledger` may name instead.
+    let mut dir = args.value("--ledger");
     let mut job: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--round" => match it.next().and_then(|r| r.parse().ok()) {
-                Some(r) => round = Some(r),
-                None => {
-                    eprintln!("--round requires a round number");
-                    return ExitCode::from(2);
-                }
-            },
-            "--ledger" => match it.next() {
-                Some(d) => dir = Some(d),
-                None => {
-                    eprintln!("--ledger requires a run directory");
-                    return ExitCode::from(2);
-                }
-            },
-            "--summary" => summary = true,
-            other if other.starts_with("--") => {
-                eprintln!("unknown flag for why: {other}");
-                return ExitCode::from(2);
-            }
-            other => {
-                // First numeric positional is the job; anything else is
-                // the run directory (same as --ledger).
-                if job.is_none() {
-                    if let Ok(j) = other.parse() {
-                        job = Some(j);
-                        continue;
-                    }
-                }
-                if dir.is_none() {
-                    dir = Some(other);
-                } else {
-                    eprintln!("unexpected argument for why: {other}");
-                    return ExitCode::from(2);
-                }
-            }
+    for arg in args.positionals() {
+        match arg.parse() {
+            Ok(j) if job.is_none() => job = Some(j),
+            _ if dir.is_none() => dir = Some(arg),
+            _ => return cli::fail(format!("unexpected argument for why: {arg}")),
         }
     }
-    let usage = "usage: optimus-trace why [JOB] RUN_DIR [--round R] [--summary]";
     let Some(dir) = dir else {
-        eprintln!("{usage}");
-        return ExitCode::from(2);
+        return cli::fail("missing RUN_DIR for why (see --help)");
     };
     if job.is_none() && !summary {
-        eprintln!("{usage}\n(give a JOB id, or --summary for run-wide aggregates)");
-        return ExitCode::from(2);
+        return cli::fail("why needs a JOB id, or --summary for run-wide aggregates");
     }
     let run = match ledger::load_run(Path::new(dir)) {
         Ok(run) => run,
         Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
+            return cli::fail(e);
         }
     };
     let Some(body) = run.artifacts.get(ledger::PROVENANCE_ARTIFACT) else {
-        eprintln!(
-            "error: {}: no {} artifact — this run predates decision provenance; \
+        return cli::fail(format!(
+            "{}: no {} artifact — this run predates decision provenance; \
              re-record with `optimus-sim run --ledger`",
             run.dir.display(),
             ledger::PROVENANCE_ARTIFACT
-        );
-        return ExitCode::from(2);
+        ));
     };
     let records = match parse_why_lines(body) {
         Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {}: {e}", run.dir.display());
-            return ExitCode::from(2);
-        }
+        Err(e) => return cli::fail(format!("{}: {e}", run.dir.display())),
     };
     if let Some(v) = records.iter().filter_map(|r| r.v).max() {
         if v > SCHEMA_VERSION {
-            eprintln!(
-                "error: provenance records carry schema v{v}, newer than this \
+            return cli::fail(format!(
+                "provenance records carry schema v{v}, newer than this \
                  build supports (v{SCHEMA_VERSION}); rebuild optimus-trace"
-            );
-            return ExitCode::from(2);
+            ));
         }
     }
     if summary {
@@ -807,25 +757,23 @@ fn cmd_why(args: &[String]) -> ExitCode {
     let job = job.expect("checked above");
     let of_job: Vec<&WhyRecord> = records.iter().filter(|r| r.job == job).collect();
     if of_job.is_empty() {
-        eprintln!(
-            "error: job {job} has no provenance records in {} \
+        return cli::fail(format!(
+            "job {job} has no provenance records in {} \
              (jobs present: {})",
             run.dir.display(),
             known_jobs(&records)
-        );
-        return ExitCode::from(2);
+        ));
     }
     match round {
         None => print_why_history(&run, job, &of_job),
         Some(round) => {
             let Some(rec) = of_job.iter().find(|r| r.round == round) else {
                 let rounds: Vec<String> = of_job.iter().map(|r| r.round.to_string()).collect();
-                eprintln!(
-                    "error: job {job} has no record for round {round} \
+                return cli::fail(format!(
+                    "job {job} has no record for round {round} \
                      (rounds with records: {})",
                     rounds.join(", ")
-                );
-                return ExitCode::from(2);
+                ));
             };
             print_why_detail(&run, rec, &records);
         }
@@ -1146,8 +1094,8 @@ fn print_why_summary(run: &LoadedRun, records: &[WhyRecord], job: Option<u64>) {
         println!(
             "  mean {:.6}, p50 {:.6}, p95 {:.6}, max {:.6}",
             margins.iter().sum::<f64>() / margins.len() as f64,
-            pctl(&margins, 0.50),
-            pctl(&margins, 0.95),
+            nearest_rank(&margins, 0.50),
+            nearest_rank(&margins, 0.95),
             margins[margins.len() - 1],
         );
     }
@@ -1183,42 +1131,20 @@ fn print_why_summary(run: &LoadedRun, records: &[WhyRecord], job: Option<u64>) {
 
 // -- diff -------------------------------------------------------------
 
-fn cmd_diff(args: &[String]) -> ExitCode {
+fn cmd_diff(args: &Args) -> ExitCode {
     // `--ignore NAME` (repeatable) drops an artifact from the
     // comparison. The intended use is cross-oracle diffs: a ledger
     // written from `Simulation::run_reference` has the production
     // run's decision artifacts byte for byte but its own accounting
     // counters in `trace.jsonl`, which a determinism check across the
     // two must not read as divergence.
-    let mut ignored: Vec<&str> = Vec::new();
-    let mut dirs: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--ignore" {
-            match it.next() {
-                Some(name) => ignored.push(name),
-                None => {
-                    eprintln!("--ignore requires an artifact name");
-                    return ExitCode::from(2);
-                }
-            }
-        } else if arg.starts_with("--") {
-            eprintln!("unknown flag for diff: {arg}");
-            return ExitCode::from(2);
-        } else {
-            dirs.push(arg);
-        }
-    }
-    if dirs.len() != 2 {
-        eprintln!("usage: optimus-trace diff [--ignore ARTIFACT]... RUN_A RUN_B");
-        return ExitCode::from(2);
-    }
+    let ignored: Vec<&str> = args.values("--ignore").collect();
+    let dirs = args.positionals();
     let load = |p: &str| ledger::load_run(Path::new(p));
-    let (a, b) = match (load(dirs[0]), load(dirs[1])) {
+    let (a, b) = match (load(&dirs[0]), load(&dirs[1])) {
         (Ok(a), Ok(b)) => (a, b),
         (Err(e), _) | (_, Err(e)) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
+            return cli::fail(e);
         }
     };
     if a.manifest.schema_version != b.manifest.schema_version {
@@ -1267,8 +1193,8 @@ fn cmd_diff(args: &[String]) -> ExitCode {
     if diff.differing.is_empty() && !diff.only_in_one.is_empty() {
         for (name, which) in &diff.only_in_one {
             let (has, lacks) = match which {
-                'a' => (dirs[0], dirs[1]),
-                _ => (dirs[1], dirs[0]),
+                'a' => (&dirs[0], &dirs[1]),
+                _ => (&dirs[1], &dirs[0]),
             };
             println!(
                 "runs are not comparable: {has} recorded {name} but {lacks} did not \
@@ -1321,23 +1247,18 @@ const BENCH_FILES: [&str; 3] = ["BENCH_sched.json", "BENCH_fit.json", "BENCH_sim
 /// The regression bound every point-metric pair is judged against.
 const BENCH_BOUND: f64 = 0.10;
 
-fn cmd_check_bench(args: &[String]) -> ExitCode {
-    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
-        eprintln!("unknown flag for check-bench: {flag}");
-        return ExitCode::from(2);
-    }
-    let files: Vec<&str> = if args.is_empty() {
+fn cmd_check_bench(args: &Args) -> ExitCode {
+    let files: Vec<&str> = if args.positionals().is_empty() {
         BENCH_FILES.to_vec()
     } else {
-        args.iter().map(String::as_str).collect()
+        args.positionals().iter().map(String::as_str).collect()
     };
     let mut failed = false;
     for path in files {
         match check_bench_file(path) {
             Ok(passed) => failed |= !passed,
             Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
+                return cli::fail(e);
             }
         }
     }

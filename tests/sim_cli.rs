@@ -1,7 +1,9 @@
-//! `optimus-sim` on input it cannot honour: an unknown flag, or an
-//! interval or target duration that is not a positive finite number,
-//! must print `error: …` and exit 1 — the exit code an unparsable
-//! `--jobs` value gets — instead of running something else.
+//! `optimus-sim` on input it cannot honour: an unknown flag or
+//! subcommand, a flag with no value, an extra argument, a value that
+//! does not parse, an interval or target duration that is not a
+//! positive finite number, or an input file it cannot read must print
+//! `error: …` and exit 2 — the bad-argument code every tool of the
+//! workspace shares — instead of running something else.
 
 use std::process::Command;
 
@@ -17,11 +19,11 @@ fn sim(args: &[&str]) -> (Option<i32>, String) {
     )
 }
 
-/// Asserts that `args` is rejected with exit 1 and an `error:` line
+/// Asserts that `args` is rejected with exit 2 and an `error:` line
 /// containing `message`.
 fn rejects(args: &[&str], message: &str) {
     let (code, stderr) = sim(args);
-    assert_eq!(code, Some(1), "{args:?}: stderr {stderr}");
+    assert_eq!(code, Some(2), "{args:?}: stderr {stderr}");
     assert!(
         stderr.starts_with("error: ") && stderr.contains(message),
         "{args:?}: stderr {stderr}"
@@ -29,23 +31,43 @@ fn rejects(args: &[&str], message: &str) {
 }
 
 #[test]
-fn invalid_jobs_value_exits_1() {
+fn invalid_jobs_value_exits_2() {
     rejects(&["run", "--jobs", "x"], "invalid value for --jobs: x");
 }
 
 #[test]
 fn unknown_flags_are_rejected() {
-    rejects(&["run", "--job", "2"], "unknown flag for run: --job");
-    rejects(
-        &["run", "--jobs", "2", "extra"],
-        "unknown argument for run: extra",
-    );
-    rejects(&["batch", "--seed", "3"], "unknown flag for batch: --seed");
-    rejects(
-        &["generate", "--interval", "60"],
-        "unknown flag for generate: --interval",
-    );
-    rejects(&["models", "--json"], "unknown flag for models: --json");
+    let cases: [(&[&str], &str); 11] = [
+        (&["run", "--job", "2"], "unknown flag for run: --job"),
+        (
+            &["run", "--jobs", "2", "extra"],
+            "unexpected argument for run: extra",
+        ),
+        (&["run", "--jobs"], "--jobs requires a value"),
+        (&["run", "--trace", "--json"], "--trace requires a value"),
+        (
+            &["run", "--scheduler", "srtf"],
+            "invalid value for --scheduler: srtf",
+        ),
+        (
+            &["run", "--trace-in", "/nonexistent/trace.json"],
+            "/nonexistent/trace.json",
+        ),
+        (&["batch", "--seed", "3"], "unknown flag for batch: --seed"),
+        (
+            &["batch", "--schedulers", "drf,srtf"],
+            "invalid value for --schedulers: srtf",
+        ),
+        (
+            &["generate", "--interval", "60"],
+            "unknown flag for generate: --interval",
+        ),
+        (&["models", "--json"], "unknown flag for models: --json"),
+        (&["simulate"], "unknown subcommand: simulate"),
+    ];
+    for (args, message) in cases {
+        rejects(args, message);
+    }
 }
 
 #[test]

@@ -198,8 +198,7 @@ fn check_bench_names_points_without_a_baseline() {
     );
 }
 
-/// A missing or unparseable trajectory, or an unknown flag, is an input
-/// error: exit 2.
+/// A missing or unparseable trajectory is an input error: exit 2.
 #[test]
 fn check_bench_rejects_missing_or_unparseable_files() {
     let path = std::env::temp_dir().join(format!("optimus-bench-bad-{}.json", std::process::id()));
@@ -208,7 +207,6 @@ fn check_bench_rejects_missing_or_unparseable_files() {
     for args in [
         vec![path.to_str().unwrap()],
         vec![missing.to_str().unwrap()],
-        vec!["--tolerance", "0.1"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_optimus-trace"))
             .arg("check-bench")
@@ -242,4 +240,59 @@ fn deeply_nested_trace_line_is_an_error_not_a_crash() {
     );
 
     let _ = std::fs::remove_file(&path);
+}
+
+/// Every mode rejects an unknown flag, a value flag with no value and an
+/// extra positional argument with `error: …` and exit 2, before it reads
+/// any input (`check-bench` has no value flag and takes any number of
+/// files, so only the unknown flag applies to it).
+#[test]
+fn every_mode_rejects_bad_arguments_with_exit_2() {
+    const RUN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/results/ledger-smoke");
+    let cases: [(&[&str], &str); 13] = [
+        (&[RUN, "--model"], "unknown flag for optimus-trace: --model"),
+        (&[RUN, "--top"], "--top requires a value"),
+        (&[RUN, RUN], "unexpected argument for optimus-trace: "),
+        (
+            &["timeline", RUN, "--widht", "40"],
+            "unknown flag for timeline: --widht",
+        ),
+        (&["timeline", RUN, "--width"], "--width requires a value"),
+        (
+            &["timeline", RUN, RUN],
+            "unexpected argument for timeline: ",
+        ),
+        (
+            &["why", "1", RUN, "--rounds", "3"],
+            "unknown flag for why: --rounds",
+        ),
+        (&["why", "1", RUN, "--round"], "--round requires a value"),
+        (
+            &["why", "1", RUN, "extra"],
+            "unexpected argument for why: extra",
+        ),
+        (
+            &["diff", RUN, RUN, "--ignored", "x"],
+            "unknown flag for diff: --ignored",
+        ),
+        (&["diff", RUN, RUN, "--ignore"], "--ignore requires a value"),
+        (&["diff", RUN, RUN, RUN], "unexpected argument for diff: "),
+        (
+            &["check-bench", "--tolerance", "0.1"],
+            "unknown flag for check-bench: --tolerance",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_optimus-trace"))
+            .args(args)
+            .output()
+            .expect("optimus-trace runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: {message}")),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} did some work");
+    }
 }
