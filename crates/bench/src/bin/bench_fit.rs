@@ -23,10 +23,9 @@
 //! noise. Grid points with a `dirty` count refit
 //! only that many jobs — the rest sit clean in the batch, the shape the
 //! dirty-set tracking exists for. The reference is deterministic and
-//! only a speedup's numerator, so it is timed over at most
-//! `REFERENCE_SAMPLES` samples (recorded as `reference_samples`, their
-//! mean as `reference_ns`); its outcome is still checked against the
-//! batched one at every point.
+//! only a speedup's numerator, so it runs once per point: that one
+//! pass is both the timing recorded as `reference_ns` and the outcome
+//! checked against the batched one.
 //!
 //! ```text
 //! bench_fit [--samples N] [--label STR] [--out FILE] [--points J,J,...]
@@ -74,11 +73,6 @@ const POINTS: [(usize, usize, Option<usize>); 8] = [
     (1_000, 500, Some(100)),
 ];
 
-/// Cap on the reference path's timed samples per point: the one-shot
-/// fits run tens of times longer than the batched refits, and timing
-/// them as often spent nearly all of a long run on the oracle.
-const REFERENCE_SAMPLES: u32 = 20;
-
 /// Least wall time of the batched sampling per grid point run, the
 /// untimed estimator builds included.
 const POINT_BUDGET: Duration = Duration::from_secs(4);
@@ -96,7 +90,7 @@ const INTERVAL_SAMPLES: usize = 10;
 #[derive(Serialize)]
 struct PointRecord {
     key: String,
-    /// Mean of the reference path's samples, ns.
+    /// The reference path's one timed pass, ns.
     reference_ns: u64,
     /// SoA waves of one batched refit.
     waves_per_refit: u64,
@@ -114,9 +108,6 @@ struct BenchEntry {
     /// `--samples`: the fewest batched samples a point took.
     samples: u32,
     host: Host,
-    /// Timed samples of the reference path: `samples`, capped at
-    /// `REFERENCE_SAMPLES`.
-    reference_samples: u32,
     interval_samples: usize,
     points: Vec<PointRecord>,
 }
@@ -193,31 +184,22 @@ fn current_history(h: &[(u64, f64)], i: usize, dirty: usize) -> &[(u64, f64)] {
     }
 }
 
-/// Times `LossCurveFitter::fit` from scratch on every job's current
-/// history, returning mean ns per interval and the fit outcomes.
-fn time_reference(
-    histories: &[Vec<(u64, f64)>],
-    dirty: usize,
-    samples: u32,
-) -> (u64, Vec<FitBits>) {
+/// Times one pass of `LossCurveFitter::fit` from scratch on every
+/// job's current history, returning its ns and the fit outcomes.
+fn time_reference(histories: &[Vec<(u64, f64)>], dirty: usize) -> (u64, Vec<FitBits>) {
     let fitter = LossCurveFitter::new();
-    let mut total_ns = 0u128;
-    let mut outcomes = Vec::new();
-    for _ in 0..samples {
-        let start = Instant::now();
-        outcomes = histories
-            .iter()
-            .enumerate()
-            .map(|(i, h)| {
-                std::hint::black_box(fitter.fit(current_history(h, i, dirty)))
-                    .ok()
-                    .as_ref()
-                    .map(bits)
-            })
-            .collect();
-        total_ns += start.elapsed().as_nanos();
-    }
-    ((total_ns / samples.max(1) as u128) as u64, outcomes)
+    let start = Instant::now();
+    let outcomes = histories
+        .iter()
+        .enumerate()
+        .map(|(i, h)| {
+            std::hint::black_box(fitter.fit(current_history(h, i, dirty)))
+                .ok()
+                .as_ref()
+                .map(bits)
+        })
+        .collect();
+    (start.elapsed().as_nanos() as u64, outcomes)
 }
 
 /// The batched path at one grid point.
@@ -302,11 +284,10 @@ fn main() -> ExitCode {
         Err(code) => return code,
     };
     let (samples, label) = (bench.samples, &bench.label);
-    let reference_samples = samples.min(REFERENCE_SAMPLES);
 
     println!(
-        "bench_fit: at least {samples} samples per point, {reference_samples} of the \
-         reference (label: {label})\n"
+        "bench_fit: at least {samples} samples per point, one of the reference \
+         (label: {label})\n"
     );
     println!(
         "{:>8} {:>9} {:>7} {:>14} {:>11} {:>22} {:>9} {:>9} {:>8}",
@@ -329,7 +310,7 @@ fn main() -> ExitCode {
             let histories: Vec<Vec<(u64, f64)>> = (0..jobs)
                 .map(|i| history(0x9E37_79B9 + i as u64, hist_len))
                 .collect();
-            let (ref_ns, ref_fits) = time_reference(&histories, dirty_jobs, reference_samples);
+            let (ref_ns, ref_fits) = time_reference(&histories, dirty_jobs);
             let batched = Batched::new(histories, dirty_jobs);
             // The batched path must be a pure optimization: identical bits.
             assert_eq!(
@@ -381,7 +362,6 @@ fn main() -> ExitCode {
         source: "bench_fit",
         samples,
         host: Host::probe(),
-        reference_samples,
         interval_samples: INTERVAL_SAMPLES,
         points,
     })

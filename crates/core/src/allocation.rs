@@ -12,7 +12,7 @@
 
 use crate::scheduler::JobView;
 use optimus_cluster::{Cluster, ResourceKind, ResourceVec};
-use optimus_telemetry::{AllocWhy, RunnerUp, Telemetry, TraceEvent};
+use optimus_telemetry::{AllocWhy, RunnerUp, Telemetry};
 use optimus_workload::JobId;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -73,6 +73,17 @@ pub trait ResourceAllocator {
 enum Action {
     AddWorker,
     AddPs,
+}
+
+impl Action {
+    /// The task type's name in provenance records: `"worker"` or
+    /// `"ps"`.
+    fn label(self) -> &'static str {
+        match self {
+            Action::AddWorker => "worker",
+            Action::AddPs => "ps",
+        }
+    }
 }
 
 /// Warm-started per-job prediction cache, replacing the PR-2
@@ -228,9 +239,8 @@ impl OptimusAllocator {
     /// (`alloc.marginal_gain_evals` counts prediction-cache *misses* —
     /// actual speed-model evaluations — not candidate considerations),
     /// the lazy-heap traffic (`alloc.heap_pops` pops of which
-    /// `alloc.stale_skips` were discarded by generation stamp), and
-    /// records an [`TraceEvent::AllocGrant`] per granted task plus one
-    /// [`TraceEvent::AllocRound`] summary.
+    /// `alloc.stale_skips` were discarded by generation stamp), and,
+    /// with provenance on, one why-record per job explaining its grant.
     pub fn with_telemetry(mut self, tel: Telemetry) -> Self {
         self.tel = tel;
         self
@@ -358,10 +368,7 @@ impl OptimusAllocator {
                 // runners-up stay empty.
                 **out = Some(AllocWhy {
                     gain,
-                    action: match action {
-                        Action::AddWorker => "worker".to_string(),
-                        Action::AddPs => "ps".to_string(),
-                    },
+                    action: action.label().to_string(),
                     dom_worker: cache.dom_worker,
                     dom_ps: cache.dom_ps,
                     young: job.progress < YOUNG_PROGRESS,
@@ -390,8 +397,9 @@ impl ResourceAllocator for OptimusAllocator {
 
     /// The full §4.1 greedy loop, writing rows into `out` and reusing
     /// `scratch` across rounds. Once both are warm this performs no heap
-    /// allocation (with a disabled telemetry handle; enabled handles
-    /// record per-grant trace events, which allocate).
+    /// allocation (with a disabled telemetry handle; an enabled one
+    /// records a span, counters and, with provenance on, why-records,
+    /// which allocate).
     fn allocate_into(
         &self,
         jobs: &[JobView],
@@ -403,8 +411,7 @@ impl ResourceAllocator for OptimusAllocator {
             .tel
             .is_enabled()
             .then(|| self.tel.span("alloc.allocate"));
-        let round = self.tel.incr("alloc.rounds");
-        let mut granted = 0u64;
+        self.tel.incr("alloc.rounds");
         let mut evals = 0u64;
         let mut heap_pops = 0u64;
         let mut stale_skips = 0u64;
@@ -533,27 +540,10 @@ impl ResourceAllocator for OptimusAllocator {
                     Action::AddPs => allocs[idx].ps += 1,
                 }
                 remaining -= demand;
-                granted += 1;
-                if self.tel.is_enabled() {
-                    self.tel.record(TraceEvent::AllocGrant {
-                        round,
-                        job: job.id.0,
-                        action: match top.action {
-                            Action::AddWorker => "worker".to_string(),
-                            Action::AddPs => "ps".to_string(),
-                        },
-                        gain: top.gain,
-                        ps: allocs[idx].ps,
-                        workers: allocs[idx].workers,
-                    });
-                }
                 if prov {
                     why[idx] = Some(AllocWhy {
                         gain: top.gain,
-                        action: match top.action {
-                            Action::AddWorker => "worker".to_string(),
-                            Action::AddPs => "ps".to_string(),
-                        },
+                        action: top.action.label().to_string(),
                         dom_worker: caches[idx].dom_worker,
                         dom_ps: caches[idx].dom_ps,
                         young: job.progress < YOUNG_PROGRESS,
@@ -596,12 +586,6 @@ impl ResourceAllocator for OptimusAllocator {
             self.tel.add("alloc.marginal_gain_evals", evals);
             self.tel.add("alloc.heap_pops", heap_pops);
             self.tel.add("alloc.stale_skips", stale_skips);
-            self.tel.record(TraceEvent::AllocRound {
-                round,
-                jobs: jobs.len(),
-                granted,
-                evals,
-            });
         }
     }
 }
@@ -761,10 +745,7 @@ fn top_runners_up(
         .map(|c| RunnerUp {
             job: c.job.0,
             gain: c.gain,
-            action: match c.action {
-                Action::AddWorker => "worker".to_string(),
-                Action::AddPs => "ps".to_string(),
-            },
+            action: c.action.label().to_string(),
         })
         .collect()
 }

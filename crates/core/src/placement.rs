@@ -17,7 +17,7 @@ use crate::scheduler::{JobPlacement, JobView};
 use optimus_cluster::{Cluster, ResourceKind, ResourceVec, ServerId};
 use optimus_ps::TaskCounts;
 use optimus_telemetry::provenance::MAX_REJECTIONS;
-use optimus_telemetry::{PlaceReject, PlaceWhy, Telemetry, TraceEvent};
+use optimus_telemetry::{PlaceReject, PlaceWhy, Telemetry};
 use optimus_workload::JobId;
 use std::collections::HashMap;
 
@@ -534,16 +534,17 @@ impl FreeIndex {
 #[derive(Debug, Clone, Default)]
 pub struct OptimusPlacer {
     /// Telemetry sink (disabled by default): `placement.packing_retries`
-    /// and `placement.index_updates` counters plus per-job
-    /// [`TraceEvent::Placement`] records.
+    /// and `placement.index_updates` counters plus, with provenance on,
+    /// per-job placement why-records.
     tel: Telemetry,
 }
 
 impl OptimusPlacer {
     /// Attaches a telemetry handle: shrink retries feed the
     /// `placement.packing_retries` counter, index repositions feed
-    /// `placement.index_updates`, and every placed job records its
-    /// layout.
+    /// `placement.index_updates`, and, with provenance on, every job
+    /// handed to the placer records its layout or rejection in a
+    /// why-record.
     pub fn with_telemetry(mut self, tel: Telemetry) -> Self {
         self.tel = tel;
         self
@@ -1043,19 +1044,6 @@ impl OptimusPlacer {
                 )
             };
             // None: paused this interval (§4.2).
-            if let Some(alloc) = placed {
-                if self.tel.is_enabled() {
-                    let shrunk = (allocations[i].ps + allocations[i].workers)
-                        .saturating_sub(alloc.ps + alloc.workers);
-                    self.tel.record(TraceEvent::Placement {
-                        job: job.id.0,
-                        ps: alloc.ps,
-                        workers: alloc.workers,
-                        servers: out.get(job.id).map_or(0, |p| p.len()),
-                        shrunk,
-                    });
-                }
-            }
             self.record_place_why(
                 job.id,
                 &allocations[i],

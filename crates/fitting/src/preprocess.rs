@@ -138,8 +138,8 @@ fn clean_one(cleaned: &mut [f64], i: usize, w: usize) -> bool {
 }
 
 /// Caller-owned scratch for [`preprocess_losses_incremental`]: all the
-/// per-call temporaries of [`preprocess_losses`] (cleaned values,
-/// normalized samples, replacement flags) plus the sufficient statistic
+/// per-call temporaries of [`preprocess_losses`] (cleaned values and
+/// normalized samples) plus the sufficient statistic
 /// for incremental normalization (the running prefix maximum of the
 /// cleaned series), reused across calls so the steady-state refit path
 /// allocates nothing and recomputes only the unsettled tail.
@@ -150,8 +150,6 @@ pub struct PreprocessScratch {
     cleaned: Vec<f64>,
     /// Normalized output samples of the previous call.
     samples: Vec<LossSample>,
-    /// Per-index replacement flags of the previous call.
-    replaced: Vec<bool>,
     /// `max_prefix[j]` = left fold of `f64::max` over `cleaned[0..=j]`
     /// starting from `NEG_INFINITY` — the running max the reference
     /// normalization folds from scratch every call.
@@ -177,11 +175,6 @@ impl PreprocessScratch {
     /// The normalization divisor produced by the last call.
     pub fn scale(&self) -> f64 {
         self.prev_scale
-    }
-
-    /// Number of outlier replacements in the last call's output.
-    pub fn outliers_replaced(&self) -> usize {
-        self.replaced.iter().filter(|&&r| r).count()
     }
 }
 
@@ -231,7 +224,6 @@ pub fn preprocess_losses_incremental(
     if n == 0 {
         scratch.cleaned.clear();
         scratch.samples.clear();
-        scratch.replaced.clear();
         scratch.max_prefix.clear();
         scratch.prev_len = 0;
         scratch.prev_scale = 1.0;
@@ -243,13 +235,11 @@ pub fn preprocess_losses_incremental(
     // then run the shared outlier kernel over it. Backward windows may
     // reach into the settled prefix; those values are already final.
     scratch.cleaned.truncate(keep);
-    scratch.replaced.truncate(keep);
     for &(_, l) in &raw[keep..] {
         scratch.cleaned.push(l);
     }
     for i in keep..n {
-        let r = clean_one(&mut scratch.cleaned, i, w);
-        scratch.replaced.push(r);
+        clean_one(&mut scratch.cleaned, i, w);
     }
 
     // Normalization scale: continue the reference's sequential

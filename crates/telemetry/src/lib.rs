@@ -17,10 +17,15 @@
 //!   rounds (`schedule_into`; delta rounds do not count it) report
 //!   `sched.round_allocs` (rounds that grew any reusable scratch
 //!   buffer — zero once the steady state is warm);
-//! * **Decision traces** — typed records of *why* the scheduler did what
-//!   it did ([`trace::TraceEvent`]): which marginal gain won a task,
-//!   what layout a job was placed with, which coefficients a
-//!   convergence fit produced.
+//! * **Traces** — typed records of what happened during a run
+//!   ([`trace::TraceEvent`]): which coefficients a convergence or speed
+//!   fit produced, which fits failed, each round's size and wall time,
+//!   each job's lifecycle edges and each estimator-audit sample;
+//! * **Decision provenance** — one [`WhyRecord`] per job and
+//!   scheduling round ([`Telemetry::why_alloc`],
+//!   [`Telemetry::why_place`]): the job's grant with the marginal gain
+//!   that won its last task and the runners-up it beat, and its
+//!   placement layout or the reason it stayed unplaced.
 //!
 //! Everything exports as JSON lines ([`Telemetry::to_json_lines`]) for
 //! the `optimus-trace` CLI, or as a Chrome `trace_event` file
@@ -39,13 +44,12 @@
 //!     let _round = tel.span("round");
 //!     tel.incr("alloc.rounds");
 //!     tel.observe("sim.round_wall_us", 1250.0);
-//!     tel.record(TraceEvent::AllocGrant {
-//!         round: 1, job: 3, action: "worker".into(),
-//!         gain: 0.42, ps: 2, workers: 5,
+//!     tel.record(TraceEvent::JobEvent {
+//!         t_s: 60.0, job: 3, what: "scheduled 2x5".into(),
 //!     });
 //! }
 //! let jsonl = tel.to_json_lines();
-//! assert!(jsonl.contains("alloc.rounds"));
+//! assert!(jsonl.contains("alloc.rounds") && jsonl.contains("scheduled 2x5"));
 //! ```
 
 pub mod flight;

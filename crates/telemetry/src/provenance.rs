@@ -1,9 +1,10 @@
 //! Decision provenance: per-job-round *why*-records.
 //!
-//! The trace stream ([`crate::trace`]) records what the scheduler did;
-//! this module records what it *rejected* and why. Once per scheduling
-//! round, the allocator, placer and delta engine each merge their side
-//! of the story into one [`WhyRecord`] per job:
+//! The trace stream ([`crate::trace`]) records fits, rounds and job
+//! edges; this module is the one record of each scheduling decision:
+//! what the scheduler granted and placed, what it *rejected*, and why.
+//! Once per scheduling round, the allocator, placer and delta engine
+//! each merge their side of the story into one [`WhyRecord`] per job:
 //!
 //! * **Allocation** ([`AllocWhy`]) — the winning marginal gain, the
 //!   dominant-share and priority inputs behind it, and the top-K

@@ -1,10 +1,13 @@
-//! Typed decision-trace records and the JSONL / Chrome export formats.
+//! Typed trace records (model fits, rounds, job edges, estimator
+//! samples) and the JSONL / Chrome export formats.
 //!
 //! A JSONL export is a sequence of [`TraceLine`]s, one per line, tagged
 //! by `"type"` so downstream tools (the `optimus-trace` CLI, `jq`,
-//! pandas) can filter without a schema: decision [`TraceLine::Event`]s
-//! and [`TraceLine::Span`]s first, then the final metric snapshot as
-//! `Counter`/`Gauge`/`Histogram` lines.
+//! pandas) can filter without a schema: [`TraceLine::Event`]s and
+//! [`TraceLine::Span`]s first, then the final metric snapshot as
+//! `Counter`/`Gauge`/`Histogram` lines. Why a job got its grant and
+//! placement is not here: that is the job's
+//! [`crate::provenance::WhyRecord`].
 
 use crate::metrics::Histogram;
 use crate::span::SpanRecord;
@@ -25,58 +28,23 @@ use std::borrow::Cow;
 /// 4 = this version (no trace line-shape change; decision-provenance
 /// [`crate::provenance::WhyRecord`]s ship alongside as their own
 /// `provenance.jsonl` artifact, each line carrying this version).
+/// Earlier v4 builds also wrote an event per greedy grant, per
+/// allocation pass and per placed job, which the why-records supersede;
+/// this build writes none, and `optimus-trace` skips them as
+/// unparseable lines.
 /// Older traces still parse: `underflow` reads back as `None` —
 /// unknown, not zero — and `optimus-trace` warns on the legacy
 /// versions.
 pub const SCHEMA_VERSION: u32 = 4;
 
-/// A scheduler decision worth explaining later. Job ids are raw `u64`s
-/// (this crate sits below the workload layer).
+/// A run event worth explaining later: a model fit or fit failure, a
+/// completed round, a job lifecycle edge or an estimator-audit sample.
+/// The §4.1 grants and §4.2 placements themselves are explained by the
+/// per-job [`crate::provenance::WhyRecord`]s, not by trace events. Job
+/// ids are raw `u64`s (this crate sits below the workload layer).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "event")]
 pub enum TraceEvent {
-    /// The §4.1 greedy loop granted one task: the marginal gain that
-    /// won, and the job's configuration after the grant.
-    AllocGrant {
-        /// Allocation round (the handle's `alloc.rounds` counter).
-        round: u64,
-        /// Winning job.
-        job: u64,
-        /// `"worker"` or `"ps"`.
-        action: String,
-        /// The winning gain: completion-time reduction per unit of the
-        /// task's dominant resource.
-        gain: f64,
-        /// Parameter servers after the grant.
-        ps: u32,
-        /// Workers after the grant.
-        workers: u32,
-    },
-    /// One full §4.1 allocation pass.
-    AllocRound {
-        /// Allocation round.
-        round: u64,
-        /// Jobs considered.
-        jobs: usize,
-        /// Tasks granted beyond the starter units.
-        granted: u64,
-        /// Marginal-gain evaluations performed.
-        evals: u64,
-    },
-    /// A job's §4.2 placement layout.
-    Placement {
-        /// The placed job.
-        job: u64,
-        /// Parameter servers placed.
-        ps: u32,
-        /// Workers placed.
-        workers: u32,
-        /// Servers the job spans.
-        servers: usize,
-        /// Tasks shed by shrink-on-unplaceable retries (0 = placed as
-        /// allocated).
-        shrunk: u32,
-    },
     /// A §3.1 convergence-curve fit.
     ConvergenceFit {
         /// The fitted job.
@@ -161,14 +129,14 @@ impl TraceEvent {
     }
 }
 
-/// One sequenced decision record.
+/// One sequenced trace record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceRecord {
     /// Monotonic sequence number within the handle.
     pub seq: u64,
     /// Wall-clock time, microseconds since the handle was created.
     pub t_us: u64,
-    /// The decision.
+    /// The event.
     pub event: TraceEvent,
 }
 
@@ -181,7 +149,7 @@ pub struct TraceRecord {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "type")]
 pub enum TraceLine {
-    /// A decision record.
+    /// A trace record.
     Event {
         /// Trace schema version.
         v: Option<u32>,
@@ -189,7 +157,7 @@ pub enum TraceLine {
         seq: u64,
         /// Wall-clock microseconds since handle creation.
         t_us: u64,
-        /// The decision.
+        /// The event.
         event: TraceEvent,
     },
     /// A closed span.
@@ -555,9 +523,6 @@ pub(crate) fn chrome_trace(lines: &[TraceLine]) -> String {
 
 fn event_name(event: &TraceEvent) -> &'static str {
     match event {
-        TraceEvent::AllocGrant { .. } => "AllocGrant",
-        TraceEvent::AllocRound { .. } => "AllocRound",
-        TraceEvent::Placement { .. } => "Placement",
         TraceEvent::ConvergenceFit { .. } => "ConvergenceFit",
         TraceEvent::SpeedFit { .. } => "SpeedFit",
         TraceEvent::FitFailure { .. } => "FitFailure",
@@ -575,27 +540,6 @@ mod tests {
     /// One event of every kind, with floats, escapes and empty vectors.
     fn every_event() -> Vec<TraceEvent> {
         vec![
-            TraceEvent::AllocGrant {
-                round: 3,
-                job: 1,
-                action: "worker".into(),
-                gain: 0.125,
-                ps: 1,
-                workers: 2,
-            },
-            TraceEvent::AllocRound {
-                round: 3,
-                jobs: 4,
-                granted: 9,
-                evals: 40,
-            },
-            TraceEvent::Placement {
-                job: 1,
-                ps: 1,
-                workers: 2,
-                servers: 1,
-                shrunk: 0,
-            },
             TraceEvent::ConvergenceFit {
                 job: 2,
                 coeffs: vec![1e-5, 0.5, f64::NAN],

@@ -125,13 +125,11 @@ fn jsonl_round_trips_every_line_kind() {
     tel.add("alloc.marginal_gain_evals", 12);
     tel.gauge("cluster.load", 0.75);
     tel.observe("sim.round_wall_us", 1234.0);
-    tel.record(TraceEvent::AllocGrant {
-        round: 1,
+    tel.record(TraceEvent::ConvergenceFit {
         job: 7,
-        action: "worker".into(),
-        gain: 0.25,
-        ps: 2,
-        workers: 3,
+        coeffs: vec![0.25, 2.0, 0.5],
+        residual: 0.125,
+        samples: 3,
     });
     tel.record(TraceEvent::JobEvent {
         t_s: 60.0,

@@ -399,8 +399,6 @@ fn print_rounds(lines: &[TraceLine]) {
 #[derive(Default)]
 struct JobDigest {
     timeline: Vec<(f64, String)>,
-    grants: usize,
-    placements: usize,
     speed_fits: usize,
     convergence_fits: usize,
     fit_failures: usize,
@@ -420,8 +418,6 @@ fn print_jobs(lines: &[TraceLine]) {
                     .timeline
                     .push((*t_s, what.clone()));
             }
-            TraceEvent::AllocGrant { job, .. } => jobs.entry(*job).or_default().grants += 1,
-            TraceEvent::Placement { job, .. } => jobs.entry(*job).or_default().placements += 1,
             TraceEvent::SpeedFit { job, .. } => jobs.entry(*job).or_default().speed_fits += 1,
             TraceEvent::ConvergenceFit { job, .. } => {
                 jobs.entry(*job).or_default().convergence_fits += 1
@@ -436,13 +432,8 @@ fn print_jobs(lines: &[TraceLine]) {
     println!("\nper-job timelines:");
     for (id, digest) in &jobs {
         println!(
-            "  job {id}: {} grants, {} placements, {} speed fits, \
-             {} convergence fits, {} fit failures",
-            digest.grants,
-            digest.placements,
-            digest.speed_fits,
-            digest.convergence_fits,
-            digest.fit_failures,
+            "  job {id}: {} speed fits, {} convergence fits, {} fit failures",
+            digest.speed_fits, digest.convergence_fits, digest.fit_failures,
         );
         // Collapse runs of identical edges ("paused ×12") to keep long
         // traces readable.

@@ -242,6 +242,43 @@ fn deeply_nested_trace_line_is_an_error_not_a_crash() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A trace written before the why-records replaced the per-grant trace
+/// event still summarizes: the retired line is skipped with a warning,
+/// and the valid v4 lines around it are reported (exit 0).
+#[test]
+fn retired_event_lines_are_skipped_not_fatal() {
+    let path = std::env::temp_dir().join(format!("optimus-retired-{}.jsonl", std::process::id()));
+    let trace = [
+        r#"{"type":"Event","v":4,"seq":0,"t_us":0,"event":{"event":"Round","round":1,"t_s":0,"active_jobs":1,"wall_us":0}}"#,
+        r#"{"type":"Event","v":4,"seq":1,"t_us":0,"event":{"event":"JobEvent","t_s":9900,"job":0,"what":"admitted"}}"#,
+        r#"{"type":"Event","v":4,"seq":2,"t_us":0,"event":{"event":"AllocGrant","round":1,"job":0,"action":"worker","gain":3261.8,"ps":1,"workers":2}}"#,
+        r#"{"type":"Counter","v":4,"name":"alloc.heap_pops","value":1234}"#,
+    ];
+    std::fs::write(&path, trace.join("\n") + "\n").expect("trace writes");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_optimus-trace"))
+        .arg(&path)
+        .output()
+        .expect("optimus-trace runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(
+        stderr.contains("skipped 1 unparseable lines"),
+        "stderr: {stderr}"
+    );
+    assert!(
+        !stderr.contains("predate"),
+        "v4 lines are current: {stderr}"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("job 0:") && stdout.contains("admitted") && stdout.contains("1234"),
+        "stdout: {stdout}"
+    );
+
+    let _ = std::fs::remove_file(&path);
+}
+
 /// Every mode rejects an unknown flag, a value flag with no value and an
 /// extra positional argument with `error: …` and exit 2, before it reads
 /// any input (`check-bench` has no value flag and takes any number of
