@@ -25,7 +25,9 @@
 //! dirty-set tracking exists for. The reference is deterministic and
 //! only a speedup's numerator, so it runs once per point: that one
 //! pass is both the timing recorded as `reference_ns` and the outcome
-//! checked against the batched one.
+//! checked against the batched one. Last it prints the process's peak
+//! resident set (`VmHWM`): with `--points 5000` that is the 5000 warm
+//! estimators and their histories. The entry does not record it.
 //!
 //! ```text
 //! bench_fit [--samples N] [--label STR] [--out FILE] [--points J,J,...]
@@ -278,6 +280,15 @@ An unknown flag, a flag with no value and a job count no grid point has
 are errors (exit 2).
 ";
 
+/// Peak resident set of this process (`VmHWM` in `/proc/self/status`),
+/// MB; `None` where the kernel does not report it.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = kb.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb / 1024.0)
+}
+
 fn main() -> ExitCode {
     let bench = match Bench::parse("bench_fit", USAGE, &[], &[], 5, &POINTS.map(|p| p.0)) {
         Ok(bench) => bench,
@@ -357,6 +368,12 @@ fn main() -> ExitCode {
         });
     }
 
+    // Every estimator of every point is still live here, so this is
+    // what the warm estimators of the largest point hold.
+    match peak_rss_mb() {
+        Some(mb) => println!("\npeak RSS (VmHWM): {mb:.1} MB"),
+        None => println!("\npeak RSS (VmHWM): unavailable"),
+    }
     bench.record(&BenchEntry {
         label: label.clone(),
         source: "bench_fit",

@@ -18,8 +18,14 @@ use serde::{Deserialize, Serialize};
 /// Rolling state of one job's convergence estimate.
 #[derive(Debug, Clone)]
 pub struct ConvergenceEstimator {
-    /// Raw samples, `(step, loss)`, in arrival order.
+    /// Raw samples, `(step, loss)`, in arrival order (empty once
+    /// retired).
     samples: Vec<(u64, f64)>,
+    /// Step of the latest recorded sample (0 before the first): a
+    /// restart keeps the newest samples, so it is `samples.last()`'s
+    /// step while the history lives, and it outlives
+    /// [`ConvergenceEstimator::retire`].
+    latest_step: u64,
     /// Convergence threshold δ (relative to the fitted curve's initial
     /// per-epoch decrease; see `optimus-fitting`).
     threshold: f64,
@@ -66,9 +72,15 @@ pub struct ConvergenceEstimator {
 /// cap, individual rebased samples) are pure functions of an append-only
 /// sample prefix, so they are reused verbatim as long as the bucket
 /// width, rebasing origin and drain generation are unchanged.
+///
+/// Below the cap at origin 0 a rebased sample is the sample itself
+/// (`k.saturating_sub(0) == k`), so the solver points *are* the raw
+/// samples: the cache then holds no points and the fitter reads the
+/// samples (see [`FitPointsCache::is_identity`]).
 #[derive(Debug, Clone, Default)]
 struct FitPointsCache {
-    /// The solver points fed to the last incremental fit.
+    /// The solver points fed to the last incremental fit (empty when
+    /// they are the raw samples).
     points: Vec<(u64, f64)>,
     /// Whether `points` reflects any previous call at all.
     valid: bool,
@@ -80,6 +92,14 @@ struct FitPointsCache {
     origin: u64,
     /// Drain generation used.
     generation: u64,
+}
+
+impl FitPointsCache {
+    /// Whether the last solver points were the raw samples themselves:
+    /// one point per sample (below the cap) with nothing to rebase.
+    fn is_identity(&self) -> bool {
+        self.per_bucket == 0 && self.origin == 0
+    }
 }
 
 /// Losses below `RESTART_RATIO ×` the model's prediction count toward a
@@ -104,6 +124,7 @@ impl ConvergenceEstimator {
     pub fn new(threshold: f64, steps_per_epoch: u64, patience: u64) -> Self {
         ConvergenceEstimator {
             samples: Vec::new(),
+            latest_step: 0,
             threshold,
             steps_per_epoch: steps_per_epoch.max(1),
             patience,
@@ -154,6 +175,7 @@ impl ConvergenceEstimator {
     /// estimator when a learning-rate drop is detected (§7).
     pub fn record(&mut self, step: u64, loss: f64) {
         self.samples.push((step, loss));
+        self.latest_step = step;
         self.dirty = true;
         if !self.restart_detection {
             return;
@@ -192,9 +214,24 @@ impl ConvergenceEstimator {
         self.samples.len()
     }
 
-    /// The latest observed step (0 when empty).
+    /// The latest observed step (0 before the first sample).
     pub fn latest_step(&self) -> u64 {
-        self.samples.last().map(|&(k, _)| k).unwrap_or(0)
+        self.latest_step
+    }
+
+    /// Drops the sample history and the fit scratch of a job that has
+    /// finished. Everything a prediction reads stays: the model, the
+    /// last fit's outcome, the origin, the restart count, the latest
+    /// step and the drain generation, so [`Self::predict`] and every
+    /// reader built on it answer with the same bits as before. A later
+    /// [`Self::refit`] replays the last outcome (or, with none,
+    /// reports [`FitError::NotEnoughSamples`]); [`Self::sample_count`]
+    /// reads 0.
+    pub fn retire(&mut self) {
+        self.samples = Vec::new();
+        self.session = FitSession::new();
+        self.points_cache = FitPointsCache::default();
+        self.dirty = false;
     }
 
     /// Refits the loss model from all samples collected so far.
@@ -226,7 +263,9 @@ impl ConvergenceEstimator {
     /// arithmetic; the cache only decides *which* points can be carried
     /// over, namely those from complete buckets of an append-only sample
     /// prefix under an unchanged bucket width, origin and drain
-    /// generation.
+    /// generation. When the points are the samples themselves
+    /// ([`FitPointsCache::is_identity`]) none are built, and
+    /// [`refit_convergence_batch`] hands the fitter the samples.
     fn update_fit_points(&mut self) -> usize {
         let n = self.samples.len();
         let per_bucket = if n <= self.max_fit_points {
@@ -251,6 +290,16 @@ impl ConvergenceEstimator {
                 Some(complete) => (complete, complete * per_bucket),
             }
         };
+        cache.valid = true;
+        cache.n = n;
+        cache.per_bucket = per_bucket;
+        cache.origin = self.origin;
+        cache.generation = self.generation;
+        if cache.is_identity() {
+            // Frees the points a bucketed or rebased history left behind.
+            cache.points = Vec::new();
+            return settled_points;
+        }
         cache.points.truncate(settled_points);
         if per_bucket == 0 {
             for &(k, l) in &self.samples[from_sample..] {
@@ -268,11 +317,6 @@ impl ConvergenceEstimator {
                 cache.points.push((step.round() as u64, loss));
             }
         }
-        cache.valid = true;
-        cache.n = n;
-        cache.per_bucket = per_bucket;
-        cache.origin = self.origin;
-        cache.generation = self.generation;
         settled_points
     }
 
@@ -408,11 +452,17 @@ pub fn refit_convergence_batch(
             fitter,
             session,
             points_cache,
+            samples,
             ..
         } = &mut **est;
+        let raw = if points_cache.is_identity() {
+            samples
+        } else {
+            &points_cache.points
+        };
         jobs.push(BatchFitJob {
             fitter,
-            raw: &points_cache.points,
+            raw,
             stable_prefix: stable,
             session,
         });
@@ -651,6 +701,83 @@ mod tests {
         assert_eq!(est.latest_step(), 0);
         est.record(41, 0.5);
         assert_eq!(est.latest_step(), 41);
+    }
+
+    /// Everything a prediction reads from an estimator, as bits.
+    fn prediction_bits(est: &ConvergenceEstimator) -> Vec<u64> {
+        let pred = est.predict();
+        let mut bits = vec![
+            pred.map_or(u64::MAX, |p| p.total_steps),
+            pred.map_or(u64::MAX, |p| p.remaining_steps),
+            est.predicted_remaining_epochs()
+                .map_or(u64::MAX, f64::to_bits),
+            est.remaining_steps_or(777),
+            est.latest_step(),
+            est.restarts() as u64,
+        ];
+        let m = est.model().expect("fitted");
+        bits.extend([m.beta0, m.beta1, m.beta2, m.scale, m.residual_ss].map(f64::to_bits));
+        for step in [0, 1, 17, 500, 3_000, 1 << 20] {
+            bits.push(est.predicted_loss_at(step).map_or(u64::MAX, f64::to_bits));
+        }
+        bits
+    }
+
+    /// Retiring drops the history and the fit scratch but keeps every
+    /// prediction bit, with and without a restart (a non-zero origin)
+    /// and with samples recorded since the last fit; a retired
+    /// estimator's refit replays its last outcome.
+    #[test]
+    fn retire_keeps_every_prediction_bit() {
+        use optimus_workload::curves::LrDrop;
+        let spe = 50u64;
+        // The stream of `restart_detection_handles_lr_drop`, which is
+        // known to restart.
+        let plain = GroundTruthCurve::new(0.3, 0.3).with_noise(0.005, 0.0);
+        let dropped = plain.with_lr_drop(LrDrop {
+            at_epoch: 30.0,
+            post_c0: 0.5,
+            post_floor: 0.12,
+        });
+        for (curve, detect) in [(plain, false), (dropped, true)] {
+            let mut est = ConvergenceEstimator::new(0.02, spe, 3)
+                .with_max_fit_points(400)
+                .with_restart_detection(detect);
+            let mut rng = ChaCha8Rng::seed_from_u64(99);
+            let mut last = Err(FitError::NoViableModel);
+            for k in 0..60 * spe {
+                est.record(k, curve.sample(k as f64, spe, &mut rng));
+                if k % (5 * spe) == 0 && k > 0 {
+                    last = est.refit().copied();
+                }
+            }
+            assert_eq!(est.restarts() > 0, detect, "restarts as configured");
+            assert!(est.dirty, "samples arrived after the last fit");
+            let before = prediction_bits(&est);
+            est.retire();
+            assert_eq!(est.sample_count(), 0);
+            assert_eq!(prediction_bits(&est), before, "restart detection {detect}");
+            let replay = est.refit().copied();
+            assert_same_outcome(&last, &replay, "a retired refit replays");
+            assert_eq!(prediction_bits(&est), before, "after the replay");
+        }
+    }
+
+    /// Below the cap at origin 0 the solver points are the samples, and
+    /// the cache keeps no copy of them; past the cap it keeps the
+    /// bucket means.
+    #[test]
+    fn identity_points_are_not_copied() {
+        let curve = GroundTruthCurve::new(0.3, 0.1);
+        let mut est = ConvergenceEstimator::new(0.02, 100, 3).with_max_fit_points(64);
+        feed(&mut est, &curve, 100, 64, 3);
+        est.refit().unwrap();
+        assert!(est.points_cache.is_identity());
+        assert_eq!(est.points_cache.points.capacity(), 0);
+        feed(&mut est, &curve, 100, 200, 4);
+        est.refit().unwrap();
+        assert!(!est.points_cache.is_identity());
+        assert_eq!(est.points_cache.points, est.fit_points());
     }
 
     /// Asserts two refit outcomes are bit-identical (models) or equal

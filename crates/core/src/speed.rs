@@ -96,6 +96,15 @@ impl SpeedModel {
         }
     }
 
+    /// Drops the sample history of a job that has finished. θ, the
+    /// residual, the prediction scale and the generation stay, so
+    /// [`Self::predict`], [`Self::coefficients`] and [`Self::predictor`]
+    /// answer with the same bits; a later [`Self::refit`] fails for want
+    /// of samples and keeps the model.
+    pub fn retire(&mut self) {
+        self.samples = Vec::new();
+    }
+
     /// Sets the prediction multiplier (Fig 15 error injection; 1.0 =
     /// unbiased).
     pub fn set_prediction_scale(&mut self, scale: f64) {
@@ -325,6 +334,45 @@ mod tests {
                     assert_eq!(copy.predict(p, w).to_bits(), model.predict(p, w).to_bits());
                 }
             }
+        }
+    }
+
+    /// Everything a prediction reads from a speed model, as bits,
+    /// including the predictor copy's answers over a (p, w) grid.
+    fn prediction_bits(model: &SpeedModel) -> Vec<u64> {
+        let mut bits: Vec<u64> = model.coefficients().iter().map(|c| c.to_bits()).collect();
+        bits.push(model.residual_ss().map_or(u64::MAX, f64::to_bits));
+        bits.push(model.generation());
+        bits.push(model.is_fit() as u64);
+        bits.push(model.prediction_scale().to_bits());
+        let copy = model.predictor();
+        for p in 0..=12 {
+            for w in 0..=12 {
+                bits.push(model.predict(p, w).to_bits());
+                bits.push(copy.predict(p, w).to_bits());
+            }
+        }
+        bits
+    }
+
+    /// Retiring drops the samples but keeps every prediction bit (either
+    /// mode, any prediction scale); a retired model's refit fails for
+    /// want of samples and keeps θ.
+    #[test]
+    fn retire_keeps_every_prediction_bit() {
+        let (sync, _) = fit_from_truth(TrainingMode::Synchronous, &PROFILE_CONFIGS);
+        let (mut asynchronous, _) = fit_from_truth(TrainingMode::Asynchronous, &PROFILE_CONFIGS);
+        asynchronous.set_prediction_scale(0.7);
+        for mut model in [sync, asynchronous] {
+            let before = prediction_bits(&model);
+            model.retire();
+            assert!(model.samples().is_empty());
+            assert_eq!(prediction_bits(&model), before);
+            assert_eq!(
+                model.refit(),
+                Err(FitError::NotEnoughSamples { got: 0, need: 1 })
+            );
+            assert_eq!(prediction_bits(&model), before, "after the failed refit");
         }
     }
 

@@ -341,6 +341,25 @@ thread_local! {
     static NO_PREDICTION: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
+/// The number of distinct steps in `samples`, counted no further than
+/// three: `fit` needs three, and its `NotEnoughSamples` reports the
+/// exact count below that. Stopping at the third needs no buffer and
+/// no sort.
+fn distinct_steps_up_to_3(samples: &[LossSample]) -> usize {
+    let mut seen = [0u64; 2];
+    let mut n = 0;
+    for &(k, _) in samples {
+        if !seen[..n].contains(&k) {
+            if n == 2 {
+                return 3;
+            }
+            seen[n] = k;
+            n += 1;
+        }
+    }
+    n
+}
+
 fn fit_group(
     group: &mut [BatchFitJob<'_>],
     scratch: &mut BatchScratch,
@@ -366,12 +385,7 @@ fn fit_group(
         );
         let samples = job.session.pre.samples();
         let scale = job.session.pre.scale();
-        let steps_buf = &mut job.session.steps_buf;
-        steps_buf.clear();
-        steps_buf.extend(samples.iter().map(|&(k, _)| k));
-        steps_buf.sort_unstable();
-        steps_buf.dedup();
-        let distinct = steps_buf.len();
+        let distinct = distinct_steps_up_to_3(samples);
         if distinct < 3 {
             pro[k] = Prologue {
                 err: Some(FitError::NotEnoughSamples {
@@ -1615,6 +1629,27 @@ mod tests {
                 (k as u64, (1.0 / (0.05 * k as f64 + 1.0) + 0.2) * jitter)
             })
             .collect()
+    }
+
+    /// The bounded count is the sorted-and-deduplicated count wherever
+    /// that is below three, and three otherwise, on every history of up
+    /// to five samples over steps 0–3.
+    #[test]
+    fn distinct_steps_stop_at_three() {
+        for len in 0..=5u32 {
+            for code in 0..4u64.pow(len) {
+                let samples: Vec<LossSample> =
+                    (0..len).map(|i| ((code >> (2 * i)) & 3, 1.0)).collect();
+                let mut steps: Vec<u64> = samples.iter().map(|&(k, _)| k).collect();
+                steps.sort_unstable();
+                steps.dedup();
+                assert_eq!(
+                    distinct_steps_up_to_3(&samples),
+                    steps.len().min(3),
+                    "{samples:?}"
+                );
+            }
+        }
     }
 
     /// Waves and full dual sweeps `fit_batch` runs for `copies`

@@ -289,8 +289,6 @@ impl LossCurveFitter {
 pub struct FitSession {
     /// Incremental preprocessing state + scratch.
     pub(crate) pre: PreprocessScratch,
-    /// Distinct-step counting scratch.
-    pub(crate) steps_buf: Vec<u64>,
     /// Per-call memo: β₂ bit pattern → exact fit outcome (`None` = the
     /// candidate failed). Only *exact* (never abandoned) evaluations
     /// are stored. Cleared at the start of every fit: the residual is

@@ -140,9 +140,12 @@ pub struct SimJob {
     pub last_scale_time: f64,
     /// Environmental factors of the current placement.
     pub env: EnvFactors,
-    /// Scheduler-visible convergence estimator (§3.1).
+    /// Scheduler-visible convergence estimator (§3.1). Once the job
+    /// finishes it keeps its fitted model and predictions, but its
+    /// sample history is dropped (`sample_count() == 0`).
     pub convergence: ConvergenceEstimator,
-    /// Scheduler-visible speed model (§3.2).
+    /// Scheduler-visible speed model (§3.2). Once the job finishes it
+    /// keeps θ and predicts as before, but its `samples()` are empty.
     pub speed_model: SpeedModel,
     /// Straggler state of the current worker fleet (§5.2).
     pub stragglers: StragglerMonitor,
@@ -313,7 +316,18 @@ impl SimJob {
         self.ps = 0;
         self.workers = 0;
         self.jct.settle(finish);
+        self.retire();
         finish
+    }
+
+    /// Drops the sample histories of a finished job: nothing reads them
+    /// once it stops, so a run holds histories in proportion to its
+    /// live jobs, not to every job it was given. The fitted models keep
+    /// predicting with the same bits (see [`ConvergenceEstimator::retire`]
+    /// and [`SpeedModel::retire`]).
+    pub(crate) fn retire(&mut self) {
+        self.convergence.retire();
+        self.speed_model.retire();
     }
 
     /// The PS load-imbalance factor for `p` shards under the given

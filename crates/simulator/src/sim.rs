@@ -509,6 +509,11 @@ impl Simulation {
     }
 
     /// Access to the job states (post-run inspection in tests/examples).
+    ///
+    /// A finished job keeps its fitted models, `finish_time` and
+    /// counters, but not its sample histories: its speed model's
+    /// `samples()` are empty and its estimator's `sample_count()` is 0
+    /// (memory stays in proportion to the live jobs).
     pub fn jobs(&self) -> &[SimJob] {
         &self.jobs
     }

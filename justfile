@@ -38,13 +38,18 @@ bench-fit:
 # proof for warm full rounds (`schedule_into`) and for every kind of
 # warm delta round the simulator runs (`schedule_delta`), for a refit of
 # a fitted speed model, and for warm batched refits of one to eight
-# jobs (`fit_batch`). The proofs count the allocator calls of the test
-# thread, where all of these run, so the harness's own threads cannot
-# pollute them.
+# jobs (`fit_batch`). Beside them, the retained-bytes proof: the bytes
+# a whole simulation leaves live do not grow when its jobs run eight
+# times longer, and grow by at most a fixed allowance per job, because
+# a finished job drops its sample histories (`SimJob::retire`). The
+# proofs count the allocator calls (or live bytes) of the test thread,
+# where all of these run, so the harness's own threads cannot pollute
+# them.
 bench-alloc:
     cargo run --release -p optimus-bench --bin bench_sched -- --samples 1 --verify
     cargo test --release -p optimus-core --test zero_alloc
     cargo test --release -p optimus-fitting --test zero_alloc
+    cargo test --release -p optimus-simulator --test retained_bytes
 
 # Prove the optimized paths byte-identical to their naive oracles
 # (property-based where inputs vary): the allocator/placer against the

@@ -138,10 +138,15 @@ fn online_estimates_drive_scheduling_not_ground_truth() {
     );
     let _ = sim.run();
     // Jobs that finish within their first scheduling interval never get
-    // a refit — every longer-lived job must have an accurate model.
+    // a refit — every longer-lived job must have an accurate model. A
+    // finished job has dropped its sample histories and still predicts.
     let mut fitted = 0;
     for job in sim.jobs() {
+        assert!(job.finish_time.is_some(), "{} finished", job.spec.id);
+        assert_eq!(job.convergence.sample_count(), 0, "{}", job.spec.id);
+        assert_eq!(job.speed_model.sample_count(), 0, "{}", job.spec.id);
         assert!(job.speed_model.is_fit(), "{}", job.spec.id);
+        assert!(job.speed_model.predict(4, 4) > 0.0, "{}", job.spec.id);
         if let Some(pred) = job.convergence.predict() {
             let truth = job.true_total_steps;
             let rel = (pred.total_steps as f64 - truth as f64).abs() / truth as f64;
